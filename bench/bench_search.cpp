@@ -37,11 +37,12 @@ core::CyclicFamilySpec skewed_spec() {
 }
 
 void BM_Search_SkewedTree(benchmark::State& state) {
-  // Scheduling bench: reduction off keeps the full tree (twin symmetry
-  // would collapse the identical stubs), so the wall clock is dominated by
-  // how evenly the workers split the one deep subtree. On a 1-CPU container
-  // threads > 1 measure engine overhead only; the per-worker state shares
-  // in the --sched-report harness show the distribution either way.
+  // Scheduling bench: every family message has its own source node, so no
+  // two messages are twins and the default (safe) reduction leaves the
+  // tree as it is (29,716 states in both modes). The wall clock is
+  // dominated by how evenly the workers split the one deep subtree; the
+  // per-worker state shares in the --sched-report harness show the
+  // distribution.
   const core::CyclicFamily family(skewed_spec());
   analysis::SearchLimits limits;
   limits.threads = static_cast<unsigned>(state.range(0));
@@ -116,10 +117,9 @@ BENCHMARK(BM_Search_Fig1MessageCount)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Search_Fig1Reduction(benchmark::State& state) {
-  // The ISSUE-5 headline rows: Figure-1 safety proof at x1/x2 copies under
-  // each reduction mode. x2 duplicates every spec, so twin symmetry (safe)
-  // collapses the interchangeable-copy interleavings; on adds per-state
-  // component factorization.
+  // Figure-1 safety proof at x1/x2 copies under each reduction mode. x2
+  // duplicates every spec, so twin symmetry (safe) collapses the
+  // interchangeable-copy interleavings.
   const core::CyclicFamily family(core::fig1_spec());
   const auto base = family.message_specs();
   std::vector<sim::MessageSpec> specs;
@@ -145,8 +145,8 @@ void BM_Search_Fig1Reduction(benchmark::State& state) {
   state.counters["states_per_sec"] = result.profile.states_per_second;
 }
 BENCHMARK(BM_Search_Fig1Reduction)
-    ->Args({1, 0})->Args({1, 1})->Args({1, 2})
-    ->Args({2, 0})->Args({2, 1})->Args({2, 2})
+    ->Args({1, 0})->Args({1, 1})
+    ->Args({2, 0})->Args({2, 1})
     ->Unit(benchmark::kMillisecond);
 
 void BM_Search_DelayBudgetCost(benchmark::State& state) {

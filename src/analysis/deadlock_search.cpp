@@ -80,44 +80,23 @@ class TakenSet {
 /// materialized branch vector, so memory stays flat at high branch factors
 /// and each branch is costed only when the DFS actually reaches it.
 ///
-/// Reduction (DESIGN.md §12): the engine may hand the generator a
-/// GenReduction. Twin chains cap each twin's odometer digit at its next
+/// Twin symmetry (DESIGN.md §12): the engine may hand the generator twin
+/// chains (per request, the next twin's index or kNoTwin; empty when the
+/// state has none). Each twin's odometer digit is capped at its next
 /// sibling's current value, so only canonical (non-decreasing) option
 /// tuples within each chain are enumerated — every pruned combo is the
 /// image of a canonical one under a twin transposition, which is an
-/// automorphism of the transition system. Independence classes switch the
-/// odometer to phased mode: one class at a time varies over its full range
-/// while every other class stays pinned at its deterministic greedy option,
-/// turning a product of class fan-outs into a sum.
-struct GenReduction {
-  std::vector<std::uint32_t> twin_next;   ///< per request; kNoTwin when none
-  std::vector<std::uint32_t> comp_of;     ///< per request; set when phased
-  std::vector<std::uint32_t> greedy_opt;  ///< per request; set when phased
-  std::uint32_t comp_count = 1;           ///< > 1 enables phased mode
-
-  /// Back to the default-constructed state, keeping vector capacity —
-  /// pooled instances are reset before reuse on the next state.
-  void reset() {
-    twin_next.clear();
-    comp_of.clear();
-    greedy_opt.clear();
-    comp_count = 1;
-  }
-};
-
+/// automorphism of the transition system.
 class AssignmentGenerator {
  public:
   AssignmentGenerator(std::vector<sim::MessageRequests> requests,
                       AdversaryModel model, std::size_t max_branches,
-                      GenReduction reduction = {})
+                      std::vector<std::uint32_t> twin_next = {})
       : requests_(std::move(requests)),
         odometer_(requests_.size(), 0),
-        red_(std::move(reduction)),
-        phased_(red_.comp_count > 1),
+        twin_next_(std::move(twin_next)),
         model_(model),
-        max_branches_(max_branches) {
-    if (phased_) load_phase();
-  }
+        max_branches_(max_branches) {}
 
   /// Fills `out` with the next legal assignment; returns false when the
   /// combos are exhausted or the branch cap was hit (see truncated()).
@@ -129,19 +108,14 @@ class AssignmentGenerator {
         truncated_ = true;  // unexplored combos remain beyond the cap
         return false;
       }
-      // Phased mode: the all-greedy combo already appeared while phase 0's
-      // class swept over its own greedy option; later phases would repeat
-      // it, so the revisit is skipped.
-      bool valid = !(phase_ > 0 && varying_class_is_greedy());
-      if (valid) {
-        out.clear();
-        taken.reset();
-        for (std::size_t i = 0; i < m && valid; ++i) {
-          if (is_skip(i)) continue;
-          const ChannelId c = requests_[i].channels[odometer_[i]];
-          if (!taken.try_take(c)) valid = false;  // collision
-          else out.grants.emplace_back(c, requests_[i].message);
-        }
+      bool valid = true;
+      out.clear();
+      taken.reset();
+      for (std::size_t i = 0; i < m && valid; ++i) {
+        if (is_skip(i)) continue;
+        const ChannelId c = requests_[i].channels[odometer_[i]];
+        if (!taken.try_take(c)) valid = false;  // collision
+        else out.grants.emplace_back(c, requests_[i].message);
       }
       if (valid) {
         for (std::size_t i = 0; i < m && valid; ++i) {
@@ -172,13 +146,13 @@ class AssignmentGenerator {
   /// Legal assignments produced so far.
   [[nodiscard]] std::size_t yielded() const { return yielded_; }
 
-  /// Donates the generator's heap structures (request list, reduction
-  /// vectors) back to the caller's pools for reuse by the next state's
-  /// generator. The generator must not be used afterwards.
+  /// Donates the generator's heap structures (request list, twin chains)
+  /// back to the caller's pools for reuse by the next state's generator.
+  /// The generator must not be used afterwards.
   void recycle_into(std::vector<std::vector<sim::MessageRequests>>& groups,
-                    std::vector<GenReduction>& reductions) {
+                    std::vector<std::vector<std::uint32_t>>& twins) {
     if (groups.size() < 64) groups.push_back(std::move(requests_));
-    if (reductions.size() < 64) reductions.push_back(std::move(red_));
+    if (twins.size() < 64) twins.push_back(std::move(twin_next_));
   }
 
  private:
@@ -192,49 +166,23 @@ class AssignmentGenerator {
   /// other collision).
   [[nodiscard]] std::size_t limit(std::size_t i) const {
     std::size_t cap = requests_[i].channels.size();
-    if (!red_.twin_next.empty() && red_.twin_next[i] != kNoTwin)
-      cap = std::min(cap, odometer_[red_.twin_next[i]]);
+    if (!twin_next_.empty() && twin_next_[i] != kNoTwin)
+      cap = std::min(cap, odometer_[twin_next_[i]]);
     return cap;
-  }
-
-  /// Phased mode: requests outside the currently varying class hold their
-  /// greedy option and are never advanced.
-  [[nodiscard]] bool pinned(std::size_t i) const {
-    return phased_ && red_.comp_of[i] != phase_;
-  }
-
-  [[nodiscard]] bool varying_class_is_greedy() const {
-    for (std::size_t i = 0; i < requests_.size(); ++i)
-      if (red_.comp_of[i] == phase_ && odometer_[i] != red_.greedy_opt[i])
-        return false;
-    return true;
-  }
-
-  void load_phase() {
-    for (std::size_t i = 0; i < requests_.size(); ++i)
-      odometer_[i] = pinned(i) ? red_.greedy_opt[i] : 0;
   }
 
   void advance() {
     const std::size_t m = requests_.size();
     for (std::size_t i = 0; i < m; ++i) {
-      if (pinned(i)) continue;
       if (++odometer_[i] <= limit(i)) return;
       odometer_[i] = 0;
     }
-    // The (current phase's) odometer wrapped around.
-    if (!phased_ || ++phase_ >= red_.comp_count) {
-      done_ = true;
-      return;
-    }
-    load_phase();
+    done_ = true;  // the odometer wrapped around
   }
 
   std::vector<sim::MessageRequests> requests_;
   std::vector<std::size_t> odometer_;
-  GenReduction red_;
-  bool phased_;
-  std::uint32_t phase_ = 0;
+  std::vector<std::uint32_t> twin_next_;
   AdversaryModel model_;
   std::size_t max_branches_;
   std::size_t yielded_ = 0;
@@ -287,19 +235,6 @@ constexpr std::uint64_t kStatusPublishStride = 1024;
 /// starving peers will drain the deque long before then.
 constexpr std::size_t kDequeCap = 64;
 
-/// Per-search reduction inputs, resolved once by the entry points: message
-/// specs (twin detection) and — when every route could be traced — the full
-/// oblivious route of each message (component independence). Both indexed
-/// by MessageId. Adaptive searches carry specs only: without a fixed route
-/// there is no shrinking active suffix, so component reduction degrades to
-/// twin symmetry alone.
-struct ReductionContext {
-  ReductionMode mode = ReductionMode::kOff;
-  std::vector<sim::MessageSpec> specs;
-  std::vector<std::vector<ChannelId>> routes;
-  bool have_routes = false;
-};
-
 /// The DFS engine shared by the oblivious and adaptive entry points.
 ///
 /// Serial mode (threads == 1) is one DFS over the whole space. Parallel
@@ -325,12 +260,15 @@ struct ReductionContext {
 /// initial state, which revalidates every grant.
 class SearchEngine {
  public:
+  /// `twin_specs` (indexed by MessageId) enables twin symmetry; empty runs
+  /// the unreduced enumeration. It must outlive the engine.
   SearchEngine(const topo::Network& net, AdversaryModel model,
-               const SearchLimits& limits, const ReductionContext& reduction)
+               const SearchLimits& limits,
+               std::span<const sim::MessageSpec> twin_specs)
       : net_(net),
         model_(model),
         limits_(limits),
-        red_(reduction),
+        twin_specs_(twin_specs),
         delay_mode_(model == AdversaryModel::kBoundedDelay),
         threads_(resolve_threads(limits.threads)),
         status_(limits.status),
@@ -343,8 +281,7 @@ class SearchEngine {
   DeadlockSearchResult run(sim::WormholeSimulator root,
                            std::size_t message_count) {
     started_ = std::chrono::steady_clock::now();
-    if (status_ != nullptr)
-      status_->begin_search(threads_, limits_.max_states, &visited_);
+    if (status_ != nullptr) status_->begin_segment(&visited_);
     DeadlockSearchResult result;
     result.profile.branch_factor =
         obs::Histogram(obs::Histogram::exponential_bounds(1, 4096));
@@ -412,14 +349,19 @@ class SearchEngine {
       SearchLimits serial_limits = limits_;
       serial_limits.threads = 1;
       serial_limits.status = nullptr;
-      SearchEngine serial(net_, model_, serial_limits, red_);
+      SearchEngine serial(net_, model_, serial_limits, twin_specs_);
       DeadlockSearchResult canon =
           serial.run(sim::WormholeSimulator(pristine), message_count);
       if (canon.deadlock_found) {
         if (status_ != nullptr) {
+          // The board's final shards describe the returned result, so they
+          // are the serial rerun's (one shard), not the parallel race's.
           for (const Worker& w : workers_)
-            status_->publish_worker(w.index, w.profile);
-          status_->end_search(canon.states_explored);
+            status_->publish_worker(
+                w.index, w.index < canon.worker_profiles.size()
+                             ? canon.worker_profiles[w.index]
+                             : SearchProfile{});
+          status_->end_segment(canon.states_explored);
         }
         return canon;
       }
@@ -450,10 +392,10 @@ class SearchEngine {
         static_cast<double>(result.states_explored) / secs;
     if (status_ != nullptr) {
       // Final shard publication (workers have joined), then detach — the
-      // board keeps these as "last search" numbers until the next attach.
+      // board folds this run into the search's totals.
       for (const Worker& w : workers_)
         status_->publish_worker(w.index, w.profile);
-      status_->end_search(result.states_explored);
+      status_->end_segment(result.states_explored);
     }
     return result;
   }
@@ -479,15 +421,11 @@ class SearchEngine {
     /// into a warm simulator keeps its heap buffers, so the DFS hot loop
     /// stops allocating per fork once the pool fills.
     std::vector<sim::WormholeSimulator> sim_pool;
-    /// Retired generator internals (request lists, reduction vectors) from
+    /// Retired generator internals (request lists, twin chains) from
     /// retire_frame, reused by open_frame so per-state expansion stops
     /// allocating once the DFS warms up. Same idea as sim_pool.
     std::vector<std::vector<sim::MessageRequests>> groups_pool;
-    std::vector<GenReduction> red_pool;
-    /// Reduction scratch (analysis/reduction.hpp), reused across states.
-    ComponentScratch comp_scratch;
-    std::vector<std::span<const ChannelId>> actives;
-    std::vector<std::uint32_t> comp_of;
+    std::vector<std::vector<std::uint32_t>> twin_pool;
     SearchProfile profile;
     bool exhausted = true;
     bool found_deadlock = false;
@@ -649,62 +587,6 @@ class SearchEngine {
     if (w.sim_pool.size() < 64) w.sim_pool.push_back(std::move(sim));
   }
 
-  /// Builds the generator's reduction structure for one state (reduction.hpp
-  /// has the primitives, DESIGN.md §12 the soundness arguments): twin chains
-  /// always; in kOn additionally the independence classes of the request
-  /// list under active-suffix connectivity, with the greedy option of every
-  /// request precomputed for class pinning.
-  void prepare_reduction(const sim::WormholeSimulator& sim,
-                         const std::vector<sim::MessageRequests>& groups,
-                         std::span<const std::uint32_t> spent,
-                         GenReduction& red, Worker& w) {
-    twin_next_siblings(groups, red_.specs, spent, red.twin_next);
-    bool any_twin = false;
-    for (const std::uint32_t t : red.twin_next) any_twin |= (t != kNoTwin);
-    if (!any_twin) red.twin_next.clear();
-
-    if (red_.mode != ReductionMode::kOn || !red_.have_routes ||
-        groups.size() < 2)
-      return;
-    const std::size_t n = sim.message_count();
-    w.actives.clear();
-    w.actives.reserve(n);
-    for (std::size_t m = 0; m < n; ++m) {
-      std::span<const ChannelId> active;
-      if (sim.status(MessageId{m}) != sim::MessageStatus::kConsumed) {
-        // Channels the message may still hold or acquire: the unreleased
-        // suffix of its route. This set only ever shrinks, which is what
-        // lets "independent now" mean "independent forever".
-        const std::vector<ChannelId>& route = red_.routes[m];
-        const std::size_t from =
-            std::min(sim.released_count(MessageId{m}), route.size());
-        active = std::span<const ChannelId>(route).subspan(from);
-      }
-      w.actives.push_back(active);
-    }
-    const std::uint32_t count = request_components(
-        groups, w.actives, net_.channel_count(), w.comp_scratch, w.comp_of);
-    if (count < 2) return;
-    red.comp_of = w.comp_of;
-    red.comp_count = count;
-    // Greedy resolution: scanning in request order, each request takes its
-    // lowest free untaken candidate, else skips. A pinned moving request is
-    // therefore never idle beside a free candidate, so the pinned classes
-    // are legal in both adversary models and cost no delay budget.
-    red.greedy_opt.resize(groups.size());
-    w.taken.reset();
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      red.greedy_opt[i] =
-          static_cast<std::uint32_t>(groups[i].channels.size());  // skip
-      for (std::size_t k = 0; k < groups[i].channels.size(); ++k) {
-        if (w.taken.try_take(groups[i].channels[k])) {
-          red.greedy_opt[i] = static_cast<std::uint32_t>(k);
-          break;
-        }
-      }
-    }
-  }
-
   enum class Open { kPushed, kTerminal };
 
   /// Opens a freshly registered state for expansion, emplacing the new
@@ -729,14 +611,20 @@ class SearchEngine {
         return Open::kTerminal;
       }
     }
-    GenReduction red = take_pooled(w.red_pool);
-    red.reset();
-    if (red_.mode != ReductionMode::kOff && !groups.empty())
-      prepare_reduction(sim, groups, spent, red, w);
+    // Twin chains (reduction.hpp); kept only when the state has a twin.
+    std::vector<std::uint32_t> twin_next = take_pooled(w.twin_pool);
+    twin_next.clear();
+    if (!twin_specs_.empty()) {
+      twin_next_siblings(groups, twin_specs_, spent, twin_next);
+      if (std::all_of(twin_next.begin(), twin_next.end(),
+                      [](std::uint32_t t) { return t == kNoTwin; }))
+        twin_next.clear();
+    }
     Frame& frame = stack.emplace_back(
         std::move(sim),
         AssignmentGenerator(std::move(groups), model_,
-                            limits_.max_branches_per_state, std::move(red)),
+                            limits_.max_branches_per_state,
+                            std::move(twin_next)),
         std::move(spent));
     frame.has_pending = frame.gen.next(frame.pending, w.taken);
     return Open::kPushed;
@@ -759,7 +647,7 @@ class SearchEngine {
     }
     w.profile.branch_factor.observe(
         static_cast<double>(frame.gen.yielded()));
-    frame.gen.recycle_into(w.groups_pool, w.red_pool);
+    frame.gen.recycle_into(w.groups_pool, w.twin_pool);
   }
 
   /// Pops the worker's own newest item (back), else sweeps the peers'
@@ -1075,7 +963,7 @@ class SearchEngine {
   const topo::Network& net_;
   const AdversaryModel model_;
   const SearchLimits& limits_;
-  const ReductionContext& red_;
+  const std::span<const sim::MessageSpec> twin_specs_;
   const bool delay_mode_;
   const unsigned threads_;
   SearchStatusBoard* const status_;
@@ -1100,14 +988,34 @@ class SearchEngine {
   std::chrono::steady_clock::time_point started_;
 };
 
-DeadlockSearchResult search_core(sim::WormholeSimulator root,
-                                 std::size_t message_count,
-                                 const topo::Network& net,
-                                 AdversaryModel model,
-                                 const SearchLimits& limits,
-                                 const ReductionContext& reduction) {
-  SearchEngine engine(net, model, limits, reduction);
-  return engine.run(std::move(root), message_count);
+/// One engine run over `messages`. kSafe hands the engine the specs for
+/// twin symmetry; root decomposition is the caller's business.
+template <typename Routing>
+DeadlockSearchResult run_engine(const Routing& alg,
+                                std::span<const sim::MessageSpec> messages,
+                                AdversaryModel model,
+                                const SearchLimits& limits) {
+  std::span<const sim::MessageSpec> twin_specs;
+  if (limits.reduction != ReductionMode::kOff) twin_specs = messages;
+  sim::SimConfig config;
+  config.buffer_depth = limits.buffer_depth;
+  sim::WormholeSimulator root(alg, config);
+  for (const sim::MessageSpec& spec : messages) root.add_message(spec);
+  SearchEngine engine(alg.net(), model, limits, twin_specs);
+  return engine.run(std::move(root), messages.size());
+}
+
+/// Brackets one find_deadlock call as exactly one search on the status
+/// board, however many engine runs (root components) it takes: each run is
+/// a segment the board folds into the search's totals.
+template <typename Search>
+DeadlockSearchResult observed(const SearchLimits& limits, Search&& search) {
+  SearchStatusBoard* const board = limits.status;
+  if (board == nullptr) return search();
+  board->begin_search(resolve_threads(limits.threads), limits.max_states);
+  DeadlockSearchResult result = search();
+  board->end_search();
+  return result;
 }
 
 /// Component ids (dense, by first appearance) of each message when two
@@ -1221,16 +1129,23 @@ void finish_decomposed_witness(DeadlockSearchResult& total,
 /// into route-disjoint components, the product state space factors and each
 /// component is searched on its own — a deadlock exists iff some component
 /// deadlocks, and the space is exhausted iff every component search is.
-/// nullopt when the messages form a single component (caller runs the plain
-/// engine). Synchronous model only: witnesses stay stall-free, so the
+/// nullopt when some route cannot be traced (e.g. a livelocking table) or
+/// the messages form a single component (caller runs the plain engine).
+/// Synchronous model only: witnesses stay stall-free, so the
 /// remap-and-replay above reproduces the deadlock exactly.
 std::optional<DeadlockSearchResult> decomposed_find_deadlock(
     const routing::RoutingAlgorithm& alg,
-    std::span<const sim::MessageSpec> messages, const ReductionContext& red,
-    const SearchLimits& limits) {
+    std::span<const sim::MessageSpec> messages, const SearchLimits& limits) {
+  std::vector<std::vector<ChannelId>> routes;
+  routes.reserve(messages.size());
+  for (const sim::MessageSpec& spec : messages) {
+    auto route = routing::trace_path(alg, spec.src, spec.dst);
+    if (!route) return std::nullopt;
+    routes.push_back(std::move(*route));
+  }
   std::vector<std::uint32_t> comp_of;
   const std::uint32_t count =
-      route_components(red.routes, alg.net().channel_count(), comp_of);
+      route_components(routes, alg.net().channel_count(), comp_of);
   if (count < 2) return std::nullopt;
 
   const auto start = std::chrono::steady_clock::now();
@@ -1246,10 +1161,10 @@ std::optional<DeadlockSearchResult> decomposed_find_deadlock(
       to_orig.push_back(static_cast<std::uint32_t>(m));
     }
     // Each component gets the full limits (max_states is per sub-search).
-    // The recursive call re-traces routes and finds a single component, so
-    // it drops straight into the plain engine.
+    // A component is connected by construction, so it runs the plain
+    // engine directly.
     const DeadlockSearchResult part =
-        find_deadlock(alg, sub, AdversaryModel::kSynchronous, limits);
+        run_engine(alg, sub, AdversaryModel::kSynchronous, limits);
     total.states_explored += part.states_explored;
     total.profile.merge_from(part.profile);
     // Shards merge index-wise (worker t's effort across components stays
@@ -1281,52 +1196,25 @@ DeadlockSearchResult find_deadlock(const routing::RoutingAlgorithm& alg,
                                    AdversaryModel model,
                                    const SearchLimits& limits) {
   check_specs(messages);
-  ReductionContext red;
-  red.mode = limits.reduction;
-  if (red.mode != ReductionMode::kOff) {
-    red.specs.assign(messages.begin(), messages.end());
-    red.have_routes = true;
-    red.routes.reserve(messages.size());
-    for (const sim::MessageSpec& spec : messages) {
-      auto route = routing::trace_path(alg, spec.src, spec.dst);
-      if (!route) {
-        // Untraceable route (e.g. a livelocking table): no shrinking
-        // active-suffix structure, so fall back to twin symmetry alone.
-        red.have_routes = false;
-        red.routes.clear();
-        break;
-      }
-      red.routes.push_back(std::move(*route));
-    }
-    if (red.have_routes && model == AdversaryModel::kSynchronous &&
-        messages.size() >= 2) {
-      if (auto result = decomposed_find_deadlock(alg, messages, red, limits))
+  return observed(limits, [&] {
+    if (limits.reduction != ReductionMode::kOff &&
+        model == AdversaryModel::kSynchronous && messages.size() >= 2) {
+      if (auto result = decomposed_find_deadlock(alg, messages, limits))
         return *std::move(result);
     }
-  }
-  sim::SimConfig config;
-  config.buffer_depth = limits.buffer_depth;
-  sim::WormholeSimulator root(alg, config);
-  for (const sim::MessageSpec& spec : messages) root.add_message(spec);
-  return search_core(std::move(root), messages.size(), alg.net(), model,
-                     limits, red);
+    return run_engine(alg, messages, model, limits);
+  });
 }
 
+/// Adaptive routing has no fixed route per message, so kSafe reduces to
+/// twin symmetry alone.
 DeadlockSearchResult find_deadlock(const routing::AdaptiveRouting& alg,
                                    std::span<const sim::MessageSpec> messages,
                                    AdversaryModel model,
                                    const SearchLimits& limits) {
   check_specs(messages);
-  ReductionContext red;
-  red.mode = limits.reduction;
-  if (red.mode != ReductionMode::kOff)
-    red.specs.assign(messages.begin(), messages.end());
-  sim::SimConfig config;
-  config.buffer_depth = limits.buffer_depth;
-  sim::WormholeSimulator root(alg, config);
-  for (const sim::MessageSpec& spec : messages) root.add_message(spec);
-  return search_core(std::move(root), messages.size(), alg.net(), model,
-                     limits, red);
+  return observed(limits,
+                  [&] { return run_engine(alg, messages, model, limits); });
 }
 
 std::optional<std::uint32_t> minimal_deadlock_delay(

@@ -116,17 +116,20 @@ struct SearchLimits {
   /// parallel winner (lowest Dewey ordinal), whose witness is still
   /// deterministic for a fixed thread count.
   bool canonical_witness = true;
-  /// Partial-order / symmetry reduction (see reduction.hpp and DESIGN.md
-  /// §12). kOff reproduces the historical exhaustive enumeration bit for
-  /// bit. kSafe/kOn preserve verdicts and witnesses-by-replay but visit
-  /// fewer states, so states_explored and the profile counters differ
-  /// between modes.
-  ReductionMode reduction = ReductionMode::kOff;
+  /// Symmetry reduction and root decomposition (see reduction.hpp and
+  /// DESIGN.md §12). kSafe (the default) preserves verdicts and
+  /// witnesses-by-replay while visiting fewer states; kOff reproduces the
+  /// unreduced enumeration bit for bit and is the cross-check reference.
+  /// states_explored and the profile counters differ between the modes.
+  /// This is the one declaration of the search default: the campaign, the
+  /// fleet manifest and the CLIs all derive theirs from it.
+  ReductionMode reduction = ReductionMode::kSafe;
   /// Live telemetry hook (analysis/search_status.hpp). When non-null the
   /// engine publishes per-worker profile shards, frontier depth and
   /// state-table occupancy into the board as it runs; a null board costs
   /// one branch per fresh state (the WORMSIM_LOG discipline). The board
-  /// must outlive the search, and observes one search at a time —
+  /// must outlive the search, and observes one search at a time — one per
+  /// find_deadlock call, even when kSafe splits it into component runs.
   /// minimal_deadlock_delay's concurrent per-budget scans therefore run
   /// unobserved. Purely observational: verdicts, witnesses and profile
   /// totals are identical with and without a board attached.

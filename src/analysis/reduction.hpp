@@ -2,30 +2,24 @@
 //
 // The exhaustive search (deadlock_search.hpp) enumerates *every* resolution
 // of simultaneous arbitration ties. Much of that enumeration is redundant:
-// ties on disjoint channel/message sets commute, and identical pending
-// messages are interchangeable. This header holds the pure combinatorial
-// pieces of the reduction layer — the parts that can be unit-tested on
-// hand-built tie sets without running a search:
+// identical pending messages are interchangeable, and messages on
+// route-disjoint channel sets never interact. ReductionMode::kSafe (the
+// default) prunes both:
 //
-//   - twin_next_siblings: interchangeability classes of pending requests
-//     (equal specs + equal candidate sets + equal spent delay). The engine
-//     only enumerates grant combinations that are canonical within each
-//     class; every non-canonical combination is the image of a canonical
-//     one under a spec-preserving permutation of message indices, which is
-//     an automorphism of the whole transition system.
+//   - twin_next_siblings (here): interchangeability classes of pending
+//     requests (equal specs + equal candidate sets + equal spent delay).
+//     The engine only enumerates grant combinations that are canonical
+//     within each class; every non-canonical combination is the image of a
+//     canonical one under a spec-preserving permutation of message indices,
+//     which is an automorphism of the whole transition system.
 //
-//   - request_components: independence classes of a state's contested
-//     channels. Two grant choices are independent when the messages they
-//     advance and the channels those messages may still touch — including
-//     each message's next desired channels — are disjoint, directly or
-//     through a chain of other unfinished messages. Messages in different
-//     classes can never interact from this state on, so the engine
-//     (ReductionMode::kOn) enumerates full choice only one class at a time,
-//     with the other classes pinned to a deterministic greedy resolution.
+//   - root component decomposition (deadlock_search.cpp): messages whose
+//     full routes share no channel, directly or through a chain of other
+//     messages, are searched as separate sub-problems.
 //
 // The soundness arguments (deadlock reachability and exhaustion-as-proof
 // are both preserved) are written up in DESIGN.md §12 and mechanically
-// cross-checked by `wormsim_campaign --cross-check-reduction`.
+// cross-checked against kOff by `wormsim_campaign --cross-check-reduction`.
 #pragma once
 
 #include <cstdint>
@@ -45,12 +39,11 @@ namespace wormsim::analysis {
 enum class ReductionMode : std::uint8_t {
   kOff,   ///< exact historical behaviour: enumerate every interleaving
   kSafe,  ///< twin-symmetry canonical grants + root component decomposition
-  kOn,    ///< kSafe plus per-state component factorization of tie classes
 };
 
 const char* to_string(ReductionMode mode);
 
-/// Parses to_string output ("off" / "safe" / "on"); nullopt otherwise.
+/// Parses to_string output ("off" / "safe"); nullopt otherwise.
 [[nodiscard]] std::optional<ReductionMode> reduction_from_string(
     std::string_view text);
 
@@ -77,33 +70,5 @@ void twin_next_siblings(std::span<const sim::MessageRequests> requests,
                         std::span<const sim::MessageSpec> specs,
                         std::span<const std::uint32_t> spent,
                         std::vector<std::uint32_t>& out);
-
-/// Reusable scratch for request_components (union-find parents plus a
-/// stamp-coded channel-claim table, so repeated per-state calls allocate
-/// nothing once warmed up).
-struct ComponentScratch {
-  std::vector<std::uint32_t> parent;       ///< union-find, per message
-  std::vector<std::uint32_t> claim;        ///< channel -> claiming message
-  std::vector<std::uint64_t> claim_stamp;  ///< validity stamp per channel
-  std::uint64_t stamp = 0;
-};
-
-/// Partitions a state's requests into independence classes. `actives` is
-/// indexed by MessageId: the set of channels message m may still hold or
-/// acquire from this state on (empty for consumed messages). Two messages
-/// interact when their active sets overlap; requests whose messages are
-/// connected through any chain of interacting messages share a class.
-///
-/// Fills `comp_of` (parallel to `requests`) with class ids renumbered by
-/// first appearance (0, 1, ...) and returns the number of classes. Active
-/// sets must only ever shrink as the search advances (true for oblivious
-/// routes: a message's active set is the unreleased suffix of its traced
-/// route), which is what makes "independent now" mean "independent forever"
-/// — the property DESIGN.md §12 relies on.
-std::uint32_t request_components(
-    std::span<const sim::MessageRequests> requests,
-    std::span<const std::span<const ChannelId>> actives,
-    std::size_t channel_count, ComponentScratch& scratch,
-    std::vector<std::uint32_t>& comp_of);
 
 }  // namespace wormsim::analysis

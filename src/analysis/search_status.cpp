@@ -2,44 +2,65 @@
 
 namespace wormsim::analysis {
 
+namespace {
+
+void add_table_stats(StateTable::Stats& into, const StateTable::Stats& s) {
+  into.keys += s.keys;
+  into.slots += s.slots;
+  into.arena_bytes += s.arena_bytes;
+  into.stripes += s.stripes;
+  into.contended_locks += s.contended_locks;
+  into.probation_keys += s.probation_keys;
+  into.probation_slots += s.probation_slots;
+  into.promotions += s.promotions;
+  into.resident_bytes += s.resident_bytes;
+}
+
+}  // namespace
+
 SearchStatusBoard::Sample SearchStatusBoard::sample() const {
   Sample out;
   std::lock_guard<std::mutex> lock(mu_);
   out.active = active_;
   out.searches_started = searches_started_;
   out.searches_finished = searches_finished_;
-  out.states_explored = states_.load(std::memory_order_relaxed);
+  out.states_explored =
+      done_states_ + states_.load(std::memory_order_relaxed);
   out.max_states = max_states_.load(std::memory_order_relaxed);
-  out.frontier_size = frontier_size_.load(std::memory_order_relaxed);
-  out.frontier_next = frontier_next_.load(std::memory_order_relaxed);
-  if (active_ && table_ != nullptr) {
-    out.table = table_->stats();
-    out.elapsed_seconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - search_start_)
-                              .count();
-  } else {
-    out.table = last_table_;
-    out.elapsed_seconds = last_elapsed_;
-  }
+  out.frontier_size =
+      done_frontier_size_ + frontier_size_.load(std::memory_order_relaxed);
+  out.frontier_next =
+      done_frontier_next_ + frontier_next_.load(std::memory_order_relaxed);
+  out.table = done_table_;
+  if (table_ != nullptr) add_table_stats(out.table, table_->stats());
+  out.elapsed_seconds =
+      active_ ? std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - search_start_)
+                    .count()
+              : last_elapsed_;
   out.workers.reserve(active_workers_);
   for (std::size_t i = 0; i < active_workers_; ++i) {
     std::lock_guard<std::mutex> shard_lock(shards_[i]->mu);
-    out.workers.push_back(shards_[i]->profile);
+    SearchProfile& shard = out.workers.emplace_back(shards_[i]->done);
+    shard.merge_from(shards_[i]->live);
   }
   return out;
 }
 
 void SearchStatusBoard::begin_search(std::size_t workers,
-                                     std::uint64_t max_states,
-                                     const StateTable* table) {
+                                     std::uint64_t max_states) {
   std::lock_guard<std::mutex> lock(mu_);
   while (shards_.size() < workers) shards_.push_back(std::make_unique<Shard>());
   for (std::size_t i = 0; i < workers; ++i) {
     std::lock_guard<std::mutex> shard_lock(shards_[i]->mu);
-    shards_[i]->profile = SearchProfile{};
+    shards_[i]->done = SearchProfile{};
+    shards_[i]->live = SearchProfile{};
   }
   active_workers_ = workers;
-  table_ = table;
+  done_table_ = StateTable::Stats{};
+  done_states_ = 0;
+  done_frontier_size_ = 0;
+  done_frontier_next_ = 0;
   active_ = true;
   ++searches_started_;
   search_start_ = std::chrono::steady_clock::now();
@@ -49,23 +70,40 @@ void SearchStatusBoard::begin_search(std::size_t workers,
   frontier_next_.store(0, std::memory_order_relaxed);
 }
 
-void SearchStatusBoard::end_search(std::uint64_t final_states) {
+void SearchStatusBoard::end_search() {
   std::lock_guard<std::mutex> lock(mu_);
-  last_table_ = table_ != nullptr ? table_->stats() : StateTable::Stats{};
   last_elapsed_ = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - search_start_)
                       .count();
-  table_ = nullptr;
   active_ = false;
   ++searches_finished_;
-  states_.store(final_states, std::memory_order_relaxed);
+}
+
+void SearchStatusBoard::begin_segment(const StateTable* table) {
+  std::lock_guard<std::mutex> lock(mu_);
+  table_ = table;
+}
+
+void SearchStatusBoard::end_segment(std::uint64_t final_states) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (table_ != nullptr) add_table_stats(done_table_, table_->stats());
+  table_ = nullptr;
+  done_states_ += final_states;
+  done_frontier_size_ += frontier_size_.exchange(0, std::memory_order_relaxed);
+  done_frontier_next_ += frontier_next_.exchange(0, std::memory_order_relaxed);
+  states_.store(0, std::memory_order_relaxed);
+  for (std::size_t i = 0; i < active_workers_; ++i) {
+    std::lock_guard<std::mutex> shard_lock(shards_[i]->mu);
+    shards_[i]->done.merge_from(shards_[i]->live);
+    shards_[i]->live = SearchProfile{};
+  }
 }
 
 void SearchStatusBoard::publish_worker(std::size_t worker,
                                        const SearchProfile& profile) {
   Shard& shard = *shards_[worker];
   std::lock_guard<std::mutex> lock(shard.mu);
-  shard.profile = profile;
+  shard.live = profile;
 }
 
 obs::SearchStatus to_search_status(const SearchStatusBoard::Sample& sample) {

@@ -236,11 +236,6 @@ Evaluation evaluate_impl(const Scenario& scenario, const EvalOptions& options,
 
   analysis::SearchLimits limits = options.limits;
   limits.build_witness = false;
-  // In cross-check mode the RECORDED arm always runs unreduced, so the
-  // JSONL and cache bytes match a plain reduction-off campaign exactly;
-  // the requested mode is what the shadow arm below re-runs with.
-  if (options.cross_check_reduction)
-    limits.reduction = analysis::ReductionMode::kOff;
 
   const bool in_scope =
       eval.classification.prediction != Prediction::kOutOfScope;
@@ -287,17 +282,17 @@ Evaluation evaluate_impl(const Scenario& scenario, const EvalOptions& options,
       cache->insert(key, TruthRecord{eval.outcome, eval.states,
                                      /*from_disk=*/false});
     if (options.cross_check_reduction) {
-      // Shadow arm: same probes, reduction on. Runs into a scratch
+      // Shadow arm: same probes under the other reduction mode — the
+      // unreduced reference for the default kSafe. Runs into a scratch
       // Evaluation so the recorded states/profile stay those of the
-      // unreduced arm. Only conflicting DEFINITE outcomes diverge.
-      analysis::SearchLimits reduced = limits;
-      reduced.reduction =
-          options.limits.reduction != analysis::ReductionMode::kOff
-              ? options.limits.reduction
-              : analysis::ReductionMode::kOn;
+      // configured arm. Only conflicting DEFINITE outcomes diverge.
+      analysis::SearchLimits reference = limits;
+      reference.reduction = limits.reduction == analysis::ReductionMode::kOff
+                                ? analysis::ReductionMode::kSafe
+                                : analysis::ReductionMode::kOff;
       Evaluation shadow;
       shadow.classification = eval.classification;
-      const SearchOutcome other = ground_truth(shadow, reduced);
+      const SearchOutcome other = ground_truth(shadow, reference);
       const auto definite = [](SearchOutcome o) {
         return o == SearchOutcome::kDeadlock ||
                o == SearchOutcome::kNoDeadlock;
@@ -429,15 +424,12 @@ obs::RunReport CampaignResult::report(const CampaignConfig& config) const {
 }
 
 std::uint64_t campaign_truth_fingerprint(const EvalOptions& eval) {
-  // The fingerprint digests the limits of the RECORDED searches: in
-  // cross-check mode those run with reduction off (see evaluate_impl), so
-  // the cache stays interchangeable with a plain reduction-off campaign's.
+  // The fingerprint digests the limits of the RECORDED searches, which run
+  // the configured mode with or without the cross-check shadow arm.
   // threads is never folded (truth_fingerprint ignores it), so forcing it
   // to 1 here is documentation, not behaviour.
   analysis::SearchLimits recorded_limits = eval.limits;
   recorded_limits.threads = 1;
-  if (eval.cross_check_reduction)
-    recorded_limits.reduction = analysis::ReductionMode::kOff;
   return truth_fingerprint(recorded_limits, eval.max_cycles_probed,
                            eval.acyclic_probe_messages);
 }

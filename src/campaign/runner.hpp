@@ -48,9 +48,9 @@ struct EvalOptions {
   /// Per-scenario search limits. run_campaign forces threads to 1 —
   /// parallelism belongs to the shard level so recorded states_explored
   /// stays deterministic; direct evaluate_scenario / replay_scenario
-  /// callers get whatever they set. limits.reduction is honored and (when
-  /// not kOff) folded into the truth-cache fingerprint, because reduced
-  /// searches record different states counts.
+  /// callers get whatever they set. limits.reduction (kSafe by default) is
+  /// honored and, when not kOff, folded into the truth-cache fingerprint,
+  /// because reduced searches record different states counts.
   analysis::SearchLimits limits;
   /// Random-algorithm scenarios: elementary cycles examined for a probe
   /// before declaring a witness gap.
@@ -61,13 +61,14 @@ struct EvalOptions {
   /// verdict stays kSkip). Off by default — it is where the CPU time goes.
   bool probe_out_of_scope = false;
   /// Mechanical soundness check for the reduction layer: every ground-truth
-  /// search runs twice on a cache miss — once with reduction off (that run
-  /// is what gets recorded and cached, so JSONL/cache bytes are identical
-  /// to a plain reduction-off campaign) and once reduced (limits.reduction,
-  /// or kOn when limits leave it off). A divergence is two CONFLICTING
-  /// definite outcomes (deadlock vs no-deadlock); inconclusive-vs-definite
-  /// is not one, since the reduced search legitimately decides instances
-  /// the unreduced budget cannot.
+  /// search runs twice on a cache miss — once with limits.reduction (that
+  /// run is what gets recorded and cached, so JSONL/cache bytes are
+  /// identical to a plain campaign with the same mode) and once as a
+  /// shadow under the other mode: kOff as the unreduced reference for
+  /// kSafe, kSafe for kOff. A divergence is two CONFLICTING definite
+  /// outcomes (deadlock vs no-deadlock); inconclusive-vs-definite is not
+  /// one, since the reduced search legitimately decides instances the
+  /// unreduced budget cannot.
   bool cross_check_reduction = false;
 };
 
@@ -81,8 +82,8 @@ struct Evaluation {
   std::string skip_reason;
   std::uint64_t states = 0;  ///< states explored across all probes
   analysis::SearchProfile profile;  ///< merged over this scenario's searches
-  /// cross_check_reduction only: the reduced re-run contradicted the
-  /// recorded unreduced outcome (a reduction soundness bug).
+  /// cross_check_reduction only: the shadow re-run contradicted the
+  /// recorded outcome (a reduction soundness bug).
   bool reduction_divergence = false;
 };
 
@@ -171,7 +172,7 @@ struct CampaignResult {
   std::uint64_t truth_loaded = 0;  ///< records accepted from cache_file
   std::uint64_t truth_stored = 0;  ///< records in the saved cache_file
   bool cache_saved = false;        ///< cache_file rewrite succeeded
-  /// Scenarios whose reduced re-run contradicted the unreduced outcome
+  /// Scenarios whose shadow re-run contradicted the recorded outcome
   /// (eval.cross_check_reduction only; any nonzero value is a bug).
   std::uint64_t reduction_divergences = 0;
 
@@ -187,9 +188,9 @@ struct CampaignResult {
 [[nodiscard]] CampaignResult run_campaign(const CampaignConfig& config);
 
 /// The truth-cache fingerprint a campaign with these options uses for its
-/// RECORDED searches (threads forced to 1; reduction forced off in
-/// cross-check mode, mirroring evaluate_impl). External TruthStores handed
-/// to run_campaign_range must be constructed with exactly this value.
+/// RECORDED searches (threads forced to 1; the cross-check shadow arm is
+/// never recorded). External TruthStores handed to run_campaign_range must
+/// be constructed with exactly this value.
 [[nodiscard]] std::uint64_t campaign_truth_fingerprint(
     const EvalOptions& eval);
 

@@ -136,10 +136,11 @@ std::uint64_t truth_fingerprint(const analysis::SearchLimits& limits,
      << ";cycles_probed=" << max_cycles_probed
      << ";acyclic_messages=" << acyclic_probe_messages;
   // Only knobs that change what a record CONTAINS are folded in. Reduction
-  // keeps the verdict but changes the recorded states count, so a non-off
-  // mode gets its own cache namespace; kOff appends nothing, keeping every
-  // pre-reduction cache file warm. threads is never folded: the campaign
-  // forces single-threaded searches, so it cannot affect records at all.
+  // keeps the verdict but changes the recorded states count, so the default
+  // kSafe folds ";reduction=safe" and gets its own cache namespace; kOff
+  // appends nothing, so a store written before kSafe became the default
+  // stays warm for --reduction off only. threads is never folded: the
+  // campaign forces single-threaded searches, so it cannot affect records.
   if (limits.reduction != analysis::ReductionMode::kOff)
     os << ";reduction=" << analysis::to_string(limits.reduction);
   // Probation re-explores fingerprint-collided states, so the recorded

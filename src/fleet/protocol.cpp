@@ -125,6 +125,9 @@ std::optional<FleetManifest> FleetManifest::from_json(
     return std::nullopt;
   const auto fp = parse_hex16(*fingerprint);
   if (!fp) return std::nullopt;
+  // A mode this build does not know (e.g. the retired "on") would silently
+  // run a different search than the manifest's fingerprint describes.
+  if (!analysis::reduction_from_string(*reduction)) return std::nullopt;
   m.seed = *seed;
   m.count = *count;
   m.batch_size = *batch_size;

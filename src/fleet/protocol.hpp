@@ -56,7 +56,9 @@ struct FleetManifest {
   double synth_fraction = 0;        ///< GeneratorKnobs::synthesized_fraction
   std::uint64_t synth_max_pairs = 0;
   std::uint64_t max_states = 0;     ///< SearchLimits::max_states
-  std::string reduction = "off";    ///< SearchLimits::reduction
+  /// SearchLimits::reduction; defaults to the search's own default.
+  std::string reduction =
+      analysis::to_string(analysis::SearchLimits{}.reduction);
   std::string fixture_dir;          ///< disagreement fixtures (may be empty)
   std::uint64_t truth_fingerprint = 0;  ///< campaign_truth_fingerprint
 

@@ -915,11 +915,6 @@ MessageStatus WormholeSimulator::status(MessageId m) const {
   return messages_[m.index()].status;
 }
 
-std::size_t WormholeSimulator::released_count(MessageId m) const {
-  WORMSIM_EXPECTS(m.valid() && m.index() < messages_.size());
-  return messages_[m.index()].released;
-}
-
 const MessageSpec& WormholeSimulator::spec(MessageId m) const {
   WORMSIM_EXPECTS(m.valid() && m.index() < messages_.size());
   return messages_[m.index()].spec;

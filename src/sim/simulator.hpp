@@ -226,12 +226,6 @@ class WormholeSimulator {
   [[nodiscard]] MessageStatus status(MessageId m) const;
   [[nodiscard]] const MessageSpec& spec(MessageId m) const;
 
-  /// Channels `m` has released so far (the acquired-path prefix already
-  /// drained behind the worm). With an oblivious route this is also the
-  /// route index of the first channel the message may still hold or want —
-  /// the reduction layer's "active suffix" (analysis/reduction.hpp).
-  [[nodiscard]] std::size_t released_count(MessageId m) const;
-
   /// Channels currently acquired (not yet released) by `m`, upstream first.
   [[nodiscard]] std::vector<ChannelId> held_channels(MessageId m) const;
 

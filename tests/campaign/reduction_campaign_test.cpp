@@ -2,12 +2,12 @@
 // search must be observationally identical to the unreduced one everywhere
 // the campaign records an answer. Three angles:
 //   - every committed disagreement fixture replays to the same outcome
-//     under off / safe / on;
+//     under off and safe;
 //   - a pinned-seed scenario sweep produces identical per-record outcome
-//     and verdict fields in all three modes (states may differ — that is
-//     the point of the reduction);
+//     and verdict fields in both modes (states may differ — that is the
+//     point of the reduction);
 //   - --cross-check-reduction mode reports zero divergences and emits
-//     JSONL byte-identical to a plain reduction-off campaign.
+//     JSONL byte-identical to a plain campaign in the same mode.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -23,8 +23,7 @@ namespace wormsim::campaign {
 namespace {
 
 constexpr analysis::ReductionMode kAllModes[] = {
-    analysis::ReductionMode::kOff, analysis::ReductionMode::kSafe,
-    analysis::ReductionMode::kOn};
+    analysis::ReductionMode::kOff, analysis::ReductionMode::kSafe};
 
 std::vector<std::filesystem::path> committed_fixtures() {
   const std::filesystem::path dir =
@@ -51,6 +50,7 @@ TEST(ReductionCampaign, CommittedFixturesAgreeAcrossModes) {
 
       EvalOptions off;
       off.probe_out_of_scope = true;  // fixtures may now be out of scope
+      off.limits.reduction = analysis::ReductionMode::kOff;
       const Evaluation baseline = replay_scenario(*scenario, off);
       for (const analysis::ReductionMode mode : kAllModes) {
         EvalOptions options = off;
@@ -122,9 +122,10 @@ TEST(ReductionCampaign, CrossCheckModeIsByteIdenticalAndDivergenceFree) {
   const CampaignResult b = run_campaign(checked);
 
   EXPECT_EQ(b.reduction_divergences, 0u);
-  // The recorded arm of a cross-check run IS the plain off-mode run:
-  // identical JSONL bytes, so operators can flip the flag on and off
-  // without perturbing diffs or caches.
+  // The recorded arm of a cross-check run IS the plain default (safe)
+  // run, with off as the shadow reference: identical JSONL bytes, so
+  // operators can flip the flag on and off without perturbing diffs or
+  // caches.
   std::ostringstream ja, jb;
   a.write_jsonl(ja);
   b.write_jsonl(jb);
@@ -132,8 +133,9 @@ TEST(ReductionCampaign, CrossCheckModeIsByteIdenticalAndDivergenceFree) {
 }
 
 TEST(ReductionCampaign, CrossCheckHonorsRequestedReducedMode) {
-  // With --reduction safe --cross-check-reduction, the recorded arm still
-  // runs off (same bytes), and the shadow arm runs safe; no divergences.
+  // With --reduction off --cross-check-reduction, the recorded arm runs
+  // off (same bytes as a plain off campaign), and the shadow arm runs
+  // safe; no divergences.
   CampaignConfig config;
   config.seed = 1709;
   config.count = 40;
@@ -141,11 +143,10 @@ TEST(ReductionCampaign, CrossCheckHonorsRequestedReducedMode) {
   config.fixture_dir = "";
   config.shrink_disagreements = false;
   config.eval.cross_check_reduction = true;
-  config.eval.limits.reduction = analysis::ReductionMode::kSafe;
+  config.eval.limits.reduction = analysis::ReductionMode::kOff;
 
   CampaignConfig plain = config;
   plain.eval.cross_check_reduction = false;
-  plain.eval.limits.reduction = analysis::ReductionMode::kOff;
 
   const CampaignResult checked = run_campaign(config);
   const CampaignResult baseline = run_campaign(plain);

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -254,29 +255,36 @@ TEST(TruthStore, FingerprintTracksSearchKnobs) {
 }
 
 TEST(TruthStore, FingerprintFoldsReductionOnlyWhenEnabled) {
-  // Reduction keeps verdicts but changes recorded states counts, so non-off
-  // modes need their own cache namespace — while kOff must keep the exact
-  // legacy digest so pre-reduction cache files stay warm.
-  analysis::SearchLimits limits;
-  const std::uint64_t base = truth_fingerprint(limits, 8, 4);
+  // Reduction keeps verdicts but changes recorded states counts, so the
+  // default (safe) folds ";reduction=safe" into the canonical text while
+  // off folds nothing — a store written before safe became the default
+  // stays warm only for --reduction off. Both digests are pinned against
+  // the canonical text directly.
+  const auto fnv1a = [](std::string_view bytes) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const char c : bytes) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ull;
+    }
+    return h;
+  };
+  const std::string legacy =
+      "behaviour=1;buffer_depth=1;max_states=2000000;delay_budget=0;"
+      "metric=0;max_branches=4096;cycles_probed=8;acyclic_messages=4";
 
-  analysis::SearchLimits off = limits;
+  const analysis::SearchLimits defaults;
+  EXPECT_EQ(truth_fingerprint(defaults, 8, 4),
+            fnv1a(legacy + ";reduction=safe"));
+
+  analysis::SearchLimits off = defaults;
   off.reduction = analysis::ReductionMode::kOff;
-  EXPECT_EQ(truth_fingerprint(off, 8, 4), base);
-
-  analysis::SearchLimits safe = limits;
-  safe.reduction = analysis::ReductionMode::kSafe;
-  analysis::SearchLimits on = limits;
-  on.reduction = analysis::ReductionMode::kOn;
-  EXPECT_NE(truth_fingerprint(safe, 8, 4), base);
-  EXPECT_NE(truth_fingerprint(on, 8, 4), base);
-  EXPECT_NE(truth_fingerprint(safe, 8, 4), truth_fingerprint(on, 8, 4));
+  EXPECT_EQ(truth_fingerprint(off, 8, 4), fnv1a(legacy));
 
   // threads stays verdict-neutral regardless of the reduction mode.
-  analysis::SearchLimits safe_threads = safe;
-  safe_threads.threads = 9;
-  EXPECT_EQ(truth_fingerprint(safe_threads, 8, 4),
-            truth_fingerprint(safe, 8, 4));
+  analysis::SearchLimits threaded = defaults;
+  threaded.threads = 9;
+  EXPECT_EQ(truth_fingerprint(threaded, 8, 4),
+            truth_fingerprint(defaults, 8, 4));
 }
 
 TEST(TruthStoreCheckpoint, AppendsOnlyFreshRecordsAcrossCalls) {

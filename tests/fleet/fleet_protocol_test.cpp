@@ -74,6 +74,13 @@ TEST(FleetProtocol, MessagesRejectForeignAndTornText) {
   FleetManifest bad;
   bad.batch_size = 0;
   EXPECT_FALSE(FleetManifest::from_json(bad.to_json()).has_value());
+
+  // A reduction mode this build does not run (the retired "on") would
+  // silently search differently from what the fingerprint describes.
+  FleetManifest unknown_mode;
+  EXPECT_EQ(unknown_mode.reduction, "safe");  // the search's own default
+  unknown_mode.reduction = "on";
+  EXPECT_FALSE(FleetManifest::from_json(unknown_mode.to_json()).has_value());
 }
 
 TEST(FleetProtocol, LeaseResultQuarantineShutdownRoundTrip) {
