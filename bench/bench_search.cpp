@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <unordered_set>
 
 #include "analysis/deadlock_search.hpp"
 #include "analysis/state_table.hpp"
@@ -215,8 +214,8 @@ BENCHMARK(BM_Search_DelaySweepThreads)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 /// Collects the state keys of every state the Figure-1 x1 exhaustion
-/// visits, so the memoization benchmarks below replay an identical
-/// insert/hit workload against both visited-set implementations.
+/// visits, so the memoization benchmark below replays a realistic
+/// insert/hit workload against the visited set.
 std::vector<std::string> collect_fig1_state_keys() {
   const core::CyclicFamily family(core::fig1_spec());
   // Real simulator serializations (~250 bytes each) from deterministic runs
@@ -245,43 +244,22 @@ std::vector<std::string> collect_fig1_state_keys() {
   return keys;
 }
 
-void BM_Memo_LegacyStringSet(benchmark::State& state) {
-  // The pre-StateTable visited path: build a fresh heap std::string per
-  // state (the old engine serialized into a new string every lookup), then
-  // store it in an unordered_set — allocation + node per miss.
-  const auto keys = collect_fig1_state_keys();
-  std::uint64_t unique = 0;
-  for (auto _ : state) {
-    std::unordered_set<std::string> visited;
-    unique = 0;
-    for (int pass = 0; pass < 2; ++pass) {  // second pass: all hits
-      for (const auto& key : keys) {
-        std::string fresh;
-        fresh.append(key);
-        if (visited.insert(std::move(fresh)).second) ++unique;
-      }
-    }
-    benchmark::DoNotOptimize(unique);
-  }
-  state.counters["keys"] = static_cast<double>(keys.size() * 2);
-  state.counters["unique"] = static_cast<double>(unique);
-}
-BENCHMARK(BM_Memo_LegacyStringSet)->Unit(benchmark::kMicrosecond);
-
 void BM_Memo_StateTable(benchmark::State& state) {
-  // Same workload the new way: serialize into one reused scratch buffer
-  // and insert into the arena-backed StateTable (serial: 1 stripe).
+  // Serialize into one reused scratch buffer and insert into the
+  // arena-backed StateTable (serial: 1 stripe).
   const auto keys = collect_fig1_state_keys();
   std::uint64_t unique = 0;
   for (auto _ : state) {
     analysis::StateTable visited(1);
     std::string scratch;
     unique = 0;
-    for (int pass = 0; pass < 2; ++pass) {
+    for (int pass = 0; pass < 2; ++pass) {  // second pass: all hits
       for (const auto& key : keys) {
         scratch.clear();
         scratch.append(key);
-        if (visited.insert(scratch)) ++unique;
+        if (visited.lookup_or_insert(scratch) ==
+            analysis::StateTable::Lookup::kFresh)
+          ++unique;
       }
     }
     benchmark::DoNotOptimize(unique);

@@ -247,8 +247,7 @@ constexpr std::size_t kDequeCap = 64;
 /// — so the one deep subtree of a skewed tree keeps getting re-divided
 /// instead of pinning a single worker. All workers memoize through one
 /// striped StateTable. Soundness of "exhausted": a state is recorded in
-/// the table exactly once (twice under the probation tier, which never
-/// prunes on a fingerprint-only match), by a worker that then expands it,
+/// the table exactly once, by a worker that then expands it,
 /// so when every item completes without hitting a limit the union of the
 /// explorations covers every reachable state — and conversely any reachable
 /// deadlock is found by some worker. The deadlock verdict is therefore
@@ -276,7 +275,7 @@ class SearchEngine {
             threads_ <= 1
                 ? std::size_t{1}
                 : std::min<std::size_t>(256, std::size_t{threads_} * 8),
-            limits.memo_probation, limits.memo_budget_bytes}) {}
+            limits.memo_budget_bytes}) {}
 
   DeadlockSearchResult run(sim::WormholeSimulator root,
                            std::size_t message_count) {
@@ -305,7 +304,7 @@ class SearchEngine {
     for (unsigned t = 0; t < threads_; ++t)
       deques_.push_back(std::make_unique<ItemDeque>());
 
-    if (register_state(root, spent0, lead) == Register::kFresh) {
+    if (register_state(root, spent0, lead) == Lookup::kFresh) {
       outstanding_.store(1, std::memory_order_relaxed);
       items_created_.store(1, std::memory_order_relaxed);
       deques_[0]->items.push_back(
@@ -401,10 +400,7 @@ class SearchEngine {
   }
 
  private:
-  /// What registering a state decided. kReexplore (probation tier only) is
-  /// handled like kFresh by every caller — the state must be expanded —
-  /// but is counted separately in the profile.
-  enum class Register { kFresh, kSeen, kReexplore, kOverBudget };
+  using Lookup = StateTable::Lookup;
 
   /// One DFS execution context; the serial search uses exactly one.
   struct Worker {
@@ -508,8 +504,8 @@ class SearchEngine {
   /// place; only the delay model — whose key carries a spent-delay suffix
   /// (full 32-bit values: the old string key truncated them to a byte) —
   /// assembles the key in the worker's scratch buffer.
-  Register register_state(const sim::WormholeSimulator& sim,
-                          std::span<const std::uint32_t> spent, Worker& w) {
+  Lookup register_state(const sim::WormholeSimulator& sim,
+                        std::span<const std::uint32_t> spent, Worker& w) {
     std::string_view key;
     if (delay_mode_) {
       w.key_scratch.clear();
@@ -519,35 +515,31 @@ class SearchEngine {
     } else {
       key = sim.state_key_view();
     }
-    const StateTable::Lookup look = visited_.lookup_or_insert(key);
-    if (look == StateTable::Lookup::kSeen) {
+    const Lookup look = visited_.lookup_or_insert(key);
+    if (look == Lookup::kSeen) {
       ++w.profile.memo_hits;
-      return Register::kSeen;
+      return look;
     }
-    if (look == StateTable::Lookup::kOverBudget) {
+    if (look == Lookup::kOverBudget) {
       // The memo table hit its resident-bytes budget: the state was not
       // recorded, so exploring past it could not be memoized soundly. Ends
       // the search non-exhausted, exactly like a max_states overflow.
       over_budget_.store(true, std::memory_order_relaxed);
-      return Register::kOverBudget;
+      return look;
     }
     const std::uint64_t count =
         states_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (count > limits_.max_states) {
       states_.fetch_sub(1, std::memory_order_relaxed);
       over_budget_.store(true, std::memory_order_relaxed);
-      return Register::kOverBudget;
+      return Lookup::kOverBudget;
     }
     // Every expansion is charged to the registering worker, so the
     // per-worker shards partition states_explored exactly: folding every
-    // worker's memo_misses + reexplorations reproduces the global count.
-    if (look == StateTable::Lookup::kFresh)
-      ++w.profile.memo_misses;
-    else
-      ++w.profile.reexplorations;
+    // worker's memo_misses reproduces the global count.
+    ++w.profile.memo_misses;
     if (status_ != nullptr &&
-        ((w.profile.memo_misses + w.profile.reexplorations) &
-         (kStatusPublishStride - 1)) == 0) {
+        (w.profile.memo_misses & (kStatusPublishStride - 1)) == 0) {
       SearchProfile live = w.profile;
       if (w.in_busy_phase)
         live.busy_ns += static_cast<std::uint64_t>(
@@ -567,8 +559,7 @@ class SearchEngine {
                                 : 0)
                         << " states/s";
     }
-    return look == StateTable::Lookup::kFresh ? Register::kFresh
-                                              : Register::kReexplore;
+    return Lookup::kFresh;
   }
 
   /// Forks a child off `parent`. Reuses a pooled retired simulator when one
@@ -723,12 +714,12 @@ class SearchEngine {
       sim::WormholeSimulator child =
           frame.has_pending ? fork_sim(frame.sim, w) : std::move(frame.sim);
       child.step_with_grants_trusted(choice.grants);
-      const Register reg = register_state(child, child_spent, w);
-      if (reg == Register::kSeen) {
+      const Lookup reg = register_state(child, child_spent, w);
+      if (reg == Lookup::kSeen) {
         donate_sim(std::move(child), w);
         continue;
       }
-      if (reg == Register::kOverBudget) {
+      if (reg == Lookup::kOverBudget) {
         w.exhausted = false;
         break;
       }
@@ -876,12 +867,12 @@ class SearchEngine {
           top.has_pending ? fork_sim(top.sim, w) : std::move(top.sim);
       child.step_with_grants_trusted(choice.grants);
 
-      const Register reg = register_state(child, child_spent, w);
-      if (reg == Register::kSeen) {
+      const Lookup reg = register_state(child, child_spent, w);
+      if (reg == Lookup::kSeen) {
         donate_sim(std::move(child), w);
         continue;
       }
-      if (reg == Register::kOverBudget) {
+      if (reg == Lookup::kOverBudget) {
         w.exhausted = false;
         drain_observe();
         return;

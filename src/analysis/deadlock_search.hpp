@@ -26,8 +26,7 @@
 // the given message multiset, buffer depth and (in kBoundedDelay) budget.
 //
 // Engine (see DESIGN.md §9 and §16): states are memoized in a byte-exact
-// StateTable (state_table.hpp, optionally two-tier under
-// SearchLimits::memo_probation); adversary assignments are generated lazily
+// StateTable (state_table.hpp); adversary assignments are generated lazily
 // by a mixed-radix odometer, so DFS frames hold a cursor rather than a
 // materialized branch vector; and with SearchLimits::threads > 1 the
 // workers run a work-stealing DFS: each worker owns a deque of subtree-root
@@ -97,12 +96,6 @@ struct SearchLimits {
   /// overhead; smaller values spread work sooner. Purely a scheduling knob:
   /// verdicts, witnesses and exhaustive state counts do not depend on it.
   std::size_t steal_granularity = 8;
-  /// Two-tier memoization (StateTable::Config::probation): first-touch
-  /// states cost 8 bytes instead of a full key, at the price of re-expanding
-  /// second-touched states once (sound; see DESIGN.md §16). Off by default
-  /// because it changes states_explored (re-expansions count), which is why
-  /// it folds into the campaign truth fingerprint.
-  bool memo_probation = false;
   /// Cap on the StateTable's logical resident bytes (0 = unlimited).
   /// Overflow ends the search non-exhausted, exactly like max_states.
   /// Folds into the campaign truth fingerprint when set.
@@ -154,10 +147,6 @@ struct SearchProfile {
   std::uint64_t branch_truncations = 0;
   /// Child transitions discarded because they exceeded the delay budget.
   std::uint64_t budget_prunes = 0;
-  /// States expanded a second time because the memo table answered
-  /// kReexplore (probation-tier fingerprint hit; 0 with memo_probation
-  /// off). states_explored counts these, memo_misses does not.
-  std::uint64_t reexplorations = 0;
   /// Work-stealing scheduler counters (0 in a serial search). steals counts
   /// items taken from another worker's deque; steal_attempts counts victim
   /// probes (including failed ones); splits counts stack-split events and
@@ -198,7 +187,6 @@ struct SearchProfile {
     branch_factor.merge_from(other.branch_factor);
     branch_truncations += other.branch_truncations;
     budget_prunes += other.budget_prunes;
-    reexplorations += other.reexplorations;
     steals += other.steals;
     steal_attempts += other.steal_attempts;
     splits += other.splits;

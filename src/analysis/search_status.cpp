@@ -10,9 +10,6 @@ void add_table_stats(StateTable::Stats& into, const StateTable::Stats& s) {
   into.arena_bytes += s.arena_bytes;
   into.stripes += s.stripes;
   into.contended_locks += s.contended_locks;
-  into.probation_keys += s.probation_keys;
-  into.probation_slots += s.probation_slots;
-  into.promotions += s.promotions;
   into.resident_bytes += s.resident_bytes;
 }
 
@@ -123,7 +120,6 @@ obs::SearchStatus to_search_status(const SearchStatusBoard::Sample& sample) {
   out.peak_depth = merged.peak_depth;
   out.branch_truncations = merged.branch_truncations;
   out.budget_prunes = merged.budget_prunes;
-  out.reexplorations = merged.reexplorations;
   out.steals = merged.steals;
   out.steal_attempts = merged.steal_attempts;
   out.splits = merged.splits;
@@ -136,7 +132,6 @@ obs::SearchStatus to_search_status(const SearchStatusBoard::Sample& sample) {
   out.table_arena_bytes = sample.table.arena_bytes;
   out.table_stripes = sample.table.stripes;
   out.table_contended_locks = sample.table.contended_locks;
-  out.table_probation_keys = sample.table.probation_keys;
   out.table_resident_bytes = sample.table.resident_bytes;
   return out;
 }
@@ -149,7 +144,6 @@ obs::WorkerStatus to_worker_status(const SearchProfile& profile) {
   out.peak_depth = profile.peak_depth;
   out.branch_truncations = profile.branch_truncations;
   out.budget_prunes = profile.budget_prunes;
-  out.reexplorations = profile.reexplorations;
   out.steals = profile.steals;
   out.steal_attempts = profile.steal_attempts;
   out.splits = profile.splits;

@@ -18,22 +18,14 @@ constexpr std::size_t kLoadDen = 10;
 StateTable::StateTable(const Config& config)
     : stripes_(std::bit_ceil(config.stripes == 0 ? std::size_t{1}
                                                  : config.stripes)),
-      probation_(config.probation),
       budget_(config.budget_bytes) {
   stripe_mask_ = stripes_.size() - 1;
-  for (Stripe& s : stripes_) {
-    s.slots.resize(kInitialSlots);
-    if (probation_) s.probe.resize(kInitialSlots);
-  }
+  for (Stripe& s : stripes_) s.slots.resize(kInitialSlots);
   // The baseline arrays are charged unconditionally: a budget smaller than
-  // the empty table makes every exact-tier insert fail, reported honestly
-  // as kOverBudget. (Probation fingerprints occupy the pre-charged probe
-  // array, so first touches still record; the budget bites at promotion.)
-  resident_.fetch_add(
-      stripes_.size() *
-          (kInitialSlots * sizeof(Slot) +
-           (probation_ ? kInitialSlots * sizeof(std::uint64_t) : 0)),
-      std::memory_order_relaxed);
+  // the empty table makes every insert fail, reported honestly as
+  // kOverBudget.
+  resident_.fetch_add(stripes_.size() * kInitialSlots * sizeof(Slot),
+                      std::memory_order_relaxed);
 }
 
 bool StateTable::charge(std::uint64_t delta) {
@@ -49,7 +41,7 @@ bool StateTable::charge(std::uint64_t delta) {
   return true;
 }
 
-bool StateTable::grow_exact(Stripe& stripe) {
+bool StateTable::grow(Stripe& stripe) {
   if (!charge(stripe.slots.size() * sizeof(Slot))) return false;
   std::vector<Slot> next(stripe.slots.size() * 2);
   const std::uint64_t mask = next.size() - 1;
@@ -63,40 +55,8 @@ bool StateTable::grow_exact(Stripe& stripe) {
   return true;
 }
 
-bool StateTable::grow_probe(Stripe& stripe) {
-  if (!charge(stripe.probe.size() * sizeof(std::uint64_t))) return false;
-  std::vector<std::uint64_t> next(stripe.probe.size() * 2);
-  const std::uint64_t mask = next.size() - 1;
-  for (const std::uint64_t fp : stripe.probe) {
-    if (fp == 0) continue;
-    std::uint64_t i = fp & mask;
-    while (next[i] != 0) i = (i + 1) & mask;
-    next[i] = fp;
-  }
-  stripe.probe = std::move(next);
-  return true;
-}
-
-bool StateTable::insert_exact_locked(Stripe& stripe, std::string_view key,
-                                     std::uint64_t hash) {
-  if ((stripe.count + 1) * kLoadDen > stripe.slots.size() * kLoadNum &&
-      !grow_exact(stripe))
-    return false;
-  if (!charge(key.size())) return false;
-  const std::uint64_t mask = stripe.slots.size() - 1;
-  std::uint64_t i = hash & mask;
-  while (stripe.slots[i].hash != 0) i = (i + 1) & mask;
-  Slot& slot = stripe.slots[i];
-  slot.hash = hash;
-  slot.offset = stripe.arena.size();
-  slot.length = static_cast<std::uint32_t>(key.size());
-  stripe.arena.append(key);
-  ++stripe.count;
-  return true;
-}
-
-StateTable::Lookup StateTable::lookup_or_insert_hashed(std::string_view key,
-                                                       std::uint64_t hash) {
+StateTable::Lookup StateTable::lookup_or_insert(std::string_view key,
+                                                std::uint64_t hash) {
   WORMSIM_ASSERT(!key.empty());
   if (hash == 0) hash = 0x9e3779b97f4a7c15ull;  // 0 is the empty-slot mark
   // High bits pick the stripe, low bits the probe start, so the probe
@@ -110,7 +70,7 @@ StateTable::Lookup StateTable::lookup_or_insert_hashed(std::string_view key,
     ++stripe.contended;
   }
 
-  // Exact tier first: a byte match is the only verdict that prunes.
+  // A byte match is the only verdict that prunes.
   {
     const std::uint64_t mask = stripe.slots.size() - 1;
     std::uint64_t i = hash & mask;
@@ -124,43 +84,20 @@ StateTable::Lookup StateTable::lookup_or_insert_hashed(std::string_view key,
     }
   }
 
-  if (probation_) {
-    const std::uint64_t mask = stripe.probe.size() - 1;
-    std::uint64_t i = hash & mask;
-    bool hit = false;
-    while (true) {
-      const std::uint64_t fp = stripe.probe[i];
-      if (fp == 0) break;
-      if (fp == hash) {
-        hit = true;
-        break;
-      }
-      i = (i + 1) & mask;
-    }
-    if (!hit) {
-      // First touch: fingerprint only. Growth can move the empty slot, so
-      // re-probe after it.
-      if ((stripe.probe_count + 1) * kLoadDen >
-          stripe.probe.size() * kLoadNum) {
-        if (!grow_probe(stripe)) return Lookup::kOverBudget;
-        const std::uint64_t grown_mask = stripe.probe.size() - 1;
-        i = hash & grown_mask;
-        while (stripe.probe[i] != 0) i = (i + 1) & grown_mask;
-      }
-      stripe.probe[i] = hash;
-      ++stripe.probe_count;
-      return Lookup::kFresh;
-    }
-    // Second touch (or a fingerprint collision): promote the full key so
-    // the exact tier terminates every later touch, and tell the caller to
-    // expand — the first toucher's subtree was explored, but *this* key may
-    // be a colliding stranger, so maybe-seen never prunes.
-    if (!insert_exact_locked(stripe, key, hash)) return Lookup::kOverBudget;
-    ++stripe.promotions;
-    return Lookup::kReexplore;
-  }
-
-  if (!insert_exact_locked(stripe, key, hash)) return Lookup::kOverBudget;
+  // Absent: record it. Growth can move the empty slot, so probe afresh.
+  if ((stripe.count + 1) * kLoadDen > stripe.slots.size() * kLoadNum &&
+      !grow(stripe))
+    return Lookup::kOverBudget;
+  if (!charge(key.size())) return Lookup::kOverBudget;
+  const std::uint64_t mask = stripe.slots.size() - 1;
+  std::uint64_t i = hash & mask;
+  while (stripe.slots[i].hash != 0) i = (i + 1) & mask;
+  Slot& slot = stripe.slots[i];
+  slot.hash = hash;
+  slot.offset = stripe.arena.size();
+  slot.length = static_cast<std::uint32_t>(key.size());
+  stripe.arena.append(key);
+  ++stripe.count;
   return Lookup::kFresh;
 }
 
@@ -182,9 +119,6 @@ StateTable::Stats StateTable::stats() const {
     out.slots += stripe.slots.size();
     out.arena_bytes += stripe.arena.size();
     out.contended_locks += stripe.contended;
-    out.probation_keys += stripe.probe_count;
-    out.probation_slots += stripe.probe.size();
-    out.promotions += stripe.promotions;
   }
   out.resident_bytes = resident_.load(std::memory_order_relaxed);
   return out;

@@ -23,25 +23,12 @@
 // stripe the lock is uncontended and the table doubles as the serial
 // engine's visited set.
 //
-// Two-tier mode (Config::probation): most states in a big search are
-// touched exactly once, so storing every full key wastes the arena on
-// states that will never be looked up again. With probation on, a first
-// touch records only the 64-bit fingerprint in a per-stripe open-addressed
-// fingerprint array (8 bytes/state); the full key is promoted into the
-// exact tier only on a second touch. A fingerprint-only hit is *maybe
-// seen*: the caller gets kReexplore and must treat the state as fresh
-// (expand it again) while the now-promoted exact key terminates any third
-// touch. Soundness: a state is never pruned on a fingerprint match alone,
-// colliding keys are each promoted and explored, and any state is expanded
-// at most twice — the reachable set covered is identical to the exact
-// table's, at most 2x the expansions (see DESIGN.md §16).
-//
 // Config::budget_bytes caps the logical resident bytes (slot arrays +
-// arenas + fingerprint arrays, summed across stripes) with a compare-
-// exchange charge loop, so the accounted footprint never exceeds the
-// budget even under concurrent inserts. An insert that would overflow
-// returns kOverBudget and stores nothing; the search reports itself
-// non-exhausted, exactly like a max_states overflow.
+// arenas, summed across stripes) with a compare-exchange charge loop, so
+// the accounted footprint never exceeds the budget even under concurrent
+// inserts. An insert that would overflow returns kOverBudget and stores
+// nothing; the search reports itself non-exhausted, exactly like a
+// max_states overflow.
 #pragma once
 
 #include <atomic>
@@ -60,8 +47,7 @@ namespace wormsim::analysis {
 /// keys; the lane variant does an eighth of the multiplies with the same
 /// constants and comparable mixing. Not the canonical FNV digest — this is a
 /// process-local memoization hash, and empty input still maps to the FNV
-/// offset basis. The search precomputes it once per state and passes it to
-/// lookup_or_insert_hashed.
+/// offset basis.
 [[nodiscard]] inline std::uint64_t hash_bytes(
     std::string_view bytes) noexcept {
   constexpr std::uint64_t kPrime = 0x100000001b3ull;
@@ -100,11 +86,8 @@ class StateTable {
  public:
   /// What a lookup learned about the key (and recorded as a side effect).
   enum class Lookup : std::uint8_t {
-    kFresh,       ///< first touch; recorded (fingerprint or full key)
+    kFresh,       ///< first touch; the full key is now recorded
     kSeen,        ///< exact byte-for-byte match — sound to prune
-    kReexplore,   ///< fingerprint-only match, key now promoted to the exact
-                  ///< tier; treat as fresh and expand again (maybe-seen is
-                  ///< never a pruning verdict)
     kOverBudget,  ///< recording it would exceed budget_bytes; nothing stored
   };
 
@@ -112,63 +95,45 @@ class StateTable {
     /// Rounded up to a power of two (at least 1). Use 1 for a serial
     /// search; a few per worker thread for a parallel one.
     std::size_t stripes = 1;
-    /// Two-tier mode: first touch stores a 64-bit fingerprint only,
-    /// promotion to the exact tier on second touch.
-    bool probation = false;
     /// Cap on logical resident bytes across all stripes; 0 = unlimited.
     std::uint64_t budget_bytes = 0;
   };
 
   explicit StateTable(const Config& config);
-  /// Exact single-tier table, unlimited budget (the historical behavior).
+  /// Unlimited budget.
   explicit StateTable(std::size_t stripes = 1)
-      : StateTable(Config{stripes, false, 0}) {}
+      : StateTable(Config{stripes, 0}) {}
 
   StateTable(const StateTable&) = delete;
   StateTable& operator=(const StateTable&) = delete;
 
-  /// Looks `key` up and records it if absent (fingerprint or full key per
-  /// the tier rules above).
+  /// Looks `key` up and records it if absent.
   Lookup lookup_or_insert(std::string_view key) {
-    return lookup_or_insert_hashed(key, hash_bytes(key));
+    return lookup_or_insert(key, hash_bytes(key));
   }
 
   /// lookup_or_insert() with the hash precomputed by the caller.
-  Lookup lookup_or_insert_hashed(std::string_view key, std::uint64_t hash);
+  Lookup lookup_or_insert(std::string_view key, std::uint64_t hash);
 
-  /// Legacy boolean API for exact, unbudgeted tables: true when `key` was
-  /// newly inserted (first visit), false on an exact match.
-  bool insert(std::string_view key) {
-    return insert_hashed(key, hash_bytes(key));
-  }
-
-  /// insert() with the hash precomputed by the caller.
-  bool insert_hashed(std::string_view key, std::uint64_t hash) {
-    return lookup_or_insert_hashed(key, hash) != Lookup::kSeen;
-  }
-
-  /// Distinct keys stored in the exact tier. Takes every stripe lock; a
-  /// coherent total only once concurrent inserters have quiesced.
+  /// Distinct keys stored. Takes every stripe lock; a coherent total only
+  /// once concurrent inserters have quiesced.
   [[nodiscard]] std::uint64_t size() const;
 
   [[nodiscard]] std::size_t stripe_count() const { return stripes_.size(); }
 
-  /// Logical bytes currently accounted (slot arrays + arenas + fingerprint
-  /// arrays). The table never shrinks, so this is also the peak.
+  /// Logical bytes currently accounted (slot arrays + arenas). The table
+  /// never shrinks, so this is also the peak.
   [[nodiscard]] std::uint64_t resident_bytes() const {
     return resident_.load(std::memory_order_relaxed);
   }
 
   /// Occupancy and contention counters for live telemetry.
   struct Stats {
-    std::uint64_t keys = 0;         ///< distinct keys in the exact tier
-    std::uint64_t slots = 0;        ///< exact-tier capacity, all stripes
+    std::uint64_t keys = 0;         ///< distinct keys stored
+    std::uint64_t slots = 0;        ///< slot capacity, all stripes
     std::uint64_t arena_bytes = 0;  ///< raw key bytes resident
     std::uint64_t stripes = 0;
     std::uint64_t contended_locks = 0;  ///< lookups that had to wait
-    std::uint64_t probation_keys = 0;   ///< fingerprints recorded
-    std::uint64_t probation_slots = 0;  ///< fingerprint capacity, all stripes
-    std::uint64_t promotions = 0;  ///< fingerprint hits promoted to exact
     std::uint64_t resident_bytes = 0;  ///< accounted footprint (== peak)
   };
 
@@ -179,7 +144,7 @@ class StateTable {
 
  private:
   /// Open-addressing slot; hash == 0 marks an empty slot (a real zero hash
-  /// is remapped in lookup_or_insert_hashed).
+  /// is remapped in lookup_or_insert).
   struct Slot {
     std::uint64_t hash = 0;
     std::uint64_t offset = 0;  ///< into the stripe arena
@@ -188,16 +153,9 @@ class StateTable {
 
   struct Stripe {
     mutable std::mutex mutex;
-    std::vector<Slot> slots;  ///< exact tier; power-of-two size
+    std::vector<Slot> slots;  ///< power-of-two size
     std::string arena;        ///< key bytes, back to back
     std::size_t count = 0;
-    /// Probation tier: fingerprint values, 0 = empty (same remap as
-    /// Slot::hash). Promotion leaves the fingerprint in place — no
-    /// tombstones; a stale fingerprint only costs a benign kReexplore
-    /// detour through the exact probe that now terminates it.
-    std::vector<std::uint64_t> probe;
-    std::size_t probe_count = 0;
-    std::uint64_t promotions = 0;
     std::uint64_t contended = 0;  ///< lock waits, guarded by mutex
   };
 
@@ -206,15 +164,10 @@ class StateTable {
   /// strict even with concurrent charges — resident_ never overshoots.
   bool charge(std::uint64_t delta);
 
-  bool grow_exact(Stripe& stripe);
-  bool grow_probe(Stripe& stripe);
-  /// Appends `key` to the exact tier (caller already probed: no match).
-  bool insert_exact_locked(Stripe& stripe, std::string_view key,
-                           std::uint64_t hash);
+  bool grow(Stripe& stripe);
 
   std::vector<Stripe> stripes_;
   std::uint64_t stripe_mask_ = 0;
-  bool probation_ = false;
   std::uint64_t budget_ = 0;
   std::atomic<std::uint64_t> resident_{0};
 };

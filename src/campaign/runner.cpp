@@ -567,7 +567,6 @@ CampaignResult run_range_impl(const CampaignConfig& config,
             snap.search.table_arena_bytes += s.table.arena_bytes;
             snap.search.table_stripes += s.table.stripes;
             snap.search.table_contended_locks += s.table.contended_locks;
-            snap.search.table_probation_keys += s.table.probation_keys;
             snap.search.table_resident_bytes += s.table.resident_bytes;
             for (const analysis::SearchProfile& p : s.workers)
               live_merged.merge_from(p);
@@ -590,7 +589,6 @@ CampaignResult run_range_impl(const CampaignConfig& config,
           snap.search.peak_depth = live_merged.peak_depth;
           snap.search.branch_truncations = live_merged.branch_truncations;
           snap.search.budget_prunes = live_merged.budget_prunes;
-          snap.search.reexplorations = live_merged.reexplorations;
           snap.search.steals = live_merged.steals;
           snap.search.steal_attempts = live_merged.steal_attempts;
           snap.search.splits = live_merged.splits;

@@ -143,14 +143,11 @@ std::uint64_t truth_fingerprint(const analysis::SearchLimits& limits,
   // campaign forces single-threaded searches, so it cannot affect records.
   if (limits.reduction != analysis::ReductionMode::kOff)
     os << ";reduction=" << analysis::to_string(limits.reduction);
-  // Probation re-explores fingerprint-collided states, so the recorded
-  // states count (expansions) can differ from the exact table's; a byte
-  // budget can turn exhaustive verdicts inconclusive. Both therefore get
-  // their own cache namespace. Off / unlimited appends nothing, keeping
-  // every existing cache file warm. steal_granularity and canonical_witness
-  // are never folded: they only reshape the schedule and which witness is
-  // reported, and campaign probes force threads=1 where neither can bite.
-  if (limits.memo_probation) os << ";memo_probation=1";
+  // A byte budget can turn exhaustive verdicts inconclusive, so it gets its
+  // own cache namespace; unlimited appends nothing, keeping every existing
+  // cache file warm. steal_granularity and canonical_witness are never
+  // folded: they only reshape the schedule and which witness is reported,
+  // and campaign probes force threads=1 where neither can bite.
   if (limits.memo_budget_bytes != 0)
     os << ";memo_budget=" << limits.memo_budget_bytes;
   return fnv1a(os.str());

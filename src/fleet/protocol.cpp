@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "obs/json.hpp"
@@ -128,6 +129,12 @@ std::optional<FleetManifest> FleetManifest::from_json(
   // A mode this build does not know (e.g. the retired "on") would silently
   // run a different search than the manifest's fingerprint describes.
   if (!analysis::reduction_from_string(*reduction)) return std::nullopt;
+  // The generator requires at least two demanded pairs, and the campaign
+  // knob is an int.
+  if (*synth_max_pairs < 2 ||
+      *synth_max_pairs >
+          static_cast<std::uint64_t>(std::numeric_limits<int>::max()))
+    return std::nullopt;
   m.seed = *seed;
   m.count = *count;
   m.batch_size = *batch_size;

@@ -54,7 +54,9 @@ struct FleetManifest {
   double lease_seconds = 10;        ///< claim freshness horizon
   std::string cycle_bias = "any";   ///< CycleBias: any | force | forbid
   double synth_fraction = 0;        ///< GeneratorKnobs::synthesized_fraction
-  std::uint64_t synth_max_pairs = 0;
+  /// GeneratorKnobs::synth_max_pairs; at least 2.
+  std::uint64_t synth_max_pairs =
+      static_cast<std::uint64_t>(campaign::GeneratorKnobs{}.synth_max_pairs);
   std::uint64_t max_states = 0;     ///< SearchLimits::max_states
   /// SearchLimits::reduction; defaults to the search's own default.
   std::string reduction =

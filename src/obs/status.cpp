@@ -30,7 +30,6 @@ void append_search(std::string& out, const SearchStatus& s) {
   out += ",\"peak_depth\":" + json::number_u64(s.peak_depth);
   out += ",\"branch_truncations\":" + json::number_u64(s.branch_truncations);
   out += ",\"budget_prunes\":" + json::number_u64(s.budget_prunes);
-  out += ",\"reexplorations\":" + json::number_u64(s.reexplorations);
   out += ",\"steals\":" + json::number_u64(s.steals);
   out += ",\"steal_attempts\":" + json::number_u64(s.steal_attempts);
   out += ",\"splits\":" + json::number_u64(s.splits);
@@ -44,8 +43,6 @@ void append_search(std::string& out, const SearchStatus& s) {
   out += ",\"table_stripes\":" + json::number_u64(s.table_stripes);
   out += ",\"table_contended_locks\":" +
          json::number_u64(s.table_contended_locks);
-  out += ",\"table_probation_keys\":" +
-         json::number_u64(s.table_probation_keys);
   out += ",\"table_resident_bytes\":" +
          json::number_u64(s.table_resident_bytes);
   out += "}";
@@ -92,7 +89,6 @@ void append_worker(std::string& out, const WorkerStatus& w) {
   out += ",\"peak_depth\":" + json::number_u64(w.peak_depth);
   out += ",\"branch_truncations\":" + json::number_u64(w.branch_truncations);
   out += ",\"budget_prunes\":" + json::number_u64(w.budget_prunes);
-  out += ",\"reexplorations\":" + json::number_u64(w.reexplorations);
   out += ",\"steals\":" + json::number_u64(w.steals);
   out += ",\"steal_attempts\":" + json::number_u64(w.steal_attempts);
   out += ",\"splits\":" + json::number_u64(w.splits);
@@ -107,7 +103,8 @@ void append_worker(std::string& out, const WorkerStatus& w) {
 }  // namespace
 
 std::string StatusSnapshot::to_json() const {
-  std::string out = "{\"schema\":\"wormsim-status-v3\"";
+  std::string out = "{\"schema\":";
+  out += json::quote(kStatusSchema);
   out += ",\"kind\":" + json::quote(kind);
   out += ",\"seq\":" + json::number_u64(seq);
   out += ",\"pid\":" + json::number_u64(pid);

@@ -22,7 +22,7 @@
 //     the sampler writes one final snapshot with running=false, so a
 //     finished run always leaves a complete heartbeat behind.
 //
-// The snapshot schema is versioned ("wormsim-status-v3") and documented
+// The snapshot schema is versioned (kStatusSchema) and documented
 // field-by-field in docs/observability.md; tests pin the two against each
 // other. Producers must be thread-safe: the callback runs on the sampler
 // thread while the run's workers are mutating the counters it reads.
@@ -35,11 +35,16 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
 namespace wormsim::obs {
+
+/// The `schema` value of every snapshot. Any field addition, removal or
+/// rename bumps the version (docs/observability.md).
+inline constexpr std::string_view kStatusSchema = "wormsim-status-v4";
 
 /// What the search engine(s) are doing right now: counters mirrored from
 /// the in-flight searches' per-worker profile shards and state tables.
@@ -58,7 +63,6 @@ struct SearchStatus {
   std::uint64_t peak_depth = 0;
   std::uint64_t branch_truncations = 0;
   std::uint64_t budget_prunes = 0;
-  std::uint64_t reexplorations = 0;  ///< probation-tier second expansions
   // Work-stealing scheduler counters, summed over the workers.
   std::uint64_t steals = 0;
   std::uint64_t steal_attempts = 0;
@@ -72,7 +76,6 @@ struct SearchStatus {
   std::uint64_t table_arena_bytes = 0;
   std::uint64_t table_stripes = 0;
   std::uint64_t table_contended_locks = 0;
-  std::uint64_t table_probation_keys = 0;  ///< fingerprints in probation
   std::uint64_t table_resident_bytes = 0;  ///< accounted footprint (== peak)
 };
 
@@ -90,7 +93,6 @@ struct WorkerStatus {
   std::uint64_t peak_depth = 0;
   std::uint64_t branch_truncations = 0;
   std::uint64_t budget_prunes = 0;
-  std::uint64_t reexplorations = 0;
   std::uint64_t steals = 0;         ///< items this worker stole
   std::uint64_t steal_attempts = 0; ///< victim deques probed
   std::uint64_t splits = 0;         ///< subtree re-splits performed
@@ -168,7 +170,7 @@ struct StatusSnapshot {
   SearchStatus search;
   std::vector<WorkerStatus> workers;
 
-  /// Serializes as the documented "wormsim-status-v3" JSON object. u64
+  /// Serializes as the documented kStatusSchema JSON object. u64
   /// fields are emitted exactly (json::number_u64), never through doubles.
   [[nodiscard]] std::string to_json() const;
 };

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cyclic_family.hpp"
 #include "routing/node_table.hpp"
 #include "topo/builders.hpp"
 
@@ -149,6 +150,35 @@ TEST_F(SearchDeathTest, RejectsPresetStalls) {
   EXPECT_DEATH(
       (void)find_deadlock(*table_, specs, AdversaryModel::kSynchronous, {}),
       "stalls");
+}
+
+TEST(MemoBudgetSearch, OverflowReportsNonExhausted) {
+  // A too-small byte budget must surface as "ran out of room", never as a
+  // fake proof of safety — mirroring the max_states contract.
+  const core::CyclicFamily family(core::fig1_spec());
+  SearchLimits limits;
+  limits.memo_budget_bytes = 24 * 1024;
+  const auto result = find_deadlock(family.algorithm(),
+                                    family.message_specs(),
+                                    AdversaryModel::kSynchronous, limits);
+  EXPECT_FALSE(result.deadlock_found);
+  EXPECT_FALSE(result.exhausted);
+  EXPECT_GT(result.profile.table_peak_resident_bytes, 0u);
+  EXPECT_LE(result.profile.table_peak_resident_bytes,
+            limits.memo_budget_bytes);
+}
+
+TEST(MemoBudgetSearch, GenerousBudgetStaysExhaustive) {
+  const core::CyclicFamily family(core::fig1_spec());
+  SearchLimits limits;
+  limits.memo_budget_bytes = 256ull * 1024 * 1024;
+  const auto result = find_deadlock(family.algorithm(),
+                                    family.message_specs(),
+                                    AdversaryModel::kSynchronous, limits);
+  EXPECT_TRUE(result.exhausted);
+  EXPECT_GT(result.profile.table_peak_resident_bytes, 0u);
+  EXPECT_LE(result.profile.table_peak_resident_bytes,
+            limits.memo_budget_bytes);
 }
 
 }  // namespace

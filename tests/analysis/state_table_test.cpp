@@ -4,15 +4,24 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
 
 namespace wormsim::analysis {
 namespace {
+
+using Lookup = StateTable::Lookup;
+
+/// True when lookup_or_insert recorded `key` as a first visit.
+bool fresh(StateTable& table, std::string_view key) {
+  return table.lookup_or_insert(key) == Lookup::kFresh;
+}
 
 std::vector<std::string> random_keys(std::size_t count, std::uint64_t seed) {
   util::Rng rng(seed);
@@ -29,19 +38,73 @@ std::vector<std::string> random_keys(std::size_t count, std::uint64_t seed) {
   return keys;
 }
 
+std::string le64(std::uint64_t w) {
+  std::string out(8, '\0');
+  std::memcpy(out.data(), &w, 8);
+  return out;
+}
+
+/// Multiplicative inverse of the FNV prime mod 2^64 (Newton iteration:
+/// each step doubles the valid low bits; five steps from an odd seed
+/// cover all 64).
+constexpr std::uint64_t inverse_of(std::uint64_t odd) {
+  std::uint64_t inv = odd;
+  for (int i = 0; i < 5; ++i) inv *= 2 - odd * inv;
+  return inv;
+}
+
+/// A genuine hash_bytes collision: an 8-byte key A and a 16-byte key B with
+/// equal lane-FNV digests. hash_bytes folds whole 8-byte lanes and then the
+/// length, every fold a xor followed by a multiply by the (odd, hence
+/// invertible) FNV prime — so the second lane of B can be solved for
+/// exactly, working the digest backwards from A's.
+std::pair<std::string, std::string> colliding_keys() {
+  constexpr std::uint64_t kPrime = 0x100000001b3ull;
+  constexpr std::uint64_t kBasis = 0xcbf29ce484222325ull;
+  constexpr std::uint64_t kInv = inverse_of(kPrime);
+  static_assert(kInv * kPrime == 1, "inverse sanity");
+
+  const std::uint64_t word_a = 0x0123456789abcdefull;
+  const std::string a = le64(word_a);
+  const std::uint64_t target = hash_bytes(a);
+
+  // B = [w1][w2], so hash(B) = (((basis ^ w1)*p ^ w2)*p ^ 16)*p. Unwind:
+  const std::uint64_t w1 = 0xfeedfacecafebeefull;
+  const std::uint64_t x = (kBasis ^ w1) * kPrime;
+  const std::uint64_t w2 = ((target * kInv ^ 16) * kInv) ^ x;
+  const std::string b = le64(w1) + le64(w2);
+
+  EXPECT_EQ(hash_bytes(b), target);
+  EXPECT_NE(a, b);
+  return {a, b};
+}
+
 TEST(StateTable, InsertReportsFirstVisitExactlyOnce) {
   StateTable table;
-  EXPECT_TRUE(table.insert("alpha"));
-  EXPECT_FALSE(table.insert("alpha"));
-  EXPECT_TRUE(table.insert("beta"));
-  EXPECT_FALSE(table.insert("beta"));
-  EXPECT_FALSE(table.insert("alpha"));
+  EXPECT_EQ(table.lookup_or_insert("alpha"), Lookup::kFresh);
+  EXPECT_EQ(table.lookup_or_insert("alpha"), Lookup::kSeen);
+  EXPECT_EQ(table.lookup_or_insert("beta"), Lookup::kFresh);
+  EXPECT_EQ(table.lookup_or_insert("beta"), Lookup::kSeen);
+  EXPECT_EQ(table.lookup_or_insert("alpha"), Lookup::kSeen);
+  EXPECT_EQ(table.size(), 2u);
+}
+
+TEST(StateTable, RealHashCollisionNeverPrunes) {
+  // Two different keys with equal hash_bytes digests. A false kSeen for the
+  // second would prune a reachable subtree and turn "exhausted" into a lie:
+  // only a byte-for-byte match may answer kSeen.
+  const auto [a, b] = colliding_keys();
+  StateTable table;
+  EXPECT_EQ(table.lookup_or_insert(a), Lookup::kFresh);
+  EXPECT_EQ(table.lookup_or_insert(b), Lookup::kFresh);
+  EXPECT_EQ(table.lookup_or_insert(a), Lookup::kSeen);
+  EXPECT_EQ(table.lookup_or_insert(b), Lookup::kSeen);
   EXPECT_EQ(table.size(), 2u);
 }
 
 TEST(StateTable, MatchesUnorderedSetReference) {
   // Random binary keys with deliberate duplicates: the table must agree
-  // with std::unordered_set on every single insert() verdict.
+  // with std::unordered_set on every single first-visit verdict.
   auto keys = random_keys(2000, 12345);
   auto dups = keys;
   keys.insert(keys.end(), dups.begin(), dups.end());
@@ -52,7 +115,8 @@ TEST(StateTable, MatchesUnorderedSetReference) {
   StateTable table(4);
   std::unordered_set<std::string> reference;
   for (const std::string& key : keys)
-    EXPECT_EQ(table.insert(key), reference.insert(key).second) << "key mismatch";
+    EXPECT_EQ(fresh(table, key), reference.insert(key).second)
+        << "key mismatch";
   EXPECT_EQ(table.size(), reference.size());
 }
 
@@ -62,9 +126,10 @@ TEST(StateTable, GrowsPastInitialCapacityPerStripe) {
   const auto keys = random_keys(5000, 777);
   std::unordered_set<std::string> reference;
   for (const std::string& key : keys)
-    EXPECT_EQ(table.insert(key), reference.insert(key).second);
+    EXPECT_EQ(fresh(table, key), reference.insert(key).second);
   EXPECT_EQ(table.size(), reference.size());
-  for (const std::string& key : keys) EXPECT_FALSE(table.insert(key));
+  for (const std::string& key : keys)
+    EXPECT_EQ(table.lookup_or_insert(key), Lookup::kSeen);
 }
 
 TEST(StateTable, StripeCountRoundsUpToPowerOfTwo) {
@@ -95,13 +160,13 @@ TEST(StateTable, HashBytesIsDeterministicAndLengthSensitive) {
 }
 
 TEST(StateTable, ZeroHashKeysAreStillStoredExactly) {
-  // Even if two keys landed on the remapped zero hash, exact key compare
-  // keeps them distinct; here just exercise insert/dup through insert_hashed
-  // with a forced hash of 0.
+  // Hash 0 is the empty-slot sentinel and gets remapped; distinct keys
+  // forced onto it (the precomputed-hash call shape the engine uses) must
+  // still be told apart by exact key compare.
   StateTable table;
-  EXPECT_TRUE(table.insert_hashed("first", 0));
-  EXPECT_FALSE(table.insert_hashed("first", 0));
-  EXPECT_TRUE(table.insert_hashed("second", 0));  // collides, differs
+  EXPECT_EQ(table.lookup_or_insert("first", 0), Lookup::kFresh);
+  EXPECT_EQ(table.lookup_or_insert("first", 0), Lookup::kSeen);
+  EXPECT_EQ(table.lookup_or_insert("second", 0), Lookup::kFresh);
   EXPECT_EQ(table.size(), 2u);
 }
 
@@ -128,9 +193,42 @@ TEST(StateTable, SpentCountersDifferingBy256DoNotAlias) {
 
   StateTable table;
   const std::string base = "state-bytes";
-  EXPECT_TRUE(table.insert(base + spent0));
-  EXPECT_TRUE(table.insert(base + spent256));  // distinct, not a revisit
+  EXPECT_TRUE(fresh(table, base + spent0));
+  EXPECT_TRUE(fresh(table, base + spent256));  // distinct, not a revisit
   EXPECT_EQ(table.size(), 2u);
+}
+
+TEST(StateTable, BudgetIsAStrictCeiling) {
+  // Generous enough for the empty table, far too small for thousands of
+  // 64-byte keys: inserts must start failing with kOverBudget, and the
+  // accounted footprint must never exceed the cap (the charge loop either
+  // reserves the bytes or stores nothing).
+  constexpr std::uint64_t kBudget = 16 * 1024;
+  StateTable table(StateTable::Config{1, kBudget});
+  bool overflowed = false;
+  for (int i = 0; i < 4096; ++i) {
+    std::string key(56, static_cast<char>('a' + (i % 26)));
+    key += le64(static_cast<std::uint64_t>(i));
+    const Lookup verdict = table.lookup_or_insert(key);
+    ASSERT_LE(table.resident_bytes(), kBudget);
+    if (verdict == Lookup::kOverBudget) {
+      overflowed = true;
+      break;
+    }
+    ASSERT_EQ(verdict, Lookup::kFresh);
+  }
+  EXPECT_TRUE(overflowed);
+  EXPECT_GT(table.resident_bytes(), 0u);
+}
+
+TEST(StateTable, BudgetBelowBaselineFailsEveryExactInsert) {
+  // A budget smaller than the empty table's slot arrays is reported
+  // honestly: every insert needs arena bytes it cannot charge, so it is
+  // kOverBudget and nothing pretends to be recorded.
+  StateTable table(StateTable::Config{1, 64});
+  EXPECT_EQ(table.lookup_or_insert("anything"), Lookup::kOverBudget);
+  EXPECT_EQ(table.lookup_or_insert("anything"), Lookup::kOverBudget);
+  EXPECT_EQ(table.size(), 0u);
 }
 
 TEST(StateTable, StatsReportOccupancyAfterQuiescence) {
@@ -146,7 +244,7 @@ TEST(StateTable, StatsReportOccupancyAfterQuiescence) {
   std::uint64_t raw_bytes = 0;
   for (const std::string& key : keys)
     if (reference.insert(key).second) raw_bytes += key.size();
-  for (const std::string& key : keys) table.insert(key);
+  for (const std::string& key : keys) table.lookup_or_insert(key);
 
   const StateTable::Stats stats = table.stats();
   EXPECT_EQ(stats.keys, reference.size());
@@ -172,7 +270,7 @@ TEST(StateTable, StatsAreSamplingSafeDuringConcurrentInserts) {
   std::vector<std::thread> pool;
   for (unsigned t = 0; t < 2; ++t)
     pool.emplace_back([&] {
-      for (const std::string& key : keys) table.insert(key);
+      for (const std::string& key : keys) table.lookup_or_insert(key);
     });
   for (std::thread& th : pool) th.join();
   done.store(true);
@@ -184,7 +282,7 @@ TEST(StateTable, StatsAreSamplingSafeDuringConcurrentInserts) {
 
 TEST(StateTable, ConcurrentInsertersAgreeOnFirstVisit) {
   // Every key is inserted by several threads; across all threads exactly
-  // one insert() per distinct key may return true. Run under TSan in CI.
+  // one lookup per distinct key may return kFresh. Run under TSan in CI.
   const auto keys = random_keys(512, 4242);
   constexpr unsigned kThreads = 4;
   StateTable table(kThreads * 8);
@@ -198,7 +296,7 @@ TEST(StateTable, ConcurrentInsertersAgreeOnFirstVisit) {
       // Each thread visits the keys in a different order.
       for (std::size_t i = 0; i < keys.size(); ++i) {
         const std::size_t k = (i * (t + 1) + t) % keys.size();
-        if (table.insert(keys[k])) won[t][k] = 1;
+        if (fresh(table, keys[k])) won[t][k] = 1;
       }
     });
   for (std::thread& th : pool) th.join();

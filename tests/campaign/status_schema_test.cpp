@@ -122,8 +122,8 @@ TEST(StatusSchemaDoc, ManualTablesParse) {
   EXPECT_EQ(parse_table(doc, "### The `truth_cache` object").size(), 4u);
   EXPECT_EQ(parse_table(doc, "### The `fleet` object").size(), 9u);
   EXPECT_EQ(parse_table(doc, "### The `sim` object").size(), 11u);
-  EXPECT_EQ(parse_table(doc, "### The `search` object").size(), 28u);
-  EXPECT_EQ(parse_table(doc, "### Worker entries").size(), 19u);
+  EXPECT_EQ(parse_table(doc, "### The `search` object").size(), 26u);
+  EXPECT_EQ(parse_table(doc, "### Worker entries").size(), 18u);
   for (const char* heading :
        {"## Status file schema", "### The `progress` object",
         "### The `truth_cache` object", "### The `fleet` object",
@@ -150,7 +150,7 @@ TEST(StatusSchemaDoc, KindRowListsEveryProducerKind) {
 
 TEST(StatusSchemaDoc, SynthKindRoundTripsThroughTheEmitter) {
   // Direction 2: a "synth" snapshot (wormsim_synth's heartbeat) serializes
-  // and parses back with the kind intact and the full v2 schema around it.
+  // and parses back with the kind intact and the full schema around it.
   obs::StatusSnapshot snap;
   snap.kind = "synth";
   snap.count = 13;
@@ -158,7 +158,7 @@ TEST(StatusSchemaDoc, SynthKindRoundTripsThroughTheEmitter) {
   snap.agree = 4;
   const auto parsed = obs::json::parse(snap.to_json());
   ASSERT_TRUE(parsed.has_value() && parsed->is_object());
-  EXPECT_EQ(parsed->find("schema")->as_string(), "wormsim-status-v3");
+  EXPECT_EQ(parsed->find("schema")->as_string(), obs::kStatusSchema);
   EXPECT_EQ(parsed->find("kind")->as_string(), "synth");
   const obs::json::Value& progress = *parsed->find("progress");
   EXPECT_EQ(progress.find("count")->as_u64(), 13u);
@@ -185,7 +185,7 @@ TEST(StatusSchemaDoc, EmittedSnapshotMatchesTheManualFieldForField) {
   const auto parsed = obs::json::parse(read_file(status_file));
   ASSERT_TRUE(parsed.has_value()) << "final snapshot is not valid JSON";
   ASSERT_TRUE(parsed->is_object());
-  EXPECT_EQ(parsed->find("schema")->as_string(), "wormsim-status-v3");
+  EXPECT_EQ(parsed->find("schema")->as_string(), obs::kStatusSchema);
 
   expect_matches_table(*parsed, top, "top-level");
   expect_matches_table(*parsed->find("progress"), progress, "progress");
@@ -272,7 +272,7 @@ TEST(StatusSchemaDoc, RacingReadersNeverSeeATornSnapshot) {
       const auto parsed = obs::json::parse(text);
       if (!parsed || !parsed->is_object() ||
           parsed->find("schema") == nullptr ||
-          parsed->find("schema")->as_string() != "wormsim-status-v3" ||
+          parsed->find("schema")->as_string() != obs::kStatusSchema ||
           parsed->find("workers") == nullptr)
         ++torn;
     }

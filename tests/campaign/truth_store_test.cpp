@@ -244,13 +244,21 @@ TEST(TruthStore, FingerprintTracksSearchKnobs) {
   EXPECT_NE(truth_fingerprint(bigger, 8, 4), base);
   EXPECT_NE(truth_fingerprint(limits, 9, 4), base);
   EXPECT_NE(truth_fingerprint(limits, 8, 5), base);
+  // A memo byte budget can turn exhaustive verdicts inconclusive.
+  analysis::SearchLimits budgeted = limits;
+  budgeted.memo_budget_bytes = 1 << 20;
+  EXPECT_NE(truth_fingerprint(budgeted, 8, 4), base);
 
   // Verdict-neutral knobs must NOT invalidate caches: witness strings,
-  // progress logging, and thread count never change what the search finds.
+  // progress logging, and the schedule (thread count, steal granularity,
+  // which equivalent witness is reported) never change what the search
+  // finds.
   analysis::SearchLimits cosmetic = limits;
   cosmetic.build_witness = !cosmetic.build_witness;
   cosmetic.progress_log_interval = 12345;
   cosmetic.threads = 7;
+  cosmetic.steal_granularity = 2;
+  cosmetic.canonical_witness = false;
   EXPECT_EQ(truth_fingerprint(cosmetic, 8, 4), base);
 }
 

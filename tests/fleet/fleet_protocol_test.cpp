@@ -74,6 +74,12 @@ TEST(FleetProtocol, MessagesRejectForeignAndTornText) {
   FleetManifest bad;
   bad.batch_size = 0;
   EXPECT_FALSE(FleetManifest::from_json(bad.to_json()).has_value());
+  // The generator needs at least two demanded pairs; a manifest asking for
+  // fewer would abort every worker on a precondition.
+  FleetManifest one_pair;
+  ASSERT_TRUE(FleetManifest::from_json(one_pair.to_json()).has_value());
+  one_pair.synth_max_pairs = 1;
+  EXPECT_FALSE(FleetManifest::from_json(one_pair.to_json()).has_value());
 
   // A reduction mode this build does not run (the retired "on") would
   // silently search differently from what the fingerprint describes.

@@ -48,7 +48,7 @@ TEST(StatusWriterTest, WritesParseableSnapshotAndStampsSeqPid) {
 
   const auto parsed = json::parse(read_file(path));
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->find("schema")->as_string(), "wormsim-status-v3");
+  EXPECT_EQ(parsed->find("schema")->as_string(), kStatusSchema);
   EXPECT_EQ(parsed->find("seq")->as_u64(), 2u);  // stamped, not caller's
   EXPECT_GT(parsed->find("pid")->as_u64(), 0u);
   EXPECT_EQ(parsed->find("progress")->find("done")->as_u64(), 7u);
@@ -220,7 +220,7 @@ TEST(StatusSamplerTest, ConcurrentReadersSeeOnlyCompleteSnapshots) {
       const auto parsed = json::parse(text);
       if (!parsed || !parsed->is_object() ||
           parsed->find("schema") == nullptr ||
-          parsed->find("schema")->as_string() != "wormsim-status-v3")
+          parsed->find("schema")->as_string() != kStatusSchema)
         torn.fetch_add(1);
     }
   });

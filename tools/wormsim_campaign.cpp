@@ -14,7 +14,7 @@
 //                    [--fixture-dir DIR] [--max-states N] [--bias any|force|forbid]
 //                    [--reduction off|safe] [--cross-check-reduction]
 //                    [--search-threads N] [--steal-granularity N]
-//                    [--memo-probation] [--memo-budget BYTES]
+//                    [--memo-budget BYTES]
 //                    [--probe-out-of-scope] [--profile]
 //                    [--status-file FILE] [--status-interval SECONDS]
 //                    [--no-shrink] [--quiet]
@@ -27,10 +27,12 @@
 // --shard-index/--shard-total run one contiguous slice of the index space
 // per process; concatenating (or --merge-ing) the slices reproduces the
 // single-process bytes. docs/campaign.md is the operator's manual.
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -55,8 +57,7 @@ int usage(const char* argv0) {
                "          [--bias any|force|forbid] [--synth-fraction F]\n"
                "          [--synth-pairs N] [--reduction off|safe]\n"
                "          [--cross-check-reduction] [--search-threads N]\n"
-               "          [--steal-granularity N] [--memo-probation]\n"
-               "          [--memo-budget BYTES]\n"
+               "          [--steal-granularity N] [--memo-budget BYTES]\n"
                "          [--probe-out-of-scope] [--profile] [--no-shrink]\n"
                "          [--status-file FILE] [--status-interval SECONDS]\n"
                "          [--quiet]\n"
@@ -68,12 +69,22 @@ int usage(const char* argv0) {
   return 2;
 }
 
-std::uint64_t parse_u64(const char* text, const char* flag) {
+/// Parses a decimal flag value in [min, max]. strtoull alone accepts "-1"
+/// (wrapping it to 2^64-1) and saturates out-of-range input, and the
+/// narrowing casts at the call sites would truncate what it returns.
+std::uint64_t parse_u64(
+    const char* text, const char* flag, std::uint64_t min = 0,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    std::fprintf(stderr, "wormsim_campaign: bad value for %s: '%s'\n", flag,
-                 text);
+  if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE ||
+      v < min || v > max) {
+    std::fprintf(stderr,
+                 "wormsim_campaign: bad value for %s: '%s' (expected an "
+                 "integer in [%llu, %llu])\n",
+                 flag, text, static_cast<unsigned long long>(min),
+                 static_cast<unsigned long long>(max));
     std::exit(2);
   }
   return v;
@@ -270,7 +281,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--count") {
       config.count = parse_u64(value(), "--count");
     } else if (arg == "--shards") {
-      config.shards = static_cast<unsigned>(parse_u64(value(), "--shards"));
+      config.shards = static_cast<unsigned>(parse_u64(
+          value(), "--shards", 0, std::numeric_limits<unsigned>::max()));
     } else if (arg == "--shard-index") {
       config.shard_index = parse_u64(value(), "--shard-index");
     } else if (arg == "--shard-total") {
@@ -300,18 +312,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--search-threads") {
       // Honored by --replay; campaign ground truth forces 1 thread so
       // recorded states stay deterministic (see EvalOptions::limits).
-      config.eval.limits.threads =
-          static_cast<unsigned>(parse_u64(value(), "--search-threads"));
+      config.eval.limits.threads = static_cast<unsigned>(
+          parse_u64(value(), "--search-threads", 0,
+                    std::numeric_limits<unsigned>::max()));
     } else if (arg == "--steal-granularity") {
       // Work-stealing split width; schedule-only, never folded into the
       // truth fingerprint (campaign probes run single-threaded anyway).
       config.eval.limits.steal_granularity =
           static_cast<std::size_t>(parse_u64(value(), "--steal-granularity"));
-    } else if (arg == "--memo-probation") {
-      // Two-tier StateTable: fingerprints on first touch, exact keys on
-      // promotion. Changes recorded expansion counts, so it is folded into
-      // the truth fingerprint (docs/campaign.md).
-      config.eval.limits.memo_probation = true;
     } else if (arg == "--memo-budget") {
       // Cap on the StateTable's accounted bytes; over-budget searches
       // report inconclusive, so this is fingerprint-affecting too.
@@ -342,8 +350,8 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--synth-pairs") {
-      config.knobs.synth_max_pairs =
-          static_cast<int>(parse_u64(value(), "--synth-pairs"));
+      config.knobs.synth_max_pairs = static_cast<int>(parse_u64(
+          value(), "--synth-pairs", 2, std::numeric_limits<int>::max()));
     } else if (arg == "--status-file") {
       // Live heartbeat (docs/observability.md); watch with wormsim_status.
       config.status_file = value();

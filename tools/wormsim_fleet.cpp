@@ -24,9 +24,11 @@
 // Determinism: <run-dir>/merged.jsonl depends only on the campaign identity
 // in the manifest — never on worker count, batch boundaries, crashes, or
 // retries. docs/fleet.md is the operator's manual.
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "fleet/coordinator.hpp"
@@ -58,12 +60,22 @@ int usage(const char* argv0) {
   return 2;
 }
 
-std::uint64_t parse_u64(const char* text, const char* flag) {
+/// Parses a decimal flag value in [min, max]. strtoull alone accepts "-1"
+/// (wrapping it to 2^64-1) and saturates out-of-range input, and the
+/// narrowing casts at the call sites would truncate what it returns.
+std::uint64_t parse_u64(
+    const char* text, const char* flag, std::uint64_t min = 0,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    std::fprintf(stderr, "wormsim_fleet: bad value for %s: '%s'\n", flag,
-                 text);
+  if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE ||
+      v < min || v > max) {
+    std::fprintf(stderr,
+                 "wormsim_fleet: bad value for %s: '%s' (expected an "
+                 "integer in [%llu, %llu])\n",
+                 flag, text, static_cast<unsigned long long>(min),
+                 static_cast<unsigned long long>(max));
     std::exit(2);
   }
   return v;
@@ -108,19 +120,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--count") {
       config.campaign.count = parse_u64(value(), "--count");
     } else if (arg == "--batch-size") {
-      config.batch_size = parse_u64(value(), "--batch-size");
-      if (config.batch_size == 0) {
-        std::fprintf(stderr, "wormsim_fleet: --batch-size must be >= 1\n");
-        return 2;
-      }
+      config.batch_size = parse_u64(value(), "--batch-size", 1);
     } else if (arg == "--lease-seconds") {
       config.lease_seconds = parse_positive_double(value(), "--lease-seconds");
     } else if (arg == "--max-attempts") {
-      config.max_attempts = parse_u64(value(), "--max-attempts");
-      if (config.max_attempts == 0) {
-        std::fprintf(stderr, "wormsim_fleet: --max-attempts must be >= 1\n");
-        return 2;
-      }
+      config.max_attempts = parse_u64(value(), "--max-attempts", 1);
     } else if (arg == "--bias") {
       const std::string bias = value();
       if (bias == "any") {
@@ -142,8 +146,8 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--synth-pairs") {
-      config.campaign.knobs.synth_max_pairs =
-          static_cast<int>(parse_u64(value(), "--synth-pairs"));
+      config.campaign.knobs.synth_max_pairs = static_cast<int>(parse_u64(
+          value(), "--synth-pairs", 2, std::numeric_limits<int>::max()));
     } else if (arg == "--max-states") {
       config.campaign.eval.limits.max_states =
           parse_u64(value(), "--max-states");

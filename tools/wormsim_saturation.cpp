@@ -22,16 +22,18 @@
 //                      [--status-file FILE] [--status-interval SECONDS]
 //                      [--quiet]
 //
-// The heartbeat (--status-file) publishes "wormsim-status-v3" snapshots of
+// The heartbeat (--status-file) publishes "wormsim-status-v4" snapshots of
 // kind "saturation": progress counts sweep points and the `sim` object
 // mirrors the most recently finished simulation's event-core stats. The
 // snapshot is updated between sweep points only, so the sampler thread
 // never reads a live simulator.
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -69,12 +71,21 @@ int usage(const char* argv0) {
   return 2;
 }
 
-std::uint64_t parse_u64(const char* text, const char* flag) {
+/// Parses a decimal flag value no larger than `max`. strtoull alone accepts
+/// "-1" (wrapping it to 2^64-1) and saturates out-of-range input, and the
+/// narrowing casts at the call sites would truncate what it returns.
+std::uint64_t parse_u64(
+    const char* text, const char* flag,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    std::fprintf(stderr, "wormsim_saturation: bad value for %s: '%s'\n", flag,
-                 text);
+  if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE ||
+      v > max) {
+    std::fprintf(stderr,
+                 "wormsim_saturation: bad value for %s: '%s' (expected an "
+                 "integer in [0, %llu])\n",
+                 flag, text, static_cast<unsigned long long>(max));
     std::exit(2);
   }
   return v;
@@ -101,11 +112,18 @@ std::vector<double> parse_doubles(const std::string& text, const char* flag) {
   return out;
 }
 
-std::vector<std::uint64_t> parse_u64s(const std::string& text,
-                                      const char* flag) {
+std::vector<std::uint64_t> parse_u64s(
+    const std::string& text, const char* flag,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   std::vector<std::uint64_t> out;
-  for (const double v : parse_doubles(text, flag))
-    out.push_back(static_cast<std::uint64_t>(v));
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t comma = text.find(',', start);
+    out.push_back(parse_u64(text.substr(start, comma - start).c_str(), flag,
+                            max));
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
   return out;
 }
 
@@ -222,15 +240,18 @@ int main(int argc, char** argv) {
     if (arg == "--topology") {
       opt.topology = next("--topology");
     } else if (arg == "--k") {
-      opt.k = static_cast<int>(parse_u64(next("--k"), "--k"));
+      opt.k = static_cast<int>(
+          parse_u64(next("--k"), "--k", std::numeric_limits<int>::max()));
     } else if (arg == "--dragonfly") {
-      const auto v = parse_u64s(next("--dragonfly"), "--dragonfly");
+      const auto v = parse_u64s(next("--dragonfly"), "--dragonfly",
+                                 std::numeric_limits<int>::max());
       if (v.size() != 4) return usage(argv[0]);
       opt.dragonfly = {static_cast<int>(v[0]), static_cast<int>(v[1]),
                        static_cast<int>(v[2]), static_cast<int>(v[3])};
       opt.topology = "dragonfly";
     } else if (arg == "--nodes") {
-      opt.nodes = static_cast<int>(parse_u64(next("--nodes"), "--nodes"));
+      opt.nodes = static_cast<int>(parse_u64(next("--nodes"), "--nodes",
+                                              std::numeric_limits<int>::max()));
     } else if (arg == "--pattern") {
       const std::string_view p = next("--pattern");
       if (p == "uniform") {
@@ -247,8 +268,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--loads") {
       opt.loads = parse_doubles(next("--loads"), "--loads");
     } else if (arg == "--length") {
-      opt.length =
-          static_cast<std::uint32_t>(parse_u64(next("--length"), "--length"));
+      opt.length = static_cast<std::uint32_t>(
+          parse_u64(next("--length"), "--length",
+                    std::numeric_limits<std::uint32_t>::max()));
     } else if (arg == "--horizon") {
       opt.horizon = parse_u64(next("--horizon"), "--horizon");
     } else if (arg == "--drain") {

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/status.hpp"
 
 using wormsim::obs::json::Value;
 
@@ -36,9 +37,8 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--watch [SECONDS]] FILE...\n"
-               "renders wormsim-status-v3 heartbeat files (see "
-               "docs/observability.md)\n",
-               argv0);
+               "renders %s heartbeat files (see docs/observability.md)\n",
+               argv0, std::string(wormsim::obs::kStatusSchema).c_str());
   return 2;
 }
 
@@ -87,7 +87,7 @@ Row read_row(const std::string& path) {
   if (!parsed || !parsed->is_object()) return row;
   const Value* schema = parsed->find("schema");
   if (schema == nullptr || !schema->is_string() ||
-      schema->as_string() != "wormsim-status-v3")
+      schema->as_string() != wormsim::obs::kStatusSchema)
     return row;
 
   row.ok = true;

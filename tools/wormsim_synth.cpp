@@ -23,10 +23,11 @@
 // The run lands in BENCH_synth.json (obs::RunReport, gated by
 // tools/bench_compare.py; the engines are deterministic, so every row
 // except *.wall_seconds is byte-reproducible). The heartbeat
-// (--status-file) publishes "wormsim-status-v3" snapshots of kind "synth":
+// (--status-file) publishes "wormsim-status-v4" snapshots of kind "synth":
 // progress counts instances, and the worker row mirrors per-instance
 // agree/disagree totals (an instance "agrees" when its certificates and
 // cross-checks are consistent).
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -63,10 +64,13 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// Parses a decimal flag value. strtoull alone accepts "-1" (wrapping it to
+/// 2^64-1) and saturates out-of-range input.
 std::uint64_t parse_u64(const char* text, const char* flag) {
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
+  if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE) {
     std::fprintf(stderr, "wormsim_synth: bad value for %s: '%s'\n", flag,
                  text);
     std::exit(2);
