@@ -16,6 +16,7 @@
 #include "obs/run_report.hpp"
 #include "routing/node_table.hpp"
 #include "topo/builders.hpp"
+#include "util/varint.hpp"
 
 using namespace wormsim;
 
@@ -218,10 +219,10 @@ BENCHMARK(BM_Search_DelaySweepThreads)->Arg(1)->Arg(2)->Arg(4)
 /// insert/hit workload against the visited set.
 std::vector<std::string> collect_fig1_state_keys() {
   const core::CyclicFamily family(core::fig1_spec());
-  // Real simulator serializations (~250 bytes each) from deterministic runs
-  // of increasing prefix length, with varied 4-byte tails standing in for
-  // the bounded-delay spent vector. Key size and count match what the
-  // search feeds its visited set; the exact bytes are irrelevant.
+  // Real simulator serializations from deterministic runs of increasing
+  // prefix length, with varied varint tails standing in for the
+  // bounded-delay spent vector. Key size and count match what the search
+  // feeds its visited set; the exact bytes are irrelevant.
   sim::SimConfig config;
   config.buffer_depth = 1;
   std::vector<std::string> keys;
@@ -233,10 +234,10 @@ std::vector<std::string> collect_fig1_state_keys() {
       sim.step_with_grants({});
     std::string key;
     sim.append_state_key(key);
-    analysis::append_u32(key, prefix);  // vary the tail like spent vectors
+    util::append_varint(key, prefix);  // vary the tail like spent vectors
     for (std::uint32_t extra = 0; extra < 511; ++extra) {
       std::string variant = key;
-      analysis::append_u32(variant, extra * 257u);
+      util::append_varint(variant, extra * 257u);
       keys.push_back(std::move(variant));
     }
     keys.push_back(std::move(key));
@@ -279,9 +280,10 @@ struct SchedCase {
 /// Runs the scheduling cases at threads {1, 4} and writes an
 /// obs::RunReport as BENCH_bench_search.json (honoring WORMSIM_BENCH_DIR).
 /// Wall seconds are the min over `reps` runs (inform-only downstream);
-/// state counts are exact and gated. t4 rows include the largest
-/// per-worker share of memo misses — the direct evidence of whether the
-/// scheduler spread the one deep subtree or left it on a single worker.
+/// state counts and the t1 memo-table peak bytes are exact and gated. t4
+/// rows include the largest per-worker share of memo misses — the direct
+/// evidence of whether the scheduler spread the one deep subtree or left
+/// it on a single worker.
 int run_sched_report() {
   const core::CyclicFamily fig1(core::fig1_spec());
   const auto fig1_base = fig1.message_specs();
@@ -325,6 +327,10 @@ int run_sched_report() {
           static_cast<double>(result.states_explored);
       if (threads == 1) {
         wall_t1 = best;
+        // Memo footprint: deterministic at one thread (same keys, same
+        // insertion order), so exact-gated like the state counts.
+        report.values[prefix + ".table_peak_bytes"] =
+            static_cast<double>(result.profile.table_peak_resident_bytes);
         report.values[std::string("sched.") + c.name + ".deadlock"] =
             result.deadlock_found ? 1.0 : 0.0;
         report.values[std::string("sched.") + c.name + ".exhausted"] =

@@ -18,6 +18,7 @@
 #include "routing/routing.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
+#include "util/varint.hpp"
 
 namespace wormsim::analysis {
 
@@ -501,16 +502,16 @@ class SearchEngine {
 
   /// Memoizes one state: one hash, one striped-table insert, one atomic
   /// count. Synchronous searches hash the simulator's own key cache in
-  /// place; only the delay model — whose key carries a spent-delay suffix
-  /// (full 32-bit values: the old string key truncated them to a byte) —
-  /// assembles the key in the worker's scratch buffer.
+  /// place; only the delay model — whose key carries a varint spent-delay
+  /// suffix, one counter per message — assembles the key in the worker's
+  /// scratch buffer.
   Lookup register_state(const sim::WormholeSimulator& sim,
                         std::span<const std::uint32_t> spent, Worker& w) {
     std::string_view key;
     if (delay_mode_) {
       w.key_scratch.clear();
       sim.append_state_key(w.key_scratch);
-      for (const std::uint32_t v : spent) append_u32(w.key_scratch, v);
+      for (const std::uint32_t v : spent) util::append_varint(w.key_scratch, v);
       key = w.key_scratch;
     } else {
       key = sim.state_key_view();

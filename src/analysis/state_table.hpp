@@ -2,10 +2,11 @@
 //
 // The deadlock search memoizes on a canonical binary serialization of the
 // simulator state (WormholeSimulator::append_state_key plus, in the
-// bounded-delay model, the spent-delay vector). The pre-StateTable engine
-// built a fresh heap std::string per state and stored it in an
-// unordered_set<std::string> — two allocations and two full hash passes per
-// lookup. StateTable replaces that with:
+// bounded-delay model, the spent-delay vector; both are LEB128 varints
+// from util/varint.hpp). The pre-StateTable engine built a fresh heap
+// std::string per state and stored it in an unordered_set<std::string> —
+// two allocations and two full hash passes per lookup. StateTable replaces
+// that with:
 //
 //   - key bytes serialized into a caller-owned scratch buffer (no per-state
 //     allocation);
@@ -43,11 +44,18 @@ namespace wormsim::analysis {
 /// FNV-1a, 64-bit, applied to 8-byte lanes: the key is consumed one 64-bit
 /// word at a time (final partial word zero-padded, length mixed in last).
 /// Byte-at-a-time FNV costs one dependent multiply per byte, which showed up
-/// as the single largest line in the search profile for ~250-byte state
-/// keys; the lane variant does an eighth of the multiplies with the same
-/// constants and comparable mixing. Not the canonical FNV digest — this is a
-/// process-local memoization hash, and empty input still maps to the FNV
-/// offset basis.
+/// as the single largest line in the search profile when state keys were
+/// fixed-width with a per-channel section (~340 bytes on Fig. 1 x2; the
+/// varint keys average ~50); the lane variant does an eighth of the
+/// multiplies with the same constants. A multiply carries differences only
+/// upward, so bit k of a lane-FNV digest depends only on bits <= k of every
+/// lane; the table's slot index (the low bits) would then ignore lane bytes
+/// 3-7, and keys that differ only there — a varint suffix such as the
+/// spent-delay counters — would all probe from one slot. The final fold of
+/// bits 32-63 and 48-63 into the low bits makes every key bit reach the
+/// slot index; the top 32 bits (the stripe choice) are untouched. Not the
+/// canonical FNV digest — this is a process-local memoization hash, and
+/// empty input still maps to the FNV offset basis.
 [[nodiscard]] inline std::uint64_t hash_bytes(
     std::string_view bytes) noexcept {
   constexpr std::uint64_t kPrime = 0x100000001b3ull;
@@ -66,20 +74,11 @@ namespace wormsim::analysis {
     __builtin_memcpy(&w, p, n);
     h = (h ^ w) * kPrime;
   }
-  if (!bytes.empty()) h = (h ^ bytes.size()) * kPrime;
+  if (!bytes.empty()) {
+    h = (h ^ bytes.size()) * kPrime;
+    h ^= (h >> 32) ^ (h >> 48);
+  }
   return h;
-}
-
-/// Appends `v` to `key` little-endian, the fixed-width encoding shared by
-/// WormholeSimulator::append_state_key and the search's spent-delay suffix.
-/// All 32 bits are kept: the pre-StateTable string suffix truncated each
-/// spent counter to one byte (`v & 0xff`), aliasing two states whose spent
-/// values differ by 256 whenever delay_budget > 255.
-inline void append_u32(std::string& key, std::uint32_t v) {
-  key.push_back(static_cast<char>(v & 0xff));
-  key.push_back(static_cast<char>((v >> 8) & 0xff));
-  key.push_back(static_cast<char>((v >> 16) & 0xff));
-  key.push_back(static_cast<char>((v >> 24) & 0xff));
 }
 
 class StateTable {

@@ -23,6 +23,15 @@ constexpr std::string_view kVersion = "v1";
 /// serving stale truth.
 constexpr std::uint64_t kBehaviourVersion = 1;
 
+/// Version of the state-key encoding that a memo byte budget is charged
+/// against (2: varint per-message segments, about a quarter of the bytes
+/// of version 1's fixed-width key with a per-channel section). The same
+/// budget now holds more states, so an over-budget "inconclusive" stored
+/// under one version may be decidable under the next. Folded only into
+/// budgeted fingerprints: unbudgeted searches explore the same states
+/// under any encoding, and their caches stay warm.
+constexpr int kMemoKeyEncoding = 2;
+
 /// Canonical byte-at-a-time FNV-1a (distinct from state_table's lane-wise
 /// variant: this digest is persisted, so it must not depend on in-memory
 /// layout tricks).
@@ -149,7 +158,8 @@ std::uint64_t truth_fingerprint(const analysis::SearchLimits& limits,
   // folded: they only reshape the schedule and which witness is reported,
   // and campaign probes force threads=1 where neither can bite.
   if (limits.memo_budget_bytes != 0)
-    os << ";memo_budget=" << limits.memo_budget_bytes;
+    os << ";memo_budget=" << limits.memo_budget_bytes
+       << ";key_encoding=" << kMemoKeyEncoding;
   return fnv1a(os.str());
 }
 

@@ -3,6 +3,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -180,10 +182,20 @@ bool StatusWriter::write(StatusSnapshot snapshot) {
   return true;
 }
 
+std::optional<double> parse_seconds(const char* text) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) || !(v > 0))
+    return std::nullopt;
+  return v;
+}
+
 StatusSampler::StatusSampler(std::string path, double interval_seconds,
                              Producer producer)
     : writer_(std::move(path)),
-      interval_seconds_(std::max(0.01, interval_seconds)),
+      interval_seconds_(interval_seconds >= kMinIntervalSeconds
+                            ? std::min(interval_seconds, kMaxIntervalSeconds)
+                            : kMinIntervalSeconds),
       producer_(std::move(producer)),
       started_(std::chrono::steady_clock::now()) {
   write_once(true);  // the file exists as soon as the run starts

@@ -34,6 +34,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -195,6 +196,12 @@ class StatusWriter {
   std::uint64_t failures_ = 0;
 };
 
+/// Parses a duration flag such as --status-interval: a whole-string
+/// decimal number of seconds that is finite and > 0. Anything else —
+/// trailing text, NaN, inf, an out-of-range literal like 1e400, zero or a
+/// negative — yields nullopt, which every CLI reports as "bad value for".
+[[nodiscard]] std::optional<double> parse_seconds(const char* text);
+
 /// Background heartbeat thread: producer -> rate/ETA -> StatusWriter.
 class StatusSampler {
  public:
@@ -203,10 +210,15 @@ class StatusSampler {
   using Producer = std::function<StatusSnapshot()>;
 
   /// Writes an initial snapshot immediately (so the file exists as soon as
-  /// the run starts), then one every `interval_seconds` (clamped to >= 10ms)
+  /// the run starts), then one every `interval_seconds` (clamped to
+  /// [kMinIntervalSeconds, kMaxIntervalSeconds]; NaN reads as the minimum,
+  /// so no caller can hand the wait an infinite or undefined duration)
   /// until stop(). The producer outlive the sampler.
   StatusSampler(std::string path, double interval_seconds, Producer producer);
   ~StatusSampler();  ///< stop()
+
+  static constexpr double kMinIntervalSeconds = 0.01;
+  static constexpr double kMaxIntervalSeconds = 86400;
 
   /// Idempotent. Joins the thread and writes one final snapshot with
   /// running=false — after stop() returns, the file on disk reflects the

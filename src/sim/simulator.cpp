@@ -1,7 +1,6 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <queue>
 #include <sstream>
@@ -9,6 +8,7 @@
 #include <utility>
 
 #include "util/log.hpp"
+#include "util/varint.hpp"
 
 namespace wormsim::sim {
 
@@ -351,137 +351,105 @@ std::string WormholeSimulator::state_key() const {
   return key;
 }
 
-namespace {
-/// Little-endian-as-stored raw u32 write; state keys are process-local so
-/// native byte order is fine.
-inline void put32_at(char*& p, std::uint32_t v) {
-  std::memcpy(p, &v, sizeof v);
-  p += sizeof v;
-}
-/// Channel slots are fixed 8-byte records at the front of the key, so a
-/// dirty channel patches in place without shifting anything.
-inline void write_key_channel(std::uint32_t owner_plus1, std::uint32_t count,
-                              char* p) {
-  put32_at(p, owner_plus1);
-  put32_at(p, count);
-}
-}  // namespace
-
 std::string_view WormholeSimulator::state_key_view() const {
   // Hot path of the deadlock search (called once per explored state). The
   // incremental cache means a step that granted k messages re-serializes
   // O(k) segments, not the whole state; the synchronous search hashes the
   // returned view without any copy at all.
   refresh_state_key();
+  const std::string_view key(key_cache_.data(), key_size_);
 #ifndef NDEBUG
   {
     std::string fresh;
     serialize_state_key(fresh);
-    WORMSIM_ASSERT(fresh == key_cache_);
+    WORMSIM_ASSERT(fresh == key);
   }
 #endif
-  return key_cache_;
+  return key;
 }
 
 void WormholeSimulator::append_state_key(std::string& out) const {
   out.append(state_key_view());
 }
 
-void WormholeSimulator::write_key_segment(const MessageState& m,
-                                          char* p) const {
+std::size_t WormholeSimulator::key_segment_bound(const MessageState& m) {
+  return 1 + (4 + 2 * (m.path.size() - m.released)) * util::kMaxVarint32Bytes;
+}
+
+char* WormholeSimulator::write_key_segment(const MessageState& m,
+                                           char* p) const {
   *p++ = static_cast<char>(m.status);
-  put32_at(p, m.flits_injected);
-  put32_at(p, m.flits_consumed);
-  put32_at(p, static_cast<std::uint32_t>(m.released));
-  put32_at(p, static_cast<std::uint32_t>(m.path.size()));
+  p = util::put_varint(p, m.flits_injected);
+  p = util::put_varint(p, m.flits_consumed);
+  p = util::put_varint(p, static_cast<std::uint32_t>(m.released));
+  p = util::put_varint(p, static_cast<std::uint32_t>(m.path.size()));
   for (std::size_t j = m.released; j < m.path.size(); ++j) {
-    put32_at(p, m.path[j].value());
-    put32_at(p, m.exited[j]);
+    p = util::put_varint(p, m.path[j].value());
+    p = util::put_varint(p, m.exited[j]);
   }
+  return p;
 }
 
 void WormholeSimulator::serialize_state_key(std::string& out) const {
-  // Size the buffer exactly, then write through a raw pointer — per-byte
-  // push_back was a measurable fraction of search time before the cache.
+  // Room for the worst case, one writing pass, then trim to what was
+  // written — per-byte push_back was a measurable fraction of search time
+  // before the cache.
   const std::size_t base = out.size();
-  std::size_t bytes = channels_.size() * 8 + messages_.size() * 17;
-  for (const MessageState& m : messages_)
-    bytes += (m.path.size() - m.released) * 8;
-  out.resize(base + bytes);
+  std::size_t bound = 0;
+  for (const MessageState& m : messages_) bound += key_segment_bound(m);
+  out.resize(base + bound);
   char* p = out.data() + base;
-  for (const ChannelState& ch : channels_) {
-    write_key_channel(ch.owner.valid() ? ch.owner.value() + 1 : 0, ch.count,
-                      p);
-    p += 8;
-  }
-  for (const MessageState& m : messages_) {
-    const std::size_t len = 17 + (m.path.size() - m.released) * 8;
-    write_key_segment(m, p);
-    p += len;
-  }
-  WORMSIM_ASSERT(p == out.data() + out.size());
+  for (const MessageState& m : messages_) p = write_key_segment(m, p);
+  out.resize(static_cast<std::size_t>(p - out.data()));
+}
+
+std::size_t WormholeSimulator::put_key_segment(std::size_t i,
+                                               std::size_t off) const {
+  const MessageState& m = messages_[i];
+  const std::size_t room = off + key_segment_bound(m);
+  if (key_cache_.size() < room) key_cache_.resize(room);
+  char* const at = key_cache_.data() + off;
+  return static_cast<std::size_t>(write_key_segment(m, at) - at);
 }
 
 void WormholeSimulator::append_key_segment(std::size_t i) const {
-  const MessageState& m = messages_[i];
-  const std::size_t len = 17 + (m.path.size() - m.released) * 8;
-  const std::size_t off = key_cache_.size();
-  key_cache_.resize(off + len);
-  write_key_segment(m, key_cache_.data() + off);
-  key_msg_off_.push_back(static_cast<std::uint32_t>(off));
+  const std::size_t len = put_key_segment(i, key_size_);
+  key_msg_off_.push_back(static_cast<std::uint32_t>(key_size_));
   key_msg_len_.push_back(static_cast<std::uint32_t>(len));
+  key_size_ += len;
 }
 
 void WormholeSimulator::refresh_state_key() const {
   if (!key_valid_) {
-    key_cache_.clear();
+    key_size_ = 0;
     key_msg_off_.clear();
     key_msg_len_.clear();
-    key_cache_.resize(channels_.size() * 8);
-    char* p = key_cache_.data();
-    for (const ChannelState& ch : channels_) {
-      write_key_channel(ch.owner.valid() ? ch.owner.value() + 1 : 0, ch.count,
-                        p);
-      p += 8;
-    }
     key_msg_off_.reserve(messages_.size());
     key_msg_len_.reserve(messages_.size());
     for (std::size_t i = 0; i < messages_.size(); ++i) append_key_segment(i);
-    key_channel_flag_.assign(channels_.size(), 0);
     key_message_flag_.assign(messages_.size(), 0);
-    key_dirty_channels_.clear();
     key_dirty_messages_.clear();
     key_valid_ = true;
     return;
   }
-
-  for (const std::uint32_t c : key_dirty_channels_) {
-    const ChannelState& ch = channels_[c];
-    write_key_channel(ch.owner.valid() ? ch.owner.value() + 1 : 0, ch.count,
-                      key_cache_.data() + std::size_t{c} * 8);
-    key_channel_flag_[c] = 0;
-  }
-  key_dirty_channels_.clear();
   if (key_dirty_messages_.empty()) return;
 
-  // Segments whose length is unchanged (data shifts, consumption counters)
-  // patch in place; a length change (released advanced, path grew) shifts
-  // every later segment, so the tail rebuilds from the first such segment.
+  // Each dirty segment is rewritten in place in one pass. An unchanged
+  // length (data shifts, consumption) completes the patch. A changed one
+  // (path growth, a release, a counter gaining a varint byte) shifts every
+  // later segment, so the tail rebuilds from the first such segment —
+  // which also overwrites whatever the in-place write spilled past that
+  // segment's old end.
   std::uint32_t first_resized = std::numeric_limits<std::uint32_t>::max();
-  for (const std::uint32_t i : key_dirty_messages_) {
-    const MessageState& m = messages_[i];
-    const auto len =
-        static_cast<std::uint32_t>(17 + (m.path.size() - m.released) * 8);
-    if (len != key_msg_len_[i]) first_resized = std::min(first_resized, i);
-  }
   for (const std::uint32_t i : key_dirty_messages_) {
     key_message_flag_[i] = 0;
     if (i >= first_resized) continue;  // rebuilt below
-    write_key_segment(messages_[i], key_cache_.data() + key_msg_off_[i]);
+    if (put_key_segment(i, key_msg_off_[i]) != key_msg_len_[i])
+      first_resized = i;
   }
   key_dirty_messages_.clear();
   if (first_resized == std::numeric_limits<std::uint32_t>::max()) return;
-  key_cache_.resize(key_msg_off_[first_resized]);
+  key_size_ = key_msg_off_[first_resized];
   key_msg_off_.resize(first_resized);
   key_msg_len_.resize(first_resized);
   for (std::size_t i = first_resized; i < messages_.size(); ++i)
@@ -499,10 +467,6 @@ bool WormholeSimulator::move_message(std::size_t i) {
   MessageState& m = messages_[i];
   const MessageId id{i};
   if (m.status == MessageStatus::kConsumed) return false;
-  // For the incremental state key: every key-relevant mutation below
-  // happens to message i or to a channel in path[old_released, size()),
-  // so one touch sweep at the end of the block covers them all.
-  const std::size_t old_released = m.released;
   bool moved = false;
 
   // Front operation: consume at destination, advance header, or inject.
@@ -611,13 +575,8 @@ bool WormholeSimulator::move_message(std::size_t i) {
     }
   }
 
-  if (moved) {
-    touch_message(i);
-    // Channel slots that can have changed: the active suffix as of the
-    // start of this block (releases this cycle start at old_released).
-    for (std::size_t j = old_released; j < m.path.size(); ++j)
-      touch_channel(m.path[j]);
-  }
+  // Every key-relevant mutation above is to message i's own segment.
+  if (moved) touch_message(i);
   return moved;
 }
 

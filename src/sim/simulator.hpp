@@ -197,12 +197,19 @@ class WormholeSimulator {
   /// True when every message has been fully consumed.
   [[nodiscard]] bool all_consumed() const;
 
-  /// Canonical serialization of the time-independent simulation state
-  /// (channel ownership/occupancy + per-message progress). Two states with
-  /// equal keys behave identically under identical future grant choices, so
-  /// reachability searches may memoize on it. Release times must be in the
-  /// past and per-hop stalls exhausted for the key to be sound; the model
-  /// checker enforces that by construction.
+  /// Canonical serialization of the time-independent simulation state: one
+  /// segment per message, in message order — a status byte, then LEB128
+  /// varints of flits_injected, flits_consumed, released and the acquired
+  /// path length, then a (channel id, flits exited) varint pair for each
+  /// channel the message still holds. Channel ownership and occupancy are
+  /// not stored: a channel's owner is the message whose held suffix lists
+  /// it, and its flit count is the flits that entered it minus those that
+  /// left. Varints are prefix-free, so equal keys mean equal field
+  /// sequences. Two states with equal keys behave identically under
+  /// identical future grant choices, so reachability searches may memoize
+  /// on it. Release times must be in the past and per-hop stalls exhausted
+  /// for the key to be sound; the model checker enforces that by
+  /// construction.
   [[nodiscard]] std::string state_key() const;
 
   /// state_key() into a caller-provided buffer: appends the key bytes to
@@ -409,27 +416,27 @@ class WormholeSimulator {
   void report_freed(ChannelId c);
 
   /// Serializes the full state key from scratch (the layout described at
-  /// append_state_key), appending to `out`. Cold path: the incremental
-  /// cache below makes this a once-per-simulator cost.
+  /// state_key), appending to `out`. Cold path: the incremental cache
+  /// below makes this a once-per-simulator cost.
   void serialize_state_key(std::string& out) const;
-  /// Writes message `m`'s key segment (status byte, progress counters,
-  /// active path suffix) at `p`; the caller sized the destination.
-  void write_key_segment(const MessageState& m, char* p) const;
-  /// Appends message `i`'s key segment to key_cache_, recording its
+  /// Writes message `m`'s key segment at `p` and returns its end; the
+  /// caller provides key_segment_bound(m) bytes of room.
+  char* write_key_segment(const MessageState& m, char* p) const;
+  /// Worst-case size of `m`'s key segment (every varint at full width).
+  static std::size_t key_segment_bound(const MessageState& m);
+  /// Writes message `i`'s segment into key_cache_ at byte `off`, growing
+  /// the write room past key_size_ if needed; returns the segment length.
+  std::size_t put_key_segment(std::size_t i, std::size_t off) const;
+  /// Appends message `i`'s key segment at key_size_, recording its
   /// offset/length in the cache index.
   void append_key_segment(std::size_t i) const;
-  /// Brings key_cache_ up to date: full rebuild when invalid, else patch
-  /// the dirty channel slots and message segments in place (segments whose
-  /// length changed rebuild the cache tail from the first such segment).
+  /// Brings key_cache_ up to date: full rebuild when invalid, else rewrite
+  /// each dirty segment in place (the cache tail rebuilds from the first
+  /// segment whose length changed).
   void refresh_state_key() const;
-  /// Marks key-relevant state of channel `c` / message `i` as changed.
-  /// No-ops until the first key build: simulators that never serialize
-  /// (plain workload runs) pay one predictable branch per call.
-  void touch_channel(ChannelId c) {
-    if (!key_valid_ || key_channel_flag_[c.index()]) return;
-    key_channel_flag_[c.index()] = 1;
-    key_dirty_channels_.push_back(static_cast<std::uint32_t>(c.index()));
-  }
+  /// Marks key-relevant state of message `i` as changed. No-ops until the
+  /// first key build: simulators that never serialize (plain workload
+  /// runs) pay one predictable branch per call.
   void touch_message(std::size_t i) {
     if (!key_valid_ || key_message_flag_[i]) return;
     key_message_flag_[i] = 1;
@@ -497,18 +504,18 @@ class WormholeSimulator {
   EventCoreStats event_stats_;
 
   /// Incremental state-key cache. key_cache_ holds the current serialized
-  /// key; after the first build, execute_moves records which channels and
-  /// messages it touched and refresh_state_key() patches only those spans —
+  /// key in its first key_size_ bytes, then write room for a segment that
+  /// grows in place; after the first build, execute_moves records which
+  /// messages moved and refresh_state_key() rewrites only their segments —
   /// a grant cycle touches O(granted messages) bytes, not O(state). The
   /// cache copies with the simulator, so a forked child inherits the
   /// parent's key and patches only its own step's deltas. All mutable:
   /// append_state_key is morally const. add_message invalidates.
   mutable std::string key_cache_;
+  mutable std::size_t key_size_ = 0;
   mutable std::vector<std::uint32_t> key_msg_off_;  ///< segment offsets
   mutable std::vector<std::uint32_t> key_msg_len_;  ///< segment lengths
-  mutable std::vector<std::uint32_t> key_dirty_channels_;
   mutable std::vector<std::uint32_t> key_dirty_messages_;
-  mutable std::vector<std::uint8_t> key_channel_flag_;
   mutable std::vector<std::uint8_t> key_message_flag_;
   mutable bool key_valid_ = false;
   EventHook hook_;

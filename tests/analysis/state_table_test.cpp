@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "util/rng.hpp"
+#include "util/varint.hpp"
 
 namespace wormsim::analysis {
 namespace {
@@ -56,8 +57,9 @@ constexpr std::uint64_t inverse_of(std::uint64_t odd) {
 /// A genuine hash_bytes collision: an 8-byte key A and a 16-byte key B with
 /// equal lane-FNV digests. hash_bytes folds whole 8-byte lanes and then the
 /// length, every fold a xor followed by a multiply by the (odd, hence
-/// invertible) FNV prime — so the second lane of B can be solved for
-/// exactly, working the digest backwards from A's.
+/// invertible) FNV prime, and finishes with h ^= (h >> 32) ^ (h >> 48)
+/// (its own inverse: it leaves the top 32 bits alone) — so the second lane
+/// of B can be solved for exactly, working the digest backwards from A's.
 std::pair<std::string, std::string> colliding_keys() {
   constexpr std::uint64_t kPrime = 0x100000001b3ull;
   constexpr std::uint64_t kBasis = 0xcbf29ce484222325ull;
@@ -68,10 +70,12 @@ std::pair<std::string, std::string> colliding_keys() {
   const std::string a = le64(word_a);
   const std::uint64_t target = hash_bytes(a);
 
-  // B = [w1][w2], so hash(B) = (((basis ^ w1)*p ^ w2)*p ^ 16)*p. Unwind:
+  // B = [w1][w2], so hash(B) = fold((((basis ^ w1)*p ^ w2)*p ^ 16)*p).
+  // Unwind:
   const std::uint64_t w1 = 0xfeedfacecafebeefull;
   const std::uint64_t x = (kBasis ^ w1) * kPrime;
-  const std::uint64_t w2 = ((target * kInv ^ 16) * kInv) ^ x;
+  const std::uint64_t unfolded = target ^ (target >> 32) ^ (target >> 48);
+  const std::uint64_t w2 = ((unfolded * kInv ^ 16) * kInv) ^ x;
   const std::string b = le64(w1) + le64(w2);
 
   EXPECT_EQ(hash_bytes(b), target);
@@ -170,14 +174,48 @@ TEST(StateTable, ZeroHashKeysAreStillStoredExactly) {
   EXPECT_EQ(table.size(), 2u);
 }
 
-TEST(StateTable, AppendU32EncodesAllFourBytesLittleEndian) {
-  std::string key;
-  append_u32(key, 0x01020304u);
-  ASSERT_EQ(key.size(), 4u);
-  EXPECT_EQ(static_cast<unsigned char>(key[0]), 0x04);
-  EXPECT_EQ(static_cast<unsigned char>(key[1]), 0x03);
-  EXPECT_EQ(static_cast<unsigned char>(key[2]), 0x02);
-  EXPECT_EQ(static_cast<unsigned char>(key[3]), 0x01);
+TEST(StateTable, EveryKeyByteReachesTheSlotIndex) {
+  // The slot index is the digest's low bits. Keys that differ in one byte
+  // at any lane position, 3-7 included, must not share their low 16 bits
+  // (with 2^16 slots they would all start probing at one slot).
+  const std::string base(24, 'x');
+  const std::uint64_t low = hash_bytes(base) & 0xffff;
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    std::string mutated = base;
+    mutated[i] = 'y';
+    EXPECT_NE(hash_bytes(mutated) & 0xffff, low) << "byte " << i;
+  }
+}
+
+TEST(StateTable, AppendVarintEncodesLeb128) {
+  using B = std::vector<unsigned char>;
+  auto bytes = [](std::uint32_t v) {
+    std::string key;
+    util::append_varint(key, v);
+    return B(key.begin(), key.end());
+  };
+  EXPECT_EQ(bytes(0), B({0x00}));
+  EXPECT_EQ(bytes(127), B({0x7f}));
+  EXPECT_EQ(bytes(128), B({0x80, 0x01}));
+  EXPECT_EQ(bytes(300), B({0xac, 0x02}));
+  EXPECT_EQ(bytes(0xffffffffu), B({0xff, 0xff, 0xff, 0xff, 0x0f}));
+  EXPECT_EQ(bytes(0xffffffffu).size(), util::kMaxVarint32Bytes);
+}
+
+TEST(StateTable, VarintSequencesAreUniquelyDecodable) {
+  // Keys concatenate varints, so no encoding may be a prefix of another:
+  // otherwise (a, b) and (c, d) with a != c could serialize identically.
+  const std::uint32_t values[] = {0,       1,       127,   128,
+                                  255,     256,     16383, 16384,
+                                  2097151, 2097152, 1u << 28, 0xffffffffu};
+  std::unordered_set<std::string> pairs;
+  for (const std::uint32_t a : values)
+    for (const std::uint32_t b : values) {
+      std::string key;
+      util::append_varint(key, a);
+      util::append_varint(key, b);
+      EXPECT_TRUE(pairs.insert(key).second) << a << "," << b;
+    }
 }
 
 TEST(StateTable, SpentCountersDifferingBy256DoNotAlias) {
@@ -187,8 +225,8 @@ TEST(StateTable, SpentCountersDifferingBy256DoNotAlias) {
   // exceeded 255 — silently skipping live subtrees.
   std::string spent0;
   std::string spent256;
-  append_u32(spent0, 0);
-  append_u32(spent256, 256);
+  util::append_varint(spent0, 0);
+  util::append_varint(spent256, 256);
   EXPECT_NE(spent0, spent256);
 
   StateTable table;

@@ -295,6 +295,28 @@ TEST(TruthStore, FingerprintFoldsReductionOnlyWhenEnabled) {
             truth_fingerprint(defaults, 8, 4));
 }
 
+TEST(TruthStore, BudgetedFingerprintFoldsTheKeyEncoding) {
+  // A byte budget is charged in state-key bytes, so a key encoding that
+  // changes the bytes per state changes which budgeted searches come back
+  // inconclusive. Budgeted stores written under another encoding must
+  // age out; the unbudgeted digests pinned above must not move.
+  const auto fnv1a = [](std::string_view bytes) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const char c : bytes) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ull;
+    }
+    return h;
+  };
+  analysis::SearchLimits budgeted;
+  budgeted.memo_budget_bytes = 1 << 20;
+  EXPECT_EQ(truth_fingerprint(budgeted, 8, 4),
+            fnv1a("behaviour=1;buffer_depth=1;max_states=2000000;"
+                  "delay_budget=0;metric=0;max_branches=4096;"
+                  "cycles_probed=8;acyclic_messages=4;reduction=safe;"
+                  "memo_budget=1048576;key_encoding=2"));
+}
+
 TEST(TruthStoreCheckpoint, AppendsOnlyFreshRecordsAcrossCalls) {
   const std::string path = temp_path("checkpoint.truthstore");
   fs::remove(path);

@@ -8,9 +8,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -203,6 +205,33 @@ TEST(StatusSamplerTest, StopIsIdempotentAndDestructorSafe) {
   sampler.stop();  // no-op
   EXPECT_EQ(sampler.writes(), writes);
   fs::remove(path);
+}
+
+TEST(StatusSamplerTest, NonFiniteIntervalsAreClamped) {
+  // An infinite interval handed to the timed wait is undefined behaviour
+  // (in practice an overflowed deadline and a spinning thread); the
+  // sampler clamps it to a finite maximum, so only the initial snapshot is
+  // written before stop(). NaN reads as the minimum interval.
+  const std::string path = temp_path("wormsim_status_clamp_test.json");
+  fs::remove(path);
+  for (const double interval :
+       {std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    StatusSampler sampler(path, interval, [] { return StatusSnapshot{}; });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    if (std::isinf(interval)) EXPECT_EQ(sampler.writes(), 1u);
+    sampler.stop();
+    EXPECT_GE(sampler.writes(), 2u);
+  }
+  fs::remove(path);
+}
+
+TEST(StatusSamplerTest, ParseSecondsAcceptsOnlyFinitePositiveNumbers) {
+  EXPECT_EQ(parse_seconds("0.5"), 0.5);
+  EXPECT_EQ(parse_seconds("2"), 2.0);
+  for (const char* bad : {"", "abc", "1x", "0", "-1", "inf", "-inf", "nan",
+                          "1e400"})
+    EXPECT_FALSE(parse_seconds(bad).has_value()) << bad;
 }
 
 // Readers must never see a torn snapshot while a writer keeps replacing the

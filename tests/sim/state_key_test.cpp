@@ -1,19 +1,34 @@
 // The incremental state-key cache must be invisible: a simulator stepped
 // through an arbitrary grant history serializes exactly the same key bytes
 // as a fresh simulator replaying that history (whose first key call takes
-// the from-scratch path). Divergence here means the dirty-span tracking in
-// execute_moves missed a key-relevant mutation.
+// the from-scratch path). Divergence here means the dirty-segment tracking
+// in execute_moves missed a key-relevant mutation.
+//
+// The key must also stay exact: it stores only the per-message segments,
+// so channel ownership and occupancy have to be a function of them. The
+// KeyDeterminesOccupancy suite binds every key met on seeded random walks
+// to the full per-channel state and fails if one key ever meets two.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "campaign/scenario.hpp"
 #include "core/cyclic_family.hpp"
 #include "core/paper_networks.hpp"
+#include "routing/adaptive.hpp"
+#include "routing/dor.hpp"
+#include "routing/routing.hpp"
 #include "sim/simulator.hpp"
 #include "sim/types.hpp"
+#include "topo/builders.hpp"
+#include "util/rng.hpp"
 
 namespace wormsim::sim {
 namespace {
@@ -176,6 +191,201 @@ TEST(StateKeyCache, CopiedSimulatorKeysStayIndependent) {
   EXPECT_EQ(parent.state_key(), pristine.state_key());
   pristine.step_with_grants(greedy_grants(pristine));
   EXPECT_EQ(child.state_key(), pristine.state_key());
+}
+
+/// (owner, buffered flits) of every channel: the per-channel section the
+/// key does not store.
+using Occupancy = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+Occupancy occupancy_of(const WormholeSimulator& sim) {
+  Occupancy occ(sim.net().channel_count());
+  for (std::size_t c = 0; c < occ.size(); ++c)
+    occ[c] = {sim.channel_owner(ChannelId{c}).value(),
+              sim.channel_count(ChannelId{c})};
+  return occ;
+}
+
+/// A random legal grant list: each request, in order, is skipped with
+/// probability 1/4 and otherwise takes a random candidate still untaken.
+/// Skipping moving headers too reaches states a synchronous adversary
+/// cannot, which only widens the check.
+std::vector<std::pair<ChannelId, MessageId>> random_grants(
+    const WormholeSimulator& sim, util::Rng& rng) {
+  std::vector<std::pair<ChannelId, MessageId>> grants;
+  std::vector<std::uint8_t> taken(sim.net().channel_count(), 0);
+  for (const MessageRequests& req : sim.peek_requests()) {
+    if (rng.below(4) == 0) continue;
+    std::vector<ChannelId> free;
+    for (const ChannelId c : req.channels)
+      if (!taken[c.index()]) free.push_back(c);
+    if (free.empty()) continue;
+    const ChannelId c = free[rng.below(free.size())];
+    taken[c.index()] = 1;
+    grants.emplace_back(c, req.message);
+  }
+  return grants;
+}
+
+/// Runs `walks` seeded random walks of at most `cycles` cycles from the
+/// initial state of `make(config)`, reading every key through the stepped
+/// simulator's incremental cache, and binds each key to the occupancy of
+/// the state it came from. Fails on a key bound to two occupancies. Walks
+/// run at buffer depths 1 and 2: at depth 1 every held channel holds one
+/// flit, so only depth 2 lets flit counts vary along a worm. Returns how
+/// many states repeated an earlier key, so callers can check that the
+/// binding was exercised at all.
+std::size_t expect_key_determines_occupancy(
+    const std::function<WormholeSimulator(const SimConfig&)>& make,
+    std::uint64_t seed, int walks, int cycles, const std::string& label) {
+  std::size_t repeats = 0;
+  for (const std::uint32_t depth : {1u, 2u}) {
+    SimConfig config;
+    config.buffer_depth = depth;
+    config.check_invariants = true;
+    std::unordered_map<std::string, Occupancy> bound;
+    util::Rng rng(seed);
+    for (int walk = 0; walk < walks; ++walk) {
+      WormholeSimulator sim = make(config);
+      for (int cycle = 0;; ++cycle) {
+        Occupancy occ = occupancy_of(sim);
+        const auto [it, inserted] = bound.try_emplace(sim.state_key(), occ);
+        if (!inserted) {
+          ++repeats;
+          if (it->second != occ) {
+            ADD_FAILURE() << label << ": depth " << depth << " walk " << walk
+                          << " cycle " << cycle
+                          << " reached a key already bound to another "
+                             "channel occupancy";
+            return repeats;
+          }
+        }
+        if (cycle == cycles || sim.all_consumed()) break;
+        sim.step_with_grants(random_grants(sim, rng));
+      }
+    }
+  }
+  return repeats;
+}
+
+TEST(KeyDeterminesOccupancy, Figure1TwiceOver) {
+  const core::CyclicFamily family(core::fig1_spec());
+  auto specs = family.message_specs();
+  const auto base = specs;
+  specs.insert(specs.end(), base.begin(), base.end());
+  const auto make = [&](const SimConfig& config) {
+    WormholeSimulator sim(family.algorithm(), config);
+    for (const MessageSpec& spec : specs) sim.add_message(spec);
+    return sim;
+  };
+  EXPECT_GT(expect_key_determines_occupancy(make, 1, 300, 60, "fig1x2"), 0u);
+}
+
+TEST(KeyDeterminesOccupancy, Figure3a) {
+  const core::CyclicFamily family(core::fig3_spec(core::Fig3Variant::kA));
+  const auto make = [&](const SimConfig& config) {
+    WormholeSimulator sim(family.algorithm(), config);
+    for (const MessageSpec& spec : family.message_specs())
+      sim.add_message(spec);
+    return sim;
+  };
+  EXPECT_GT(expect_key_determines_occupancy(make, 2, 300, 60, "fig3a"), 0u);
+}
+
+TEST(KeyDeterminesOccupancy, MinimalAdaptiveMesh) {
+  // Adaptive headers pick among minimal directions, so the channel ids in
+  // one message's segment depend on the walk, not just on its route.
+  const topo::Grid grid = topo::make_mesh({4, 4});
+  const routing::MinimalAdaptiveMesh alg(grid);
+  const auto at = [&](int x, int y) {
+    const int c[2] = {x, y};
+    return grid.node_at(c);
+  };
+  const std::vector<MessageSpec> specs = {
+      {at(0, 0), at(3, 3), 3, 0, {}}, {at(3, 0), at(0, 3), 2, 0, {}},
+      {at(0, 3), at(3, 0), 4, 0, {}}, {at(3, 3), at(0, 0), 2, 0, {}},
+      {at(1, 0), at(2, 3), 5, 0, {}}};
+  const auto make = [&](const SimConfig& config) {
+    WormholeSimulator sim(alg, config);
+    for (const MessageSpec& spec : specs) sim.add_message(spec);
+    return sim;
+  };
+  EXPECT_GT(expect_key_determines_occupancy(make, 3, 300, 60, "adaptive"),
+            0u);
+}
+
+TEST(KeyDeterminesOccupancy, PinnedCampaignRandomAlgorithmSample) {
+  // Pinned (seed, knobs): the same random-algorithm scenarios forever, on
+  // rings, meshes, tori, hypercubes and complete graphs with chords and
+  // lanes. Messages are a seeded probe of routable pairs.
+  campaign::GeneratorKnobs knobs;
+  knobs.family_fraction = 0;
+  const campaign::ScenarioGenerator generator(20261017, knobs);
+  std::size_t checked = 0;
+  std::size_t repeats = 0;
+  for (std::uint64_t index = 0; index < 80; ++index) {
+    const campaign::Scenario scenario = generator.generate(index);
+    if (scenario.kind != campaign::ScenarioKind::kRandomAlgorithm) continue;
+    const campaign::MaterializedScenario live =
+        campaign::materialize(scenario);
+    const routing::RoutingAlgorithm& alg = live.algorithm();
+    std::vector<MessageSpec> specs;
+    util::Rng rng(scenario.seed);
+    const std::size_t n = alg.net().node_count();
+    for (int draw = 0; draw < 12 && specs.size() < 5; ++draw) {
+      MessageSpec spec;
+      spec.src = NodeId{rng.below(n)};
+      spec.dst = NodeId{(spec.src.index() + 1 + rng.below(n - 1)) % n};
+      if (!routing::trace_path(alg, spec.src, spec.dst)) continue;
+      spec.length = static_cast<std::uint32_t>(rng.range(1, 6));
+      specs.push_back(spec);
+    }
+    if (specs.empty()) continue;
+    const auto make = [&](const SimConfig& config) {
+      WormholeSimulator sim(alg, config);
+      for (const MessageSpec& spec : specs) sim.add_message(spec);
+      return sim;
+    };
+    repeats += expect_key_determines_occupancy(
+        make, scenario.seed, 20, 40, "campaign index " + std::to_string(index));
+    ++checked;
+  }
+  EXPECT_GE(checked, 60u);
+  EXPECT_GT(repeats, 0u);
+}
+
+TEST(StateKeyCache, VarintWidthChangesRebuildTheTail) {
+  // A 130-flit worm on a 254-channel mesh: its flit counters cross 127 and
+  // its route uses channel ids past 127, so its segment changes length
+  // mid-run without a path change, and the segments after it must be
+  // rebuilt at their new offsets.
+  const topo::Grid grid = topo::make_mesh({8, 9});
+  ASSERT_GE(grid.net().channel_count(), 130u);
+  const routing::DimensionOrderMesh alg(grid);
+  const auto at = [&](int x, int y) {
+    const int c[2] = {x, y};
+    return grid.node_at(c);
+  };
+  const std::vector<MessageSpec> specs = {{at(0, 0), at(7, 8), 130, 0, {}},
+                                          {at(7, 0), at(0, 8), 3, 0, {}},
+                                          {at(0, 8), at(7, 0), 2, 0, {}}};
+  const auto route = routing::trace_path(alg, specs[0].src, specs[0].dst);
+  ASSERT_TRUE(route.has_value());
+  EXPECT_TRUE(std::any_of(route->begin(), route->end(),
+                          [](ChannelId c) { return c.index() >= 128; }));
+  SimConfig config;
+  config.buffer_depth = 1;
+
+  WormholeSimulator sim(alg, config);
+  for (const MessageSpec& spec : specs) sim.add_message(spec);
+  std::vector<std::vector<std::pair<ChannelId, MessageId>>> history;
+  for (int cycle = 0; cycle < 400 && !sim.all_consumed(); ++cycle) {
+    ASSERT_EQ(sim.state_key(), replay_key(alg, config, specs, {}, history))
+        << "cycle " << cycle;
+    history.push_back(greedy_grants(sim));
+    sim.step_with_grants(history.back());
+  }
+  EXPECT_TRUE(sim.all_consumed());
+  EXPECT_EQ(sim.state_key(), replay_key(alg, config, specs, {}, history));
 }
 
 }  // namespace

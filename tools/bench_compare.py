@@ -67,7 +67,8 @@ INFORM = [
     # bench_search --sched-report: wall-clock, speedup and worker-share rows
     # depend on the runner's core count and load; the deterministic search
     # outputs (sched.*.states / .deadlock / .exhausted) stay exact-gated —
-    # they pin verdict-and-count identity across thread counts.
+    # they pin verdict-and-count identity across thread counts — and so
+    # does sched.*.t1.table_peak_bytes, the memo footprint of one thread.
     "sched.*wall_seconds",
     "sched.*speedup*",
     "sched.*max_worker_share",

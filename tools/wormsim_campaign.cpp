@@ -44,6 +44,7 @@
 #include "campaign/runner.hpp"
 #include "obs/json.hpp"
 #include "obs/run_report.hpp"
+#include "obs/status.hpp"
 
 using namespace wormsim;
 
@@ -356,14 +357,16 @@ int main(int argc, char** argv) {
       // Live heartbeat (docs/observability.md); watch with wormsim_status.
       config.status_file = value();
     } else if (arg == "--status-interval") {
-      char* end = nullptr;
-      config.status_interval_seconds = std::strtod(value(), &end);
-      if (end == argv[i] || *end != '\0' ||
-          !(config.status_interval_seconds > 0)) {
+      const char* text = value();
+      const auto seconds = obs::parse_seconds(text);
+      if (!seconds) {
         std::fprintf(stderr,
-                     "wormsim_campaign: bad value for --status-interval\n");
+                     "wormsim_campaign: bad value for --status-interval: "
+                     "'%s' (expected finite seconds > 0)\n",
+                     text);
         return 2;
       }
+      config.status_interval_seconds = *seconds;
     } else if (arg == "--probe-out-of-scope") {
       config.eval.probe_out_of_scope = true;
     } else if (arg == "--profile") {

@@ -35,6 +35,7 @@
 #include "fleet/protocol.hpp"
 #include "fleet/worker.hpp"
 #include "obs/run_report.hpp"
+#include "obs/status.hpp"
 
 using namespace wormsim;
 
@@ -81,15 +82,16 @@ std::uint64_t parse_u64(
   return v;
 }
 
-double parse_positive_double(const char* text, const char* flag) {
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !(v > 0)) {
-    std::fprintf(stderr, "wormsim_fleet: bad value for %s: '%s'\n", flag,
-                 text);
+double parse_seconds(const char* text, const char* flag) {
+  const auto v = obs::parse_seconds(text);
+  if (!v) {
+    std::fprintf(stderr,
+                 "wormsim_fleet: bad value for %s: '%s' (expected finite "
+                 "seconds > 0)\n",
+                 flag, text);
     std::exit(2);
   }
-  return v;
+  return *v;
 }
 
 }  // namespace
@@ -122,7 +124,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--batch-size") {
       config.batch_size = parse_u64(value(), "--batch-size", 1);
     } else if (arg == "--lease-seconds") {
-      config.lease_seconds = parse_positive_double(value(), "--lease-seconds");
+      config.lease_seconds = parse_seconds(value(), "--lease-seconds");
     } else if (arg == "--max-attempts") {
       config.max_attempts = parse_u64(value(), "--max-attempts", 1);
     } else if (arg == "--bias") {
@@ -169,20 +171,20 @@ int main(int argc, char** argv) {
       status_file_set = true;
     } else if (arg == "--status-interval") {
       config.status_interval_seconds =
-          parse_positive_double(value(), "--status-interval");
+          parse_seconds(value(), "--status-interval");
     } else if (arg == "--poll-interval") {
-      const double v = parse_positive_double(value(), "--poll-interval");
+      const double v = parse_seconds(value(), "--poll-interval");
       config.poll_interval_seconds = v;
       worker.poll_interval_seconds = v;
     } else if (arg == "--name") {
       worker.name = value();
     } else if (arg == "--max-idle-seconds") {
-      max_idle_seconds = parse_positive_double(value(), "--max-idle-seconds");
+      max_idle_seconds = parse_seconds(value(), "--max-idle-seconds");
     } else if (arg == "--max-batches") {
       worker.max_batches = parse_u64(value(), "--max-batches");
     } else if (arg == "--manifest-wait") {
       worker.manifest_wait_seconds =
-          parse_positive_double(value(), "--manifest-wait");
+          parse_seconds(value(), "--manifest-wait");
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--help" || arg == "-h") {

@@ -91,7 +91,10 @@ std::uint64_t parse_u64(
   return v;
 }
 
-std::vector<double> parse_doubles(const std::string& text, const char* flag) {
+/// Comma-separated offered loads: each an injection probability, so finite
+/// and in [0, 1] — checked here, before the sweep, instead of tripping the
+/// workload generator's precondition mid-run.
+std::vector<double> parse_loads(const std::string& text, const char* flag) {
   std::vector<double> out;
   std::size_t start = 0;
   while (start <= text.size()) {
@@ -100,8 +103,10 @@ std::vector<double> parse_doubles(const std::string& text, const char* flag) {
         text.substr(start, comma == std::string::npos ? comma : comma - start);
     char* end = nullptr;
     const double v = std::strtod(item.c_str(), &end);
-    if (end == item.c_str() || *end != '\0') {
-      std::fprintf(stderr, "wormsim_saturation: bad value for %s: '%s'\n",
+    if (end == item.c_str() || *end != '\0' || !(v >= 0 && v <= 1)) {
+      std::fprintf(stderr,
+                   "wormsim_saturation: bad value for %s: '%s' (expected a "
+                   "load in [0, 1])\n",
                    flag, item.c_str());
       std::exit(2);
     }
@@ -266,7 +271,7 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (arg == "--loads") {
-      opt.loads = parse_doubles(next("--loads"), "--loads");
+      opt.loads = parse_loads(next("--loads"), "--loads");
     } else if (arg == "--length") {
       opt.length = static_cast<std::uint32_t>(
           parse_u64(next("--length"), "--length",
@@ -295,7 +300,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--status-file") {
       opt.status_file = next("--status-file");
     } else if (arg == "--status-interval") {
-      opt.status_interval = std::strtod(next("--status-interval"), nullptr);
+      const char* text = next("--status-interval");
+      const auto seconds = obs::parse_seconds(text);
+      if (!seconds) {
+        std::fprintf(stderr,
+                     "wormsim_saturation: bad value for --status-interval: "
+                     "'%s' (expected finite seconds > 0)\n",
+                     text);
+        return 2;
+      }
+      opt.status_interval = *seconds;
     } else if (arg == "--quiet") {
       opt.quiet = true;
     } else {

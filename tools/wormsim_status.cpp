@@ -249,13 +249,22 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--watch") {
       watch = true;
-      // Optional numeric operand: --watch 0.5 status.json
+      // Optional numeric operand: --watch 0.5 status.json. An operand that
+      // parses as a number is the interval and must be finite seconds > 0;
+      // anything else is the first file.
       if (i + 1 < argc) {
         char* end = nullptr;
-        const double v = std::strtod(argv[i + 1], &end);
-        if (end != argv[i + 1] && *end == '\0' && v > 0) {
-          interval = v;
-          ++i;
+        (void)std::strtod(argv[i + 1], &end);
+        if (end != argv[i + 1] && *end == '\0') {
+          const auto seconds = wormsim::obs::parse_seconds(argv[++i]);
+          if (!seconds) {
+            std::fprintf(stderr,
+                         "wormsim_status: bad value for --watch: '%s' "
+                         "(expected finite seconds > 0)\n",
+                         argv[i]);
+            return 2;
+          }
+          interval = *seconds;
         }
       }
     } else if (arg == "--help" || arg == "-h") {

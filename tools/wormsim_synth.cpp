@@ -323,8 +323,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--status-file") {
       opt.status_file = next(i, "--status-file");
     } else if (arg == "--status-interval") {
-      opt.status_interval =
-          std::strtod(next(i, "--status-interval"), nullptr);
+      const char* text = next(i, "--status-interval");
+      const auto seconds = obs::parse_seconds(text);
+      if (!seconds) {
+        std::fprintf(stderr,
+                     "wormsim_synth: bad value for --status-interval: '%s' "
+                     "(expected finite seconds > 0)\n",
+                     text);
+        return 2;
+      }
+      opt.status_interval = *seconds;
     } else if (arg == "--quiet") {
       opt.quiet = true;
     } else {
