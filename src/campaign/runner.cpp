@@ -397,8 +397,6 @@ obs::RunReport CampaignResult::report(const CampaignConfig& config) const {
   if (config.collect_profile)
     r.values["search.table_peak_resident_bytes"] =
         static_cast<double>(profile.table_peak_resident_bytes);
-  r.values["shard_index"] = static_cast<double>(config.shard_index);
-  r.values["shard_total"] = static_cast<double>(config.shard_total);
   r.values["truth_cache.disk_hits"] = static_cast<double>(truth_disk_hits);
   r.values["truth_cache.memo_hits"] = static_cast<double>(truth_memo_hits);
   r.values["truth_cache.misses"] = static_cast<double>(truth_misses);
@@ -436,9 +434,10 @@ std::uint64_t campaign_truth_fingerprint(const EvalOptions& eval) {
 
 namespace {
 
-/// Shared engine behind run_campaign (shard-derived block, internal store
-/// persisted via cache_file) and run_campaign_range (caller-chosen block,
-/// optionally a caller-owned store whose persistence the caller manages).
+/// Shared engine behind run_campaign (the whole index space, internal
+/// store persisted via cache_file) and run_campaign_range (caller-chosen
+/// block, optionally a caller-owned store whose persistence the caller
+/// manages).
 CampaignResult run_range_impl(const CampaignConfig& config,
                               std::uint64_t first, std::uint64_t end,
                               TruthStore* external) {
@@ -699,15 +698,7 @@ CampaignResult run_range_impl(const CampaignConfig& config,
 }  // namespace
 
 CampaignResult run_campaign(const CampaignConfig& config) {
-  WORMSIM_EXPECTS(config.shard_total >= 1);
-  WORMSIM_EXPECTS(config.shard_index < config.shard_total);
-  // Contiguous block partition: concatenating slice outputs in shard order
-  // reproduces the single-process JSONL byte-for-byte (see --merge).
-  const std::uint64_t first =
-      config.count * config.shard_index / config.shard_total;
-  const std::uint64_t end =
-      config.count * (config.shard_index + 1) / config.shard_total;
-  return run_range_impl(config, first, end, /*external=*/nullptr);
+  return run_range_impl(config, 0, config.count, /*external=*/nullptr);
 }
 
 CampaignResult run_campaign_range(const CampaignConfig& config,

@@ -18,12 +18,12 @@
 // index order — so the JSONL output is byte-identical across runs and
 // shard counts, while shards scale wall-clock near-linearly.
 //
-// Scale-out happens on two axes. Within a process, `shards` worker threads
-// deal scenario indices dynamically. Across processes (or machines),
-// `shard_index`/`shard_total` give each process a contiguous slice of the
-// index space whose JSONL outputs concatenate to the single-process bytes.
-// Ground truth is memoized in a TruthStore that `cache_file` persists
-// across runs (docs/campaign.md documents the operator contract).
+// Within a process, `shards` worker threads deal scenario indices
+// dynamically. Across processes (or machines), the fleet (src/fleet) hands
+// out run_campaign_range batches whose records concatenate to the
+// single-process bytes. Ground truth is memoized in a TruthStore that
+// `cache_file` persists across runs (docs/campaign.md documents the
+// operator contract).
 #pragma once
 
 #include <cstdint>
@@ -97,14 +97,6 @@ struct CampaignConfig {
   /// Worker threads; scenarios are dealt dynamically. 0 means
   /// std::thread::hardware_concurrency().
   unsigned shards = 1;
-  /// Process-level slice of the index space: this process evaluates the
-  /// contiguous block [count*shard_index/shard_total,
-  /// count*(shard_index+1)/shard_total). With shard_total == 1 (default)
-  /// that is the whole campaign. Concatenating the JSONL of slices
-  /// 0..shard_total-1 in order reproduces the single-process output
-  /// byte-for-byte.
-  std::uint64_t shard_index = 0;
-  std::uint64_t shard_total = 1;
   /// Persistent TruthStore path: loaded before the run (missing file = cold
   /// start) and atomically rewritten after it. Empty disables persistence;
   /// the in-memory truth cache always runs.
@@ -125,7 +117,7 @@ struct CampaignConfig {
   /// cache are byte-identical with and without a status file.
   std::string status_file;
   /// Heartbeat refresh interval in seconds (clamped to >= 10ms). A final
-  /// snapshot with running=false and done == slice size is always written
+  /// snapshot with running=false and done == count is always written
   /// when the run finishes, whatever the interval.
   double status_interval_seconds = 1.0;
 };
@@ -150,8 +142,8 @@ struct ScenarioRecord {
 };
 
 struct CampaignResult {
-  std::vector<ScenarioRecord> records;  ///< this slice, in index order
-  /// First/one-past-last campaign index of this process's slice.
+  std::vector<ScenarioRecord> records;  ///< in index order
+  /// First/one-past-last campaign index evaluated.
   std::uint64_t first_index = 0;
   std::uint64_t end_index = 0;
   std::uint64_t agree = 0;
@@ -195,9 +187,8 @@ struct CampaignResult {
     const EvalOptions& eval);
 
 /// Evaluates one explicit contiguous block [first, end) of the campaign's
-/// index space — the fleet worker's batch primitive. Ignores
-/// config.shard_index/shard_total (the caller owns the partitioning) and,
-/// when `store` is non-null, shares it as both memo table and warm cache
+/// index space — the fleet worker's batch primitive. When `store` is
+/// non-null, shares it as both memo table and warm cache
 /// instead of the config's cache_file (which is neither loaded nor saved;
 /// the store's owner is responsible for persistence). `store` must carry
 /// campaign_truth_fingerprint(config.eval) and may be shared across

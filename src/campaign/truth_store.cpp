@@ -323,15 +323,6 @@ bool TruthStore::save(const std::string& path) const {
   return true;
 }
 
-std::optional<std::uint64_t> TruthStore::peek_fingerprint(
-    const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::string header;
-  if (!std::getline(in, header)) return std::nullopt;
-  return parse_header(header);
-}
-
 bool TruthStore::merge_from(const TruthStore& other, std::string* error) {
   const auto fail = [&](const std::string& why) {
     if (error != nullptr) *error = why;

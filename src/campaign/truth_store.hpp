@@ -140,13 +140,6 @@ class TruthStore {
   [[nodiscard]] static std::string format_record(const std::string& key,
                                                  const TruthRecord& record);
 
-  /// Reads just the header fingerprint of `path`; nullopt when the file is
-  /// missing or not a current-version store. Lets `--merge` combine cache
-  /// files on their own (shared) fingerprint instead of re-deriving it from
-  /// command-line flags.
-  [[nodiscard]] static std::optional<std::uint64_t> peek_fingerprint(
-      const std::string& path);
-
  private:
   mutable std::mutex mu_;
   std::uint64_t fingerprint_ = 0;

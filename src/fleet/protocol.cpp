@@ -135,6 +135,12 @@ std::optional<FleetManifest> FleetManifest::from_json(
       *synth_max_pairs >
           static_cast<std::uint64_t>(std::numeric_limits<int>::max()))
     return std::nullopt;
+  // Outside [0, 1] the fraction trips the generator's precondition in every
+  // worker, and an unknown bias would silently run as "any".
+  if (!(*synth_fraction >= 0 && *synth_fraction <= 1)) return std::nullopt;
+  if (*cycle_bias != "any" && *cycle_bias != "force" &&
+      *cycle_bias != "forbid")
+    return std::nullopt;
   m.seed = *seed;
   m.count = *count;
   m.batch_size = *batch_size;

@@ -193,32 +193,11 @@ TEST(RunCampaign, CacheFileOffLeavesReportCold) {
   EXPECT_GT(result.truth_memo_hits + result.truth_misses, 0u);
 }
 
-TEST(RunCampaign, SliceConcatenationMatchesSingleProcessRun) {
-  const std::string full = jsonl_of(run_campaign(small_config(1)));
-
-  std::string concatenated;
-  std::uint64_t covered = 0;
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    CampaignConfig config = small_config(1);
-    config.shard_index = i;
-    config.shard_total = 3;
-    const CampaignResult slice = run_campaign(config);
-    EXPECT_EQ(slice.first_index, covered);
-    covered = slice.end_index;
-    EXPECT_EQ(slice.records.size(), slice.end_index - slice.first_index);
-    if (!slice.records.empty())
-      EXPECT_EQ(slice.records.front().index, slice.first_index);
-    concatenated += jsonl_of(slice);
-  }
-  EXPECT_EQ(covered, 30u);
-  EXPECT_EQ(concatenated, full);
-}
-
 TEST(RunCampaign, SliceCountsCoverOnlyTheSlice) {
-  CampaignConfig config = small_config(2);
-  config.shard_index = 1;
-  config.shard_total = 4;
-  const CampaignResult slice = run_campaign(config);
+  const CampaignConfig config = small_config(2);
+  TruthStore store(campaign_truth_fingerprint(config.eval));
+  const CampaignResult slice = run_campaign_range(config, 7, 15, &store);
+  EXPECT_EQ(slice.records.size(), 8u);
   EXPECT_EQ(slice.agree + slice.disagree + slice.skip, slice.records.size());
   for (const ScenarioRecord& record : slice.records) {
     EXPECT_GE(record.index, slice.first_index);
@@ -260,14 +239,11 @@ TEST(RunCampaignRange, BatchConcatenationMatchesSingleProcessRun) {
   (void)memo_hits;
 }
 
-TEST(RunCampaignRange, IgnoresShardSliceAndCacheFileFields) {
-  // The caller owns the partitioning: shard_index/shard_total must not
-  // shift the explicit range, and cache_file must be left untouched when
-  // an external store is supplied.
+TEST(RunCampaignRange, LeavesCacheFileToTheStoreOwner) {
+  // The caller owns the partitioning and, with an external store, the
+  // persistence: cache_file must be left untouched.
   namespace fs = std::filesystem;
   CampaignConfig config = small_config(1);
-  config.shard_index = 3;
-  config.shard_total = 7;
   config.cache_file =
       (fs::path(::testing::TempDir()) / "range_untouched.cache").string();
   fs::remove(config.cache_file);

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/runner.hpp"
@@ -131,15 +132,13 @@ TEST(SynthCampaign, JsonlBytesAreShardCountInvariant) {
   run_campaign(three).write_jsonl(b);
   EXPECT_EQ(a.str(), b.str()) << "thread count changed the record bytes";
 
-  // Process shards: slices concatenate to the single-process bytes.
+  // Fleet batches: ranges concatenate to the single-process bytes.
   std::ostringstream merged;
-  for (std::uint64_t index = 0; index < 2; ++index) {
-    CampaignConfig slice = one;
-    slice.shard_index = index;
-    slice.shard_total = 2;
-    run_campaign(slice).write_jsonl(merged);
-  }
-  EXPECT_EQ(merged.str(), a.str()) << "sharded slices diverged";
+  TruthStore store(campaign_truth_fingerprint(one.eval));
+  for (const auto& [first, end] :
+       {std::pair<std::uint64_t, std::uint64_t>{0, 24}, {24, 48}})
+    run_campaign_range(one, first, end, &store).write_jsonl(merged);
+  EXPECT_EQ(merged.str(), a.str()) << "batch ranges diverged";
 }
 
 }  // namespace

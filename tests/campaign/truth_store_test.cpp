@@ -223,17 +223,6 @@ TEST(TruthStore, MergeRejectsContradictionsAndForeignFingerprints) {
   EXPECT_NE(error.find("fingerprint"), std::string::npos);
 }
 
-TEST(TruthStore, PeekFingerprintReadsTheHeader) {
-  const std::string path = temp_path("peek.truthstore");
-  TruthStore store(kFp);
-  fill(store, {});
-  ASSERT_TRUE(store.save(path));
-  EXPECT_EQ(TruthStore::peek_fingerprint(path), kFp);
-  EXPECT_FALSE(TruthStore::peek_fingerprint(temp_path("nope")).has_value());
-  write_file(path, "not a store\n");
-  EXPECT_FALSE(TruthStore::peek_fingerprint(path).has_value());
-}
-
 TEST(TruthStore, FingerprintTracksSearchKnobs) {
   analysis::SearchLimits limits;
   const std::uint64_t base = truth_fingerprint(limits, 8, 4);

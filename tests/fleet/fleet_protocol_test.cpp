@@ -89,6 +89,21 @@ TEST(FleetProtocol, MessagesRejectForeignAndTornText) {
   EXPECT_FALSE(FleetManifest::from_json(unknown_mode.to_json()).has_value());
 }
 
+TEST(FleetProtocol, ManifestRejectsKnobsTheGeneratorRefuses) {
+  // A synthesized fraction outside [0, 1] would abort every worker on the
+  // generator's precondition, and an unknown cycle bias would run as "any";
+  // workers must exit 5 on such a manifest instead.
+  FleetManifest m;
+  for (const double fraction : {1.5, -0.25}) {
+    m.synth_fraction = fraction;
+    EXPECT_FALSE(FleetManifest::from_json(m.to_json()).has_value()) << fraction;
+  }
+  m.synth_fraction = 1;
+  ASSERT_TRUE(FleetManifest::from_json(m.to_json()).has_value());
+  m.cycle_bias = "sometimes";
+  EXPECT_FALSE(FleetManifest::from_json(m.to_json()).has_value());
+}
+
 TEST(FleetProtocol, LeaseResultQuarantineShutdownRoundTrip) {
   BatchLease lease;
   lease.batch = 7;

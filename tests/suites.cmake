@@ -70,3 +70,18 @@ wormsim_test(synth_tests
   synth/synthesize_test.cpp
   synth/certificate_test.cpp)
 target_link_libraries(synth_tests PRIVATE wormsim_synth)
+
+# The shared flag parser (tools/cli.hpp) plus every tool's flag table as its
+# --help prints it: checked against the manuals' flag tables and fed hostile
+# values, so the suite runs the tool binaries and builds after them.
+wormsim_test(cli_tests cli/cli_test.cpp)
+target_link_libraries(cli_tests PRIVATE wormsim_cli)
+add_dependencies(cli_tests wormsim_campaign_tool wormsim_fleet_tool
+  wormsim_saturation_tool wormsim_synth_tool wormsim_status_tool)
+target_compile_definitions(cli_tests PRIVATE
+  WORMSIM_REPO_ROOT="${CMAKE_SOURCE_DIR}"
+  WORMSIM_CAMPAIGN_TOOL="$<TARGET_FILE:wormsim_campaign_tool>"
+  WORMSIM_FLEET_TOOL="$<TARGET_FILE:wormsim_fleet_tool>"
+  WORMSIM_SATURATION_TOOL="$<TARGET_FILE:wormsim_saturation_tool>"
+  WORMSIM_SYNTH_TOOL="$<TARGET_FILE:wormsim_synth_tool>"
+  WORMSIM_STATUS_TOOL="$<TARGET_FILE:wormsim_status_tool>")

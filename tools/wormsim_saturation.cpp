@@ -12,15 +12,7 @@
 // workloads and records both, normalized per active-channel-cycle so the
 // numbers are comparable across cores.
 //
-// Usage:
-//   wormsim_saturation [--topology fattree|dragonfly|fullmesh]
-//                      [--k N] [--dragonfly A,H,G,P] [--nodes N]
-//                      [--pattern uniform|transpose|bitrev|hotspot]
-//                      [--loads L1,L2,...] [--length N] [--horizon N]
-//                      [--drain N] [--seed N] [--core event|cycle]
-//                      [--core-compare N1,N2,...] [--report NAME]
-//                      [--status-file FILE] [--status-interval SECONDS]
-//                      [--quiet]
+// `--help` lists every flag.
 //
 // The heartbeat (--status-file) publishes "wormsim-status-v4" snapshots of
 // kind "saturation": progress counts sweep points and the `sim` object
@@ -28,19 +20,18 @@
 // snapshot is updated between sweep points only, so the sampler thread
 // never reads a live simulator.
 #include <algorithm>
-#include <cerrno>
+#include <bit>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "cli.hpp"
 #include "obs/run_report.hpp"
 #include "obs/status.hpp"
 #include "routing/datacenter.hpp"
@@ -56,161 +47,10 @@ using namespace wormsim;
 
 namespace {
 
-int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--topology fattree|dragonfly|fullmesh] [--k N]\n"
-      "          [--dragonfly A,H,G,P] [--nodes N]\n"
-      "          [--pattern uniform|transpose|bitrev|hotspot]\n"
-      "          [--loads L1,L2,...] [--length N] [--horizon N] [--drain N]\n"
-      "          [--seed N] [--core event|cycle] [--core-compare N1,N2,...]\n"
-      "          [--routing-file FILE] [--report NAME] [--status-file FILE]\n"
-      "          [--status-interval SECONDS] [--quiet]\n"
-      "exit: 0 done, 2 usage; see docs/observability.md for the report\n",
-      argv0);
-  return 2;
-}
-
-/// Parses a decimal flag value no larger than `max`. strtoull alone accepts
-/// "-1" (wrapping it to 2^64-1) and saturates out-of-range input, and the
-/// narrowing casts at the call sites would truncate what it returns.
-std::uint64_t parse_u64(
-    const char* text, const char* flag,
-    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE ||
-      v > max) {
-    std::fprintf(stderr,
-                 "wormsim_saturation: bad value for %s: '%s' (expected an "
-                 "integer in [0, %llu])\n",
-                 flag, text, static_cast<unsigned long long>(max));
-    std::exit(2);
-  }
-  return v;
-}
-
-/// Comma-separated offered loads: each an injection probability, so finite
-/// and in [0, 1] — checked here, before the sweep, instead of tripping the
-/// workload generator's precondition mid-run.
-std::vector<double> parse_loads(const std::string& text, const char* flag) {
-  std::vector<double> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string item =
-        text.substr(start, comma == std::string::npos ? comma : comma - start);
-    char* end = nullptr;
-    const double v = std::strtod(item.c_str(), &end);
-    if (end == item.c_str() || *end != '\0' || !(v >= 0 && v <= 1)) {
-      std::fprintf(stderr,
-                   "wormsim_saturation: bad value for %s: '%s' (expected a "
-                   "load in [0, 1])\n",
-                   flag, item.c_str());
-      std::exit(2);
-    }
-    out.push_back(v);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-std::vector<std::uint64_t> parse_u64s(
-    const std::string& text, const char* flag,
-    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
-  std::vector<std::uint64_t> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t comma = text.find(',', start);
-    out.push_back(parse_u64(text.substr(start, comma - start).c_str(), flag,
-                            max));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-/// The fabric under test: owns the topology and algorithm, exposes the
-/// terminal list traffic may use.
-struct Fabric {
-  std::unique_ptr<topo::FatTree> fattree;
-  std::unique_ptr<topo::Dragonfly> dragonfly;
-  std::unique_ptr<topo::Network> fullmesh;
-  std::unique_ptr<routing::RoutingAlgorithm> alg;
-  std::vector<NodeId> terminals;
-  std::string label;
-};
-
-Fabric build_fattree(int k) {
-  Fabric f;
-  f.fattree = std::make_unique<topo::FatTree>(k);
-  f.alg = std::make_unique<routing::FatTreeUpDown>(*f.fattree);
-  f.terminals.assign(f.fattree->hosts().begin(), f.fattree->hosts().end());
-  f.label = "fattree-k" + std::to_string(k);
-  return f;
-}
-
-Fabric build_dragonfly(const topo::DragonflySpec& spec) {
-  Fabric f;
-  f.dragonfly = std::make_unique<topo::Dragonfly>(spec);
-  f.alg = std::make_unique<routing::DragonflyMinimal>(*f.dragonfly);
-  f.terminals.assign(f.dragonfly->terminals().begin(),
-                     f.dragonfly->terminals().end());
-  f.label = "dragonfly-a" + std::to_string(spec.routers_per_group) + "h" +
-            std::to_string(spec.global_links) + "g" +
-            std::to_string(spec.groups) + "p" +
-            std::to_string(spec.terminals_per_router);
-  return f;
-}
-
-Fabric build_fullmesh(int nodes) {
-  Fabric f;
-  f.fullmesh =
-      std::make_unique<topo::Network>(topo::make_complete(nodes));
-  f.alg = std::make_unique<routing::CompleteDirect>(*f.fullmesh);
-  for (const NodeId n : f.fullmesh->nodes()) f.terminals.push_back(n);
-  f.label = "fullmesh-n" + std::to_string(nodes);
-  return f;
-}
-
-/// Power-of-two mesh shape for the core-comparison pass: greedy radix-16
-/// factorization (64 -> 8x8, 512 -> 8x8x8, 4096 -> 16x16x16).
-std::vector<int> mesh_dims(std::uint64_t nodes) {
-  std::vector<int> dims;
-  std::uint64_t left = nodes;
-  while (left > 16) {
-    std::uint64_t radix = 16;
-    while (radix > 2 && left % radix != 0) radix /= 2;
-    if (left % radix != 0) {
-      std::fprintf(stderr,
-                   "wormsim_saturation: --core-compare sizes must be "
-                   "powers of two, got %llu\n",
-                   static_cast<unsigned long long>(nodes));
-      std::exit(2);
-    }
-    dims.push_back(static_cast<int>(radix));
-    left /= radix;
-  }
-  if (left >= 2) dims.push_back(static_cast<int>(left));
-  return dims;
-}
-
-std::string format_load(double load) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.4f", load);
-  return buffer;
-}
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
+enum class Topology { kFatTree, kDragonfly, kFullMesh };
 
 struct Options {
-  std::string topology = "fattree";
+  Topology topology = Topology::kFatTree;
   int k = 16;
   topo::DragonflySpec dragonfly;
   int nodes = 64;
@@ -229,104 +69,175 @@ struct Options {
   bool quiet = false;
 };
 
+/// The fabric under test: owns the topology and algorithm, exposes the
+/// terminal list traffic may use.
+struct Fabric {
+  std::unique_ptr<topo::FatTree> fattree;
+  std::unique_ptr<topo::Dragonfly> dragonfly;
+  std::unique_ptr<topo::Network> fullmesh;
+  std::unique_ptr<routing::RoutingAlgorithm> alg;
+  std::vector<NodeId> terminals;
+  std::string label;
+};
+
+Fabric build_fabric(const Options& opt) {
+  Fabric f;
+  if (opt.topology == Topology::kFatTree) {
+    f.fattree = std::make_unique<topo::FatTree>(opt.k);
+    f.alg = std::make_unique<routing::FatTreeUpDown>(*f.fattree);
+    f.terminals.assign(f.fattree->hosts().begin(), f.fattree->hosts().end());
+    f.label = "fattree-k" + std::to_string(opt.k);
+  } else if (opt.topology == Topology::kDragonfly) {
+    const topo::DragonflySpec& spec = opt.dragonfly;
+    f.dragonfly = std::make_unique<topo::Dragonfly>(spec);
+    f.alg = std::make_unique<routing::DragonflyMinimal>(*f.dragonfly);
+    f.terminals.assign(f.dragonfly->terminals().begin(),
+                       f.dragonfly->terminals().end());
+    f.label = "dragonfly-a" + std::to_string(spec.routers_per_group) + "h" +
+              std::to_string(spec.global_links) + "g" +
+              std::to_string(spec.groups) + "p" +
+              std::to_string(spec.terminals_per_router);
+  } else {
+    f.fullmesh =
+        std::make_unique<topo::Network>(topo::make_complete(opt.nodes));
+    f.alg = std::make_unique<routing::CompleteDirect>(*f.fullmesh);
+    for (const NodeId n : f.fullmesh->nodes()) f.terminals.push_back(n);
+    f.label = "fullmesh-n" + std::to_string(opt.nodes);
+  }
+  return f;
+}
+
+/// Mesh shape for the core-comparison pass, for a power of two `nodes`:
+/// radix-16 dimensions, then the remainder (64 -> 16x4, 512 -> 16x16x2,
+/// 4096 -> 16x16x16).
+std::vector<int> mesh_dims(std::uint64_t nodes) {
+  std::vector<int> dims;
+  for (; nodes > 16; nodes /= 16) dims.push_back(16);
+  if (nodes >= 2) dims.push_back(static_cast<int>(nodes));
+  return dims;
+}
+
+std::string format_load(double load) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof buffer, "%.4f", load);
+  return buffer;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+const std::vector<std::pair<std::string, sim::TrafficPattern>> kPatterns = {
+    {"uniform", sim::TrafficPattern::kUniformRandom},
+    {"transpose", sim::TrafficPattern::kTranspose},
+    {"bitrev", sim::TrafficPattern::kBitReversal},
+    {"hotspot", sim::TrafficPattern::kHotspot}};
+
+/// Declares every flag on `opt`. The value checks mirror the fabric
+/// builders' preconditions, so a bad shape exits 2 before anything is built.
+void declare_flags(cli::Parser& p, Options& opt) {
+  constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+  const auto join = [](const auto& values) {
+    std::string out;
+    for (const auto v : values) {
+      char item[32];
+      std::snprintf(item, sizeof item, "%g", static_cast<double>(v));
+      out += (out.empty() ? "" : ",") + std::string(item);
+    }
+    return out;
+  };
+  const topo::DragonflySpec& df = opt.dragonfly;
+  p.choice("--topology", opt.topology,
+           {{"fattree", Topology::kFatTree},
+            {"dragonfly", Topology::kDragonfly},
+            {"fullmesh", Topology::kFullMesh}},
+           "fabric under test");
+  p.add({"--k", "N", "an even integer in [2, 2147483646]",
+         std::to_string(opt.k), "fat-tree radix", [&opt](const char* text) {
+           const auto v = cli::parse_u64(text);
+           if (!v || *v < 2 || *v % 2 != 0 || *v > kIntMax) return false;
+           opt.k = static_cast<int>(*v);
+           return true;
+         }});
+  p.add({"--dragonfly", "A,H,G,P",
+         "A,H,G,P with A >= 2, H >= 1, P >= 1, 2 <= G <= A*H+1 <= 2147483647",
+         join(std::vector<int>{df.routers_per_group, df.global_links,
+                               df.groups, df.terminals_per_router}),
+         "dragonfly routers/group, global links/router, groups, "
+         "terminals/router; implies --topology dragonfly",
+         [&opt](const char* text) {
+           std::vector<std::uint64_t> v;
+           for (const std::string& item : cli::split(text)) {
+             const auto n = cli::parse_u64(item.c_str());
+             if (!n || *n > kIntMax) return false;
+             v.push_back(*n);
+           }
+           if (v.size() != 4 || v[0] < 2 || v[1] < 1 || v[3] < 1 ||
+               v[2] < 2 || v[0] * v[1] + 1 > kIntMax || v[2] > v[0] * v[1] + 1)
+             return false;
+           opt.dragonfly = {static_cast<int>(v[0]), static_cast<int>(v[1]),
+                            static_cast<int>(v[2]), static_cast<int>(v[3])};
+           opt.topology = Topology::kDragonfly;
+           return true;
+         }});
+  p.integer("--nodes", opt.nodes, "full-mesh node count", 2);
+  p.choice("--pattern", opt.pattern, kPatterns, "traffic pattern");
+  // Each load is an injection probability, checked here instead of
+  // tripping the workload generator's precondition mid-sweep.
+  p.add({"--loads", "F,...", "comma-separated numbers in [0, 1]",
+         join(opt.loads),
+         "offered loads, injection probability per terminal per cycle",
+         [&opt](const char* text) {
+           std::vector<double> loads;
+           for (const std::string& item : cli::split(text)) {
+             const auto v = cli::parse_fraction(item.c_str());
+             if (!v) return false;
+             loads.push_back(*v);
+           }
+           opt.loads = loads;
+           return true;
+         }});
+  p.integer("--length", opt.length, "message length in flits", 1);
+  p.integer("--horizon", opt.horizon, "injection horizon in cycles");
+  p.integer("--drain", opt.drain, "extra cycles allowed to drain");
+  p.integer("--seed", opt.seed, "workload seed");
+  p.choice("--core", opt.core,
+           {{"event", sim::SimCore::kEvent}, {"cycle", sim::SimCore::kCycle}},
+           "simulation core");
+  p.add({"--core-compare", "N,...", "comma-separated powers of two >= 2",
+         join(opt.core_compare),
+         "also time both cores on meshes of these node counts",
+         [&opt](const char* text) {
+           std::vector<std::uint64_t> sizes;
+           for (const std::string& item : cli::split(text)) {
+             const auto v = cli::parse_u64(item.c_str());
+             if (!v || *v < 2 || !std::has_single_bit(*v)) return false;
+             sizes.push_back(*v);
+           }
+           opt.core_compare = sizes;
+           return true;
+         }});
+  p.text("--routing-file", "FILE", opt.routing_file,
+         "wormsim-table-v1 table replacing the fabric's built-in routing");
+  p.text("--report", "NAME", opt.report_name,
+         "run report name: BENCH_<NAME>.json");
+  cli::status_flags(p, opt.status_file, opt.status_interval);
+  p.flag("--quiet", opt.quiet, "suppress the per-load progress lines");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "wormsim_saturation: %s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--topology") {
-      opt.topology = next("--topology");
-    } else if (arg == "--k") {
-      opt.k = static_cast<int>(
-          parse_u64(next("--k"), "--k", std::numeric_limits<int>::max()));
-    } else if (arg == "--dragonfly") {
-      const auto v = parse_u64s(next("--dragonfly"), "--dragonfly",
-                                 std::numeric_limits<int>::max());
-      if (v.size() != 4) return usage(argv[0]);
-      opt.dragonfly = {static_cast<int>(v[0]), static_cast<int>(v[1]),
-                       static_cast<int>(v[2]), static_cast<int>(v[3])};
-      opt.topology = "dragonfly";
-    } else if (arg == "--nodes") {
-      opt.nodes = static_cast<int>(parse_u64(next("--nodes"), "--nodes",
-                                              std::numeric_limits<int>::max()));
-    } else if (arg == "--pattern") {
-      const std::string_view p = next("--pattern");
-      if (p == "uniform") {
-        opt.pattern = sim::TrafficPattern::kUniformRandom;
-      } else if (p == "transpose") {
-        opt.pattern = sim::TrafficPattern::kTranspose;
-      } else if (p == "bitrev") {
-        opt.pattern = sim::TrafficPattern::kBitReversal;
-      } else if (p == "hotspot") {
-        opt.pattern = sim::TrafficPattern::kHotspot;
-      } else {
-        return usage(argv[0]);
-      }
-    } else if (arg == "--loads") {
-      opt.loads = parse_loads(next("--loads"), "--loads");
-    } else if (arg == "--length") {
-      opt.length = static_cast<std::uint32_t>(
-          parse_u64(next("--length"), "--length",
-                    std::numeric_limits<std::uint32_t>::max()));
-    } else if (arg == "--horizon") {
-      opt.horizon = parse_u64(next("--horizon"), "--horizon");
-    } else if (arg == "--drain") {
-      opt.drain = parse_u64(next("--drain"), "--drain");
-    } else if (arg == "--seed") {
-      opt.seed = parse_u64(next("--seed"), "--seed");
-    } else if (arg == "--core") {
-      const std::string_view c = next("--core");
-      if (c == "event") {
-        opt.core = sim::SimCore::kEvent;
-      } else if (c == "cycle") {
-        opt.core = sim::SimCore::kCycle;
-      } else {
-        return usage(argv[0]);
-      }
-    } else if (arg == "--core-compare") {
-      opt.core_compare = parse_u64s(next("--core-compare"), "--core-compare");
-    } else if (arg == "--routing-file") {
-      opt.routing_file = next("--routing-file");
-    } else if (arg == "--report") {
-      opt.report_name = next("--report");
-    } else if (arg == "--status-file") {
-      opt.status_file = next("--status-file");
-    } else if (arg == "--status-interval") {
-      const char* text = next("--status-interval");
-      const auto seconds = obs::parse_seconds(text);
-      if (!seconds) {
-        std::fprintf(stderr,
-                     "wormsim_saturation: bad value for --status-interval: "
-                     "'%s' (expected finite seconds > 0)\n",
-                     text);
-        return 2;
-      }
-      opt.status_interval = *seconds;
-    } else if (arg == "--quiet") {
-      opt.quiet = true;
-    } else {
-      return usage(argv[0]);
-    }
-  }
+  cli::Parser parser("wormsim_saturation", "[flags]",
+                     "exit: 0 done, 1 report write failed, 2 usage\n"
+                     "see docs/observability.md for the report\n");
+  declare_flags(parser, opt);
+  parser.parse(argc, argv);
 
-  Fabric fabric;
-  if (opt.topology == "fattree") {
-    fabric = build_fattree(opt.k);
-  } else if (opt.topology == "dragonfly") {
-    fabric = build_dragonfly(opt.dragonfly);
-  } else if (opt.topology == "fullmesh") {
-    fabric = build_fullmesh(opt.nodes);
-  } else {
-    return usage(argv[0]);
-  }
+  Fabric fabric = build_fabric(opt);
   // A synthesized table (wormsim-table-v1, e.g. from wormsim_synth
   // --out-dir) replaces the fabric's built-in algorithm. The loader pins the
   // topology shape; we additionally require every terminal pair routed so
@@ -359,11 +270,8 @@ int main(int argc, char** argv) {
   report.name = opt.report_name;
   report.kind = "simulation";
   report.labels["topology"] = fabric.label;
-  report.labels["pattern"] =
-      opt.pattern == sim::TrafficPattern::kUniformRandom ? "uniform"
-      : opt.pattern == sim::TrafficPattern::kTranspose   ? "transpose"
-      : opt.pattern == sim::TrafficPattern::kBitReversal ? "bitrev"
-                                                         : "hotspot";
+  for (const auto& [name, pattern] : kPatterns)
+    if (pattern == opt.pattern) report.labels["pattern"] = name;
   report.labels["core"] =
       opt.core == sim::SimCore::kEvent ? "event" : "cycle";
   report.values["nodes"] = static_cast<double>(net.node_count());

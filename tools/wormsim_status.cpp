@@ -1,32 +1,24 @@
 // wormsim_status — render live heartbeat files written by --status-file.
 //
-// A campaign (or any producer using obs::StatusSampler) publishes an
-// atomically replaced JSON snapshot; this tool turns one or more of those
-// files into a terminal dashboard. Point it at several shard files and it
-// prints one row per shard plus a TOTAL row, so a multi-process campaign
-// (--shard-index/--shard-total) reads as a single run.
-//
-// Usage:
-//   wormsim_status FILE...                one-shot render, then exit
-//   wormsim_status --watch [N] FILE...    re-render every N seconds (default
-//                                         2) until every file reports
-//                                         running=false
+// A campaign, fleet, saturation sweep or synth run (any producer using
+// obs::StatusSampler) publishes an atomically replaced JSON snapshot; this
+// tool turns one or more of those files into a terminal dashboard, one row
+// per file. `--help` lists the flags.
 //
 // Missing or half-written files are reported as "waiting" rather than
 // treated as errors: the watcher is typically started before (or raced
-// against) the campaign it observes. Exit is 0 once every file parsed at
-// least once; 1 if a one-shot render found no readable snapshot; 2 on usage
+// against) the run it observes. Exit is 0 once every file parsed at least
+// once; 1 if a one-shot render found no readable snapshot; 2 on usage
 // errors. docs/observability.md documents the snapshot schema.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli.hpp"
 #include "obs/json.hpp"
 #include "obs/status.hpp"
 
@@ -34,25 +26,14 @@ using wormsim::obs::json::Value;
 
 namespace {
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--watch [SECONDS]] FILE...\n"
-               "renders %s heartbeat files (see docs/observability.md)\n",
-               argv0, std::string(wormsim::obs::kStatusSchema).c_str());
-  return 2;
-}
-
-/// The subset of a snapshot the dashboard shows, pre-extracted so rows and
-/// the TOTAL aggregate share one representation.
+/// The subset of a snapshot the dashboard shows.
 struct Row {
   bool ok = false;  ///< file existed and parsed as a status snapshot
   std::string kind;
   std::uint64_t seq = 0;
   bool running = false;
-  double elapsed = 0;
-  std::uint64_t done = 0, slice = 0;
+  std::uint64_t done = 0, count = 0;  ///< count: end_index - first_index
   std::uint64_t agree = 0, disagree = 0, skip = 0;
-  std::uint64_t states = 0;
   double rate = 0;
   double eta = -1;
   double truth_hit_rate = 0;
@@ -97,17 +78,15 @@ Row read_row(const std::string& path) {
   if (const Value* running = parsed->find("running");
       running && running->is_bool())
     row.running = running->as_bool();
-  row.elapsed = num_field(*parsed, "elapsed_seconds");
 
   if (const Value* progress = parsed->find("progress");
       progress && progress->is_object()) {
     row.done = u64_field(*progress, "done");
-    row.slice = u64_field(*progress, "end_index") -
+    row.count = u64_field(*progress, "end_index") -
                 u64_field(*progress, "first_index");
     row.agree = u64_field(*progress, "agree");
     row.disagree = u64_field(*progress, "disagree");
     row.skip = u64_field(*progress, "skip");
-    row.states = u64_field(*progress, "states_total");
     row.rate = num_field(*progress, "rate_per_second");
     row.eta = num_field(*progress, "eta_seconds");
   }
@@ -160,9 +139,9 @@ void print_row(const std::string& label, const Row& row) {
     return;
   }
   const double pct =
-      row.slice > 0
+      row.count > 0
           ? 100.0 * static_cast<double>(row.done) /
-                static_cast<double>(row.slice)
+                static_cast<double>(row.count)
           : 0;
   // Worker utilization: busy / (busy + idle) over every worker row. "-"
   // when the producer published no timing (pre-work-stealing snapshots, or
@@ -181,7 +160,7 @@ void print_row(const std::string& label, const Row& row) {
       row.kind.empty() ? "?" : row.kind.c_str(),
       static_cast<unsigned long long>(row.seq), pct,
       static_cast<unsigned long long>(row.done),
-      static_cast<unsigned long long>(row.slice),
+      static_cast<unsigned long long>(row.count),
       static_cast<unsigned long long>(row.agree),
       static_cast<unsigned long long>(row.disagree),
       static_cast<unsigned long long>(row.skip), row.rate,
@@ -200,86 +179,41 @@ void print_row(const std::string& label, const Row& row) {
                 static_cast<unsigned long long>(row.fleet_workers));
 }
 
-/// Renders every file plus a TOTAL row (when more than one). Returns true
-/// when every file parsed and none is still running.
+/// Renders one row per file. Returns true when every file parsed and none
+/// is still running.
 bool render(const std::vector<std::string>& files, bool* any_ok) {
   bool all_done = true;
-  Row total;
-  total.ok = true;
-  total.eta = -1;
-  total.kind = "-";
   for (const std::string& path : files) {
     const Row row = read_row(path);
     print_row(path, row);
-    if (!row.ok) {
-      all_done = false;
-      continue;
-    }
-    *any_ok = true;
-    if (row.running) all_done = false;
-    total.running |= row.running;
-    total.done += row.done;
-    total.slice += row.slice;
-    total.agree += row.agree;
-    total.disagree += row.disagree;
-    total.skip += row.skip;
-    total.states += row.states;
-    total.rate += row.rate;
-    total.eta = std::max(total.eta, row.eta);
-    total.search_states += row.search_states;
-    total.table_keys += row.table_keys;
-    total.busy_ns += row.busy_ns;
-    total.idle_ns += row.idle_ns;
-    total.search_active |= row.search_active;
-    total.workers += row.workers;
-    total.seq += row.seq;
+    *any_ok = *any_ok || row.ok;
+    all_done = all_done && row.ok && !row.running;
   }
-  if (files.size() > 1) print_row("TOTAL", total);
   return all_done;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool watch = false;
   double interval = 2.0;
   std::vector<std::string> files;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--watch") {
-      watch = true;
-      // Optional numeric operand: --watch 0.5 status.json. An operand that
-      // parses as a number is the interval and must be finite seconds > 0;
-      // anything else is the first file.
-      if (i + 1 < argc) {
-        char* end = nullptr;
-        (void)std::strtod(argv[i + 1], &end);
-        if (end != argv[i + 1] && *end == '\0') {
-          const auto seconds = wormsim::obs::parse_seconds(argv[++i]);
-          if (!seconds) {
-            std::fprintf(stderr,
-                         "wormsim_status: bad value for --watch: '%s' "
-                         "(expected finite seconds > 0)\n",
-                         argv[i]);
-            return 2;
-          }
-          interval = *seconds;
-        }
-      }
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if (arg.rfind("--", 0) == 0) {
-      return usage(argv[0]);
-    } else {
-      files.push_back(arg);
-    }
-  }
-  if (files.empty()) return usage(argv[0]);
+  wormsim::cli::Parser parser(
+      "wormsim_status", "[--watch [SECONDS]] FILE...",
+      "renders " + std::string(wormsim::obs::kStatusSchema) +
+          " heartbeat files (see docs/observability.md)\n");
+  parser.operands(files);
+  // An operand right after --watch that begins like a number is the
+  // interval, so `--watch inf` is rejected rather than read as a file.
+  parser
+      .seconds("--watch", interval,
+               "re-render every SECONDS until every file reports "
+               "running=false")
+      .optional_value = true;
+  parser.parse(argc, argv);
+  if (files.empty()) return parser.error("no status file given");
 
   bool any_ok = false;
-  if (!watch) {
+  if (!parser.seen("--watch")) {
     render(files, &any_ok);
     return any_ok ? 0 : 1;
   }

@@ -13,12 +13,7 @@
 //   verify      load a previously dumped table (--table) against an
 //               instance's network and re-verify it from scratch.
 //
-// Usage:
-//   wormsim_synth analyze|synthesize [--instances NAME,...|all]
-//                 [--goal cyclic|acyclic] [--max-states N]
-//                 [--max-assignments N] [--out-dir DIR] [--report NAME]
-//                 [--status-file FILE] [--status-interval SECONDS] [--quiet]
-//   wormsim_synth verify --instance NAME --table FILE [--quiet]
+// `--help` lists every flag; docs/synthesis.md is the manual.
 //
 // The run lands in BENCH_synth.json (obs::RunReport, gated by
 // tools/bench_compare.py; the engines are deterministic, so every row
@@ -27,18 +22,15 @@
 // progress counts instances, and the worker row mirrors per-instance
 // agree/disagree totals (an instance "agrees" when its certificates and
 // cross-checks are consistent).
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "cli.hpp"
 #include "obs/run_report.hpp"
 #include "obs/status.hpp"
 #include "routing/table_io.hpp"
@@ -49,51 +41,9 @@ using namespace wormsim;
 
 namespace {
 
-int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s analyze|synthesize [--instances NAME,...|all]\n"
-      "          [--goal cyclic|acyclic] [--max-states N]\n"
-      "          [--max-assignments N] [--out-dir DIR] [--report NAME]\n"
-      "          [--status-file FILE] [--status-interval SECONDS] [--quiet]\n"
-      "       %s verify --instance NAME --table FILE [--quiet]\n"
-      "instances: fig1 fig2 fig3a fig3f ring4 ring6 biring6 mesh3x3\n"
-      "           torus3x3 hypercube3 fullmesh8 fattree4 dragonfly9\n"
-      "exit: 0 all consistent, 1 inconsistency/deadlock, 2 usage, 3 I/O\n",
-      argv0, argv0);
-  return 2;
-}
-
-/// Parses a decimal flag value. strtoull alone accepts "-1" (wrapping it to
-/// 2^64-1) and saturates out-of-range input.
-std::uint64_t parse_u64(const char* text, const char* flag) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "wormsim_synth: bad value for %s: '%s'\n", flag,
-                 text);
-    std::exit(2);
-  }
-  return v;
-}
-
-std::vector<std::string> split_names(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    out.push_back(text.substr(
-        start, comma == std::string::npos ? comma : comma - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
 struct Options {
   std::string mode;
-  std::vector<std::string> instances;
+  std::vector<std::string> instances = synth::instance_names();
   synth::SynthesisGoal goal = synth::SynthesisGoal::kPreferCyclic;
   std::uint64_t max_states = 250'000;
   std::uint64_t max_assignments = 64;
@@ -282,72 +232,49 @@ int run_verify(const Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (argc < 2) return usage(argv[0]);
-  opt.mode = argv[1];
+  std::vector<std::string> mode;
+  cli::Parser parser(
+      "wormsim_synth", "analyze|synthesize|verify [flags]",
+      "verify needs --instance NAME --table FILE\n"
+      "exit: 0 all consistent, 1 inconsistency/deadlock, 2 usage, 3 I/O\n"
+      "see docs/synthesis.md for the manual\n");
+  parser.operands(mode);
+  std::string menu;
+  for (const std::string& name : synth::instance_names())
+    menu += (menu.empty() ? "" : "|") + name;
+  parser.add({"--instances", "NAME,...", "all or a comma list of " + menu,
+              "all", "instances to run (alias --instance)",
+              [&opt](const char* text) {
+                const std::vector<std::string> names =
+                    std::string(text) == "all" ? synth::instance_names()
+                                               : cli::split(text);
+                for (const std::string& name : names)
+                  if (!synth::is_instance_name(name)) return false;
+                opt.instances = names;
+                return true;
+              }});
+  parser.alias("--instance", "--instances");
+  parser.choice("--goal", opt.goal,
+                {{"cyclic", synth::SynthesisGoal::kPreferCyclic},
+                 {"acyclic", synth::SynthesisGoal::kRobustAcyclic}},
+                "prefer a verified cyclic-CDG table, or acyclic only");
+  parser.integer("--max-states", opt.max_states,
+                 "placement-search budget per existence query");
+  parser.integer("--max-assignments", opt.max_assignments,
+                 "complete assignments the cyclic search may verify");
+  parser.text("--out-dir", "DIR", opt.out_dir,
+              "dump each synthesized table as DIR/<instance>.table.json");
+  parser.text("--table", "FILE", opt.table_file,
+              "verify mode: the table file to re-verify");
+  parser.text("--report", "NAME", opt.report,
+              "run report name: BENCH_<NAME>.json");
+  cli::status_flags(parser, opt.status_file, opt.status_interval);
+  parser.flag("--quiet", opt.quiet, "suppress per-instance lines");
+  parser.parse(argc, argv);
+  opt.mode = mode.size() == 1 ? mode.front() : "";
   if (opt.mode != "analyze" && opt.mode != "synthesize" &&
       opt.mode != "verify")
-    return usage(argv[0]);
-
-  const auto next = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "wormsim_synth: %s needs a value\n", flag);
-      std::exit(2);
-    }
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--instances" || arg == "--instance") {
-      const std::string value = next(i, "--instances");
-      opt.instances = value == "all" ? synth::instance_names()
-                                     : split_names(value);
-    } else if (arg == "--goal") {
-      const std::string_view value = next(i, "--goal");
-      if (value == "cyclic")
-        opt.goal = synth::SynthesisGoal::kPreferCyclic;
-      else if (value == "acyclic")
-        opt.goal = synth::SynthesisGoal::kRobustAcyclic;
-      else
-        return usage(argv[0]);
-    } else if (arg == "--max-states") {
-      opt.max_states = parse_u64(next(i, "--max-states"), "--max-states");
-    } else if (arg == "--max-assignments") {
-      opt.max_assignments =
-          parse_u64(next(i, "--max-assignments"), "--max-assignments");
-    } else if (arg == "--out-dir") {
-      opt.out_dir = next(i, "--out-dir");
-    } else if (arg == "--table") {
-      opt.table_file = next(i, "--table");
-    } else if (arg == "--report") {
-      opt.report = next(i, "--report");
-    } else if (arg == "--status-file") {
-      opt.status_file = next(i, "--status-file");
-    } else if (arg == "--status-interval") {
-      const char* text = next(i, "--status-interval");
-      const auto seconds = obs::parse_seconds(text);
-      if (!seconds) {
-        std::fprintf(stderr,
-                     "wormsim_synth: bad value for --status-interval: '%s' "
-                     "(expected finite seconds > 0)\n",
-                     text);
-        return 2;
-      }
-      opt.status_interval = *seconds;
-    } else if (arg == "--quiet") {
-      opt.quiet = true;
-    } else {
-      return usage(argv[0]);
-    }
-  }
-  if (opt.instances.empty() && opt.mode != "verify")
-    opt.instances = synth::instance_names();
-  for (const std::string& name : opt.instances) {
-    if (!synth::is_instance_name(name)) {
-      std::fprintf(stderr, "wormsim_synth: unknown instance '%s'\n",
-                   name.c_str());
-      return 2;
-    }
-  }
+    return parser.error("expected one mode: analyze|synthesize|verify");
 
   if (opt.mode == "verify") return run_verify(opt);
 
