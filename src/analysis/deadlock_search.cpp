@@ -253,11 +253,11 @@ constexpr std::size_t kDequeCap = 64;
 /// explorations covers every reachable state — and conversely any reachable
 /// deadlock is found by some worker. The deadlock verdict is therefore
 /// deterministic; ties between concurrently found deadlocks break to the
-/// lexicographically least Dewey ordinal (the DFS-first one), and with
-/// SearchLimits::canonical_witness the whole deadlock-positive result is
-/// re-derived serially so it is byte-identical to a threads=1 run. Either
-/// way the witness is rebuilt by a serial step_with_grants replay from the
-/// initial state, which revalidates every grant.
+/// lexicographically least Dewey ordinal (the DFS-first one), and the whole
+/// deadlock-positive result is then re-derived serially so it is
+/// byte-identical to a threads=1 run. The witness is rebuilt by a serial
+/// step_with_grants replay from the initial state, which revalidates every
+/// grant.
 class SearchEngine {
  public:
   /// `twin_specs` (indexed by MessageId) enables twin symmetry; empty runs
@@ -345,7 +345,7 @@ class SearchEngine {
     // — the expensive case — never reach this. Falls back to the raw
     // parallel winner if the serial rerun hits a limit first (possible when
     // the parallel schedule lucked into the deadlock within max_states).
-    if (found && threads_ > 1 && limits_.canonical_witness) {
+    if (found && threads_ > 1) {
       SearchLimits serial_limits = limits_;
       serial_limits.threads = 1;
       serial_limits.status = nullptr;

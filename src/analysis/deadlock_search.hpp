@@ -38,9 +38,9 @@
 // deadlock is found by some worker; when several are, Dewey-ordinal
 // tracking through splits picks the DFS-first one. A found deadlock is
 // replayed serially through step_with_grants from the initial state to
-// rebuild the exact configuration and witness (and, by default, re-derived
-// by a serial search so the whole result is thread-count-independent —
-// see SearchLimits::canonical_witness).
+// rebuild the exact configuration and witness, and a deadlock-positive
+// parallel result is re-derived by a serial search so the whole result is
+// thread-count-independent.
 #pragma once
 
 #include <algorithm>
@@ -100,15 +100,6 @@ struct SearchLimits {
   /// Overflow ends the search non-exhausted, exactly like max_states.
   /// Folds into the campaign truth fingerprint when set.
   std::uint64_t memo_budget_bytes = 0;
-  /// When a parallel search finds a deadlock, re-derive the result with a
-  /// serial search so witness, profile and state counts are byte-identical
-  /// to threads=1 (the parallel run serves as the oracle that a deadlock
-  /// exists; the serial rerun finds the DFS-first one). Costs one serial
-  /// search on deadlock-positive results only — exhaustive (negative)
-  /// searches, the expensive case, never pay it. Off: return the raw
-  /// parallel winner (lowest Dewey ordinal), whose witness is still
-  /// deterministic for a fixed thread count.
-  bool canonical_witness = true;
   /// Symmetry reduction and root decomposition (see reduction.hpp and
   /// DESIGN.md §12). kSafe (the default) preserves verdicts and
   /// witnesses-by-replay while visiting fewer states; kOff reproduces the

@@ -173,14 +173,17 @@ SearchOutcome synthesized_ground_truth(Evaluation& eval,
 /// the same structural instances constantly (most expensively the two
 /// Section-6 generalized shapes, whose exhaustive probes dominate an
 /// uncached run), and a warm cache_file short-circuits every search of a
-/// rerun. Cached replays return bit-identical outcome/states, so JSONL
-/// bytes are unaffected; the per-scenario SearchProfile is *not* cached — a
-/// hit contributes an empty profile, so merged profiles count unique
-/// searches, not replays.
+/// rerun. Lookups claim their key, so each key is searched once at any
+/// shard count: a scenario whose key another worker is searching is parked
+/// and later replays that search's record as a memo hit. Cached replays
+/// return bit-identical outcome/states, so JSONL bytes are unaffected; the
+/// per-scenario SearchProfile is *not* cached — a hit contributes an empty
+/// profile, so merged profiles count unique searches, not replays.
 struct CacheCounters {
   std::atomic<std::uint64_t> disk_hits{0};
   std::atomic<std::uint64_t> memo_hits{0};
   std::atomic<std::uint64_t> misses{0};
+  std::atomic<std::uint64_t> parked{0};
 };
 
 /// Per-campaign-worker telemetry, allocated only when a status file was
@@ -228,8 +231,13 @@ std::string fixture_json(const CampaignConfig& config,
   return os.str();
 }
 
-Evaluation evaluate_impl(const Scenario& scenario, const EvalOptions& options,
-                         TruthStore* cache, CacheCounters* counters) {
+/// With `park` set, returns nullopt (and counts a park) instead of waiting
+/// when another worker is searching the scenario's truth key; the caller
+/// evaluates the scenario again later without `park`.
+std::optional<Evaluation> evaluate_impl(const Scenario& scenario,
+                                        const EvalOptions& options,
+                                        TruthStore* cache,
+                                        CacheCounters* counters, bool park) {
   Evaluation eval;
   const MaterializedScenario live = materialize(scenario);
   eval.classification = classify(scenario, live);
@@ -247,15 +255,24 @@ Evaluation evaluate_impl(const Scenario& scenario, const EvalOptions& options,
 
   std::string key;
   bool cached = false;
+  // Owns the key while this scenario searches it; released on return.
+  std::optional<TruthStore::Claim> claim;
   if (cache != nullptr) {
     key = scenario.truth_key();
-    if (const auto hit = cache->lookup(key)) {
-      eval.outcome = hit->outcome;
-      eval.states = hit->states;
+    claim.emplace(cache->claim(key, /*wait=*/!park));
+    if (claim->kind() == TruthStore::Claim::Kind::kInFlight) {
+      if (counters != nullptr)
+        counters->parked.fetch_add(1, std::memory_order_relaxed);
+      return std::nullopt;
+    }
+    if (claim->kind() == TruthStore::Claim::Kind::kHit) {
+      const TruthRecord& hit = claim->record();
+      eval.outcome = hit.outcome;
+      eval.states = hit.states;
       cached = true;
       if (counters != nullptr) {
         auto& counter =
-            hit->from_disk ? counters->disk_hits : counters->memo_hits;
+            hit.from_disk ? counters->disk_hits : counters->memo_hits;
         counter.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -330,8 +347,8 @@ Evaluation evaluate_impl(const Scenario& scenario, const EvalOptions& options,
 
 Evaluation evaluate_scenario(const Scenario& scenario,
                              const EvalOptions& options) {
-  return evaluate_impl(scenario, options, /*cache=*/nullptr,
-                       /*counters=*/nullptr);
+  return *evaluate_impl(scenario, options, /*cache=*/nullptr,
+                        /*counters=*/nullptr, /*park=*/false);
 }
 
 Evaluation replay_scenario(const Scenario& scenario,
@@ -402,6 +419,7 @@ obs::RunReport CampaignResult::report(const CampaignConfig& config) const {
   r.values["truth_cache.misses"] = static_cast<double>(truth_misses);
   r.values["truth_cache.loaded"] = static_cast<double>(truth_loaded);
   r.values["truth_cache.stored"] = static_cast<double>(truth_stored);
+  r.values["truth_cache.parked"] = static_cast<double>(truth_parked);
   if (config.eval.cross_check_reduction)
     r.values["reduction_divergences"] =
         static_cast<double>(reduction_divergences);
@@ -490,12 +508,13 @@ CampaignResult run_range_impl(const CampaignConfig& config,
   const auto worker = [&](WorkerTelemetry* tele) {
     EvalOptions local_opts = eval_opts;
     if (tele != nullptr) local_opts.limits.status = &tele->board;
-    for (;;) {
-      const std::uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= result.end_index) return;
+    // Evaluates and slots scenario i; false when it was parked.
+    const auto evaluate = [&](std::uint64_t i, bool park) {
       const Scenario scenario = generator.generate(i);
-      const Evaluation eval =
-          evaluate_impl(scenario, local_opts, cache, &counters);
+      const std::optional<Evaluation> evaluated =
+          evaluate_impl(scenario, local_opts, cache, &counters, park);
+      if (!evaluated) return false;
+      const Evaluation& eval = *evaluated;
       if (eval.reduction_divergence)
         divergences.fetch_add(1, std::memory_order_relaxed);
       ScenarioRecord& record = result.records[i - result.first_index];
@@ -527,7 +546,17 @@ CampaignResult run_range_impl(const CampaignConfig& config,
         std::lock_guard<std::mutex> lock(tele->profile_mu);
         tele->profile.merge_from(eval.profile);
       }
+      return true;
+    };
+    // Scenarios whose truth key another worker was searching wait until
+    // the cursor runs dry; by then most of those searches have settled.
+    std::vector<std::uint64_t> parked;
+    for (;;) {
+      const std::uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= result.end_index) break;
+      if (!evaluate(i, /*park=*/true)) parked.push_back(i);
     }
+    for (const std::uint64_t i : parked) evaluate(i, /*park=*/false);
   };
   const auto telemetry_of = [&](unsigned t) -> WorkerTelemetry* {
     return telemetry.empty() ? nullptr : telemetry[t].get();
@@ -654,8 +683,9 @@ CampaignResult run_range_impl(const CampaignConfig& config,
       const std::string rule = record.rule;
       const auto still_disagrees = [&](const Scenario& candidate) {
         // No counters: shrink probes are diagnostics, not campaign lookups.
-        const Evaluation eval =
-            evaluate_impl(candidate, eval_opts, cache, /*counters=*/nullptr);
+        // The workers have joined, so no key is in flight and none parks.
+        const Evaluation eval = *evaluate_impl(
+            candidate, eval_opts, cache, /*counters=*/nullptr, /*park=*/false);
         return eval.verdict == Verdict::kDisagree &&
                eval.classification.rule == rule;
       };
@@ -683,6 +713,7 @@ CampaignResult run_range_impl(const CampaignConfig& config,
   result.truth_disk_hits = counters.disk_hits.load();
   result.truth_memo_hits = counters.memo_hits.load();
   result.truth_misses = counters.misses.load();
+  result.truth_parked = counters.parked.load();
   result.reduction_divergences = divergences.load();
   if (external == nullptr && !config.cache_file.empty()) {
     result.truth_stored = local_cache.size();

@@ -23,7 +23,8 @@
 // out run_campaign_range batches whose records concatenate to the
 // single-process bytes. Ground truth is memoized in a TruthStore that
 // `cache_file` persists across runs (docs/campaign.md documents the
-// operator contract).
+// operator contract); its lookups are single-flight, so within a process
+// each truth key is searched once whatever the shard count.
 #pragma once
 
 #include <cstdint>
@@ -161,6 +162,9 @@ struct CampaignResult {
   std::uint64_t truth_disk_hits = 0;
   std::uint64_t truth_memo_hits = 0;
   std::uint64_t truth_misses = 0;  ///< ground-truth searches actually run
+  /// Scenarios parked because another shard was searching their key; each
+  /// one later counts as a memo hit (so misses are distinct keys searched).
+  std::uint64_t truth_parked = 0;
   std::uint64_t truth_loaded = 0;  ///< records accepted from cache_file
   std::uint64_t truth_stored = 0;  ///< records in the saved cache_file
   bool cache_saved = false;        ///< cache_file rewrite succeeded

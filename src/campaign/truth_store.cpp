@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -154,34 +155,89 @@ std::uint64_t truth_fingerprint(const analysis::SearchLimits& limits,
     os << ";reduction=" << analysis::to_string(limits.reduction);
   // A byte budget can turn exhaustive verdicts inconclusive, so it gets its
   // own cache namespace; unlimited appends nothing, keeping every existing
-  // cache file warm. steal_granularity and canonical_witness are never
-  // folded: they only reshape the schedule and which witness is reported,
-  // and campaign probes force threads=1 where neither can bite.
+  // cache file warm. steal_granularity is never folded: it only reshapes
+  // the schedule, and campaign probes force threads=1 where it cannot bite.
   if (limits.memo_budget_bytes != 0)
     os << ";memo_budget=" << limits.memo_budget_bytes
        << ";key_encoding=" << kMemoKeyEncoding;
   return fnv1a(os.str());
 }
 
+TruthStore::Claim::Claim(TruthStore* store, Map::iterator entry,
+                         std::shared_ptr<Flight> flight)
+    : kind_(Kind::kOwner),
+      store_(store),
+      entry_(entry),
+      flight_(std::move(flight)) {}
+
+TruthStore::Claim::Claim(Claim&& other) noexcept
+    : kind_(other.kind_),
+      record_(other.record_),
+      store_(other.store_),
+      entry_(other.entry_),
+      flight_(std::move(other.flight_)) {}
+
+TruthStore::Claim::~Claim() {
+  if (flight_ == nullptr) return;  // not an owner, or moved from
+  const std::scoped_lock lock(store_->mu_);
+  if (flight_->done) return;  // settled by insert()
+  // Released without a record: drop the entry and wake the waiters. The
+  // first of them to probe the key again claims it.
+  store_->map_.erase(entry_);
+  --store_->in_flight_;
+  flight_->done = true;
+  flight_->settled.notify_all();
+}
+
+void TruthStore::settle(Entry& entry, const TruthRecord& record) {
+  entry.record = record;
+  if (entry.flight == nullptr) return;
+  entry.flight->done = true;
+  entry.flight->settled.notify_all();
+  entry.flight.reset();
+  --in_flight_;
+}
+
 std::size_t TruthStore::size() const {
   const std::scoped_lock lock(mu_);
-  return map_.size();
+  return map_.size() - in_flight_;
 }
 
 std::optional<TruthRecord> TruthStore::lookup(const std::string& key) const {
   const std::scoped_lock lock(mu_);
   const auto it = map_.find(key);
-  if (it == map_.end()) return std::nullopt;
-  return it->second;
+  if (it == map_.end() || it->second.flight != nullptr) return std::nullopt;
+  return it->second.record;
+}
+
+TruthStore::Claim TruthStore::claim(const std::string& key, bool wait) {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    const auto [it, fresh] = map_.try_emplace(key);
+    Entry& entry = it->second;
+    if (fresh) {
+      entry.flight = std::make_shared<Flight>();
+      ++in_flight_;
+      return Claim(this, it, entry.flight);
+    }
+    if (entry.flight == nullptr) return Claim(Claim::Kind::kHit, entry.record);
+    if (!wait) return Claim(Claim::Kind::kInFlight, TruthRecord{});
+    // Hold the flight, not the entry: a released claim erases the entry,
+    // and the next pass either finds the record or claims the key.
+    const std::shared_ptr<Flight> flight = entry.flight;
+    flight->settled.wait(lock, [&flight] { return flight->done; });
+  }
 }
 
 void TruthStore::insert(const std::string& key, TruthRecord record) {
   const std::scoped_lock lock(mu_);
-  const auto it = map_.find(key);
-  if (it != map_.end() && it->second.outcome == record.outcome &&
-      it->second.states == record.states)
+  const auto [it, fresh] = map_.try_emplace(key);
+  Entry& entry = it->second;
+  if (!fresh && entry.flight == nullptr &&
+      entry.record.outcome == record.outcome &&
+      entry.record.states == record.states)
     return;  // identical record: nothing new to persist
-  map_[key] = record;
+  settle(entry, record);
   unpersisted_.push_back(key);
 }
 
@@ -225,7 +281,7 @@ bool TruthStore::checkpoint(const std::string& path) {
   for (const std::string& key : unpersisted_) {
     const auto it = map_.find(key);
     if (it == map_.end()) continue;  // cannot happen today; belt-and-braces
-    out << format_record(key, it->second) << "\n";
+    out << format_record(key, it->second.record) << "\n";
   }
   out.flush();
   if (!out) return false;  // torn tail is truncated by the next load()
@@ -285,8 +341,8 @@ TruthLoadStats TruthStore::load(const std::string& path) {
       continue;
     }
     const std::scoped_lock lock(mu_);
-    map_[std::string((*parts)[0])] =
-        TruthRecord{*outcome, *states, /*from_disk=*/true};
+    settle(map_[std::string((*parts)[0])],
+           TruthRecord{*outcome, *states, /*from_disk=*/true});
     ++stats.records;
   }
   return stats;
@@ -305,8 +361,9 @@ bool TruthStore::save(const std::string& path) const {
     if (!out) return false;
     out << kMagic << " " << kVersion << " fp=" << hex16(fingerprint_) << "\n";
     const std::scoped_lock lock(mu_);
-    for (const auto& [key, record] : map_)
-      out << format_record(key, record) << "\n";
+    for (const auto& [key, entry] : map_)
+      if (entry.flight == nullptr)
+        out << format_record(key, entry.record) << "\n";
     out.flush();
     if (!out) {
       std::error_code ec;
@@ -333,18 +390,20 @@ bool TruthStore::merge_from(const TruthStore& other, std::string* error) {
                 hex16(other.fingerprint_));
   if (&other == this) return true;
   const std::scoped_lock lock(mu_, other.mu_);  // std::lock: deadlock-free
-  for (const auto& [key, record] : other.map_) {
-    const auto it = map_.find(key);
-    if (it != map_.end() && (it->second.outcome != record.outcome ||
-                             it->second.states != record.states)) {
-      return fail("contradictory records for key '" + key + "': " +
-                  record_payload(key, it->second) + " vs " +
-                  record_payload(key, record));
+  for (const auto& [key, theirs] : other.map_) {
+    if (theirs.flight != nullptr) continue;  // claimed there, no record yet
+    const auto [it, fresh] = map_.try_emplace(key);
+    Entry& mine = it->second;
+    if (!fresh && mine.flight == nullptr) {
+      if (mine.record.outcome != theirs.record.outcome ||
+          mine.record.states != theirs.record.states)
+        return fail("contradictory records for key '" + key + "': " +
+                    record_payload(key, mine.record) + " vs " +
+                    record_payload(key, theirs.record));
+      continue;
     }
-    if (it == map_.end()) {
-      map_.emplace(key, record);
-      unpersisted_.push_back(key);
-    }
+    settle(mine, theirs.record);
+    unpersisted_.push_back(key);
   }
   return true;
 }

@@ -25,10 +25,16 @@
 // campaign's is loaded as empty — every lookup misses — rather than
 // rejected, because stale truth is merely useless, not dangerous: the
 // campaign recomputes and the next save() replaces the file.
+//
+// Within a process the store is also single-flight: claim() lets exactly
+// one caller search a missing key while concurrent callers for the same key
+// park or wait for that caller's insert() instead of repeating the search.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -88,16 +94,70 @@ struct TruthLoadStats {
 /// campaign runner uses one instance as both its in-run memo table and its
 /// cross-run cache.
 class TruthStore {
+  /// One claimed key: its waiters block on `settled` until `done`.
+  struct Flight {
+    std::condition_variable settled;
+    bool done = false;
+  };
+  struct Entry {
+    TruthRecord record;
+    std::shared_ptr<Flight> flight;  ///< non-null while the key is claimed
+  };
+  using Map = std::map<std::string, Entry>;
+
  public:
+  /// What claim() found for a key. A kOwner claim obliges its holder to
+  /// search the key and settle it with insert(); destroying the claim
+  /// unsettled (an exception path) releases the key, and one of its
+  /// waiters claims it next.
+  class Claim {
+   public:
+    enum class Kind : std::uint8_t {
+      kHit,       ///< the key has a record: record()
+      kOwner,     ///< this caller searches the key
+      kInFlight,  ///< another owner is searching it (claim without wait)
+    };
+
+    Claim(Claim&& other) noexcept;
+    ~Claim();
+
+    [[nodiscard]] Kind kind() const { return kind_; }
+    /// The stored record; kHit only.
+    [[nodiscard]] const TruthRecord& record() const { return record_; }
+
+   private:
+    friend class TruthStore;
+    Claim(Kind kind, TruthRecord record) : kind_(kind), record_(record) {}
+    Claim(TruthStore* store, Map::iterator entry,
+          std::shared_ptr<Flight> flight);
+
+    Kind kind_;
+    TruthRecord record_;
+    // kOwner only.
+    TruthStore* store_ = nullptr;
+    Map::iterator entry_;
+    std::shared_ptr<Flight> flight_;
+  };
+
   TruthStore() = default;
   explicit TruthStore(std::uint64_t fingerprint) : fingerprint_(fingerprint) {}
 
   [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
+  /// Records held; claimed keys without a record do not count.
   [[nodiscard]] std::size_t size() const;
 
+  /// The record for `key`; nullopt when it has none yet, claimed or not.
   [[nodiscard]] std::optional<TruthRecord> lookup(const std::string& key) const;
 
-  /// Inserts or overwrites. `from_disk` is stored as given (the runner
+  /// lookup() that claims a missing key: the first caller to miss it gets
+  /// kOwner, and every later caller finds the key in flight until the
+  /// owner's insert(). Such a caller gets kInFlight at once, or with `wait`
+  /// blocks until the key settles and then gets kHit (or kOwner, when the
+  /// owner released the key without a record).
+  [[nodiscard]] Claim claim(const std::string& key, bool wait);
+
+  /// Inserts or overwrites, settling any claim on `key` and waking the
+  /// callers waiting for it. `from_disk` is stored as given (the runner
   /// always inserts with false).
   void insert(const std::string& key, TruthRecord record);
 
@@ -141,9 +201,14 @@ class TruthStore {
                                                  const TruthRecord& record);
 
  private:
+  /// Stores `record` in `entry`, settling its claim if it has one. Caller
+  /// holds mu_.
+  void settle(Entry& entry, const TruthRecord& record);
+
   mutable std::mutex mu_;
   std::uint64_t fingerprint_ = 0;
-  std::map<std::string, TruthRecord> map_;  ///< sorted => deterministic save
+  Map map_;  ///< sorted => deterministic save; claimed keys have no record
+  std::size_t in_flight_ = 0;  ///< entries with a live claim
   /// Keys inserted (not loaded) since the last checkpoint(), in arrival
   /// order. insert() only records a key whose mapping actually changed, so
   /// re-inserting an identical record never duplicates an append.

@@ -203,6 +203,7 @@ WorkerResult run_worker(const WorkerConfig& config) {
         result.truth_disk_hits += batch.truth_disk_hits;
         result.truth_memo_hits += batch.truth_memo_hits;
         result.truth_misses += batch.truth_misses;
+        result.truth_parked += batch.truth_parked;
         result.scenarios += batch.records.size();
         ++result.batches_done;
       }  // renewer stops before the claim is released

@@ -53,6 +53,7 @@ struct WorkerResult {
   std::uint64_t truth_disk_hits = 0;
   std::uint64_t truth_memo_hits = 0;
   std::uint64_t truth_misses = 0;
+  std::uint64_t truth_parked = 0;  ///< also counted in truth_memo_hits
   /// Why the loop ended: "shutdown" (sentinel seen, queue empty),
   /// "idle-timeout", "max-batches", "no-manifest", or "manifest-mismatch"
   /// (this binary derives a different truth fingerprint than the manifest

@@ -3,8 +3,8 @@
 //
 // The engine's contract (deadlock_search.hpp): threads and
 // steal_granularity are pure scheduling knobs. Verdicts, exhaustive state
-// counts, and — with canonical_witness (the default) — the entire witness
-// are byte-identical across every (threads, granularity) combination. These
+// counts, and the entire witness are byte-identical across every
+// (threads, granularity) combination. These
 // tests pin that matrix on the paper's instances, then check the scheduler
 // counters on the skewed tree that motivated work stealing: one deep spine
 // behind a wide shallow root, the worst case for static partitioning.
@@ -73,10 +73,9 @@ TEST(WorkStealingDeterminism, ExhaustiveCountsIdenticalAcrossSchedules) {
 }
 
 TEST(WorkStealingDeterminism, WitnessIdenticalAcrossSchedules) {
-  // Figure 2 deadlocks. With canonical_witness (default), the parallel
-  // engines re-derive the serial result, so witness text, machine grants
-  // and the deadlocked cycle are byte-identical to threads=1 for every
-  // (threads, granularity) pair.
+  // Figure 2 deadlocks. The parallel engines re-derive the serial result,
+  // so witness text, machine grants and the deadlocked cycle are
+  // byte-identical to threads=1 for every (threads, granularity) pair.
   const core::CyclicFamily family(core::fig2_spec());
   const auto specs = family.message_specs();
   const auto baseline = find_deadlock(family.algorithm(), specs,
@@ -105,33 +104,6 @@ TEST(WorkStealingDeterminism, WitnessIdenticalAcrossSchedules) {
                   baseline.deadlock_configuration.placements[i].occupied);
     }
   }
-}
-
-TEST(WorkStealingDeterminism, RawParallelWitnessStillReplays) {
-  // canonical_witness off: the result is the raw Dewey-ordinal winner. Its
-  // identity may depend on the schedule, but it must still be a legal
-  // machine witness that replays to the claimed configuration.
-  const core::CyclicFamily family(core::fig2_spec());
-  const auto specs = family.message_specs();
-  SearchLimits limits = sched(4, 2);
-  limits.canonical_witness = false;
-  const auto result = find_deadlock(family.algorithm(), specs,
-                                    AdversaryModel::kSynchronous, limits);
-  ASSERT_TRUE(result.deadlock_found);
-  ASSERT_FALSE(result.witness_grants.empty());
-
-  sim::SimConfig config;
-  config.buffer_depth = 1;
-  sim::WormholeSimulator replay(family.algorithm(), config);
-  for (const auto& spec : specs) replay.add_message(spec);
-  for (const auto& grants : result.witness_grants)
-    replay.step_with_grants(grants);
-  const auto final_config = snapshot(replay);
-  ASSERT_EQ(final_config.placements.size(),
-            result.deadlock_configuration.placements.size());
-  for (std::size_t i = 0; i < final_config.placements.size(); ++i)
-    EXPECT_EQ(final_config.placements[i].occupied,
-              result.deadlock_configuration.placements[i].occupied);
 }
 
 TEST(WorkStealing, SkewedTreeSplitsAndSteals) {

@@ -41,7 +41,6 @@ TEST(ProbationCampaign, MemoKnobsFoldIntoTruthFingerprint) {
   CampaignConfig sched = sweep_config();
   sched.eval.limits.steal_granularity = 2;
   sched.eval.limits.threads = 8;
-  sched.eval.limits.canonical_witness = false;
   EXPECT_EQ(campaign_truth_fingerprint(sched.eval), exact_fp);
 }
 

@@ -257,6 +257,34 @@ TEST(RunCampaignRange, LeavesCacheFileToTheStoreOwner) {
       << "an external store means the fleet owns persistence";
 }
 
+TEST(SingleFlight, EachTruthKeyIsSearchedOnceAtFourShards) {
+  // A Section-6-only stream draws just two truth keys (k = 1 and k = 2),
+  // so four shards starting together would search each key several times
+  // without single flight. A small state budget keeps every probe short.
+  const auto run = [](unsigned shards) {
+    CampaignConfig config = small_config(shards);
+    config.count = 16;
+    config.knobs.family_fraction = 1;
+    config.knobs.section6_fraction = 1;
+    config.eval.limits.max_states = 4'000;
+    config.cache_file = (std::filesystem::path(::testing::TempDir()) /
+                         ("single_flight_" + std::to_string(shards) +
+                          ".truthstore"))
+                            .string();
+    std::filesystem::remove(config.cache_file);
+    return run_campaign(config);
+  };
+  const CampaignResult one = run(1);
+  const CampaignResult four = run(4);
+  EXPECT_EQ(one.truth_misses, 2u);
+  EXPECT_EQ(one.truth_parked, 0u);
+  EXPECT_EQ(four.truth_misses, one.truth_misses);
+  EXPECT_EQ(four.truth_stored, four.truth_misses);
+  EXPECT_EQ(four.truth_memo_hits, one.truth_memo_hits);
+  EXPECT_LE(four.truth_parked, four.truth_memo_hits);
+  EXPECT_EQ(jsonl_of(four), jsonl_of(one));
+}
+
 TEST(FixtureExtraction, FindsEmbeddedScenarios) {
   const std::string fixture =
       "{\n  \"rule\": \"x\",\n"

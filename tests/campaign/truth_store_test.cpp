@@ -1,12 +1,16 @@
 // TruthStore: on-disk format robustness (corrupt tails, version and
-// fingerprint mismatches), atomic-rename save under racing writers, and
-// cross-store merge semantics.
+// fingerprint mismatches), atomic-rename save under racing writers,
+// cross-store merge semantics, and single-flight claims.
 #include "campaign/truth_store.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string_view>
 #include <thread>
@@ -239,15 +243,13 @@ TEST(TruthStore, FingerprintTracksSearchKnobs) {
   EXPECT_NE(truth_fingerprint(budgeted, 8, 4), base);
 
   // Verdict-neutral knobs must NOT invalidate caches: witness strings,
-  // progress logging, and the schedule (thread count, steal granularity,
-  // which equivalent witness is reported) never change what the search
-  // finds.
+  // progress logging, and the schedule (thread count, steal granularity)
+  // never change what the search finds.
   analysis::SearchLimits cosmetic = limits;
   cosmetic.build_witness = !cosmetic.build_witness;
   cosmetic.progress_log_interval = 12345;
   cosmetic.threads = 7;
   cosmetic.steal_granularity = 2;
-  cosmetic.canonical_witness = false;
   EXPECT_EQ(truth_fingerprint(cosmetic, 8, 4), base);
 }
 
@@ -404,6 +406,149 @@ TEST(TruthStoreCheckpoint, ForeignFingerprintFallsBackToFullSave) {
   EXPECT_EQ(loaded.size(), 1u);
   EXPECT_TRUE(loaded.lookup("a").has_value());
   EXPECT_FALSE(loaded.lookup("x").has_value());
+}
+
+using ClaimKind = TruthStore::Claim::Kind;
+
+/// Long enough for a started thread to reach its blocking wait; the claim
+/// tests pass whether or not it has, they only exercise less without it.
+void let_waiters_block() {
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+}
+
+TEST(TruthStoreClaim, EightClaimersYieldOneOwner) {
+  TruthStore store(kFp);
+  constexpr int kClaimers = 8;
+  std::array<std::optional<ClaimKind>, kClaimers> kinds;
+  std::atomic<int> claimed{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kClaimers; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      const TruthStore::Claim claim = store.claim("k", /*wait=*/false);
+      kinds[t] = claim.kind();
+      // Hold every claim until all have been made, so no owner releases
+      // the key before a rival probes it.
+      claimed.fetch_add(1);
+      while (claimed.load() < kClaimers) std::this_thread::yield();
+      if (claim.kind() == ClaimKind::kOwner)
+        store.insert("k", {SearchOutcome::kNoDeadlock, 7});
+    });
+  }
+  go.store(true);
+  for (std::thread& t : threads) t.join();
+
+  int owners = 0, in_flight = 0;
+  for (const auto& kind : kinds) {
+    owners += kind == ClaimKind::kOwner ? 1 : 0;
+    in_flight += kind == ClaimKind::kInFlight ? 1 : 0;
+  }
+  EXPECT_EQ(owners, 1);
+  EXPECT_EQ(in_flight, kClaimers - 1);
+  ASSERT_TRUE(store.lookup("k").has_value());
+  EXPECT_EQ(store.lookup("k")->states, 7u);
+  EXPECT_EQ(store.size(), 1u);
+}
+
+TEST(TruthStoreClaim, OwnerInsertWakesAWaiterWithTheRecord) {
+  TruthStore store(kFp);
+  const TruthStore::Claim owner = store.claim("k", /*wait=*/false);
+  ASSERT_EQ(owner.kind(), ClaimKind::kOwner);
+  const TruthStore::Claim rival = store.claim("j", /*wait=*/false);
+  ASSERT_EQ(rival.kind(), ClaimKind::kOwner);
+
+  std::optional<ClaimKind> waited_kind;
+  TruthRecord waited_record;
+  std::thread waiter([&] {
+    const TruthStore::Claim claim = store.claim("k", /*wait=*/true);
+    waited_kind = claim.kind();
+    waited_record = claim.record();
+  });
+  std::atomic<bool> other_done{false};
+  std::thread other([&] {
+    const TruthStore::Claim claim = store.claim("j", /*wait=*/true);
+    other_done.store(true);
+  });
+  let_waiters_block();
+  store.insert("k", {SearchOutcome::kDeadlock, 42});
+  waiter.join();
+  EXPECT_EQ(waited_kind, ClaimKind::kHit);
+  EXPECT_EQ(waited_record.outcome, SearchOutcome::kDeadlock);
+  EXPECT_EQ(waited_record.states, 42u);
+  EXPECT_FALSE(waited_record.from_disk);
+
+  // Settling "k" does not release "j"'s waiter.
+  let_waiters_block();
+  EXPECT_FALSE(other_done.load());
+  store.insert("j", {SearchOutcome::kNoDeadlock, 5});
+  other.join();
+  EXPECT_TRUE(other_done.load());
+  EXPECT_EQ(store.size(), 2u);
+}
+
+TEST(TruthStoreClaim, ReleasedClaimPassesToAWaiter) {
+  TruthStore store(kFp);
+  std::optional<TruthStore::Claim> owner;
+  owner.emplace(store.claim("k", /*wait=*/false));
+  ASSERT_EQ(owner->kind(), ClaimKind::kOwner);
+
+  std::optional<ClaimKind> waited_kind;
+  std::thread waiter([&] {
+    const TruthStore::Claim claim = store.claim("k", /*wait=*/true);
+    waited_kind = claim.kind();
+    if (claim.kind() == ClaimKind::kOwner)
+      store.insert("k", {SearchOutcome::kInconclusive, 9});
+  });
+  let_waiters_block();
+  owner.reset();  // destroyed without a record: an exception path
+  waiter.join();
+  EXPECT_EQ(waited_kind, ClaimKind::kOwner);
+  ASSERT_TRUE(store.lookup("k").has_value());
+  EXPECT_EQ(store.lookup("k")->states, 9u);
+
+  // With no waiter, a released key is simply claimable again.
+  owner.emplace(store.claim("fresh", /*wait=*/false));
+  EXPECT_EQ(owner->kind(), ClaimKind::kOwner);
+  owner.reset();
+  EXPECT_FALSE(store.lookup("fresh").has_value());
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.claim("fresh", /*wait=*/true).kind(), ClaimKind::kOwner);
+}
+
+TEST(TruthStoreClaim, UnclaimedKeysKeepLookupAndInsert) {
+  const std::string path = temp_path("claimed.truthstore");
+  TruthStore store(kFp);
+  fill(store, {{"a", {SearchOutcome::kDeadlock, 10}}});
+  const TruthStore::Claim held = store.claim("b", /*wait=*/false);
+  ASSERT_EQ(held.kind(), ClaimKind::kOwner);
+
+  // A claimed key has no record: lookup misses it, size and files skip it.
+  ASSERT_TRUE(store.lookup("a").has_value());
+  EXPECT_EQ(store.lookup("a")->states, 10u);
+  EXPECT_FALSE(store.lookup("b").has_value());
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.unpersisted(), 1u);
+  ASSERT_TRUE(store.save(path));
+  TruthStore loaded(kFp);
+  EXPECT_EQ(loaded.load(path).records, 1u);
+  TruthStore merged(kFp);
+  ASSERT_TRUE(merged.merge_from(store));
+  EXPECT_EQ(merged.size(), 1u);
+
+  // A stored key is a hit that carries its record.
+  const TruthStore::Claim hit = store.claim("a", /*wait=*/false);
+  EXPECT_EQ(hit.kind(), ClaimKind::kHit);
+  EXPECT_EQ(hit.record().outcome, SearchOutcome::kDeadlock);
+  EXPECT_EQ(hit.record().states, 10u);
+
+  // Inserting an identical record is still not fresh; settling is.
+  store.insert("a", {SearchOutcome::kDeadlock, 10});
+  EXPECT_EQ(store.unpersisted(), 1u);
+  store.insert("b", {SearchOutcome::kNoDeadlock, 20});
+  EXPECT_EQ(store.unpersisted(), 2u);
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.lookup("b")->states, 20u);
 }
 
 TEST(TruthStore, OutcomeStringsRoundTrip) {

@@ -142,11 +142,12 @@ int main(int argc, char** argv) {
                       result.reduction_divergences));
     if (!config.cache_file.empty())
       std::printf("  truth-cache %s: loaded=%llu disk-hits=%llu "
-                  "memo-hits=%llu misses=%llu stored=%llu%s\n",
+                  "memo-hits=%llu parked=%llu misses=%llu stored=%llu%s\n",
                   result.truth_disk_hits > 0 ? "warm" : "cold",
                   static_cast<unsigned long long>(result.truth_loaded),
                   static_cast<unsigned long long>(result.truth_disk_hits),
                   static_cast<unsigned long long>(result.truth_memo_hits),
+                  static_cast<unsigned long long>(result.truth_parked),
                   static_cast<unsigned long long>(result.truth_misses),
                   static_cast<unsigned long long>(result.truth_stored),
                   result.cache_saved ? "" : " (SAVE FAILED)");

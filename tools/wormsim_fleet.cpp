@@ -69,12 +69,13 @@ int main(int argc, char** argv) {
     if (!quiet)
       std::printf(
           "worker %s: batches=%llu scenarios=%llu disk-hits=%llu "
-          "memo-hits=%llu misses=%llu (%s)\n",
+          "memo-hits=%llu parked=%llu misses=%llu (%s)\n",
           worker.name.empty() ? "w<pid>" : worker.name.c_str(),
           static_cast<unsigned long long>(result.batches_done),
           static_cast<unsigned long long>(result.scenarios),
           static_cast<unsigned long long>(result.truth_disk_hits),
           static_cast<unsigned long long>(result.truth_memo_hits),
+          static_cast<unsigned long long>(result.truth_parked),
           static_cast<unsigned long long>(result.truth_misses),
           result.exit_reason.c_str());
     if (result.exit_reason == "no-manifest" ||

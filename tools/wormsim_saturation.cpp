@@ -135,6 +135,19 @@ const std::vector<std::pair<std::string, sim::TrafficPattern>> kPatterns = {
     {"bitrev", sim::TrafficPattern::kBitReversal},
     {"hotspot", sim::TrafficPattern::kHotspot}};
 
+/// The workload generator's permutation preconditions: transpose needs a
+/// square terminal count, bit reversal a power of two.
+bool pattern_fits(sim::TrafficPattern pattern, std::size_t terminals) {
+  if (pattern == sim::TrafficPattern::kTranspose) {
+    std::size_t side = 0;
+    while ((side + 1) * (side + 1) <= terminals) ++side;
+    return side * side == terminals;
+  }
+  if (pattern == sim::TrafficPattern::kBitReversal)
+    return std::has_single_bit(terminals);
+  return true;
+}
+
 /// Declares every flag on `opt`. The value checks mirror the fabric
 /// builders' preconditions, so a bad shape exits 2 before anything is built.
 void declare_flags(cli::Parser& p, Options& opt) {
@@ -238,6 +251,20 @@ int main(int argc, char** argv) {
   parser.parse(argc, argv);
 
   Fabric fabric = build_fabric(opt);
+  // Only the built fabric knows its terminal count, so a permutation
+  // pattern that does not fit it is refused here, before any workload.
+  const std::size_t terminals = fabric.terminals.size();
+  if (!pattern_fits(opt.pattern, terminals)) {
+    std::string name, fitting;
+    for (const auto& [word, pattern] : kPatterns) {
+      if (pattern == opt.pattern) name = word;
+      if (pattern_fits(pattern, terminals))
+        fitting += (fitting.empty() ? "" : "|") + word;
+    }
+    return parser.error("bad value for --pattern: '" + name + "' (expected " +
+                        fitting + " for this fabric's " +
+                        std::to_string(terminals) + " terminals)");
+  }
   // A synthesized table (wormsim-table-v1, e.g. from wormsim_synth
   // --out-dir) replaces the fabric's built-in algorithm. The loader pins the
   // topology shape; we additionally require every terminal pair routed so
