@@ -1,8 +1,8 @@
 // Observability overhead: the same 8x8-mesh workload with instrumentation
-// off, with the typed trace sink attached, with the legacy string hook, and
-// with metrics attached. The disabled configuration is the acceptance
-// gate — it must track bench_sim_latency's baseline, since every event site
-// costs exactly one branch when nothing is listening.
+// off, with the typed trace sink attached, and with metrics attached. The
+// disabled configuration is the acceptance gate — it must track
+// bench_sim_latency's baseline, since every event site costs exactly one
+// branch when nothing is listening.
 //
 // The binary also demonstrates the machine-readable pipeline: after the
 // benchmark run it writes BENCH_obs_overhead.json (a RunReport with an
@@ -29,7 +29,7 @@ using namespace wormsim;
 
 namespace {
 
-enum class Mode { kDisabled, kTraceBuffer, kLegacyHook, kMetrics };
+enum class Mode { kDisabled, kTraceBuffer, kMetrics };
 
 constexpr sim::Cycle kHorizon = 4'000;
 constexpr sim::Cycle kDrain = 30'000;
@@ -56,7 +56,6 @@ void run_mode(benchmark::State& state, Mode mode) {
   sim_config.max_cycles = kDrain;
 
   std::size_t events = 0;
-  std::uint64_t legacy_lines = 0;
   for (auto _ : state) {
     sim::WormholeSimulator simulator(dor, sim_config, policy);
     for (const auto& spec : specs) simulator.add_message(spec);
@@ -67,12 +66,6 @@ void run_mode(benchmark::State& state, Mode mode) {
         break;
       case Mode::kTraceBuffer:
         simulator.set_trace_sink(&buffer);
-        break;
-      case Mode::kLegacyHook:
-        simulator.set_event_hook(
-            [&legacy_lines](sim::Cycle, const std::string&) {
-              ++legacy_lines;
-            });
         break;
       case Mode::kMetrics:
         simulator.attach_metrics(registry);
@@ -87,8 +80,6 @@ void run_mode(benchmark::State& state, Mode mode) {
   state.counters["offered"] = static_cast<double>(specs.size());
   if (mode == Mode::kTraceBuffer)
     state.counters["events"] = static_cast<double>(events);
-  if (mode == Mode::kLegacyHook)
-    state.counters["lines"] = static_cast<double>(legacy_lines);
 }
 
 void BM_Obs_Disabled(benchmark::State& state) {
@@ -100,11 +91,6 @@ void BM_Obs_TraceBuffer(benchmark::State& state) {
   run_mode(state, Mode::kTraceBuffer);
 }
 BENCHMARK(BM_Obs_TraceBuffer)->Unit(benchmark::kMillisecond);
-
-void BM_Obs_LegacyHook(benchmark::State& state) {
-  run_mode(state, Mode::kLegacyHook);
-}
-BENCHMARK(BM_Obs_LegacyHook)->Unit(benchmark::kMillisecond);
 
 void BM_Obs_Metrics(benchmark::State& state) {
   run_mode(state, Mode::kMetrics);

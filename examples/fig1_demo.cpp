@@ -8,6 +8,7 @@
 // Definition-6 configuration.
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "analysis/deadlock_search.hpp"
 #include "cdg/cdg.hpp"
@@ -48,11 +49,12 @@ int main() {
       simulator.add_message(spec);
     obs::TraceBuffer trace;
     simulator.set_trace_sink(&trace);
-    simulator.set_event_hook([&](sim::Cycle cycle, const std::string& text) {
-      std::printf("  [%2llu] %s\n", static_cast<unsigned long long>(cycle),
-                  text.c_str());
-    });
     const auto result = simulator.run();
+    for (const obs::TraceEvent& event : trace.events())
+      if (const std::string text = obs::narrate(event, net); !text.empty())
+        std::printf("  [%2llu] %s\n",
+                    static_cast<unsigned long long>(event.cycle),
+                    text.c_str());
     std::printf("outcome: %s after %llu cycles — the first message injected "
                 "is never blocked (Theorem 1's case analysis).\n",
                 result.outcome == sim::RunOutcome::kAllConsumed

@@ -17,7 +17,6 @@
 #include "analysis/state_table.hpp"
 #include "routing/routing.hpp"
 #include "util/assert.hpp"
-#include "util/log.hpp"
 #include "util/varint.hpp"
 
 namespace wormsim::analysis {
@@ -235,6 +234,12 @@ constexpr std::uint64_t kStatusPublishStride = 1024;
 /// this many parked subtrees, further splitting only adds bookkeeping —
 /// starving peers will drain the deque long before then.
 constexpr std::size_t kDequeCap = 64;
+
+/// How many sibling branches a worker materializes into its deque per
+/// split when peers starve. Larger values amortize split overhead; smaller
+/// values spread work sooner. Verdicts, witnesses and exhaustive state
+/// counts do not depend on it.
+constexpr std::size_t kStealGranularity = 8;
 
 /// The DFS engine shared by the oblivious and adaptive entry points.
 ///
@@ -550,16 +555,6 @@ class SearchEngine {
       status_->publish_worker(w.index, live);
       status_->publish_states(count);
     }
-    if (limits_.progress_log_interval != 0 &&
-        count % limits_.progress_log_interval == 0) {
-      const auto elapsed = std::chrono::duration<double>(
-          std::chrono::steady_clock::now() - started_);
-      WORMSIM_LOG(Info) << "deadlock search: " << count << " states, "
-                        << (elapsed.count() > 0
-                                ? static_cast<double>(count) / elapsed.count()
-                                : 0)
-                        << " states/s";
-    }
     return Lookup::kFresh;
   }
 
@@ -698,7 +693,7 @@ class SearchEngine {
     }
 
     std::vector<WorkItem> batch;
-    while (frame.has_pending && batch.size() < limits_.steal_granularity) {
+    while (frame.has_pending && batch.size() < kStealGranularity) {
       Assignment choice = std::move(frame.pending);
       const std::uint32_t ordinal = frame.next_ordinal++;
       frame.has_pending = frame.gen.next(frame.pending, w.taken);

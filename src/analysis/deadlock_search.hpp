@@ -43,7 +43,6 @@
 // thread-count-independent.
 #pragma once
 
-#include <algorithm>
 #include <optional>
 #include <span>
 #include <string>
@@ -51,7 +50,7 @@
 
 #include "analysis/configuration.hpp"
 #include "analysis/reduction.hpp"
-#include "obs/metrics.hpp"
+#include "obs/search_profile.hpp"
 #include "sim/simulator.hpp"
 
 namespace wormsim::analysis {
@@ -80,9 +79,6 @@ struct SearchLimits {
   /// witness (witness_grants) is always produced; the strings are pure
   /// presentation, so long sweeps can turn them off.
   bool build_witness = true;
-  /// When nonzero, log search progress (states explored, states/sec) at
-  /// Info level every this-many explored states.
-  std::uint64_t progress_log_interval = 0;
   /// DFS worker threads. 1 (the default) runs fully serially. Values > 1
   /// run this many work-stealing DFS workers over a shared visited table.
   /// 0 means std::thread::hardware_concurrency(). Verdicts are identical to
@@ -91,11 +87,6 @@ struct SearchLimits {
   /// per-worker shard counters vary run-to-run because workers race to
   /// memoize shared states.
   unsigned threads = 1;
-  /// Work stealing: how many sibling branches a worker materializes into
-  /// its deque per split when peers starve. Larger values amortize split
-  /// overhead; smaller values spread work sooner. Purely a scheduling knob:
-  /// verdicts, witnesses and exhaustive state counts do not depend on it.
-  std::size_t steal_granularity = 8;
   /// Cap on the StateTable's logical resident bytes (0 = unlimited).
   /// Overflow ends the search non-exhausted, exactly like max_states.
   /// Folds into the campaign truth fingerprint when set.
@@ -120,74 +111,9 @@ struct SearchLimits {
   SearchStatusBoard* status = nullptr;
 };
 
-/// Where the search spent its effort. memo_misses counts unique states
-/// expanded (== states_explored); memo_hits counts transitions into
-/// already-visited states, so hits + misses is the total number of state-key
-/// lookups.
-struct SearchProfile {
-  std::uint64_t memo_hits = 0;
-  std::uint64_t memo_misses = 0;
-  /// Deepest DFS stack reached (cycles of the longest execution examined).
-  /// In a parallel search this includes the frontier prefix depth.
-  std::uint64_t peak_depth = 0;
-  /// Adversary assignments generated per expanded state. Branches are
-  /// produced lazily, so a state retired early (deadlock found / limits
-  /// hit) reports the branches generated so far, not its full fan-out.
-  obs::Histogram branch_factor;
-  /// States whose assignment enumeration hit max_branches_per_state.
-  std::uint64_t branch_truncations = 0;
-  /// Child transitions discarded because they exceeded the delay budget.
-  std::uint64_t budget_prunes = 0;
-  /// Work-stealing scheduler counters (0 in a serial search). steals counts
-  /// items taken from another worker's deque; steal_attempts counts victim
-  /// probes (including failed ones); splits counts stack-split events and
-  /// split_items the work items they materialized.
-  std::uint64_t steals = 0;
-  std::uint64_t steal_attempts = 0;
-  std::uint64_t splits = 0;
-  std::uint64_t split_items = 0;
-  /// Per-worker wall time split into running-an-item (busy) and looking-
-  /// for-work (idle) phases. Scheduling telemetry, not determinism-bearing.
-  std::uint64_t busy_ns = 0;
-  std::uint64_t idle_ns = 0;
-  /// StateTable peak accounted footprint (see StateTable::resident_bytes).
-  /// Stamped on the merged profile only, like the timing fields; merging
-  /// takes the max since shards observe one shared table.
-  std::uint64_t table_peak_resident_bytes = 0;
-  /// Wall-clock figures, stamped once per search. elapsed_seconds is
-  /// clamped to >= 1e-9 so sub-millisecond searches (tiny fixtures, warm
-  /// caches) never quantize to 0 and states_per_second stays finite and
-  /// nonzero whenever states were explored.
-  double elapsed_seconds = 0;
-  double states_per_second = 0;
-
-  [[nodiscard]] double memo_hit_rate() const {
-    const std::uint64_t lookups = memo_hits + memo_misses;
-    return lookups == 0 ? 0
-                        : static_cast<double>(memo_hits) /
-                              static_cast<double>(lookups);
-  }
-
-  /// Folds a worker's profile into this accumulator: counters add,
-  /// peak_depth maxes, branch_factor histograms merge. Timing fields are
-  /// left untouched (the engine stamps wall-clock figures once at the end).
-  void merge_from(const SearchProfile& other) {
-    memo_hits += other.memo_hits;
-    memo_misses += other.memo_misses;
-    peak_depth = std::max(peak_depth, other.peak_depth);
-    branch_factor.merge_from(other.branch_factor);
-    branch_truncations += other.branch_truncations;
-    budget_prunes += other.budget_prunes;
-    steals += other.steals;
-    steal_attempts += other.steal_attempts;
-    splits += other.splits;
-    split_items += other.split_items;
-    busy_ns += other.busy_ns;
-    idle_ns += other.idle_ns;
-    table_peak_resident_bytes =
-        std::max(table_peak_resident_bytes, other.table_peak_resident_bytes);
-  }
-};
+/// The search-effort profile is declared in obs with its counter table, so
+/// the status heartbeat can loop over it without depending on analysis.
+using SearchProfile = obs::SearchProfile;
 
 struct DeadlockSearchResult {
   bool deadlock_found = false;

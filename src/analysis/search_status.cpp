@@ -1,19 +1,8 @@
 #include "analysis/search_status.hpp"
 
+#include <algorithm>
+
 namespace wormsim::analysis {
-
-namespace {
-
-void add_table_stats(StateTable::Stats& into, const StateTable::Stats& s) {
-  into.keys += s.keys;
-  into.slots += s.slots;
-  into.arena_bytes += s.arena_bytes;
-  into.stripes += s.stripes;
-  into.contended_locks += s.contended_locks;
-  into.resident_bytes += s.resident_bytes;
-}
-
-}  // namespace
 
 SearchStatusBoard::Sample SearchStatusBoard::sample() const {
   Sample out;
@@ -29,7 +18,7 @@ SearchStatusBoard::Sample SearchStatusBoard::sample() const {
   out.frontier_next =
       done_frontier_next_ + frontier_next_.load(std::memory_order_relaxed);
   out.table = done_table_;
-  if (table_ != nullptr) add_table_stats(out.table, table_->stats());
+  if (table_ != nullptr) out.table += table_->stats();
   out.elapsed_seconds =
       active_ ? std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - search_start_)
@@ -54,7 +43,7 @@ void SearchStatusBoard::begin_search(std::size_t workers,
     shards_[i]->live = SearchProfile{};
   }
   active_workers_ = workers;
-  done_table_ = StateTable::Stats{};
+  done_table_ = obs::TableStats{};
   done_states_ = 0;
   done_frontier_size_ = 0;
   done_frontier_next_ = 0;
@@ -83,7 +72,7 @@ void SearchStatusBoard::begin_segment(const StateTable* table) {
 
 void SearchStatusBoard::end_segment(std::uint64_t final_states) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (table_ != nullptr) add_table_stats(done_table_, table_->stats());
+  if (table_ != nullptr) done_table_ += table_->stats();
   table_ = nullptr;
   done_states_ += final_states;
   done_frontier_size_ += frontier_size_.exchange(0, std::memory_order_relaxed);
@@ -103,55 +92,20 @@ void SearchStatusBoard::publish_worker(std::size_t worker,
   shard.live = profile;
 }
 
-obs::SearchStatus to_search_status(const SearchStatusBoard::Sample& sample) {
+obs::SearchStatus to_search_status(
+    std::span<const SearchStatusBoard::Sample> samples) {
   obs::SearchStatus out;
-  out.active = sample.active;
-  out.searches_started = sample.searches_started;
-  out.searches_finished = sample.searches_finished;
-  out.states_explored = sample.states_explored;
-  out.max_states = sample.max_states;
-  out.frontier_size = sample.frontier_size;
-  out.frontier_next = sample.frontier_next;
-  SearchProfile merged;
-  for (const SearchProfile& p : sample.workers) merged.merge_from(p);
-  out.memo_hits = merged.memo_hits;
-  out.memo_misses = merged.memo_misses;
-  out.memo_hit_rate = merged.memo_hit_rate();
-  out.peak_depth = merged.peak_depth;
-  out.branch_truncations = merged.branch_truncations;
-  out.budget_prunes = merged.budget_prunes;
-  out.steals = merged.steals;
-  out.steal_attempts = merged.steal_attempts;
-  out.splits = merged.splits;
-  out.split_items = merged.split_items;
-  out.branch_p50 = merged.branch_factor.p50();
-  out.branch_p90 = merged.branch_factor.p90();
-  out.branch_p99 = merged.branch_factor.p99();
-  out.table_keys = sample.table.keys;
-  out.table_slots = sample.table.slots;
-  out.table_arena_bytes = sample.table.arena_bytes;
-  out.table_stripes = sample.table.stripes;
-  out.table_contended_locks = sample.table.contended_locks;
-  out.table_resident_bytes = sample.table.resident_bytes;
-  return out;
-}
-
-obs::WorkerStatus to_worker_status(const SearchProfile& profile) {
-  obs::WorkerStatus out;
-  out.states = profile.memo_misses;
-  out.memo_hits = profile.memo_hits;
-  out.memo_misses = profile.memo_misses;
-  out.peak_depth = profile.peak_depth;
-  out.branch_truncations = profile.branch_truncations;
-  out.budget_prunes = profile.budget_prunes;
-  out.steals = profile.steals;
-  out.steal_attempts = profile.steal_attempts;
-  out.splits = profile.splits;
-  out.busy_ns = profile.busy_ns;
-  out.idle_ns = profile.idle_ns;
-  out.branch_p50 = profile.branch_factor.p50();
-  out.branch_p90 = profile.branch_factor.p90();
-  out.branch_p99 = profile.branch_factor.p99();
+  for (const SearchStatusBoard::Sample& s : samples) {
+    out.active |= s.active;
+    out.searches_started += s.searches_started;
+    out.searches_finished += s.searches_finished;
+    out.states_explored += s.states_explored;
+    out.max_states = std::max(out.max_states, s.max_states);
+    out.frontier_size += s.frontier_size;
+    out.frontier_next += s.frontier_next;
+    out.table += s.table;
+    for (const SearchProfile& p : s.workers) out.profile.merge_from(p);
+  }
   return out;
 }
 
@@ -159,12 +113,13 @@ obs::StatusSnapshot search_status_snapshot(const SearchStatusBoard& board) {
   obs::StatusSnapshot snap;
   snap.kind = "search";
   const SearchStatusBoard::Sample s = board.sample();
-  snap.search = to_search_status(s);
+  snap.search = to_search_status({&s, 1});
   snap.states_total = snap.search.states_explored;
   snap.elapsed_seconds = s.elapsed_seconds;
   snap.workers.reserve(s.workers.size());
+  // A DFS worker's states are the fresh states it registered.
   for (const SearchProfile& p : s.workers)
-    snap.workers.push_back(to_worker_status(p));
+    snap.workers.push_back({.states = p.memo_misses, .profile = p});
   return snap;
 }
 

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "analysis/deadlock_search.hpp"
@@ -47,7 +48,7 @@ class SearchStatusBoard {
     std::uint64_t frontier_size = 0;  ///< work items created so far
     std::uint64_t frontier_next = 0;  ///< work items completed so far
     double elapsed_seconds = 0;       ///< current search; final when idle
-    StateTable::Stats table;          ///< summed over the search's segments
+    obs::TableStats table;            ///< summed over the search's segments
     std::vector<SearchProfile> workers;
   };
 
@@ -95,7 +96,7 @@ class SearchStatusBoard {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t active_workers_ = 0;
   const StateTable* table_ = nullptr;  ///< the running segment's
-  StateTable::Stats done_table_;
+  obs::TableStats done_table_;
   std::uint64_t done_states_ = 0;
   std::uint64_t done_frontier_size_ = 0;
   std::uint64_t done_frontier_next_ = 0;
@@ -111,15 +112,11 @@ class SearchStatusBoard {
   std::atomic<std::uint64_t> frontier_next_{0};
 };
 
-/// Distills a board sample into the plain-number obs mirror: worker shards
-/// merged, branch-factor percentiles computed, table stats copied.
+/// Folds board samples into the heartbeat's `search` object: gauges and
+/// table stats add up (max_states takes the largest), and every worker
+/// shard merges into one profile. A campaign passes one sample per shard.
 [[nodiscard]] obs::SearchStatus to_search_status(
-    const SearchStatusBoard::Sample& sample);
-
-/// One worker shard as a status row. Verdict counters stay zero (those
-/// belong to campaign workers); `states` is the shard's memo_misses — the
-/// unique states this worker expanded.
-[[nodiscard]] obs::WorkerStatus to_worker_status(const SearchProfile& profile);
+    std::span<const SearchStatusBoard::Sample> samples);
 
 /// A complete kind="search" snapshot for a bare find_deadlock run — the
 /// producer a StatusSampler needs to heartbeat a standalone search:

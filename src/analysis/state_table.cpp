@@ -110,8 +110,8 @@ std::uint64_t StateTable::size() const {
   return total;
 }
 
-StateTable::Stats StateTable::stats() const {
-  Stats out;
+obs::TableStats StateTable::stats() const {
+  obs::TableStats out;
   out.stripes = stripes_.size();
   for (const Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mutex);

@@ -39,6 +39,8 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/search_profile.hpp"
+
 namespace wormsim::analysis {
 
 /// FNV-1a, 64-bit, applied to 8-byte lanes: the key is consumed one 64-bit
@@ -126,20 +128,11 @@ class StateTable {
     return resident_.load(std::memory_order_relaxed);
   }
 
-  /// Occupancy and contention counters for live telemetry.
-  struct Stats {
-    std::uint64_t keys = 0;         ///< distinct keys stored
-    std::uint64_t slots = 0;        ///< slot capacity, all stripes
-    std::uint64_t arena_bytes = 0;  ///< raw key bytes resident
-    std::uint64_t stripes = 0;
-    std::uint64_t contended_locks = 0;  ///< lookups that had to wait
-    std::uint64_t resident_bytes = 0;  ///< accounted footprint (== peak)
-  };
-
-  /// Takes the stripe locks one at a time, so concurrent inserts can land
-  /// between stripes — the totals are a sampling-grade snapshot (exact once
+  /// Occupancy and contention counters for live telemetry. Takes the
+  /// stripe locks one at a time, so concurrent inserts can land between
+  /// stripes — the totals are a sampling-grade snapshot (exact once
   /// inserters have quiesced), which is all the status heartbeat needs.
-  [[nodiscard]] Stats stats() const;
+  [[nodiscard]] obs::TableStats stats() const;
 
  private:
   /// Open-addressing slot; hash == 0 marks an empty slot (a real zero hash

@@ -187,20 +187,15 @@ struct CacheCounters {
 };
 
 /// Per-campaign-worker telemetry, allocated only when a status file was
-/// requested. Verdict counters are relaxed atomics bumped once per
-/// scenario; the accumulated profile is folded under a mutex at the same
-/// cadence; the board is the live window into the worker's in-flight
-/// ground-truth searches. A run without a status file never allocates
-/// these and the worker loop takes one null-check branch per scenario —
-/// the same discipline as WORMSIM_LOG and the metrics hooks.
+/// requested. The worker folds each finished scenario into `status` under
+/// `mu`, once per scenario, and the sampler copies it under the same lock;
+/// the board is the live window into the worker's in-flight ground-truth
+/// searches. A run without a status file never allocates these and the
+/// worker loop takes one null-check branch per scenario — the same
+/// discipline as WORMSIM_LOG and the metrics hooks.
 struct WorkerTelemetry {
-  std::atomic<std::uint64_t> done{0};
-  std::atomic<std::uint64_t> agree{0};
-  std::atomic<std::uint64_t> disagree{0};
-  std::atomic<std::uint64_t> skip{0};
-  std::atomic<std::uint64_t> states{0};
-  std::mutex profile_mu;
-  analysis::SearchProfile profile;  ///< accumulated over finished scenarios
+  std::mutex mu;
+  obs::WorkerStatus status;  ///< accumulated over finished scenarios
   analysis::SearchStatusBoard board;
 };
 
@@ -349,11 +344,6 @@ Evaluation evaluate_scenario(const Scenario& scenario,
                              const EvalOptions& options) {
   return *evaluate_impl(scenario, options, /*cache=*/nullptr,
                         /*counters=*/nullptr, /*park=*/false);
-}
-
-Evaluation replay_scenario(const Scenario& scenario,
-                           const EvalOptions& options) {
-  return evaluate_scenario(scenario, options);
 }
 
 std::optional<Scenario> scenario_from_fixture(std::string_view text,
@@ -530,21 +520,16 @@ CampaignResult run_range_impl(const CampaignConfig& config,
       record.scenario_json = scenario.to_json();
       if (config.collect_profile) profiles[i - result.first_index] = eval.profile;
       if (tele != nullptr) {
-        tele->done.fetch_add(1, std::memory_order_relaxed);
-        tele->states.fetch_add(eval.states, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(tele->mu);
+        obs::WorkerStatus& w = tele->status;
+        ++w.done;
+        w.states += eval.states;
         switch (eval.verdict) {
-          case Verdict::kAgree:
-            tele->agree.fetch_add(1, std::memory_order_relaxed);
-            break;
-          case Verdict::kDisagree:
-            tele->disagree.fetch_add(1, std::memory_order_relaxed);
-            break;
-          case Verdict::kSkip:
-            tele->skip.fetch_add(1, std::memory_order_relaxed);
-            break;
+          case Verdict::kAgree: ++w.agree; break;
+          case Verdict::kDisagree: ++w.disagree; break;
+          case Verdict::kSkip: ++w.skip; break;
         }
-        std::lock_guard<std::mutex> lock(tele->profile_mu);
-        tele->profile.merge_from(eval.profile);
+        w.profile.merge_from(eval.profile);
       }
       return true;
     };
@@ -572,58 +557,23 @@ CampaignResult run_range_impl(const CampaignConfig& config,
           snap.count = config.count;
           snap.first_index = result.first_index;
           snap.end_index = result.end_index;
-          analysis::SearchProfile live_merged;
+          // `search` folds what the workers' engines are doing right now
+          // (current or last search per board); `workers` carries each
+          // worker's accumulated totals, which the progress counts sum.
+          std::vector<analysis::SearchStatusBoard::Sample> samples;
           for (const auto& tele : telemetry) {
-            snap.done += tele->done.load(std::memory_order_relaxed);
-            snap.agree += tele->agree.load(std::memory_order_relaxed);
-            snap.disagree += tele->disagree.load(std::memory_order_relaxed);
-            snap.skip += tele->skip.load(std::memory_order_relaxed);
-            snap.states_total += tele->states.load(std::memory_order_relaxed);
-            // The `search` section aggregates what the workers' engines are
-            // doing right now (current/last search per board).
-            const auto s = tele->board.sample();
-            snap.search.active |= s.active;
-            snap.search.searches_started += s.searches_started;
-            snap.search.searches_finished += s.searches_finished;
-            snap.search.states_explored += s.states_explored;
-            snap.search.max_states =
-                std::max(snap.search.max_states, s.max_states);
-            snap.search.frontier_size += s.frontier_size;
-            snap.search.frontier_next += s.frontier_next;
-            snap.search.table_keys += s.table.keys;
-            snap.search.table_slots += s.table.slots;
-            snap.search.table_arena_bytes += s.table.arena_bytes;
-            snap.search.table_stripes += s.table.stripes;
-            snap.search.table_contended_locks += s.table.contended_locks;
-            snap.search.table_resident_bytes += s.table.resident_bytes;
-            for (const analysis::SearchProfile& p : s.workers)
-              live_merged.merge_from(p);
-            // The `workers` rows carry each worker's accumulated totals.
-            obs::WorkerStatus w;
-            {
-              std::lock_guard<std::mutex> lock(tele->profile_mu);
-              w = analysis::to_worker_status(tele->profile);
-            }
-            w.done = tele->done.load(std::memory_order_relaxed);
-            w.agree = tele->agree.load(std::memory_order_relaxed);
-            w.disagree = tele->disagree.load(std::memory_order_relaxed);
-            w.skip = tele->skip.load(std::memory_order_relaxed);
-            w.states = tele->states.load(std::memory_order_relaxed);
-            snap.workers.push_back(w);
+            samples.push_back(tele->board.sample());
+            std::lock_guard<std::mutex> lock(tele->mu);
+            snap.workers.push_back(tele->status);
           }
-          snap.search.memo_hits = live_merged.memo_hits;
-          snap.search.memo_misses = live_merged.memo_misses;
-          snap.search.memo_hit_rate = live_merged.memo_hit_rate();
-          snap.search.peak_depth = live_merged.peak_depth;
-          snap.search.branch_truncations = live_merged.branch_truncations;
-          snap.search.budget_prunes = live_merged.budget_prunes;
-          snap.search.steals = live_merged.steals;
-          snap.search.steal_attempts = live_merged.steal_attempts;
-          snap.search.splits = live_merged.splits;
-          snap.search.split_items = live_merged.split_items;
-          snap.search.branch_p50 = live_merged.branch_factor.p50();
-          snap.search.branch_p90 = live_merged.branch_factor.p90();
-          snap.search.branch_p99 = live_merged.branch_factor.p99();
+          snap.search = analysis::to_search_status(samples);
+          for (const obs::WorkerStatus& w : snap.workers) {
+            snap.done += w.done;
+            snap.agree += w.agree;
+            snap.disagree += w.disagree;
+            snap.skip += w.skip;
+            snap.states_total += w.states;
+          }
           snap.truth_disk_hits =
               counters.disk_hits.load(std::memory_order_relaxed);
           snap.truth_memo_hits =

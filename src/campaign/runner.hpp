@@ -48,10 +48,10 @@ enum class Verdict : std::uint8_t { kAgree, kDisagree, kSkip };
 struct EvalOptions {
   /// Per-scenario search limits. run_campaign forces threads to 1 —
   /// parallelism belongs to the shard level so recorded states_explored
-  /// stays deterministic; direct evaluate_scenario / replay_scenario
-  /// callers get whatever they set. limits.reduction (kSafe by default) is
-  /// honored and, when not kOff, folded into the truth-cache fingerprint,
-  /// because reduced searches record different states counts.
+  /// stays deterministic; direct evaluate_scenario callers (replay,
+  /// fixture regressions) get whatever they set. limits.reduction (kSafe by
+  /// default) is honored and, when not kOff, folded into the truth-cache
+  /// fingerprint, because reduced searches record different states counts.
   analysis::SearchLimits limits;
   /// Random-algorithm scenarios: elementary cycles examined for a probe
   /// before declaring a witness gap.
@@ -88,7 +88,9 @@ struct Evaluation {
   bool reduction_divergence = false;
 };
 
-/// Classifies and cross-checks one scenario. Deterministic.
+/// Classifies and cross-checks one scenario (a campaign index, a replayed
+/// fixture, a regression test); callers decide what verdict to demand.
+/// Deterministic.
 [[nodiscard]] Evaluation evaluate_scenario(const Scenario& scenario,
                                            const EvalOptions& options);
 
@@ -204,11 +206,6 @@ struct CampaignResult {
                                                 std::uint64_t first,
                                                 std::uint64_t end,
                                                 TruthStore* store = nullptr);
-
-/// Re-evaluates a single scenario (replay / fixture regression). Returns
-/// the full evaluation; callers decide what verdict to demand.
-[[nodiscard]] Evaluation replay_scenario(const Scenario& scenario,
-                                         const EvalOptions& options);
 
 /// Extracts the scenario object embedded under `key` ("shrunk" or
 /// "scenario") in a disagreement fixture's JSON text. nullopt when the key

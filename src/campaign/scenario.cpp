@@ -1,6 +1,8 @@
 #include "campaign/scenario.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <unordered_set>
 #include <utility>
@@ -19,6 +21,9 @@ namespace {
 constexpr std::uint64_t kRoutingSalt = 0xa2b7c93d51e6f847ull;
 constexpr std::uint64_t kChordSalt = 0x6d1fb3a9428c7e15ull;
 constexpr std::uint64_t kPairSalt = 0x3f8e6b24d9c1a75bull;
+
+constexpr int kIntMin = std::numeric_limits<int>::min();
+constexpr int kIntMax = std::numeric_limits<int>::max();
 
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -207,6 +212,16 @@ std::optional<std::uint64_t> extract_u64_field(std::string_view text,
   return value;
 }
 
+/// `v` as an integer in [lo, hi] (both within int); nullopt when it is not
+/// a number, has a fraction, or lies outside — every case where a plain
+/// cast would truncate or be undefined, or a builder would abort.
+std::optional<int> int_in(const obs::json::Value* v, int lo, int hi) {
+  if (v == nullptr || !v->is_number()) return std::nullopt;
+  const double d = v->as_number();
+  if (!(d >= lo && d <= hi) || d != std::trunc(d)) return std::nullopt;
+  return static_cast<int>(d);
+}
+
 }  // namespace
 
 std::optional<Scenario> Scenario::from_json(std::string_view text) {
@@ -220,7 +235,8 @@ std::optional<Scenario> Scenario::from_json(std::string_view text) {
     return std::nullopt;
 
   Scenario s;
-  s.index = static_cast<std::uint64_t>(index->as_number());
+  if (!index->is_exact_u64()) return std::nullopt;
+  s.index = index->as_u64();
   const auto exact_seed = extract_u64_field(text, "seed");
   if (!exact_seed) return std::nullopt;
   s.seed = *exact_seed;
@@ -237,14 +253,11 @@ std::optional<Scenario> Scenario::from_json(std::string_view text) {
       if (!entry.is_array() || entry.as_array().size() != 3)
         return std::nullopt;
       const auto& triple = entry.as_array();
-      if (!triple[0].is_number() || !triple[1].is_number() ||
-          !triple[2].is_number())
-        return std::nullopt;
-      core::CyclicMessageParams p;
-      p.access = static_cast<int>(triple[0].as_number());
-      p.hold = static_cast<int>(triple[1].as_number());
-      p.uses_shared = triple[2].as_number() != 0;
-      s.family.messages.push_back(p);
+      const auto access = int_in(&triple[0], kIntMin, kIntMax);
+      const auto hold = int_in(&triple[1], kIntMin, kIntMax);
+      const auto shared = int_in(&triple[2], kIntMin, kIntMax);
+      if (!access || !hold || !shared) return std::nullopt;
+      s.family.messages.push_back({*access, *hold, *shared != 0});
     }
     if (!family_spec_buildable(s.family)) return std::nullopt;
     return s;
@@ -260,8 +273,7 @@ std::optional<Scenario> Scenario::from_json(std::string_view text) {
   const auto* lanes = parsed->find("lanes");
   const auto* chords = parsed->find("chords");
   const auto* flavor = parsed->find("flavor");
-  if (!topology || !topology->is_string() || !nodes || !nodes->is_number())
-    return std::nullopt;
+  if (!topology || !topology->is_string()) return std::nullopt;
   const std::string& topo_name = topology->as_string();
   bool known = false;
   for (const TopologyKind k :
@@ -274,26 +286,35 @@ std::optional<Scenario> Scenario::from_json(std::string_view text) {
     }
   }
   if (!known) return std::nullopt;
+  // Every numeric field must be an integer the topology builders accept.
   if (dims && dims->is_array())
     for (const auto& d : dims->as_array()) {
-      if (!d.is_number()) return std::nullopt;
-      s.dims.push_back(static_cast<int>(d.as_number()));
+      const auto radix = int_in(&d, 2, kIntMax);
+      if (!radix) return std::nullopt;
+      s.dims.push_back(*radix);
     }
-  s.nodes = static_cast<int>(nodes->as_number());
-  s.lanes = lanes && lanes->is_number()
-                ? static_cast<std::uint16_t>(lanes->as_number())
-                : std::uint16_t{1};
-  s.extra_chords =
-      chords && chords->is_number() ? static_cast<int>(chords->as_number()) : 0;
+  const bool grid = s.topology == TopologyKind::kMesh ||
+                    s.topology == TopologyKind::kTorus;
+  if (grid && s.dims.empty()) return std::nullopt;
+  const auto node_count =
+      grid ? int_in(nodes, kIntMin, kIntMax)
+      : s.topology == TopologyKind::kHypercube ? int_in(nodes, 1, 20)
+                                                : int_in(nodes, 2, kIntMax);
+  const auto lane_count =
+      lanes ? int_in(lanes, 1, std::numeric_limits<std::uint16_t>::max()) : 1;
+  const auto chord_count = chords ? int_in(chords, 0, kIntMax) : 0;
+  if (!node_count || !lane_count || !chord_count) return std::nullopt;
+  s.nodes = *node_count;
+  s.lanes = static_cast<std::uint16_t>(*lane_count);
+  s.extra_chords = *chord_count;
   s.flavor = flavor && flavor->is_string() &&
                      flavor->as_string() == to_string(RoutingFlavor::kRandomMinimal)
                  ? RoutingFlavor::kRandomMinimal
                  : RoutingFlavor::kRandomTree;
   if (synthesized) {
-    const auto* pairs = parsed->find("pairs");
-    if (!pairs || !pairs->is_number() || pairs->as_number() < 1)
-      return std::nullopt;
-    s.pairs = static_cast<int>(pairs->as_number());
+    const auto pairs = int_in(parsed->find("pairs"), 1, kIntMax);
+    if (!pairs) return std::nullopt;
+    s.pairs = *pairs;
   }
   return s;
 }

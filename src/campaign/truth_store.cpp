@@ -155,8 +155,7 @@ std::uint64_t truth_fingerprint(const analysis::SearchLimits& limits,
     os << ";reduction=" << analysis::to_string(limits.reduction);
   // A byte budget can turn exhaustive verdicts inconclusive, so it gets its
   // own cache namespace; unlimited appends nothing, keeping every existing
-  // cache file warm. steal_granularity is never folded: it only reshapes
-  // the schedule, and campaign probes force threads=1 where it cannot bite.
+  // cache file warm.
   if (limits.memo_budget_bytes != 0)
     os << ";memo_budget=" << limits.memo_budget_bytes
        << ";key_encoding=" << kMemoKeyEncoding;

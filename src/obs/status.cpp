@@ -17,6 +17,17 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// The block the `search` object and every worker entry share: the
+/// counters in table order, then the derived rates and percentiles.
+void append_profile(std::string& out, const SearchProfile& p) {
+  for (const ProfileCounter& c : kProfileCounters)
+    out += "," + json::quote(c.name) + ":" + json::number_u64(p.*c.field);
+  out += ",\"memo_hit_rate\":" + json::number(p.memo_hit_rate());
+  out += ",\"branch_p50\":" + json::number(p.branch_factor.p50());
+  out += ",\"branch_p90\":" + json::number(p.branch_factor.p90());
+  out += ",\"branch_p99\":" + json::number(p.branch_factor.p99());
+}
+
 void append_search(std::string& out, const SearchStatus& s) {
   out += "{\"active\":";
   out += s.active ? "true" : "false";
@@ -26,27 +37,9 @@ void append_search(std::string& out, const SearchStatus& s) {
   out += ",\"max_states\":" + json::number_u64(s.max_states);
   out += ",\"frontier_size\":" + json::number_u64(s.frontier_size);
   out += ",\"frontier_next\":" + json::number_u64(s.frontier_next);
-  out += ",\"memo_hits\":" + json::number_u64(s.memo_hits);
-  out += ",\"memo_misses\":" + json::number_u64(s.memo_misses);
-  out += ",\"memo_hit_rate\":" + json::number(s.memo_hit_rate);
-  out += ",\"peak_depth\":" + json::number_u64(s.peak_depth);
-  out += ",\"branch_truncations\":" + json::number_u64(s.branch_truncations);
-  out += ",\"budget_prunes\":" + json::number_u64(s.budget_prunes);
-  out += ",\"steals\":" + json::number_u64(s.steals);
-  out += ",\"steal_attempts\":" + json::number_u64(s.steal_attempts);
-  out += ",\"splits\":" + json::number_u64(s.splits);
-  out += ",\"split_items\":" + json::number_u64(s.split_items);
-  out += ",\"branch_p50\":" + json::number(s.branch_p50);
-  out += ",\"branch_p90\":" + json::number(s.branch_p90);
-  out += ",\"branch_p99\":" + json::number(s.branch_p99);
-  out += ",\"table_keys\":" + json::number_u64(s.table_keys);
-  out += ",\"table_slots\":" + json::number_u64(s.table_slots);
-  out += ",\"table_arena_bytes\":" + json::number_u64(s.table_arena_bytes);
-  out += ",\"table_stripes\":" + json::number_u64(s.table_stripes);
-  out += ",\"table_contended_locks\":" +
-         json::number_u64(s.table_contended_locks);
-  out += ",\"table_resident_bytes\":" +
-         json::number_u64(s.table_resident_bytes);
+  append_profile(out, s.profile);
+  for (const TableStat& t : kTableStats)
+    out += "," + json::quote(t.name) + ":" + json::number_u64(s.table.*t.field);
   out += "}";
 }
 
@@ -86,19 +79,7 @@ void append_worker(std::string& out, const WorkerStatus& w) {
   out += ",\"disagree\":" + json::number_u64(w.disagree);
   out += ",\"skip\":" + json::number_u64(w.skip);
   out += ",\"states\":" + json::number_u64(w.states);
-  out += ",\"memo_hits\":" + json::number_u64(w.memo_hits);
-  out += ",\"memo_misses\":" + json::number_u64(w.memo_misses);
-  out += ",\"peak_depth\":" + json::number_u64(w.peak_depth);
-  out += ",\"branch_truncations\":" + json::number_u64(w.branch_truncations);
-  out += ",\"budget_prunes\":" + json::number_u64(w.budget_prunes);
-  out += ",\"steals\":" + json::number_u64(w.steals);
-  out += ",\"steal_attempts\":" + json::number_u64(w.steal_attempts);
-  out += ",\"splits\":" + json::number_u64(w.splits);
-  out += ",\"busy_ns\":" + json::number_u64(w.busy_ns);
-  out += ",\"idle_ns\":" + json::number_u64(w.idle_ns);
-  out += ",\"branch_p50\":" + json::number(w.branch_p50);
-  out += ",\"branch_p90\":" + json::number(w.branch_p90);
-  out += ",\"branch_p99\":" + json::number(w.branch_p99);
+  append_profile(out, w.profile);
   out += "}";
 }
 

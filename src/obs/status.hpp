@@ -6,9 +6,9 @@
 //   StatusSnapshot — a plain-number picture of one moment of a run: campaign
 //     progress, truth-cache hit rates, and search-engine internals (per-
 //     worker profile shards, frontier depth, state-table occupancy). The
-//     struct deliberately holds only numbers and strings so that obs stays
-//     below analysis/campaign in the layering — producers mirror their own
-//     state into it.
+//     struct holds only numbers, strings and the obs-level SearchProfile
+//     (obs/search_profile.hpp), so obs stays below analysis/campaign in the
+//     layering — producers mirror their own state into it.
 //
 //   StatusWriter — publishes a snapshot as one JSON file, atomically: the
 //     bytes go to a unique sibling temp file which is then rename(2)d over
@@ -41,15 +41,17 @@
 #include <utility>
 #include <vector>
 
+#include "obs/search_profile.hpp"
+
 namespace wormsim::obs {
 
 /// The `schema` value of every snapshot. Any field addition, removal or
 /// rename bumps the version (docs/observability.md).
-inline constexpr std::string_view kStatusSchema = "wormsim-status-v4";
+inline constexpr std::string_view kStatusSchema = "wormsim-status-v5";
 
-/// What the search engine(s) are doing right now: counters mirrored from
-/// the in-flight searches' per-worker profile shards and state tables.
-/// All-zero when no search has run yet.
+/// What the search engine(s) are doing right now: live gauges, the worker
+/// profile shards merged, and the state tables' occupancy. All-zero when no
+/// search has run yet.
 struct SearchStatus {
   bool active = false;  ///< a search is attached and running this instant
   std::uint64_t searches_started = 0;
@@ -58,26 +60,8 @@ struct SearchStatus {
   std::uint64_t max_states = 0;
   std::uint64_t frontier_size = 0;  ///< work items created so far
   std::uint64_t frontier_next = 0;  ///< work items completed so far
-  std::uint64_t memo_hits = 0;
-  std::uint64_t memo_misses = 0;
-  double memo_hit_rate = 0;
-  std::uint64_t peak_depth = 0;
-  std::uint64_t branch_truncations = 0;
-  std::uint64_t budget_prunes = 0;
-  // Work-stealing scheduler counters, summed over the workers.
-  std::uint64_t steals = 0;
-  std::uint64_t steal_attempts = 0;
-  std::uint64_t splits = 0;
-  std::uint64_t split_items = 0;
-  double branch_p50 = 0;
-  double branch_p90 = 0;
-  double branch_p99 = 0;
-  std::uint64_t table_keys = 0;
-  std::uint64_t table_slots = 0;
-  std::uint64_t table_arena_bytes = 0;
-  std::uint64_t table_stripes = 0;
-  std::uint64_t table_contended_locks = 0;
-  std::uint64_t table_resident_bytes = 0;  ///< accounted footprint (== peak)
+  SearchProfile profile;
+  TableStats table;
 };
 
 /// One worker's accumulated contribution. For a campaign this is a campaign
@@ -89,19 +73,7 @@ struct WorkerStatus {
   std::uint64_t disagree = 0;
   std::uint64_t skip = 0;
   std::uint64_t states = 0;
-  std::uint64_t memo_hits = 0;
-  std::uint64_t memo_misses = 0;
-  std::uint64_t peak_depth = 0;
-  std::uint64_t branch_truncations = 0;
-  std::uint64_t budget_prunes = 0;
-  std::uint64_t steals = 0;         ///< items this worker stole
-  std::uint64_t steal_attempts = 0; ///< victim deques probed
-  std::uint64_t splits = 0;         ///< subtree re-splits performed
-  std::uint64_t busy_ns = 0;        ///< time expanding states
-  std::uint64_t idle_ns = 0;        ///< time hunting for work
-  double branch_p50 = 0;
-  double branch_p90 = 0;
-  double branch_p99 = 0;
+  SearchProfile profile;
 };
 
 /// What a simulator-driven run (saturation sweep, throughput bench) is

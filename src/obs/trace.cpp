@@ -18,7 +18,7 @@ const char* kind_name(TraceEventKind kind) {
   return "unknown";
 }
 
-std::string legacy_text(const TraceEvent& event, const topo::Network& net) {
+std::string narrate(const TraceEvent& event, const topo::Network& net) {
   const std::string m = "m" + std::to_string(event.message.value());
   switch (event.kind) {
     case TraceEventKind::kInject:

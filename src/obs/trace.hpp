@@ -8,10 +8,9 @@
 // chrome://tracing / https://ui.perfetto.dev as per-message instant marks
 // and per-channel occupancy spans.
 //
-// The legacy string EventHook survives as an adapter: legacy_text() formats
-// the exact strings the simulator used to emit (only the four
-// message-lifecycle kinds have legacy text; channel-level and blocked
-// events return empty).
+// narrate() renders one event as the line the Trace log prints (only the
+// four message-lifecycle kinds have one; channel-level and blocked events
+// return empty).
 #pragma once
 
 #include <cstdint>
@@ -74,10 +73,10 @@ class TraceBuffer : public TraceSink {
   std::vector<TraceEvent> events_;
 };
 
-/// The exact string the legacy EventHook used to receive for this event, or
-/// empty for kinds that had no legacy narration (blocked, channel-acquire,
-/// channel-release).
-std::string legacy_text(const TraceEvent& event, const topo::Network& net);
+/// The one-line narration of a message-lifecycle event (inject,
+/// header-advance, delivered, consumed), or empty for the kinds that have
+/// none (blocked, channel-acquire, channel-release).
+std::string narrate(const TraceEvent& event, const topo::Network& net);
 
 /// One event as a single-line JSON object (no trailing newline). With a
 /// network, channel/node fields gain human-readable "_name" companions.

@@ -960,12 +960,9 @@ obs::TraceEvent WormholeSimulator::make_event(obs::TraceEventKind kind,
 
 void WormholeSimulator::trace_event(const obs::TraceEvent& event) {
   if (trace_sink_ != nullptr) trace_sink_->on_event(event);
-  const bool legacy = static_cast<bool>(hook_) ||
-                      util::Log::enabled(util::LogLevel::Trace);
-  if (!legacy) return;
-  const std::string text = obs::legacy_text(event, alg_->net());
+  if (!util::Log::enabled(util::LogLevel::Trace)) return;
+  const std::string text = obs::narrate(event, alg_->net());
   if (text.empty()) return;  // typed-only event kind
-  if (hook_) hook_(cycle_, text);
   WORMSIM_LOG(Trace) << "cycle " << cycle_ << ": " << text;
 }
 

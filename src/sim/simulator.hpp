@@ -262,20 +262,10 @@ class WormholeSimulator {
   /// busy-cycles over channels * now()); 0 before the first cycle.
   [[nodiscard]] double busy_channel_fraction() const;
 
-  /// Legacy string event hook, kept as a thin adapter over the typed trace
-  /// stream: each legacy-visible typed event (inject / header-advance /
-  /// delivered / consumed) is formatted through obs::legacy_text and
-  /// forwarded as (cycle, text).
-  using EventHook = std::function<void(Cycle, const std::string&)>;
-  void set_event_hook(EventHook hook) {
-    hook_ = std::move(hook);
-    refresh_trace_armed();
-  }
-
   /// Typed trace sink; receives every obs::TraceEvent (including blocked /
-  /// channel-acquire / channel-release, which have no legacy string). The
-  /// sink must outlive the simulator or be cleared with nullptr. Disabled
-  /// tracing costs one branch per event site.
+  /// channel-acquire / channel-release, which obs::narrate leaves silent).
+  /// The sink must outlive the simulator or be cleared with nullptr.
+  /// Disabled tracing costs one branch per event site.
   void set_trace_sink(obs::TraceSink* sink) {
     trace_sink_ = sink;
     refresh_trace_armed();
@@ -452,13 +442,13 @@ class WormholeSimulator {
   /// cycle, not mid-cycle).
   [[nodiscard]] bool tracing() const { return trace_armed_; }
   void refresh_trace_armed() {
-    trace_armed_ = !muted_ && (trace_sink_ != nullptr || hook_ ||
+    trace_armed_ = !muted_ && (trace_sink_ != nullptr ||
                                util::Log::enabled(util::LogLevel::Trace));
   }
   /// Dispatches one typed event: to the typed sink verbatim, and to the
-  /// legacy hook / Trace log as the legacy-formatted string (when the event
-  /// kind has one). Out of line and cold: only reached when a consumer is
-  /// attached, keeping the instrumented call sites small in the hot loops.
+  /// Trace log as its obs::narrate line (when the event kind has one). Out
+  /// of line and cold: only reached when a consumer is attached, keeping
+  /// the instrumented call sites small in the hot loops.
 #if defined(__GNUC__)
   [[gnu::cold]]
 #endif
@@ -518,7 +508,6 @@ class WormholeSimulator {
   mutable std::vector<std::uint32_t> key_dirty_messages_;
   mutable std::vector<std::uint8_t> key_message_flag_;
   mutable bool key_valid_ = false;
-  EventHook hook_;
   obs::TraceSink* trace_sink_ = nullptr;
   /// Probe copies (peek_requests) set this so speculative cycles emit
   /// nothing.

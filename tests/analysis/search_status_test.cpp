@@ -225,7 +225,7 @@ TEST_F(SearchStatusRingTest, SnapshotHelperEmitsParseableSearchKind) {
   EXPECT_EQ(snap.kind, "search");
   EXPECT_EQ(snap.states_total, result.states_explored);
   EXPECT_EQ(snap.search.states_explored, result.states_explored);
-  EXPECT_EQ(snap.search.memo_hits, result.profile.memo_hits);
+  EXPECT_EQ(snap.search.profile.memo_hits, result.profile.memo_hits);
   ASSERT_EQ(snap.workers.size(), 1u);
   EXPECT_EQ(snap.workers[0].done, 0u);  // verdict counters are campaign-only
   EXPECT_EQ(snap.workers[0].states, result.states_explored);

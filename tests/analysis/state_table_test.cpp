@@ -271,7 +271,7 @@ TEST(StateTable, BudgetBelowBaselineFailsEveryExactInsert) {
 
 TEST(StateTable, StatsReportOccupancyAfterQuiescence) {
   StateTable table(4);
-  const StateTable::Stats empty = table.stats();
+  const obs::TableStats empty = table.stats();
   EXPECT_EQ(empty.keys, 0u);
   EXPECT_EQ(empty.stripes, 4u);
   EXPECT_EQ(empty.arena_bytes, 0u);
@@ -284,7 +284,7 @@ TEST(StateTable, StatsReportOccupancyAfterQuiescence) {
     if (reference.insert(key).second) raw_bytes += key.size();
   for (const std::string& key : keys) table.lookup_or_insert(key);
 
-  const StateTable::Stats stats = table.stats();
+  const obs::TableStats stats = table.stats();
   EXPECT_EQ(stats.keys, reference.size());
   EXPECT_EQ(stats.keys, table.size());
   EXPECT_EQ(stats.arena_bytes, raw_bytes);  // exactly the raw key bytes
@@ -301,7 +301,7 @@ TEST(StateTable, StatsAreSamplingSafeDuringConcurrentInserts) {
   std::atomic<bool> done{false};
   std::thread sampler([&] {
     while (!done.load()) {
-      const StateTable::Stats s = table.stats();
+      const obs::TableStats s = table.stats();
       EXPECT_LE(s.keys, keys.size());
     }
   });

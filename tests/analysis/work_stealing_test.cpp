@@ -1,11 +1,10 @@
 // Work-stealing scheduler: determinism under stealing, and evidence that
 // the scheduler actually redistributes work.
 //
-// The engine's contract (deadlock_search.hpp): threads and
-// steal_granularity are pure scheduling knobs. Verdicts, exhaustive state
-// counts, and the entire witness are byte-identical across every
-// (threads, granularity) combination. These
-// tests pin that matrix on the paper's instances, then check the scheduler
+// The engine's contract (deadlock_search.hpp): threads is a pure
+// scheduling knob. Verdicts, exhaustive state counts, and the entire
+// witness are byte-identical at every thread count. These
+// tests pin that on the paper's instances, then check the scheduler
 // counters on the skewed tree that motivated work stealing: one deep spine
 // behind a wide shallow root, the worst case for static partitioning.
 //
@@ -23,10 +22,8 @@
 namespace wormsim::analysis {
 namespace {
 
-SearchLimits sched(unsigned threads, std::size_t granularity,
-                   SearchLimits limits = {}) {
+SearchLimits sched(unsigned threads, SearchLimits limits = {}) {
   limits.threads = threads;
-  limits.steal_granularity = granularity;
   return limits;
 }
 
@@ -41,7 +38,6 @@ core::CyclicFamilySpec skewed_spec() {
 }
 
 constexpr unsigned kThreads[] = {1, 2, 4};
-constexpr std::size_t kGranularities[] = {1, 2, 8};
 
 TEST(WorkStealingDeterminism, ExhaustiveCountsIdenticalAcrossSchedules) {
   // Figure 1 is deadlock-free (Theorem 1): every schedule must exhaust the
@@ -51,58 +47,52 @@ TEST(WorkStealingDeterminism, ExhaustiveCountsIdenticalAcrossSchedules) {
   const auto specs = family.message_specs();
   const auto baseline = find_deadlock(family.algorithm(), specs,
                                       AdversaryModel::kSynchronous,
-                                      sched(1, 8));
+                                      sched(1));
   ASSERT_FALSE(baseline.deadlock_found);
   ASSERT_TRUE(baseline.exhausted);
   ASSERT_GT(baseline.states_explored, 0u);
 
   for (const unsigned threads : kThreads) {
-    for (const std::size_t granularity : kGranularities) {
-      const auto result = find_deadlock(family.algorithm(), specs,
-                                        AdversaryModel::kSynchronous,
-                                        sched(threads, granularity));
-      SCOPED_TRACE(::testing::Message()
-                   << "threads=" << threads << " granularity=" << granularity);
-      EXPECT_FALSE(result.deadlock_found);
-      EXPECT_TRUE(result.exhausted);
-      EXPECT_EQ(result.states_explored, baseline.states_explored);
-      EXPECT_EQ(result.profile.memo_misses, baseline.profile.memo_misses);
-      EXPECT_EQ(result.profile.memo_hits, baseline.profile.memo_hits);
-    }
+    const auto result = find_deadlock(family.algorithm(), specs,
+                                      AdversaryModel::kSynchronous,
+                                      sched(threads));
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    EXPECT_FALSE(result.deadlock_found);
+    EXPECT_TRUE(result.exhausted);
+    EXPECT_EQ(result.states_explored, baseline.states_explored);
+    EXPECT_EQ(result.profile.memo_misses, baseline.profile.memo_misses);
+    EXPECT_EQ(result.profile.memo_hits, baseline.profile.memo_hits);
   }
 }
 
 TEST(WorkStealingDeterminism, WitnessIdenticalAcrossSchedules) {
   // Figure 2 deadlocks. The parallel engines re-derive the serial result,
   // so witness text, machine grants and the deadlocked cycle are
-  // byte-identical to threads=1 for every (threads, granularity) pair.
+  // byte-identical to threads=1 at every thread count.
   const core::CyclicFamily family(core::fig2_spec());
   const auto specs = family.message_specs();
   const auto baseline = find_deadlock(family.algorithm(), specs,
                                       AdversaryModel::kSynchronous,
-                                      sched(1, 8));
+                                      sched(1));
   ASSERT_TRUE(baseline.deadlock_found);
   ASSERT_FALSE(baseline.witness_grants.empty());
 
   for (const unsigned threads : kThreads) {
-    for (const std::size_t granularity : kGranularities) {
-      const auto result = find_deadlock(family.algorithm(), specs,
-                                        AdversaryModel::kSynchronous,
-                                        sched(threads, granularity));
-      SCOPED_TRACE(::testing::Message()
-                   << "threads=" << threads << " granularity=" << granularity);
-      ASSERT_TRUE(result.deadlock_found);
-      EXPECT_EQ(result.states_explored, baseline.states_explored);
-      EXPECT_EQ(result.witness, baseline.witness);
-      EXPECT_EQ(result.witness_grants, baseline.witness_grants);
-      EXPECT_EQ(result.deadlock_cycle, baseline.deadlock_cycle);
-      ASSERT_EQ(result.deadlock_configuration.placements.size(),
-                baseline.deadlock_configuration.placements.size());
-      for (std::size_t i = 0;
-           i < result.deadlock_configuration.placements.size(); ++i)
-        EXPECT_EQ(result.deadlock_configuration.placements[i].occupied,
-                  baseline.deadlock_configuration.placements[i].occupied);
-    }
+    const auto result = find_deadlock(family.algorithm(), specs,
+                                      AdversaryModel::kSynchronous,
+                                      sched(threads));
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    ASSERT_TRUE(result.deadlock_found);
+    EXPECT_EQ(result.states_explored, baseline.states_explored);
+    EXPECT_EQ(result.witness, baseline.witness);
+    EXPECT_EQ(result.witness_grants, baseline.witness_grants);
+    EXPECT_EQ(result.deadlock_cycle, baseline.deadlock_cycle);
+    ASSERT_EQ(result.deadlock_configuration.placements.size(),
+              baseline.deadlock_configuration.placements.size());
+    for (std::size_t i = 0;
+         i < result.deadlock_configuration.placements.size(); ++i)
+      EXPECT_EQ(result.deadlock_configuration.placements[i].occupied,
+                baseline.deadlock_configuration.placements[i].occupied);
   }
 }
 
@@ -114,10 +104,10 @@ TEST(WorkStealing, SkewedTreeSplitsAndSteals) {
   const auto specs = family.message_specs();
   const auto serial = find_deadlock(family.algorithm(), specs,
                                     AdversaryModel::kSynchronous,
-                                    sched(1, 8));
+                                    sched(1));
   const auto parallel = find_deadlock(family.algorithm(), specs,
                                       AdversaryModel::kSynchronous,
-                                      sched(4, 8));
+                                      sched(4));
   ASSERT_TRUE(serial.exhausted);
   ASSERT_TRUE(parallel.exhausted);
   EXPECT_EQ(parallel.states_explored, serial.states_explored);
@@ -138,7 +128,7 @@ TEST(WorkStealing, SkewedTreeSplitsAndSteals) {
 TEST(WorkStealing, StatusBoardPublishesSchedulerCounters) {
   SearchStatusBoard board;
   const core::CyclicFamily family(skewed_spec());
-  SearchLimits limits = sched(4, 8);
+  SearchLimits limits = sched(4);
   limits.status = &board;
   const auto result = find_deadlock(family.algorithm(),
                                     family.message_specs(),
@@ -152,21 +142,21 @@ TEST(WorkStealing, StatusBoardPublishesSchedulerCounters) {
   EXPECT_GT(sample.frontier_size, 0u);
   EXPECT_EQ(sample.frontier_next, sample.frontier_size);
 
-  const obs::SearchStatus status = to_search_status(sample);
+  const obs::SearchStatus status = to_search_status({&sample, 1});
   EXPECT_EQ(status.states_explored, result.states_explored);
-  EXPECT_EQ(status.steals, result.profile.steals);
-  EXPECT_EQ(status.splits, result.profile.splits);
-  EXPECT_EQ(status.split_items, result.profile.split_items);
-  EXPECT_GT(status.table_resident_bytes, 0u);
+  EXPECT_EQ(status.profile.steals, result.profile.steals);
+  EXPECT_EQ(status.profile.splits, result.profile.splits);
+  EXPECT_EQ(status.profile.split_items, result.profile.split_items);
+  EXPECT_GT(status.table.resident_bytes, 0u);
 
   // Worker rows carry the busy/idle split the dashboard's utilization
   // column derives from.
-  ASSERT_EQ(sample.workers.size(), 4u);
+  const obs::StatusSnapshot snap = search_status_snapshot(board);
+  ASSERT_EQ(snap.workers.size(), 4u);
   std::uint64_t busy = 0;
-  for (const SearchProfile& p : sample.workers) {
-    const obs::WorkerStatus w = to_worker_status(p);
-    busy += w.busy_ns;
-    EXPECT_EQ(w.steals, p.steals);
+  for (std::size_t i = 0; i < snap.workers.size(); ++i) {
+    busy += snap.workers[i].profile.busy_ns;
+    EXPECT_EQ(snap.workers[i].profile.steals, sample.workers[i].steals);
   }
   EXPECT_GT(busy, 0u);
 }
@@ -180,11 +170,11 @@ TEST(WorkStealing, BoundedDelayCountsIdenticalAcrossSchedules) {
   base.delay_budget = 2;
   const auto serial = find_deadlock(family.algorithm(), specs,
                                     AdversaryModel::kBoundedDelay,
-                                    sched(1, 8, base));
+                                    sched(1, base));
   for (const unsigned threads : {2u, 4u}) {
     const auto parallel = find_deadlock(family.algorithm(), specs,
                                         AdversaryModel::kBoundedDelay,
-                                        sched(threads, 1, base));
+                                        sched(threads, base));
     EXPECT_EQ(parallel.deadlock_found, serial.deadlock_found);
     EXPECT_EQ(parallel.exhausted, serial.exhausted);
     if (serial.exhausted && parallel.exhausted)

@@ -46,7 +46,7 @@ TEST(Theorem5InterposedFixture, ShrunkReproducerStillDeadlocks) {
   // abstains.
   EvalOptions options;
   options.probe_out_of_scope = true;
-  const Evaluation eval = replay_scenario(*shrunk, options);
+  const Evaluation eval = evaluate_scenario(*shrunk, options);
   EXPECT_EQ(eval.outcome, SearchOutcome::kDeadlock);
 
   // The scope fix: the rule is open, so the verdict is a skip, not a
@@ -59,7 +59,7 @@ TEST(Theorem5InterposedFixture, OriginalScenarioAlsoResolved) {
   const std::string text = read_fixture("theorem5_interposed.json");
   const auto original = scenario_from_fixture(text, "scenario");
   ASSERT_TRUE(original.has_value());
-  const Evaluation eval = replay_scenario(*original, {});
+  const Evaluation eval = evaluate_scenario(*original, {});
   EXPECT_EQ(eval.classification.rule, "theorem5-open");
   EXPECT_NE(eval.verdict, Verdict::kDisagree);
 }

@@ -39,7 +39,6 @@ TEST(ProbationCampaign, MemoKnobsFoldIntoTruthFingerprint) {
             campaign_truth_fingerprint(budgeted.eval));
 
   CampaignConfig sched = sweep_config();
-  sched.eval.limits.steal_granularity = 2;
   sched.eval.limits.threads = 8;
   EXPECT_EQ(campaign_truth_fingerprint(sched.eval), exact_fp);
 }

@@ -51,11 +51,11 @@ TEST(ReductionCampaign, CommittedFixturesAgreeAcrossModes) {
       EvalOptions off;
       off.probe_out_of_scope = true;  // fixtures may now be out of scope
       off.limits.reduction = analysis::ReductionMode::kOff;
-      const Evaluation baseline = replay_scenario(*scenario, off);
+      const Evaluation baseline = evaluate_scenario(*scenario, off);
       for (const analysis::ReductionMode mode : kAllModes) {
         EvalOptions options = off;
         options.limits.reduction = mode;
-        const Evaluation eval = replay_scenario(*scenario, options);
+        const Evaluation eval = evaluate_scenario(*scenario, options);
         EXPECT_EQ(eval.outcome, baseline.outcome)
             << path << " [" << key << "] reduction="
             << analysis::to_string(mode);

@@ -170,6 +170,25 @@ TEST(ScenarioJson, RejectsGarbage) {
                    "{\"index\":0,\"seed\":0,\"kind\":\"family\",\"name\":"
                    "\"x\",\"hub\":false,\"messages\":[[2,1,1],[2,2,1]]}")
                    .has_value());
+  // Numeric fields outside what the topology builders accept, or outside
+  // the integer type they are stored in, must be rejected here rather than
+  // abort in materialize() or overflow a cast.
+  for (const char* fields :
+       {"\"topology\":\"uniring\",\"dims\":[],\"nodes\":-3",
+        "\"topology\":\"uniring\",\"dims\":[],\"nodes\":1",
+        "\"topology\":\"complete\",\"dims\":[],\"nodes\":1",
+        "\"topology\":\"mesh\",\"dims\":[0,2],\"nodes\":0",
+        "\"topology\":\"torus\",\"dims\":[],\"nodes\":0",
+        "\"topology\":\"uniring\",\"dims\":[],\"nodes\":4,\"lanes\":0"}) {
+    const std::string text = "{\"index\":0,\"seed\":5,\"kind\":\"random\"," +
+                             std::string(fields) + ",\"flavor\":\"tree\"}";
+    EXPECT_FALSE(Scenario::from_json(text).has_value()) << text;
+  }
+  EXPECT_FALSE(Scenario::from_json(
+                   "{\"index\":0,\"seed\":0,\"kind\":\"family\",\"name\":"
+                   "\"x\",\"hub\":false,\"messages\":[[2,2,1],[2,1e300,1],"
+                   "[2,2,1]]}")
+                   .has_value());
 }
 
 TEST(FamilySpec, BuildableEncodesConstructorDomain) {

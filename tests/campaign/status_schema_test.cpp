@@ -122,8 +122,8 @@ TEST(StatusSchemaDoc, ManualTablesParse) {
   EXPECT_EQ(parse_table(doc, "### The `truth_cache` object").size(), 4u);
   EXPECT_EQ(parse_table(doc, "### The `fleet` object").size(), 9u);
   EXPECT_EQ(parse_table(doc, "### The `sim` object").size(), 11u);
-  EXPECT_EQ(parse_table(doc, "### The `search` object").size(), 26u);
-  EXPECT_EQ(parse_table(doc, "### Worker entries").size(), 18u);
+  EXPECT_EQ(parse_table(doc, "### The `search` object").size(), 28u);
+  EXPECT_EQ(parse_table(doc, "### Worker entries").size(), 20u);
   for (const char* heading :
        {"## Status file schema", "### The `progress` object",
         "### The `truth_cache` object", "### The `fleet` object",

@@ -242,14 +242,11 @@ TEST(TruthStore, FingerprintTracksSearchKnobs) {
   budgeted.memo_budget_bytes = 1 << 20;
   EXPECT_NE(truth_fingerprint(budgeted, 8, 4), base);
 
-  // Verdict-neutral knobs must NOT invalidate caches: witness strings,
-  // progress logging, and the schedule (thread count, steal granularity)
-  // never change what the search finds.
+  // Verdict-neutral knobs must NOT invalidate caches: witness strings and
+  // the thread count never change what the search finds.
   analysis::SearchLimits cosmetic = limits;
   cosmetic.build_witness = !cosmetic.build_witness;
-  cosmetic.progress_log_interval = 12345;
   cosmetic.threads = 7;
-  cosmetic.steal_granularity = 2;
   EXPECT_EQ(truth_fingerprint(cosmetic, 8, 4), base);
 }
 

@@ -10,12 +10,14 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "obs/json.hpp"
 
@@ -132,7 +134,7 @@ TEST(StatusSnapshotTest, U64FieldsSurviveRoundTripAtFullWidth) {
   const std::uint64_t big = (1ull << 63) + 4611686018427387905ull;  // odd
   StatusSnapshot snap;
   snap.states_total = big;
-  snap.search.memo_misses = big;
+  snap.search.profile.memo_misses = big;
   WorkerStatus w;
   w.states = big;
   snap.workers.push_back(w);
@@ -145,6 +147,121 @@ TEST(StatusSnapshotTest, U64FieldsSurviveRoundTripAtFullWidth) {
   EXPECT_EQ(parsed->find("search")->find("memo_misses")->as_u64(), big);
   EXPECT_EQ(parsed->find("workers")->as_array()[0].find("states")->as_u64(),
             big);
+}
+
+/// A histogram holding `n` observations of each given value.
+Histogram branch_histogram(
+    std::initializer_list<std::pair<double, int>> observations) {
+  Histogram h(Histogram::exponential_bounds(1, 16));
+  for (const auto& [value, n] : observations)
+    for (int i = 0; i < n; ++i) h.observe(value);
+  return h;
+}
+
+// Every field holds a distinct value, so the pinned bytes fix each key's
+// name, its position and the field it reads. A change here is a schema
+// change: bump kStatusSchema and docs/observability.md with it.
+TEST(StatusSnapshotTest, GoldenBytesPinEveryKeyAndItsOrder) {
+  StatusSnapshot snap;
+  snap.kind = "campaign";
+  snap.seq = 7;
+  snap.pid = 8;
+  snap.running = false;
+  snap.elapsed_seconds = 1.5;
+  snap.count = 101;
+  snap.first_index = 102;
+  snap.end_index = 103;
+  snap.done = 104;
+  snap.agree = 105;
+  snap.disagree = 106;
+  snap.skip = 107;
+  snap.states_total = 108;
+  snap.rate_per_second = 2.25;
+  snap.eta_seconds = 3.125;
+  snap.truth_disk_hits = 201;
+  snap.truth_memo_hits = 202;
+  snap.truth_misses = 203;
+  snap.truth_hit_rate = 0.375;
+  snap.fleet = {301, 302, 303, 304, 305, 306, 307, 308, 309};
+  snap.sim = {true, "event", 401, 402, 403, 404, 405, 406, 407, 408, 0.625};
+
+  SearchStatus& search = snap.search;
+  search.active = true;
+  search.searches_started = 501;
+  search.searches_finished = 502;
+  search.states_explored = 503;
+  search.max_states = 504;
+  search.frontier_size = 505;
+  search.frontier_next = 506;
+  SearchProfile& merged = search.profile;
+  merged.memo_hits = 3;
+  merged.memo_misses = 1;
+  merged.peak_depth = 511;
+  merged.branch_truncations = 512;
+  merged.budget_prunes = 513;
+  merged.steals = 514;
+  merged.steal_attempts = 515;
+  merged.splits = 516;
+  merged.split_items = 517;
+  merged.busy_ns = 518;
+  merged.idle_ns = 519;
+  merged.branch_factor = branch_histogram({{1, 50}, {2, 40}, {4, 9}, {16, 1}});
+  search.table = {601, 602, 603, 604, 605, 606};
+
+  WorkerStatus& w = snap.workers.emplace_back();
+  w.done = 701;
+  w.agree = 702;
+  w.disagree = 703;
+  w.skip = 704;
+  w.states = 705;
+  w.profile.memo_hits = 1;
+  w.profile.memo_misses = 7;
+  w.profile.peak_depth = 711;
+  w.profile.branch_truncations = 712;
+  w.profile.budget_prunes = 713;
+  w.profile.steals = 714;
+  w.profile.steal_attempts = 715;
+  w.profile.splits = 716;
+  w.profile.split_items = 717;
+  w.profile.busy_ns = 718;
+  w.profile.idle_ns = 719;
+  w.profile.branch_factor = branch_histogram({{2, 50}, {4, 40}, {8, 10}});
+
+  EXPECT_EQ(
+      snap.to_json(),
+      "{\"schema\":\"wormsim-status-v5\",\"kind\":\"campaign\",\"seq\":7,"
+      "\"pid\":8,\"running\":false,\"elapsed_seconds\":1.5,"
+      "\"progress\":{\"count\":101,\"first_index\":102,\"end_index\":103,"
+      "\"done\":104,\"agree\":105,\"disagree\":106,\"skip\":107,"
+      "\"states_total\":108,\"rate_per_second\":2.25,"
+      "\"eta_seconds\":3.125},"
+      "\"truth_cache\":{\"disk_hits\":201,\"memo_hits\":202,\"misses\":203,"
+      "\"hit_rate\":0.375},"
+      "\"fleet\":{\"batches_total\":301,\"batches_done\":302,"
+      "\"batches_queued\":303,\"batches_leased\":304,"
+      "\"batches_quarantined\":305,\"retries\":306,\"workers_active\":307,"
+      "\"merged_records\":308,\"truth_records\":309},"
+      "\"sim\":{\"active\":true,\"core\":\"event\",\"cycles_executed\":401,"
+      "\"cycles_skipped\":402,\"events_scheduled\":403,\"events_fired\":404,"
+      "\"events_cancelled\":405,\"queue_peak\":406,\"messages_total\":407,"
+      "\"messages_consumed\":408,\"busy_channel_fraction\":0.625},"
+      "\"search\":{\"active\":true,\"searches_started\":501,"
+      "\"searches_finished\":502,\"states_explored\":503,\"max_states\":504,"
+      "\"frontier_size\":505,\"frontier_next\":506,\"memo_hits\":3,"
+      "\"memo_misses\":1,\"peak_depth\":511,\"branch_truncations\":512,"
+      "\"budget_prunes\":513,\"steals\":514,\"steal_attempts\":515,"
+      "\"splits\":516,\"split_items\":517,\"busy_ns\":518,\"idle_ns\":519,"
+      "\"memo_hit_rate\":0.75,\"branch_p50\":1,\"branch_p90\":2,"
+      "\"branch_p99\":4,\"table_keys\":601,\"table_slots\":602,"
+      "\"table_arena_bytes\":603,\"table_stripes\":604,"
+      "\"table_contended_locks\":605,\"table_resident_bytes\":606},"
+      "\"workers\":[{\"done\":701,\"agree\":702,\"disagree\":703,"
+      "\"skip\":704,\"states\":705,\"memo_hits\":1,\"memo_misses\":7,"
+      "\"peak_depth\":711,\"branch_truncations\":712,\"budget_prunes\":713,"
+      "\"steals\":714,\"steal_attempts\":715,\"splits\":716,"
+      "\"split_items\":717,\"busy_ns\":718,\"idle_ns\":719,"
+      "\"memo_hit_rate\":0.125,\"branch_p50\":2,\"branch_p90\":4,"
+      "\"branch_p99\":8}]}\n");
 }
 
 TEST(StatusSamplerTest, FinalSnapshotHasRunningFalseAndProducerState) {

@@ -14,7 +14,7 @@ namespace wormsim::obs {
 namespace {
 
 /// Runs the paper's Figure-1 message set under the deterministic priority
-/// schedule fig1_demo uses, recording typed events and legacy hook strings.
+/// schedule fig1_demo uses, recording typed events.
 class Fig1TraceTest : public ::testing::Test {
  protected:
   Fig1TraceTest() : family_(core::fig1_spec()) {}
@@ -26,39 +26,14 @@ class Fig1TraceTest : public ::testing::Test {
     for (const auto& spec : family_.message_specs())
       message_count_ = simulator.add_message(spec).index() + 1;
     simulator.set_trace_sink(&buffer_);
-    simulator.set_event_hook(
-        [this](sim::Cycle cycle, const std::string& text) {
-          hook_lines_.emplace_back(cycle, text);
-        });
     const auto result = simulator.run();
     ASSERT_EQ(result.outcome, sim::RunOutcome::kAllConsumed);
   }
 
   core::CyclicFamily family_;
   TraceBuffer buffer_;
-  std::vector<std::pair<sim::Cycle, std::string>> hook_lines_;
   std::size_t message_count_ = 0;
 };
-
-TEST_F(Fig1TraceTest, LegacyHookOrderingMatchesTypedEvents) {
-  run_traced();
-  ASSERT_FALSE(buffer_.events().empty());
-  ASSERT_FALSE(hook_lines_.empty());
-
-  // The legacy hook is an adapter over the typed stream: filtering the
-  // typed events to the legacy-visible kinds and formatting them must
-  // reproduce the hook's lines exactly, in order.
-  std::vector<std::pair<sim::Cycle, std::string>> from_typed;
-  for (const TraceEvent& event : buffer_.events()) {
-    const std::string text = legacy_text(event, family_.algorithm().net());
-    if (!text.empty()) from_typed.emplace_back(event.cycle, text);
-  }
-  ASSERT_EQ(from_typed.size(), hook_lines_.size());
-  for (std::size_t i = 0; i < from_typed.size(); ++i) {
-    EXPECT_EQ(from_typed[i].first, hook_lines_[i].first) << "line " << i;
-    EXPECT_EQ(from_typed[i].second, hook_lines_[i].second) << "line " << i;
-  }
-}
 
 TEST_F(Fig1TraceTest, EveryMessageHasCompleteLifecycle) {
   run_traced();

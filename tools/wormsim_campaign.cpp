@@ -47,7 +47,8 @@ int replay_fixture(const std::string& path, const campaign::EvalOptions& eval) {
     return 2;
   }
 
-  const campaign::Evaluation result = campaign::replay_scenario(*scenario, eval);
+  const campaign::Evaluation result =
+      campaign::evaluate_scenario(*scenario, eval);
   std::printf("replay %s\n  scenario  %s\n  rule      %s\n  predicted %s\n"
               "  outcome   %s\n  verdict   %s\n",
               path.c_str(), scenario->describe().c_str(),
@@ -83,9 +84,6 @@ int main(int argc, char** argv) {
   // deterministic (see EvalOptions::limits); --replay honours this.
   parser.integer("--search-threads", config.eval.limits.threads,
                  "search threads for --replay");
-  // Schedule-only, never folded into the truth fingerprint.
-  parser.integer("--steal-granularity", config.eval.limits.steal_granularity,
-                 "work items a thief takes per steal in the parallel search");
   // Over-budget searches report inconclusive, so this one is folded into
   // the truth fingerprint.
   parser.integer("--memo-budget", config.eval.limits.memo_budget_bytes,

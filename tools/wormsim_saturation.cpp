@@ -14,7 +14,7 @@
 //
 // `--help` lists every flag.
 //
-// The heartbeat (--status-file) publishes "wormsim-status-v4" snapshots of
+// The heartbeat (--status-file) publishes "wormsim-status-v5" snapshots of
 // kind "saturation": progress counts sweep points and the `sim` object
 // mirrors the most recently finished simulation's event-core stats. The
 // snapshot is updated between sweep points only, so the sampler thread

@@ -18,7 +18,7 @@
 // The run lands in BENCH_synth.json (obs::RunReport, gated by
 // tools/bench_compare.py; the engines are deterministic, so every row
 // except *.wall_seconds is byte-reproducible). The heartbeat
-// (--status-file) publishes "wormsim-status-v4" snapshots of kind "synth":
+// (--status-file) publishes "wormsim-status-v5" snapshots of kind "synth":
 // progress counts instances, and the worker row mirrors per-instance
 // agree/disagree totals (an instance "agrees" when its certificates and
 // cross-checks are consistent).
