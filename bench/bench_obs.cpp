@@ -1,13 +1,11 @@
-// Observability overhead: the same 8x8-mesh workload with instrumentation
-// off, with the typed trace sink attached, and with metrics attached. The
-// disabled configuration is the acceptance gate — it must track
-// bench_sim_latency's baseline, since every event site costs exactly one
-// branch when nothing is listening.
+// Observability overhead: the same 8x8-mesh workload with tracing off and
+// with the typed trace sink attached. The disabled configuration is the
+// acceptance gate — it must track bench_sim_latency's baseline, since every
+// event site costs exactly one branch when nothing is listening.
 //
 // The binary also demonstrates the machine-readable pipeline: after the
-// benchmark run it writes BENCH_obs_overhead.json (a RunReport with an
-// embedded metrics snapshot) next to google-benchmark's own --benchmark_out
-// file. See the `bench_json` target.
+// benchmark run it writes BENCH_obs_overhead.json (a RunReport) next to
+// google-benchmark's own --benchmark_out file. See the `bench_json` target.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -29,7 +27,7 @@ using namespace wormsim;
 
 namespace {
 
-enum class Mode { kDisabled, kTraceBuffer, kMetrics };
+enum class Mode { kDisabled, kTraceBuffer };
 
 constexpr sim::Cycle kHorizon = 4'000;
 constexpr sim::Cycle kDrain = 30'000;
@@ -60,19 +58,8 @@ void run_mode(benchmark::State& state, Mode mode) {
     sim::WormholeSimulator simulator(dor, sim_config, policy);
     for (const auto& spec : specs) simulator.add_message(spec);
     obs::TraceBuffer buffer;
-    obs::MetricsRegistry registry;
-    switch (mode) {
-      case Mode::kDisabled:
-        break;
-      case Mode::kTraceBuffer:
-        simulator.set_trace_sink(&buffer);
-        break;
-      case Mode::kMetrics:
-        simulator.attach_metrics(registry);
-        break;
-    }
+    if (mode == Mode::kTraceBuffer) simulator.set_trace_sink(&buffer);
     const auto result = simulator.run();
-    if (mode == Mode::kMetrics) simulator.finalize_metrics();
     events = buffer.size();
     double sink = static_cast<double>(result.cycles);
     benchmark::DoNotOptimize(sink);
@@ -91,11 +78,6 @@ void BM_Obs_TraceBuffer(benchmark::State& state) {
   run_mode(state, Mode::kTraceBuffer);
 }
 BENCHMARK(BM_Obs_TraceBuffer)->Unit(benchmark::kMillisecond);
-
-void BM_Obs_Metrics(benchmark::State& state) {
-  run_mode(state, Mode::kMetrics);
-}
-BENCHMARK(BM_Obs_Metrics)->Unit(benchmark::kMillisecond);
 
 // --- Status-sampler overhead on the search engine --------------------------
 //
@@ -152,7 +134,7 @@ void BM_Obs_SearchStatusOn(benchmark::State& state) {
 }
 BENCHMARK(BM_Obs_SearchStatusOn)->Unit(benchmark::kMillisecond);
 
-/// One instrumented run, timed directly, summarized as a RunReport.
+/// One run, timed directly, summarized as a RunReport.
 void write_overhead_report() {
   const topo::Grid grid = topo::make_mesh({8, 8});
   const routing::DimensionOrderMesh dor(grid);
@@ -163,14 +145,11 @@ void write_overhead_report() {
   sim_config.buffer_depth = 2;
   sim_config.max_cycles = kDrain;
 
-  obs::MetricsRegistry registry;
   sim::WormholeSimulator simulator(dor, sim_config, policy);
   for (const auto& spec : specs) simulator.add_message(spec);
-  simulator.attach_metrics(registry);
   const auto start = std::chrono::steady_clock::now();
   const auto result = simulator.run();
   const auto stop = std::chrono::steady_clock::now();
-  simulator.finalize_metrics();
 
   obs::RunReport report;
   report.name = "obs_overhead";
@@ -182,7 +161,6 @@ void write_overhead_report() {
   report.values["seconds"] =
       std::chrono::duration<double>(stop - start).count();
   report.values["offered"] = static_cast<double>(specs.size());
-  report.metrics = &registry;
   obs::write_report_file(report);
 }
 

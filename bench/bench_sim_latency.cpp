@@ -60,9 +60,9 @@ void run_workload(benchmark::State& state,
                        std::chrono::steady_clock::now() - start)
                        .count();
     cycles = result.cycles;
-    active_channels = simulator.busy_channel_fraction() *
-                      static_cast<double>(grid.net().channel_count());
     stats = sim::summarize_workload(simulator, result.cycles);
+    active_channels = stats.mean_channel_utilization *
+                      static_cast<double>(grid.net().channel_count());
     // Copy before DoNotOptimize: the "+r" asm constraint of older
     // google-benchmark versions clobbers double lvalues.
     double sink = stats.mean_latency;

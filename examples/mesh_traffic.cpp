@@ -93,10 +93,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // One fully instrumented XY run at moderate load, exported as a
-  // machine-readable record (BENCH_mesh_traffic.json; WORMSIM_BENCH_DIR
-  // redirects it). The embedded metrics snapshot carries the latency, hop
-  // and arbitration-wait histograms for the comparison harness.
+  // One XY run at moderate load, exported as a machine-readable record
+  // (BENCH_mesh_traffic.json; WORMSIM_BENCH_DIR redirects it).
   {
     sim::WorkloadConfig config;
     config.pattern = pattern;
@@ -111,10 +109,7 @@ int main(int argc, char** argv) {
     sim_config.max_cycles = 60'000;
     sim::WormholeSimulator simulator(dor, sim_config, policy);
     for (const auto& spec : specs) simulator.add_message(spec);
-    obs::MetricsRegistry registry;
-    simulator.attach_metrics(registry);
     const auto result = simulator.run();
-    simulator.finalize_metrics();
     const auto stats = sim::summarize_workload(simulator, result.cycles);
 
     obs::RunReport report;
@@ -130,7 +125,6 @@ int main(int argc, char** argv) {
     report.values["mean_latency"] = stats.mean_latency;
     report.values["max_latency"] = stats.max_latency;
     report.values["flits_per_cycle"] = stats.throughput_flits_per_cycle;
-    report.metrics = &registry;
     if (obs::write_report_file(report))
       std::printf("# wrote BENCH_mesh_traffic.json\n");
   }

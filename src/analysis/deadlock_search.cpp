@@ -90,13 +90,12 @@ class TakenSet {
 class AssignmentGenerator {
  public:
   AssignmentGenerator(std::vector<sim::MessageRequests> requests,
-                      AdversaryModel model, std::size_t max_branches,
+                      AdversaryModel model,
                       std::vector<std::uint32_t> twin_next = {})
       : requests_(std::move(requests)),
         odometer_(requests_.size(), 0),
         twin_next_(std::move(twin_next)),
-        model_(model),
-        max_branches_(max_branches) {}
+        model_(model) {}
 
   /// Fills `out` with the next legal assignment; returns false when the
   /// combos are exhausted or the branch cap was hit (see truncated()).
@@ -104,7 +103,7 @@ class AssignmentGenerator {
   bool next(Assignment& out, TakenSet& taken) {
     const std::size_t m = requests_.size();
     while (!done_) {
-      if (yielded_ >= max_branches_) {
+      if (yielded_ >= kMaxBranchesPerState) {
         truncated_ = true;  // unexplored combos remain beyond the cap
         return false;
       }
@@ -184,7 +183,6 @@ class AssignmentGenerator {
   std::vector<std::size_t> odometer_;
   std::vector<std::uint32_t> twin_next_;
   AdversaryModel model_;
-  std::size_t max_branches_;
   std::size_t yielded_ = 0;
   bool done_ = false;
   bool truncated_ = false;
@@ -609,9 +607,7 @@ class SearchEngine {
     }
     Frame& frame = stack.emplace_back(
         std::move(sim),
-        AssignmentGenerator(std::move(groups), model_,
-                            limits_.max_branches_per_state,
-                            std::move(twin_next)),
+        AssignmentGenerator(std::move(groups), model_, std::move(twin_next)),
         std::move(spent));
     frame.has_pending = frame.gen.next(frame.pending, w.taken);
     return Open::kPushed;

@@ -67,14 +67,17 @@ enum class DelayMetric {
   kMaxPerMessage,  ///< budget bounds each message's stalled cycles
 };
 
+/// Safety valve against pathological branching: a state's adversary
+/// assignments are enumerated up to this many (counted by the profile's
+/// branch_truncations). Folded into the truth fingerprint.
+inline constexpr std::size_t kMaxBranchesPerState = 4096;
+
 struct SearchLimits {
   std::uint32_t buffer_depth = 1;
   std::uint64_t max_states = 2'000'000;
   /// kBoundedDelay only: the delay budget (see DelayMetric).
   std::uint32_t delay_budget = 0;
   DelayMetric metric = DelayMetric::kTotal;
-  /// Safety valve against pathological branching at a single state.
-  std::size_t max_branches_per_state = 4096;
   /// Build the human-readable witness lines on deadlock. The machine
   /// witness (witness_grants) is always produced; the strings are pure
   /// presentation, so long sweeps can turn them off.

@@ -1,15 +1,13 @@
 #include "campaign/truth_store.hpp"
 
-#include <unistd.h>
-
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
+#include "util/file.hpp"
+#include "util/text.hpp"
 
 namespace wormsim::campaign {
 
@@ -45,39 +43,6 @@ std::uint64_t fnv1a(std::string_view bytes,
   return h;
 }
 
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::optional<std::uint64_t> parse_hex16(std::string_view text) {
-  if (text.size() != 16) return std::nullopt;
-  std::uint64_t v = 0;
-  for (const char c : text) {
-    v <<= 4;
-    if (c >= '0' && c <= '9') {
-      v |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      v |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      return std::nullopt;
-    }
-  }
-  return v;
-}
-
-std::optional<std::uint64_t> parse_u64(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  std::uint64_t v = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return std::nullopt;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return v;
-}
-
 /// Splits one record line into exactly `n` tab-separated fields.
 std::optional<std::vector<std::string_view>> split_fields(
     std::string_view line, std::size_t n) {
@@ -99,6 +64,12 @@ std::string record_payload(const std::string& key, const TruthRecord& record) {
   return os.str();
 }
 
+/// "wormsim-truthstore v1 fp=<hex16>\n", the first line of every file.
+std::string header_line(std::uint64_t fingerprint) {
+  return std::string(kMagic) + " " + std::string(kVersion) +
+         " fp=" + util::hex16(fingerprint) + "\n";
+}
+
 /// Parses "wormsim-truthstore v1 fp=<hex16>"; nullopt unless magic,
 /// version, and fingerprint all parse.
 std::optional<std::uint64_t> parse_header(const std::string& header) {
@@ -107,7 +78,7 @@ std::optional<std::uint64_t> parse_header(const std::string& header) {
   hs >> magic >> version >> fp;
   if (magic != kMagic || version != kVersion) return std::nullopt;
   if (fp.rfind("fp=", 0) != 0) return std::nullopt;
-  return parse_hex16(std::string_view(fp).substr(3));
+  return util::parse_hex16(std::string_view(fp).substr(3));
 }
 
 }  // namespace
@@ -142,7 +113,7 @@ std::uint64_t truth_fingerprint(const analysis::SearchLimits& limits,
      << ";max_states=" << limits.max_states
      << ";delay_budget=" << limits.delay_budget
      << ";metric=" << static_cast<int>(limits.metric)
-     << ";max_branches=" << limits.max_branches_per_state
+     << ";max_branches=" << analysis::kMaxBranchesPerState
      << ";cycles_probed=" << max_cycles_probed
      << ";acyclic_messages=" << acyclic_probe_messages;
   // Only knobs that change what a record CONTAINS are folded in. Reduction
@@ -276,7 +247,7 @@ bool TruthStore::checkpoint(const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::app);
   if (!out) return false;
   if (!file_has_header)
-    out << kMagic << " " << kVersion << " fp=" << hex16(fingerprint_) << "\n";
+    out << header_line(fingerprint_);
   for (const std::string& key : unpersisted_) {
     const auto it = map_.find(key);
     if (it == map_.end()) continue;  // cannot happen today; belt-and-braces
@@ -291,7 +262,7 @@ bool TruthStore::checkpoint(const std::string& path) {
 std::string TruthStore::format_record(const std::string& key,
                                       const TruthRecord& record) {
   const std::string payload = record_payload(key, record);
-  return payload + "\t" + hex16(fnv1a(payload));
+  return payload + "\t" + util::hex16(fnv1a(payload));
 }
 
 TruthLoadStats TruthStore::load(const std::string& path) {
@@ -329,8 +300,8 @@ TruthLoadStats TruthStore::load(const std::string& path) {
     std::optional<std::uint64_t> states, checksum;
     if (parts) {
       outcome = outcome_from_string((*parts)[1]);
-      states = parse_u64((*parts)[2]);
-      checksum = parse_hex16((*parts)[3]);
+      states = util::parse_u64((*parts)[2]);
+      checksum = util::parse_hex16((*parts)[3]);
     }
     const std::size_t payload_len = line.rfind('\t');
     if (!parts || !outcome || !states || !checksum ||
@@ -348,35 +319,14 @@ TruthLoadStats TruthStore::load(const std::string& path) {
 }
 
 bool TruthStore::save(const std::string& path) const {
-  namespace fs = std::filesystem;
-  // Unique sibling temp name (same directory => same filesystem => rename
-  // is atomic). PID plus object address disambiguates racing writers.
-  std::ostringstream tmp_name;
-  tmp_name << path << ".tmp." << ::getpid() << "."
-           << reinterpret_cast<std::uintptr_t>(this);
-  const std::string tmp = tmp_name.str();
+  std::string text = header_line(fingerprint_);
   {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out << kMagic << " " << kVersion << " fp=" << hex16(fingerprint_) << "\n";
     const std::scoped_lock lock(mu_);
     for (const auto& [key, entry] : map_)
       if (entry.flight == nullptr)
-        out << format_record(key, entry.record) << "\n";
-    out.flush();
-    if (!out) {
-      std::error_code ec;
-      fs::remove(tmp, ec);
-      return false;
-    }
+        text += format_record(key, entry.record) + "\n";
   }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return false;
-  }
-  return true;
+  return util::write_file_atomic(path, text);
 }
 
 bool TruthStore::merge_from(const TruthStore& other, std::string* error) {
@@ -385,8 +335,8 @@ bool TruthStore::merge_from(const TruthStore& other, std::string* error) {
     return false;
   };
   if (fingerprint_ != other.fingerprint_)
-    return fail("fingerprint mismatch: " + hex16(fingerprint_) + " vs " +
-                hex16(other.fingerprint_));
+    return fail("fingerprint mismatch: " + util::hex16(fingerprint_) +
+                " vs " + util::hex16(other.fingerprint_));
   if (&other == this) return true;
   const std::scoped_lock lock(mu_, other.mu_);  // std::lock: deadlock-free
   for (const auto& [key, theirs] : other.map_) {

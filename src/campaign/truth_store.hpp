@@ -167,8 +167,10 @@ class TruthStore {
   TruthLoadStats load(const std::string& path);
 
   /// Atomically replaces `path` with a sorted snapshot of this store
-  /// (temp file + rename). Returns false when the temp file cannot be
-  /// written or the rename fails.
+  /// (util::write_file_atomic: temp file + rename, missing parent
+  /// directories created). The snapshot is formatted under the store's
+  /// lock and published after it is released. Returns false when the temp
+  /// file cannot be written or the rename fails.
   [[nodiscard]] bool save(const std::string& path) const;
 
   /// Appends every record gained via insert()/merge_from() since the last

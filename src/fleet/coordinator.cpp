@@ -14,6 +14,7 @@
 #include "obs/json.hpp"
 #include "obs/status.hpp"
 #include "util/assert.hpp"
+#include "util/file.hpp"
 #include "util/log.hpp"
 
 namespace wormsim::fleet {
@@ -92,9 +93,10 @@ std::optional<Harvest> validate_result(const std::string& text,
     const obs::json::Value* index = parsed->find("index");
     const obs::json::Value* verdict = parsed->find("verdict");
     const obs::json::Value* states = parsed->find("states");
-    if (index == nullptr || !index->is_number() || verdict == nullptr ||
-        !verdict->is_string() || states == nullptr || !states->is_number())
-      return fail("record line missing index/verdict/states");
+    if (index == nullptr || !index->is_exact_u64() || verdict == nullptr ||
+        !verdict->is_string() || states == nullptr ||
+        !states->is_exact_u64())
+      return fail("record line lacks an integer index/states or a verdict");
     if (index->as_u64() != info.first + harvest.records)
       return fail("record indices out of order or out of range");
     const std::string v = verdict->as_string();
@@ -169,7 +171,7 @@ FleetResult run_coordinator(const FleetConfig& config) {
   // every later one (a resume) inherits it wholesale, so a resumed run can
   // never silently switch seeds, knobs, or batch geometry mid-directory.
   FleetManifest manifest;
-  if (const auto text = read_file(paths.manifest())) {
+  if (const auto text = util::read_file(paths.manifest())) {
     const auto existing = FleetManifest::from_json(*text);
     WORMSIM_EXPECTS(existing.has_value());  // a run dir with a broken
                                             // manifest is unusable
@@ -180,7 +182,8 @@ FleetResult run_coordinator(const FleetConfig& config) {
   } else {
     manifest = manifest_for(config.campaign, config.batch_size,
                             config.max_attempts, config.lease_seconds);
-    WORMSIM_EXPECTS(write_file_atomic(paths.manifest(), manifest.to_json()));
+    WORMSIM_EXPECTS(
+        util::write_file_atomic(paths.manifest(), manifest.to_json()));
   }
   // A previous coordinator's sentinel is void: this run re-decides it.
   remove_quiet(paths.shutdown());
@@ -239,7 +242,7 @@ FleetResult run_coordinator(const FleetConfig& config) {
     q.end = info.end;
     q.attempts = info.attempt;
     q.reason = reason;
-    (void)write_file_atomic(paths.batch_quarantine(b), q.to_json());
+    (void)util::write_file_atomic(paths.batch_quarantine(b), q.to_json());
     remove_quiet(paths.batch_task(b));
     remove_quiet(paths.batch_claim(b));
     info.state = BatchState::kQuarantined;
@@ -257,7 +260,7 @@ FleetResult run_coordinator(const FleetConfig& config) {
     ++info.attempt;
     ++result.retries;
     BatchTask task{b, info.first, info.end, info.attempt};
-    (void)write_file_atomic(paths.batch_task(b), task.to_json());
+    (void)util::write_file_atomic(paths.batch_task(b), task.to_json());
     info.state = BatchState::kQueued;
     WORMSIM_LOG(Info) << "fleet: re-queued batch " << b << " (attempt "
                       << info.attempt << "): " << why;
@@ -306,7 +309,7 @@ FleetResult run_coordinator(const FleetConfig& config) {
       }
 
       // 1. A result file settles the batch, valid or not.
-      if (const auto text = read_file(paths.batch_result(b))) {
+      if (const auto text = util::read_file(paths.batch_result(b))) {
         std::string why;
         if (const auto harvest = validate_result(*text, b, info, &why)) {
           accept(b, *harvest);
@@ -340,7 +343,7 @@ FleetResult run_coordinator(const FleetConfig& config) {
       // 3. A queue file: waiting for a worker. Refresh the attempt count
       // from the file on the first scan (a resumed coordinator inherits
       // re-queues its predecessor issued).
-      if (const auto text = read_file(paths.batch_task(b))) {
+      if (const auto text = util::read_file(paths.batch_task(b))) {
         if (first_scan) {
           if (const auto task = BatchTask::from_json(*text))
             info.attempt = std::max<std::uint64_t>(1, task->attempt);
@@ -353,7 +356,7 @@ FleetResult run_coordinator(const FleetConfig& config) {
       // fresh-run case and self-healing after a crash that removed a claim
       // without re-queuing.
       BatchTask task{b, info.first, info.end, info.attempt};
-      (void)write_file_atomic(paths.batch_task(b), task.to_json());
+      (void)util::write_file_atomic(paths.batch_task(b), task.to_json());
       info.state = BatchState::kQueued;
     }
     first_scan = false;
@@ -366,7 +369,7 @@ FleetResult run_coordinator(const FleetConfig& config) {
     while (next_merge < total &&
            batches[next_merge].state == BatchState::kDone &&
            !batches[next_merge].merged) {
-      const auto text = read_file(paths.batch_result(next_merge));
+      const auto text = util::read_file(paths.batch_result(next_merge));
       WORMSIM_EXPECTS(text.has_value());  // accepted above; still on disk
       const std::size_t body = text->find('\n');
       WORMSIM_EXPECTS(body != std::string::npos);
@@ -423,7 +426,7 @@ FleetResult run_coordinator(const FleetConfig& config) {
   // The sentinel releases waiting workers; written last so a worker that
   // sees it can rely on the merge and checkpoint being final.
   ShutdownSentinel sentinel{result.complete};
-  (void)write_file_atomic(paths.shutdown(), sentinel.to_json());
+  (void)util::write_file_atomic(paths.shutdown(), sentinel.to_json());
 
   result.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -1,19 +1,14 @@
 #include "fleet/protocol.hpp"
 
-#include <unistd.h>
-
-#include <atomic>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 #include <sstream>
 
 #include "obs/json.hpp"
+#include "util/text.hpp"
 
 namespace wormsim::fleet {
 
-namespace fs = std::filesystem;
 namespace json = obs::json;
 
 namespace {
@@ -24,29 +19,6 @@ constexpr std::string_view kLeaseSchema = "wormsim-fleet-lease-v1";
 constexpr std::string_view kResultSchema = "wormsim-fleet-result-v1";
 constexpr std::string_view kQuarantineSchema = "wormsim-fleet-quarantine-v1";
 constexpr std::string_view kShutdownSchema = "wormsim-fleet-shutdown-v1";
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::optional<std::uint64_t> parse_hex16(std::string_view text) {
-  if (text.size() != 16) return std::nullopt;
-  std::uint64_t v = 0;
-  for (const char c : text) {
-    v <<= 4;
-    if (c >= '0' && c <= '9') {
-      v |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      v |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      return std::nullopt;
-    }
-  }
-  return v;
-}
 
 /// Parses `text` as a JSON object whose "schema" field equals `schema`;
 /// nullopt otherwise. The strict schema check is what lets from_json
@@ -62,10 +34,12 @@ std::optional<json::Value> parse_message(const std::string& text,
   return parsed;
 }
 
+/// An exact non-negative integer field; a negative, fractional or
+/// out-of-range number is rejected like a missing field.
 std::optional<std::uint64_t> get_u64(const json::Value& object,
                                      const char* key) {
   const json::Value* field = object.find(key);
-  if (field == nullptr || !field->is_number()) return std::nullopt;
+  if (field == nullptr || !field->is_exact_u64()) return std::nullopt;
   return field->as_u64();
 }
 
@@ -98,7 +72,8 @@ std::string FleetManifest::to_json() const {
   out += ",\"max_states\":" + json::number_u64(max_states);
   out += ",\"reduction\":" + json::quote(reduction);
   out += ",\"fixture_dir\":" + json::quote(fixture_dir);
-  out += ",\"truth_fingerprint\":" + json::quote(hex16(truth_fingerprint));
+  out += ",\"truth_fingerprint\":" +
+         json::quote(util::hex16(truth_fingerprint));
   out += "}\n";
   return out;
 }
@@ -124,7 +99,7 @@ std::optional<FleetManifest> FleetManifest::from_json(
       !lease_seconds || !cycle_bias || !synth_fraction || !synth_max_pairs ||
       !max_states || !reduction || !fixture_dir || !fingerprint)
     return std::nullopt;
-  const auto fp = parse_hex16(*fingerprint);
+  const auto fp = util::parse_hex16(*fingerprint);
   if (!fp) return std::nullopt;
   // A mode this build does not know (e.g. the retired "on") would silently
   // run a different search than the manifest's fingerprint describes.
@@ -321,17 +296,8 @@ std::string RunPaths::batch_stem(std::uint64_t batch) {
 std::optional<std::uint64_t> RunPaths::parse_batch_stem(
     const std::string& filename) {
   if (filename.rfind("batch-", 0) != 0) return std::nullopt;
-  std::uint64_t v = 0;
-  std::size_t digits = 0;
-  for (std::size_t i = 6; i < filename.size(); ++i) {
-    const char c = filename[i];
-    if (c == '.') break;  // extension
-    if (c < '0' || c > '9') return std::nullopt;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    ++digits;
-  }
-  if (digits == 0) return std::nullopt;
-  return v;
+  const std::string_view rest = std::string_view(filename).substr(6);
+  return util::parse_u64(rest.substr(0, rest.find('.')));  // drop extension
 }
 
 std::string RunPaths::batch_task(std::uint64_t batch) const {
@@ -355,43 +321,6 @@ std::string RunPaths::quarantine_evidence(std::uint64_t batch,
   os << quarantine_dir() << "/" << batch_stem(batch) << ".attempt-" << attempt
      << ".bad";
   return os.str();
-}
-
-bool write_file_atomic(const std::string& path, const std::string& bytes) {
-  std::error_code ec;
-  const fs::path dest(path);
-  if (dest.has_parent_path()) fs::create_directories(dest.parent_path(), ec);
-
-  // Unique sibling temp name (same directory => same filesystem => rename
-  // is atomic). PID plus a per-call counter disambiguates racing writers.
-  static std::atomic<std::uint64_t> counter{0};
-  std::ostringstream tmp_name;
-  tmp_name << path << ".tmp." << ::getpid() << "."
-           << counter.fetch_add(1, std::memory_order_relaxed);
-  const std::string tmp = tmp_name.str();
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      fs::remove(tmp, ec);
-      return false;
-    }
-  }
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return false;
-  }
-  return true;
-}
-
-std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 campaign::CampaignConfig campaign_config_from(const FleetManifest& manifest) {

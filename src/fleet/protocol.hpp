@@ -9,10 +9,11 @@
 //                what is on disk;
 //   atomicity    messages appear whole or not at all: files are published
 //                by writing a unique sibling temp file and rename(2)-ing it
-//                over the destination (the StatusWriter / TruthStore
-//                discipline), and a batch is *claimed* by renaming its
-//                queue file into claims/ — exactly one contender's rename
-//                finds the source, so claims need no locks;
+//                over the destination (util::write_file_atomic, as for
+//                the heartbeat and the truth store), and a batch is
+//                *claimed* by renaming its queue file into claims/ —
+//                exactly one contender's rename finds the source, so
+//                claims need no locks;
 //   debuggability `cat` shows the full protocol state of a live run.
 //
 // Run-directory layout (RunPaths maps names to paths):
@@ -177,15 +178,6 @@ class RunPaths {
  private:
   std::string run_dir_;
 };
-
-/// Publishes `bytes` at `path` whole-or-not-at-all: unique sibling temp
-/// file + rename(2). Creates missing parent directories. Returns false on
-/// I/O failure (the destination is left untouched).
-[[nodiscard]] bool write_file_atomic(const std::string& path,
-                                     const std::string& bytes);
-
-/// Reads a whole file; nullopt when it cannot be opened.
-[[nodiscard]] std::optional<std::string> read_file(const std::string& path);
 
 /// Builds the CampaignConfig a fleet process must run: everything the
 /// manifest pins, shards forced to 1 and cache_file/status_file cleared

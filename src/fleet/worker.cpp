@@ -15,6 +15,7 @@
 #include "campaign/runner.hpp"
 #include "campaign/truth_store.hpp"
 #include "fleet/protocol.hpp"
+#include "util/file.hpp"
 #include "util/log.hpp"
 
 namespace wormsim::fleet {
@@ -56,7 +57,7 @@ class LeaseRenewer {
       ++lease_.renewals;
       const std::string body = lease_.to_json();
       lk.unlock();
-      (void)write_file_atomic(path_, body);
+      (void)util::write_file_atomic(path_, body);
       lk.lock();
     }
   }
@@ -86,7 +87,7 @@ std::vector<std::uint64_t> queued_batches(const RunPaths& paths) {
 }
 
 bool shutdown_seen(const RunPaths& paths) {
-  const auto text = read_file(paths.shutdown());
+  const auto text = util::read_file(paths.shutdown());
   return text && ShutdownSentinel::from_json(*text).has_value();
 }
 
@@ -102,7 +103,7 @@ WorkerResult run_worker(const WorkerConfig& config) {
   std::optional<FleetManifest> manifest;
   const auto wait_start = std::chrono::steady_clock::now();
   for (;;) {
-    if (const auto text = read_file(paths.manifest())) {
+    if (const auto text = util::read_file(paths.manifest())) {
       manifest = FleetManifest::from_json(*text);
       if (manifest) break;
     }
@@ -156,7 +157,7 @@ WorkerResult run_worker(const WorkerConfig& config) {
       if (ec) continue;  // someone else won this batch
       claimed = true;
 
-      const auto claim_text = read_file(paths.batch_claim(b));
+      const auto claim_text = util::read_file(paths.batch_claim(b));
       const auto task =
           claim_text ? BatchTask::from_json(*claim_text) : std::nullopt;
       if (!task) {
@@ -173,7 +174,7 @@ WorkerResult run_worker(const WorkerConfig& config) {
       lease.attempt = task->attempt;
       lease.worker = name;
       lease.pid = static_cast<std::uint64_t>(::getpid());
-      (void)write_file_atomic(paths.batch_claim(b), lease.to_json());
+      (void)util::write_file_atomic(paths.batch_claim(b), lease.to_json());
 
       {
         LeaseRenewer renewer(paths.batch_claim(b), lease, renew_interval);
@@ -198,7 +199,7 @@ WorkerResult run_worker(const WorkerConfig& config) {
         std::ostringstream body;
         body << header.to_json() << "\n";
         batch.write_jsonl(body);
-        (void)write_file_atomic(paths.batch_result(b), body.str());
+        (void)util::write_file_atomic(paths.batch_result(b), body.str());
 
         result.truth_disk_hits += batch.truth_disk_hits;
         result.truth_memo_hits += batch.truth_memo_hits;
@@ -212,7 +213,7 @@ WorkerResult run_worker(const WorkerConfig& config) {
       // expired mid-batch the coordinator may have handed the batch to a
       // successor whose claim now lives at this path; deleting that would
       // re-trigger an expiry for work that is not lost.
-      if (const auto text = read_file(paths.batch_claim(b))) {
+      if (const auto text = util::read_file(paths.batch_claim(b))) {
         const auto current = BatchLease::from_json(*text);
         if (current && current->worker == name &&
             current->pid == static_cast<std::uint64_t>(::getpid()))

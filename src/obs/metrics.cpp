@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/json.hpp"
 #include "util/assert.hpp"
 
 namespace wormsim::obs {
@@ -66,92 +65,6 @@ std::vector<double> Histogram::exponential_bounds(double first, double limit) {
   std::vector<double> bounds;
   for (double b = first; b <= limit; b *= 2) bounds.push_back(b);
   return bounds;
-}
-
-Counter& MetricsRegistry::counter(std::string_view name) {
-  auto it = counters_.find(name);
-  if (it == counters_.end())
-    it = counters_.emplace(std::string(name), std::make_unique<Counter>())
-             .first;
-  return *it->second;
-}
-
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  auto it = gauges_.find(name);
-  if (it == gauges_.end())
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  return *it->second;
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      std::vector<double> bounds) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end())
-    it = histograms_
-             .emplace(std::string(name),
-                      std::make_unique<Histogram>(std::move(bounds)))
-             .first;
-  return *it->second;
-}
-
-const Counter* MetricsRegistry::find_counter(std::string_view name) const {
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? nullptr : it->second.get();
-}
-
-const Gauge* MetricsRegistry::find_gauge(std::string_view name) const {
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : it->second.get();
-}
-
-const Histogram* MetricsRegistry::find_histogram(
-    std::string_view name) const {
-  const auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : it->second.get();
-}
-
-std::string histogram_to_json(const Histogram& h) {
-  std::string out = "{\"count\":" + json::number_u64(h.count()) +
-                    ",\"sum\":" + json::number(h.sum()) +
-                    ",\"min\":" + json::number(h.min()) +
-                    ",\"max\":" + json::number(h.max()) +
-                    ",\"mean\":" + json::number(h.mean()) + ",\"buckets\":[";
-  const auto& bounds = h.bounds();
-  const auto& counts = h.counts();
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (i) out += ',';
-    out += "{\"le\":";
-    out += i < bounds.size() ? json::number(bounds[i]) : "\"+Inf\"";
-    out += ",\"count\":" + json::number_u64(counts[i]) + "}";
-  }
-  out += "]}";
-  return out;
-}
-
-std::string MetricsRegistry::to_json() const {
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    if (!first) out += ',';
-    first = false;
-    out += json::quote(name) + ":" + json::number_u64(c->value());
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    if (!first) out += ',';
-    first = false;
-    out += json::quote(name) + ":" + json::number(g->value());
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    if (!first) out += ',';
-    first = false;
-    out += json::quote(name) + ":" + histogram_to_json(*h);
-  }
-  out += "}}";
-  return out;
 }
 
 }  // namespace wormsim::obs

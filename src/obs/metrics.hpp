@@ -1,45 +1,24 @@
-// Structured run metrics: counters, gauges, fixed-bucket histograms.
+// Counters and distributions the simulator and the search keep, each
+// declared once.
 //
-// The registry is the machine-readable replacement for the ad-hoc counters
-// scattered across the simulator and search. Instruments are created once
-// (name -> stable reference) and updated on the hot path with plain
-// increments; snapshotting to JSON walks the registry in name order so the
-// output is deterministic.
-//
-// Hot-path discipline: producers hold raw pointers to instruments (nullptr
-// when metrics are off), so a disabled run pays one branch per site —
-// mirroring WORMSIM_LOG. The instruments themselves are not synchronized;
-// one registry belongs to one run on one thread.
+// Histogram is the fixed-bucket distribution behind the search profile's
+// branch factor. EventCoreStats holds the event-driven run core's scheduler
+// counters; each is a field plus one row of kEventCoreCounters, which names
+// it for JSON and says how two runs combine. The status heartbeat's `sim`
+// object (obs/status.cpp) and the saturation report's per-load rows and
+// heartbeat fold (tools/wormsim_saturation.cpp) all loop over that table,
+// so adding a counter takes one field, one row, and one row in the `sim`
+// table of docs/observability.md. Merge is shared with the search
+// profile's kProfileCounters (obs/search_profile.hpp).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <string>
 #include <string_view>
 #include <vector>
 
 namespace wormsim::obs {
-
-/// Monotonically increasing count of events.
-class Counter {
- public:
-  void inc(std::uint64_t by = 1) { value_ += by; }
-  [[nodiscard]] std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-/// Last-write-wins scalar (utilization fractions, final totals).
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  [[nodiscard]] double value() const { return value_; }
-
- private:
-  double value_ = 0;
-};
 
 /// Fixed-boundary histogram with cumulative-style buckets: an observation v
 /// lands in the first bucket whose upper bound satisfies v <= bound; values
@@ -97,36 +76,58 @@ class Histogram {
   double max_ = 0;
 };
 
-/// Named instruments for one run. References returned by the accessors stay
-/// valid for the registry's lifetime (instruments are heap-allocated and
-/// never removed).
-class MetricsRegistry {
- public:
-  /// Creates the instrument on first use; subsequent calls with the same
-  /// name return the same object. A name may hold only one instrument kind.
-  Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name, std::vector<double> bounds);
+/// How one counter's shards (or successive runs) combine.
+enum class Merge : std::uint8_t { kSum, kMax };
 
-  /// Already-registered instrument, or nullptr.
-  [[nodiscard]] const Counter* find_counter(std::string_view name) const;
-  [[nodiscard]] const Gauge* find_gauge(std::string_view name) const;
-  [[nodiscard]] const Histogram* find_histogram(std::string_view name) const;
+/// Folds `from`'s value of counter `c` into `into` by the counter's rule.
+template <typename Counter, typename Stats>
+void merge_counter(const Counter& c, Stats& into, const Stats& from) {
+  into.*c.field = c.merge == Merge::kSum
+                      ? into.*c.field + from.*c.field
+                      : std::max(into.*c.field, from.*c.field);
+}
 
-  /// One JSON object: {"counters": {...}, "gauges": {...},
-  /// "histograms": {name: {count, sum, min, max, mean, buckets: [...]}}}.
-  /// Bucket upper bounds are numbers; the overflow bucket's "le" is the
-  /// string "+Inf" (JSON has no infinity literal).
-  [[nodiscard]] std::string to_json() const;
+/// Introspection counters from the event-driven run core
+/// (WormholeSimulator::run() under SimCore::kEvent). Zero until the first
+/// event run; cumulative across runs of the same simulator. An "event" is
+/// one scheduler entry: a ready-set enqueue, a sleep timer (stall/release
+/// expiry), or a channel-wait subscription of a blocked header.
+struct EventCoreStats {
+  std::uint64_t events_scheduled = 0;  ///< scheduler entries enqueued
+  std::uint64_t events_fired = 0;      ///< entries that dispatched work
+  std::uint64_t events_cancelled = 0;  ///< stale entries discarded unfired
+  std::uint64_t queue_peak = 0;  ///< peak pending entries across all queues
+  std::uint64_t cycles_executed = 0;  ///< cycles actually processed
+  std::uint64_t cycles_skipped = 0;   ///< idle cycles jumped over
 
- private:
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
+  /// Folds another run's counters in, each by its kEventCoreCounters rule.
+  void merge_from(const EventCoreStats& other);
 };
 
-/// Serializes one histogram as the JSON object described in
-/// MetricsRegistry::to_json.
-std::string histogram_to_json(const Histogram& h);
+struct EventCoreCounter {
+  std::string_view name;  ///< JSON key in the heartbeat and report rows
+  std::uint64_t EventCoreStats::*field;
+  Merge merge;
+};
+
+/// Every event-core counter, in the order the heartbeat emits them.
+inline constexpr std::array kEventCoreCounters{
+    EventCoreCounter{"cycles_executed", &EventCoreStats::cycles_executed,
+                     Merge::kSum},
+    EventCoreCounter{"cycles_skipped", &EventCoreStats::cycles_skipped,
+                     Merge::kSum},
+    EventCoreCounter{"events_scheduled", &EventCoreStats::events_scheduled,
+                     Merge::kSum},
+    EventCoreCounter{"events_fired", &EventCoreStats::events_fired,
+                     Merge::kSum},
+    EventCoreCounter{"events_cancelled", &EventCoreStats::events_cancelled,
+                     Merge::kSum},
+    EventCoreCounter{"queue_peak", &EventCoreStats::queue_peak, Merge::kMax},
+};
+
+inline void EventCoreStats::merge_from(const EventCoreStats& other) {
+  for (const EventCoreCounter& c : kEventCoreCounters)
+    merge_counter(c, *this, other);
+}
 
 }  // namespace wormsim::obs

@@ -1,9 +1,9 @@
 #include "obs/run_report.hpp"
 
 #include <cstdlib>
-#include <fstream>
 
 #include "obs/json.hpp"
+#include "util/file.hpp"
 
 namespace wormsim::obs {
 
@@ -24,15 +24,8 @@ std::string to_json(const RunReport& report) {
     first = false;
     out += json::quote(key) + ":" + json::number(value);
   }
-  out += "}";
-  if (report.metrics != nullptr)
-    out += ",\"metrics\":" + report.metrics->to_json();
-  out += "}";
+  out += "}}";
   return out;
-}
-
-void write_json(std::ostream& out, const RunReport& report) {
-  out << to_json(report) << '\n';
 }
 
 bool write_report_file(const RunReport& report, const std::string& dir) {
@@ -43,10 +36,7 @@ bool write_report_file(const RunReport& report, const std::string& dir) {
   std::string path = directory;
   if (!path.empty() && path.back() != '/') path += '/';
   path += "BENCH_" + report.name + ".json";
-  std::ofstream file(path);
-  if (!file) return false;
-  write_json(file, report);
-  return static_cast<bool>(file);
+  return util::write_file_atomic(path, to_json(report) + "\n");
 }
 
 }  // namespace wormsim::obs

@@ -2,16 +2,12 @@
 //
 // Every bench or example that wants its results on the perf trajectory
 // writes one RunReport as `BENCH_<name>.json`. The record is intentionally
-// flat: a few identity labels plus a string->number map, optionally with a
-// full MetricsRegistry snapshot embedded under "metrics", so downstream
+// flat: a few identity labels plus a string->number map, so downstream
 // comparison needs no schema knowledge beyond "numbers live in values".
 #pragma once
 
 #include <map>
-#include <ostream>
 #include <string>
-
-#include "obs/metrics.hpp"
 
 namespace wormsim::obs {
 
@@ -24,18 +20,14 @@ struct RunReport {
   std::map<std::string, double> values;
   /// Flat string annotations (topology, routing algorithm, outcome, ...).
   std::map<std::string, std::string> labels;
-  /// Optional full metrics snapshot; not owned, may be null.
-  const MetricsRegistry* metrics = nullptr;
 };
 
 /// The report as one JSON object.
 std::string to_json(const RunReport& report);
 
-void write_json(std::ostream& out, const RunReport& report);
-
-/// Writes `dir`/BENCH_<name>.json (dir defaults to the working directory;
-/// set WORMSIM_BENCH_DIR to redirect). Returns false if the file could not
-/// be opened.
+/// Publishes `dir`/BENCH_<name>.json atomically, creating missing parent
+/// directories (dir defaults to the working directory; set
+/// WORMSIM_BENCH_DIR to redirect). Returns false on I/O failure.
 bool write_report_file(const RunReport& report, const std::string& dir = {});
 
 }  // namespace wormsim::obs

@@ -35,7 +35,7 @@ struct SearchProfile {
   /// produced lazily, so a state retired early (deadlock found / limits
   /// hit) reports the branches generated so far, not its full fan-out.
   Histogram branch_factor;
-  /// States whose assignment enumeration hit max_branches_per_state.
+  /// States whose assignment enumeration hit analysis::kMaxBranchesPerState.
   std::uint64_t branch_truncations = 0;
   /// Child transitions discarded because they exceeded the delay budget.
   std::uint64_t budget_prunes = 0;
@@ -76,9 +76,6 @@ struct SearchProfile {
   void merge_from(const SearchProfile& other);
 };
 
-/// How one counter's shards combine.
-enum class Merge : std::uint8_t { kSum, kMax };
-
 struct ProfileCounter {
   std::string_view name;  ///< JSON key in the status heartbeat
   std::uint64_t SearchProfile::*field;
@@ -105,9 +102,7 @@ inline constexpr std::array kProfileCounters{
 
 inline void SearchProfile::merge_from(const SearchProfile& other) {
   for (const ProfileCounter& c : kProfileCounters)
-    this->*c.field = c.merge == Merge::kSum
-                         ? this->*c.field + other.*c.field
-                         : std::max(this->*c.field, other.*c.field);
+    merge_counter(c, *this, other);
   branch_factor.merge_from(other.branch_factor);
   table_peak_resident_bytes =
       std::max(table_peak_resident_bytes, other.table_peak_resident_bytes);

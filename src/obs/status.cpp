@@ -5,15 +5,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "obs/json.hpp"
+#include "util/file.hpp"
 
 namespace wormsim::obs {
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -60,12 +56,9 @@ void append_sim(std::string& out, const SimStatus& s) {
   out += "{\"active\":";
   out += s.active ? "true" : "false";
   out += ",\"core\":" + json::quote(s.core);
-  out += ",\"cycles_executed\":" + json::number_u64(s.cycles_executed);
-  out += ",\"cycles_skipped\":" + json::number_u64(s.cycles_skipped);
-  out += ",\"events_scheduled\":" + json::number_u64(s.events_scheduled);
-  out += ",\"events_fired\":" + json::number_u64(s.events_fired);
-  out += ",\"events_cancelled\":" + json::number_u64(s.events_cancelled);
-  out += ",\"queue_peak\":" + json::number_u64(s.queue_peak);
+  for (const EventCoreCounter& c : kEventCoreCounters)
+    out += "," + json::quote(c.name) + ":" +
+           json::number_u64(s.events.*c.field);
   out += ",\"messages_total\":" + json::number_u64(s.messages_total);
   out += ",\"messages_consumed\":" + json::number_u64(s.messages_consumed);
   out += ",\"busy_channel_fraction\":" +
@@ -130,32 +123,7 @@ StatusWriter::StatusWriter(std::string path) : path_(std::move(path)) {}
 bool StatusWriter::write(StatusSnapshot snapshot) {
   snapshot.seq = seq_ + 1;
   snapshot.pid = static_cast<std::uint64_t>(::getpid());
-  const std::string body = snapshot.to_json();
-
-  std::error_code ec;
-  const fs::path dest(path_);
-  if (dest.has_parent_path()) fs::create_directories(dest.parent_path(), ec);
-
-  // Unique sibling temp name (same directory => same filesystem => rename
-  // is atomic), then rename over the destination. A concurrent reader sees
-  // either the previous snapshot or this one, never a torn mix.
-  std::ostringstream tmp_name;
-  tmp_name << path_ << ".tmp." << ::getpid() << "."
-           << reinterpret_cast<std::uintptr_t>(this);
-  const std::string tmp = tmp_name.str();
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out.write(body.data(), static_cast<std::streamsize>(body.size()));
-    out.flush();
-    if (!out) {
-      fs::remove(tmp, ec);
-      ++failures_;
-      return false;
-    }
-  }
-  fs::rename(tmp, path_, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
+  if (!util::write_file_atomic(path_, snapshot.to_json())) {
     ++failures_;
     return false;
   }

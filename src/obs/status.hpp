@@ -7,14 +7,14 @@
 //     progress, truth-cache hit rates, and search-engine internals (per-
 //     worker profile shards, frontier depth, state-table occupancy). The
 //     struct holds only numbers, strings and the obs-level SearchProfile
-//     (obs/search_profile.hpp), so obs stays below analysis/campaign in the
-//     layering — producers mirror their own state into it.
+//     and EventCoreStats (obs/search_profile.hpp, obs/metrics.hpp), so obs
+//     stays below sim/analysis/campaign in the layering — producers mirror
+//     their own state into it.
 //
-//   StatusWriter — publishes a snapshot as one JSON file, atomically: the
-//     bytes go to a unique sibling temp file which is then rename(2)d over
-//     the destination (the TruthStore durability discipline). A reader
-//     either sees the previous complete snapshot or the new complete
-//     snapshot, never a torn mix.
+//   StatusWriter — publishes a snapshot as one JSON file, atomically
+//     (util::write_file_atomic: a unique sibling temp file rename(2)d over
+//     the destination). A reader either sees the previous complete
+//     snapshot or the new complete snapshot, never a torn mix.
 //
 //   StatusSampler — a background thread that calls a producer callback on a
 //     fixed interval, derives a rolling completion rate / ETA from
@@ -77,19 +77,14 @@ struct WorkerStatus {
 };
 
 /// What a simulator-driven run (saturation sweep, throughput bench) is
-/// doing right now: counters mirrored from WormholeSimulator::event_stats()
-/// plus message progress. All-zero when the run drives no simulator (a
-/// search/campaign heartbeat) or the cycle core is in use and has nothing
-/// to report.
+/// doing right now: the runs' WormholeSimulator::event_stats() folded
+/// together, plus message progress. All-zero when the run drives no
+/// simulator (a search/campaign heartbeat) or the cycle core is in use and
+/// has nothing to report.
 struct SimStatus {
   bool active = false;   ///< a simulation is attached and running
   std::string core = "cycle";  ///< "cycle" or "event"
-  std::uint64_t cycles_executed = 0;
-  std::uint64_t cycles_skipped = 0;  ///< idle cycles the event core jumped
-  std::uint64_t events_scheduled = 0;
-  std::uint64_t events_fired = 0;
-  std::uint64_t events_cancelled = 0;
-  std::uint64_t queue_peak = 0;
+  EventCoreStats events;
   std::uint64_t messages_total = 0;
   std::uint64_t messages_consumed = 0;
   double busy_channel_fraction = 0;  ///< busy channel-cycles / total

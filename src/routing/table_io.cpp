@@ -68,8 +68,8 @@ TableLoadResult table_from_json(const topo::Network& net,
   const auto require_count = [&](const char* key,
                                  std::size_t expect) -> std::string {
     const obs::json::Value* v = doc->find(key);
-    if (!v || !v->is_number())
-      return std::string(key) + " missing or not a number";
+    if (!v || !v->is_exact_u64())
+      return std::string(key) + " missing or not a non-negative integer";
     if (v->as_u64() != expect)
       return std::string(key) + " is " + std::to_string(v->as_u64()) +
              " but the target network has " + std::to_string(expect);
@@ -103,8 +103,8 @@ TableLoadResult table_from_json(const topo::Network& net,
     const obs::json::Value* src = entry.find("src");
     const obs::json::Value* dst = entry.find("dst");
     const obs::json::Value* channels = entry.find("channels");
-    if (!src || !src->is_number() || !dst || !dst->is_number())
-      return fail(path_error(i, "src/dst missing or not numbers"));
+    if (!src || !src->is_exact_u64() || !dst || !dst->is_exact_u64())
+      return fail(path_error(i, "src/dst missing or not node ids"));
     if (!channels || !channels->is_array())
       return fail(path_error(i, "channels missing or not an array"));
     if (src->as_u64() >= net.node_count() ||
@@ -117,8 +117,8 @@ TableLoadResult table_from_json(const topo::Network& net,
     if (spec.src == spec.dst)
       return fail(path_error(i, "src equals dst"));
     for (const obs::json::Value& c : channels->as_array()) {
-      if (!c.is_number() || c.as_u64() >= net.channel_count())
-        return fail(path_error(i, "channel id out of range"));
+      if (!c.is_exact_u64() || c.as_u64() >= net.channel_count())
+        return fail(path_error(i, "channel id not an integer in range"));
       spec.channels.push_back(
           ChannelId{static_cast<std::uint32_t>(c.as_u64())});
     }

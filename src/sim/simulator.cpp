@@ -131,9 +131,6 @@ void WormholeSimulator::acquire(MessageId id, MessageState& m, ChannelId c) {
   ch.count = 1;
   ch.entered_cycle = cycle_;
   ch.acquired_cycle = cycle_;
-  if (instruments_.registry != nullptr && m.waiting)
-    instruments_.arb_wait->observe(
-        static_cast<double>(cycle_ - m.waiting_since));
   m.path.push_back(c);
   m.exited.push_back(0);
   m.stall_loaded = false;
@@ -317,8 +314,8 @@ bool WormholeSimulator::step_with_grants_trusted(
   // release_time == 0 and no hop stalls — asserted below — the checked
   // step's extra progress sources (pending release gating, stall ticking)
   // can never fire, and the remaining compute_requests work (request list,
-  // waiting flags) feeds only policy arbitration and metrics, neither of
-  // which the search reads. The cycle-stamped grant table and per-channel
+  // waiting flags) feeds only policy arbitration, which the search never
+  // reads. The cycle-stamped grant table and per-channel
   // transmitted stamp mean no per-cycle reset is needed at all; only the
   // clock advance (delivery stats) remains.
 #ifndef NDEBUG
@@ -481,16 +478,8 @@ bool WormholeSimulator::move_message(std::size_t i) {
       m.status = m.spec.length == 1 ? MessageStatus::kConsumed
                                     : MessageStatus::kDelivered;
       m.stats.deliver_cycle = cycle_;
-      if (instruments_.registry != nullptr) {
-        instruments_.latency->observe(
-            static_cast<double>(cycle_ - m.stats.inject_cycle));
-        instruments_.hops->observe(static_cast<double>(m.stats.hops));
-      }
-      if (m.status == MessageStatus::kConsumed) {
+      if (m.status == MessageStatus::kConsumed)
         m.stats.consume_cycle = cycle_;
-        if (instruments_.registry != nullptr)
-          instruments_.consumed->inc();
-      }
       note_exit(id, m, m.path.size() - 1);
       if (tracing()) {
         obs::TraceEvent event =
@@ -521,7 +510,6 @@ bool WormholeSimulator::move_message(std::size_t i) {
     m.flits_injected = 1;
     m.status = MessageStatus::kMoving;
     m.stats.inject_cycle = cycle_;
-    if (instruments_.registry != nullptr) instruments_.injected->inc();
     if (tracing())
       trace_event(make_event(obs::TraceEventKind::kInject, id, first));
     moved = true;
@@ -535,8 +523,6 @@ bool WormholeSimulator::move_message(std::size_t i) {
       if (m.flits_consumed == m.spec.length) {
         m.status = MessageStatus::kConsumed;
         m.stats.consume_cycle = cycle_;
-        if (instruments_.registry != nullptr)
-          instruments_.consumed->inc();
         if (tracing())
           trace_event(make_event(obs::TraceEventKind::kConsumed, id,
                                  ChannelId::invalid()));
@@ -936,17 +922,6 @@ std::uint64_t WormholeSimulator::channel_busy_cycles(ChannelId c) const {
          (ch.owner.valid() ? cycle_ - ch.acquired_cycle : 0);
 }
 
-double WormholeSimulator::busy_channel_fraction() const {
-  if (channels_.empty() || cycle_ == 0) return 0;
-  std::uint64_t total = 0;
-  for (const ChannelState& ch : channels_)
-    total += ch.busy_cycles +
-             (ch.owner.valid() ? cycle_ - ch.acquired_cycle : 0);
-  return static_cast<double>(total) /
-         (static_cast<double>(channels_.size()) *
-          static_cast<double>(cycle_));
-}
-
 obs::TraceEvent WormholeSimulator::make_event(obs::TraceEventKind kind,
                                               MessageId message,
                                               ChannelId channel) const {
@@ -964,50 +939,6 @@ void WormholeSimulator::trace_event(const obs::TraceEvent& event) {
   const std::string text = obs::narrate(event, alg_->net());
   if (text.empty()) return;  // typed-only event kind
   WORMSIM_LOG(Trace) << "cycle " << cycle_ << ": " << text;
-}
-
-void WormholeSimulator::attach_metrics(obs::MetricsRegistry& registry) {
-  instruments_.registry = &registry;
-  instruments_.injected = &registry.counter("sim.messages_injected");
-  instruments_.consumed = &registry.counter("sim.messages_consumed");
-  instruments_.latency = &registry.histogram(
-      "sim.message_latency", obs::Histogram::exponential_bounds(1, 65536));
-  instruments_.hops = &registry.histogram(
-      "sim.message_hops", obs::Histogram::exponential_bounds(1, 1024));
-  std::vector<double> wait_bounds{0};
-  for (const double b : obs::Histogram::exponential_bounds(1, 4096))
-    wait_bounds.push_back(b);
-  instruments_.arb_wait =
-      &registry.histogram("sim.arbitration_wait", std::move(wait_bounds));
-}
-
-void WormholeSimulator::finalize_metrics() {
-  if (instruments_.registry == nullptr) return;
-  obs::MetricsRegistry& registry = *instruments_.registry;
-  registry.gauge("sim.cycles").set(static_cast<double>(cycle_));
-  registry.gauge("sim.flits_moved").set(static_cast<double>(flits_moved_));
-  registry.gauge("sim.messages_total")
-      .set(static_cast<double>(messages_.size()));
-  obs::Histogram& utilization = registry.histogram(
-      "sim.channel_utilization",
-      {0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0});
-  double total = 0;
-  double busiest = 0;
-  for (const ChannelState& ch : channels_) {
-    const std::uint64_t busy =
-        ch.busy_cycles + (ch.owner.valid() ? cycle_ - ch.acquired_cycle : 0);
-    const double share =
-        cycle_ == 0 ? 0
-                    : static_cast<double>(busy) /
-                          static_cast<double>(cycle_);
-    utilization.observe(share);
-    total += share;
-    busiest = std::max(busiest, share);
-  }
-  registry.gauge("sim.channel_utilization_mean")
-      .set(channels_.empty() ? 0 : total /
-                                       static_cast<double>(channels_.size()));
-  registry.gauge("sim.channel_utilization_max").set(busiest);
 }
 
 void WormholeSimulator::check_invariants() const {

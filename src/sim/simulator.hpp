@@ -78,19 +78,9 @@ struct SimConfig {
   SimCore core = SimCore::kCycle;
 };
 
-/// Introspection counters from the event-driven run core (run() under
-/// SimCore::kEvent). Zero until the first event run; cumulative across
-/// runs of the same simulator. An "event" is one scheduler entry: a
-/// ready-set enqueue, a sleep timer (stall/release expiry), or a
-/// channel-wait subscription of a blocked header.
-struct EventCoreStats {
-  std::uint64_t events_scheduled = 0;  ///< scheduler entries enqueued
-  std::uint64_t events_fired = 0;      ///< entries that dispatched work
-  std::uint64_t events_cancelled = 0;  ///< stale entries discarded unfired
-  std::uint64_t queue_peak = 0;  ///< peak pending entries across all queues
-  std::uint64_t cycles_executed = 0;  ///< cycles actually processed
-  std::uint64_t cycles_skipped = 0;   ///< idle cycles jumped over
-};
+/// The event-driven run core's scheduler counters, declared in obs with
+/// their counter table so the heartbeat and the reports loop over it.
+using EventCoreStats = obs::EventCoreStats;
 
 /// Per-message outcome statistics.
 struct MessageStats {
@@ -258,10 +248,6 @@ class WormholeSimulator {
     return event_stats_;
   }
 
-  /// Mean fraction of channels busy per elapsed cycle so far (total
-  /// busy-cycles over channels * now()); 0 before the first cycle.
-  [[nodiscard]] double busy_channel_fraction() const;
-
   /// Typed trace sink; receives every obs::TraceEvent (including blocked /
   /// channel-acquire / channel-release, which obs::narrate leaves silent).
   /// The sink must outlive the simulator or be cleared with nullptr.
@@ -270,18 +256,6 @@ class WormholeSimulator {
     trace_sink_ = sink;
     refresh_trace_armed();
   }
-
-  /// Registers this run's instruments (message latency, hops, arbitration
-  /// wait histograms; injected/consumed counters) in `registry` and starts
-  /// recording. The registry must outlive the simulator. Disabled metrics
-  /// cost one branch per event site.
-  void attach_metrics(obs::MetricsRegistry& registry);
-
-  /// Writes end-of-run gauges (cycles, flits moved, channel-utilization
-  /// mean/max) and the per-channel utilization histogram into the attached
-  /// registry. Call once after run()/stepping finishes; no-op when metrics
-  /// are not attached.
-  void finalize_metrics();
 
  private:
   struct MessageState {
@@ -514,18 +488,6 @@ class WormholeSimulator {
   bool muted_ = false;
   /// Cached "any trace consumer active" flag; see tracing().
   bool trace_armed_ = false;
-
-  /// Raw instrument pointers resolved once by attach_metrics; all null when
-  /// metrics are off, so every hot-path site is a single pointer test.
-  struct Instruments {
-    obs::MetricsRegistry* registry = nullptr;
-    obs::Counter* injected = nullptr;
-    obs::Counter* consumed = nullptr;
-    obs::Histogram* latency = nullptr;
-    obs::Histogram* hops = nullptr;
-    obs::Histogram* arb_wait = nullptr;
-  };
-  Instruments instruments_;
 
   /// Per-cycle request scratch. Copying a simulator deliberately does NOT
   /// copy it: every reader runs compute_requests() first, so a forked

@@ -16,6 +16,8 @@
 #include <thread>
 #include <vector>
 
+#include "util/text.hpp"
+
 namespace wormsim::campaign {
 namespace {
 
@@ -37,6 +39,17 @@ std::string read_file(const std::string& path) {
 void write_file(const std::string& path, const std::string& text) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << text;
+}
+
+/// Canonical byte-at-a-time FNV-1a, the digest behind fingerprints and
+/// record checksums.
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
 }
 
 // TruthStore holds a mutex, so it is neither movable nor copyable; tests
@@ -159,6 +172,27 @@ TEST(TruthStore, ChecksumFailureTruncatesFromTheBadLine) {
   EXPECT_FALSE(loaded.lookup("c").has_value());
 }
 
+TEST(TruthStore, OverflowingStatesFieldIsCorrupt) {
+  // 2^64 + 1 under a valid checksum: a wrapping decimal parser would load
+  // it as states = 1 and a warm hit would write that into the JSONL.
+  const std::string path = temp_path("overflow.truthstore");
+  TruthStore store(kFp);
+  fill(store, {{"a", {SearchOutcome::kDeadlock, 10}}});
+  ASSERT_TRUE(store.save(path));
+  const std::string payload = "b\tdeadlock\t18446744073709551617";
+  write_file(path,
+             read_file(path) + payload + "\t" + util::hex16(fnv1a(payload)) +
+                 "\n");
+
+  TruthStore loaded(kFp);
+  const TruthLoadStats stats = loaded.load(path);
+  EXPECT_TRUE(stats.fingerprint_ok);
+  EXPECT_EQ(stats.records, 1u);
+  EXPECT_EQ(stats.dropped, 1u);
+  EXPECT_TRUE(loaded.lookup("a").has_value());
+  EXPECT_FALSE(loaded.lookup("b").has_value());
+}
+
 TEST(TruthStore, ConcurrentSaversLeaveAFullyFormedFile) {
   const std::string path = temp_path("race.truthstore");
   // Writers with distinct record sets race save() on one path. Atomic
@@ -256,14 +290,6 @@ TEST(TruthStore, FingerprintFoldsReductionOnlyWhenEnabled) {
   // off folds nothing — a store written before safe became the default
   // stays warm only for --reduction off. Both digests are pinned against
   // the canonical text directly.
-  const auto fnv1a = [](std::string_view bytes) {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const char c : bytes) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 0x100000001b3ull;
-    }
-    return h;
-  };
   const std::string legacy =
       "behaviour=1;buffer_depth=1;max_states=2000000;delay_budget=0;"
       "metric=0;max_branches=4096;cycles_probed=8;acyclic_messages=4";
@@ -288,14 +314,6 @@ TEST(TruthStore, BudgetedFingerprintFoldsTheKeyEncoding) {
   // changes the bytes per state changes which budgeted searches come back
   // inconclusive. Budgeted stores written under another encoding must
   // age out; the unbudgeted digests pinned above must not move.
-  const auto fnv1a = [](std::string_view bytes) {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const char c : bytes) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 0x100000001b3ull;
-    }
-    return h;
-  };
   analysis::SearchLimits budgeted;
   budgeted.memo_budget_bytes = 1 << 20;
   EXPECT_EQ(truth_fingerprint(budgeted, 8, 4),

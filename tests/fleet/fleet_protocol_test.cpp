@@ -10,6 +10,7 @@
 
 #include "campaign/runner.hpp"
 #include "fleet/protocol.hpp"
+#include "util/file.hpp"
 
 namespace wormsim::fleet {
 namespace {
@@ -20,6 +21,13 @@ std::string temp_dir(const std::string& name) {
   const std::string dir = (fs::temp_directory_path() / name).string();
   fs::remove_all(dir);
   return dir;
+}
+
+/// `text` with the value after `"key":` replaced by `value`.
+std::string with_field(std::string text, const std::string& key,
+                       const std::string& value) {
+  const std::size_t start = text.find("\"" + key + "\":") + key.size() + 3;
+  return text.replace(start, text.find_first_of(",}", start) - start, value);
 }
 
 TEST(FleetProtocol, ManifestRoundTripsEveryField) {
@@ -80,6 +88,19 @@ TEST(FleetProtocol, MessagesRejectForeignAndTornText) {
   ASSERT_TRUE(FleetManifest::from_json(one_pair.to_json()).has_value());
   one_pair.synth_max_pairs = 1;
   EXPECT_FALSE(FleetManifest::from_json(one_pair.to_json()).has_value());
+
+  // Integer fields must be exact non-negative integers. Cast from a
+  // double, -3 would read as 2^64-3, 1e300 is undefined behaviour (0 on
+  // x86) and 0.5 truncates to 0; a manifest count of -5 would make a
+  // resuming coordinator wrap to zero batches and report the run complete.
+  const std::string task_text = BatchTask{0, 0, 64, 1}.to_json();
+  ASSERT_TRUE(BatchTask::from_json(task_text).has_value());
+  for (const auto& [key, value] :
+       {std::pair{"attempt", "-3"}, {"end", "1e300"}, {"batch", "0.5"}})
+    EXPECT_FALSE(BatchTask::from_json(with_field(task_text, key, value)))
+        << key << " = " << value;
+  EXPECT_FALSE(FleetManifest::from_json(
+      with_field(FleetManifest{}.to_json(), "count", "-5")));
 
   // A reduction mode this build does not run (the retired "on") would
   // silently search differently from what the fingerprint describes.
@@ -180,10 +201,10 @@ TEST(FleetProtocol, RunPathsNameAndParseBatchStems) {
 TEST(FleetProtocol, AtomicWriteCreatesParentsAndReplacesWhole) {
   const std::string dir = temp_dir("wormsim_fleet_atomic");
   const std::string path = dir + "/deep/nested/file.json";
-  ASSERT_TRUE(write_file_atomic(path, "first\n"));
-  EXPECT_EQ(read_file(path), "first\n");
-  ASSERT_TRUE(write_file_atomic(path, "second\n"));
-  EXPECT_EQ(read_file(path), "second\n");
+  ASSERT_TRUE(util::write_file_atomic(path, "first\n"));
+  EXPECT_EQ(util::read_file(path), "first\n");
+  ASSERT_TRUE(util::write_file_atomic(path, "second\n"));
+  EXPECT_EQ(util::read_file(path), "second\n");
   // No temp litter left behind.
   std::size_t entries = 0;
   for (const auto& entry : fs::directory_iterator(dir + "/deep/nested")) {
@@ -191,7 +212,7 @@ TEST(FleetProtocol, AtomicWriteCreatesParentsAndReplacesWhole) {
     ++entries;
   }
   EXPECT_EQ(entries, 1u);
-  EXPECT_FALSE(read_file(dir + "/missing").has_value());
+  EXPECT_FALSE(util::read_file(dir + "/missing").has_value());
   fs::remove_all(dir);
 }
 

@@ -18,6 +18,7 @@
 #include "campaign/runner.hpp"
 #include "fleet/coordinator.hpp"
 #include "fleet/protocol.hpp"
+#include "util/file.hpp"
 #include "fleet/worker.hpp"
 
 namespace wormsim::fleet {
@@ -73,7 +74,7 @@ std::thread start_worker(const std::string& run_dir, const std::string& name,
 }
 
 std::string merged_bytes(const std::string& run_dir) {
-  const auto text = read_file(RunPaths(run_dir).merged());
+  const auto text = util::read_file(RunPaths(run_dir).merged());
   return text ? *text : std::string("<missing merged.jsonl>");
 }
 
@@ -100,7 +101,7 @@ TEST(FleetRuntime, CleanTwoWorkerRunMatchesSingleProcessBytes) {
   EXPECT_EQ(w0.batches_done + w1.batches_done, 4u);
   EXPECT_EQ(w0.scenarios + w1.scenarios, 40u);
   const auto sentinel =
-      ShutdownSentinel::from_json(*read_file(RunPaths(dir).shutdown()));
+      ShutdownSentinel::from_json(*util::read_file(RunPaths(dir).shutdown()));
   ASSERT_TRUE(sentinel.has_value());
   EXPECT_TRUE(sentinel->complete);
   fs::remove_all(dir);
@@ -118,14 +119,14 @@ TEST(FleetRuntime, ExpiredLeaseIsReassignedAndBytesAreUnchanged) {
   const FleetManifest manifest = manifest_for(
       config.campaign, config.batch_size, config.max_attempts,
       config.lease_seconds);
-  ASSERT_TRUE(write_file_atomic(paths.manifest(), manifest.to_json()));
+  ASSERT_TRUE(util::write_file_atomic(paths.manifest(), manifest.to_json()));
   BatchLease stale;
   stale.batch = 0;
   stale.first = 0;
   stale.end = 10;
   stale.worker = "dead-worker";
   stale.pid = 1;
-  ASSERT_TRUE(write_file_atomic(paths.batch_claim(0), stale.to_json()));
+  ASSERT_TRUE(util::write_file_atomic(paths.batch_claim(0), stale.to_json()));
   fs::last_write_time(paths.batch_claim(0),
                       fs::file_time_type::clock::now() -
                           std::chrono::seconds(100));
@@ -196,7 +197,7 @@ TEST(FleetRuntime, TornResultIsKeptAsEvidenceAndRecomputed) {
   const FleetManifest manifest = manifest_for(
       config.campaign, config.batch_size, config.max_attempts,
       config.lease_seconds);
-  ASSERT_TRUE(write_file_atomic(paths.manifest(), manifest.to_json()));
+  ASSERT_TRUE(util::write_file_atomic(paths.manifest(), manifest.to_json()));
 
   // A result whose header promises 10 records but whose body was torn off
   // — what a worker dying inside a non-atomic write would have produced
@@ -209,7 +210,7 @@ TEST(FleetRuntime, TornResultIsKeptAsEvidenceAndRecomputed) {
   header.worker = "liar";
   header.records = 10;
   ASSERT_TRUE(
-      write_file_atomic(paths.batch_result(0), header.to_json() + "\n"));
+      util::write_file_atomic(paths.batch_result(0), header.to_json() + "\n"));
 
   WorkerResult w0;
   std::thread t0 = start_worker(dir, "w0", &w0);
@@ -220,43 +221,58 @@ TEST(FleetRuntime, TornResultIsKeptAsEvidenceAndRecomputed) {
   EXPECT_GE(result.retries, 1u);
   EXPECT_EQ(merged_bytes(dir), reference_jsonl());
   // The rejected bytes were preserved for post-mortem, with a reasoned log.
-  const auto evidence = read_file(paths.quarantine_evidence(0, 1));
+  const auto evidence = util::read_file(paths.quarantine_evidence(0, 1));
   ASSERT_TRUE(evidence.has_value());
   EXPECT_NE(evidence->find("\"worker\":\"liar\""), std::string::npos);
   fs::remove_all(dir);
 }
 
 TEST(FleetRuntime, PoisonBatchIsQuarantinedInsteadOfWedgingTheFleet) {
-  const std::string dir = temp_dir("wormsim_fleet_poison");
-  const RunPaths paths(dir);
-  FleetConfig config = fleet_config(dir);
-  config.campaign.count = 10;  // a single batch
-  config.max_attempts = 1;
-  const FleetManifest manifest = manifest_for(
-      config.campaign, config.batch_size, config.max_attempts,
-      config.lease_seconds);
-  ASSERT_TRUE(write_file_atomic(paths.manifest(), manifest.to_json()));
-  ASSERT_TRUE(write_file_atomic(paths.batch_result(0), "not a result\n"));
+  // Two planted results: garbage, and a well-formed file of all ten records
+  // whose first index is 0.5 (which would truncate to the expected 0 if
+  // read through a double).
+  ResultHeader header;
+  header.end = 10;
+  header.worker = "liar";
+  header.records = 10;
+  std::string fractional = header.to_json() + "\n";
+  for (int i = 0; i < 10; ++i)
+    fractional += "{\"index\":" + (i == 0 ? "0.5" : std::to_string(i)) +
+                  ",\"verdict\":\"agree\",\"states\":1}\n";
+  for (const std::string& planted :
+       {std::string("not a result\n"), fractional}) {
+    const std::string dir = temp_dir("wormsim_fleet_poison");
+    const RunPaths paths(dir);
+    FleetConfig config = fleet_config(dir);
+    config.campaign.count = 10;  // a single batch
+    config.max_attempts = 1;
+    const FleetManifest manifest = manifest_for(
+        config.campaign, config.batch_size, config.max_attempts,
+        config.lease_seconds);
+    ASSERT_TRUE(
+        util::write_file_atomic(paths.manifest(), manifest.to_json()));
+    ASSERT_TRUE(util::write_file_atomic(paths.batch_result(0), planted));
 
-  // No workers: the only attempt is the planted garbage, so the batch must
-  // quarantine — and the coordinator must terminate anyway.
-  const FleetResult result = run_coordinator(config);
-  EXPECT_FALSE(result.complete);
-  EXPECT_EQ(result.batches_quarantined, 1u);
-  EXPECT_EQ(result.batches_done, 0u);
+    // No workers: the only attempt is the planted file, so the batch must
+    // quarantine — and the coordinator must terminate anyway.
+    const FleetResult result = run_coordinator(config);
+    EXPECT_FALSE(result.complete) << planted;
+    EXPECT_EQ(result.batches_quarantined, 1u);
+    EXPECT_EQ(result.batches_done, 0u);
 
-  const auto record =
-      QuarantineRecord::from_json(*read_file(paths.batch_quarantine(0)));
-  ASSERT_TRUE(record.has_value());
-  EXPECT_EQ(record->attempts, 1u);
-  EXPECT_NE(record->reason.find("invalid result"), std::string::npos);
-  // The merge stops at the hole: nothing may be written past it.
-  EXPECT_EQ(merged_bytes(dir), "");
-  const auto sentinel =
-      ShutdownSentinel::from_json(*read_file(paths.shutdown()));
-  ASSERT_TRUE(sentinel.has_value());
-  EXPECT_FALSE(sentinel->complete);
-  fs::remove_all(dir);
+    const auto record = QuarantineRecord::from_json(
+        *util::read_file(paths.batch_quarantine(0)));
+    ASSERT_TRUE(record.has_value());
+    EXPECT_EQ(record->attempts, 1u);
+    EXPECT_NE(record->reason.find("invalid result"), std::string::npos);
+    // The merge stops at the hole: nothing may be written past it.
+    EXPECT_EQ(merged_bytes(dir), "");
+    const auto sentinel =
+        ShutdownSentinel::from_json(*util::read_file(paths.shutdown()));
+    ASSERT_TRUE(sentinel.has_value());
+    EXPECT_FALSE(sentinel->complete);
+    fs::remove_all(dir);
+  }
 }
 
 TEST(FleetRuntime, WorkerExitReasonsCoverTheIdlePaths) {
@@ -275,7 +291,7 @@ TEST(FleetRuntime, WorkerExitReasonsCoverTheIdlePaths) {
 
   const FleetManifest manifest =
       manifest_for(base_campaign(), 10, 3, 10);
-  ASSERT_TRUE(write_file_atomic(paths.manifest(), manifest.to_json()));
+  ASSERT_TRUE(util::write_file_atomic(paths.manifest(), manifest.to_json()));
 
   // Manifest but no work and no sentinel: idle timeout.
   config.max_idle_seconds = 0.05;
@@ -283,7 +299,7 @@ TEST(FleetRuntime, WorkerExitReasonsCoverTheIdlePaths) {
 
   // Sentinel present, queue empty: orderly shutdown.
   config.max_idle_seconds = 0;
-  ASSERT_TRUE(write_file_atomic(paths.shutdown(),
+  ASSERT_TRUE(util::write_file_atomic(paths.shutdown(),
                                 ShutdownSentinel{true}.to_json()));
   const WorkerResult done = run_worker(config);
   EXPECT_EQ(done.exit_reason, "shutdown");

@@ -17,6 +17,7 @@
 #include "campaign/runner.hpp"
 #include "fleet/coordinator.hpp"
 #include "fleet/protocol.hpp"
+#include "util/file.hpp"
 #include "fleet/worker.hpp"
 #include "obs/json.hpp"
 
@@ -188,15 +189,15 @@ TEST(FleetSchemaDoc, DeployedRunDirectoryMatchesTheManual) {
   const std::string doc = slurp(manual_path());
   ASSERT_FALSE(doc.empty());
   const RunPaths paths(dir);
-  expect_matches_table(*read_file(paths.manifest()),
+  expect_matches_table(*util::read_file(paths.manifest()),
                        parse_table(doc, kManifestHeading),
                        "deployed manifest");
-  expect_matches_table(*read_file(paths.shutdown()),
+  expect_matches_table(*util::read_file(paths.shutdown()),
                        parse_table(doc, kShutdownHeading),
                        "deployed sentinel");
   // The result file: documented header line, then exactly the documented
   // record count of campaign JSONL lines.
-  const auto result_text = read_file(paths.batch_result(0));
+  const auto result_text = util::read_file(paths.batch_result(0));
   ASSERT_TRUE(result_text.has_value());
   std::istringstream lines(*result_text);
   std::string header_line;
@@ -214,7 +215,7 @@ TEST(FleetSchemaDoc, DeployedRunDirectoryMatchesTheManual) {
   const campaign::CampaignResult reference = campaign::run_campaign(single);
   std::ostringstream expected;
   reference.write_jsonl(expected);
-  EXPECT_EQ(*read_file(paths.merged()), expected.str())
+  EXPECT_EQ(*util::read_file(paths.merged()), expected.str())
       << "merged.jsonl must be byte-identical to the single-process run";
   fs::remove_all(dir);
 }

@@ -7,21 +7,6 @@
 namespace wormsim::obs {
 namespace {
 
-TEST(CounterTest, AccumulatesIncrements) {
-  Counter c;
-  EXPECT_EQ(c.value(), 0u);
-  c.inc();
-  c.inc(41);
-  EXPECT_EQ(c.value(), 42u);
-}
-
-TEST(GaugeTest, LastWriteWins) {
-  Gauge g;
-  g.set(3.5);
-  g.set(-1.25);
-  EXPECT_DOUBLE_EQ(g.value(), -1.25);
-}
-
 TEST(HistogramTest, BucketBoundariesAreInclusiveUpperBounds) {
   Histogram h({1, 2, 4});
   // v <= bound lands in that bucket: exactly-on-boundary values go to the
@@ -103,46 +88,6 @@ TEST(HistogramTest, ExponentialBoundsDoubleUpToLimit) {
   ASSERT_EQ(bounds.size(), 5u);
   EXPECT_DOUBLE_EQ(bounds[0], 1);
   EXPECT_DOUBLE_EQ(bounds[4], 16);
-}
-
-TEST(MetricsRegistryTest, InstrumentsAreStableAcrossLookups) {
-  MetricsRegistry registry;
-  Counter& a = registry.counter("events");
-  a.inc(7);
-  EXPECT_EQ(registry.counter("events").value(), 7u);
-  EXPECT_EQ(registry.find_counter("events"), &a);
-  EXPECT_EQ(registry.find_counter("missing"), nullptr);
-}
-
-TEST(MetricsRegistryTest, SnapshotIsValidJsonWithAllInstruments) {
-  MetricsRegistry registry;
-  registry.counter("runs").inc(3);
-  registry.gauge("utilization").set(0.75);
-  Histogram& h = registry.histogram("latency", {1, 10, 100});
-  h.observe(5);
-  h.observe(500);
-
-  const std::string snapshot = registry.to_json();
-  const auto parsed = json::parse(snapshot);
-  ASSERT_TRUE(parsed.has_value()) << snapshot;
-
-  const json::Value* runs = parsed->find("counters")->find("runs");
-  ASSERT_NE(runs, nullptr);
-  EXPECT_DOUBLE_EQ(runs->as_number(), 3);
-
-  const json::Value* util = parsed->find("gauges")->find("utilization");
-  ASSERT_NE(util, nullptr);
-  EXPECT_DOUBLE_EQ(util->as_number(), 0.75);
-
-  const json::Value* lat = parsed->find("histograms")->find("latency");
-  ASSERT_NE(lat, nullptr);
-  EXPECT_DOUBLE_EQ(lat->find("count")->as_number(), 2);
-  const auto& buckets = lat->find("buckets")->as_array();
-  ASSERT_EQ(buckets.size(), 4u);  // 3 bounds + overflow
-  // Overflow bucket's le is the string "+Inf" and holds the 500.
-  EXPECT_TRUE(buckets[3].find("le")->is_string());
-  EXPECT_EQ(buckets[3].find("le")->as_string(), "+Inf");
-  EXPECT_DOUBLE_EQ(buckets[3].find("count")->as_number(), 1);
 }
 
 TEST(JsonTest, EscapesControlAndQuoteCharacters) {

@@ -12,9 +12,6 @@ namespace wormsim::obs {
 namespace {
 
 TEST(RunReportTest, JsonRoundTripsAllFields) {
-  MetricsRegistry registry;
-  registry.counter("steps").inc(12);
-
   RunReport report;
   report.name = "mesh_traffic";
   report.kind = "simulation";
@@ -22,7 +19,6 @@ TEST(RunReportTest, JsonRoundTripsAllFields) {
   report.values["cycles"] = 128;
   report.labels["topology"] = "mesh-8x8";
   report.labels["routing"] = "dor";
-  report.metrics = &registry;
 
   const auto parsed = json::parse(to_json(report));
   ASSERT_TRUE(parsed.has_value());
@@ -32,9 +28,6 @@ TEST(RunReportTest, JsonRoundTripsAllFields) {
       parsed->find("values")->find("mean_latency")->as_number(), 17.5);
   EXPECT_EQ(parsed->find("labels")->find("topology")->as_string(),
             "mesh-8x8");
-  const json::Value* metrics = parsed->find("metrics");
-  ASSERT_NE(metrics, nullptr);
-  EXPECT_DOUBLE_EQ(metrics->find("counters")->find("steps")->as_number(), 12);
 }
 
 TEST(RunReportTest, OmitsMetricsWhenAbsent) {

@@ -72,12 +72,12 @@ TEST(StatusWriterTest, EmitsSimCoreIntrospection) {
   snap.kind = "saturation";
   snap.sim.active = true;
   snap.sim.core = "event";
-  snap.sim.cycles_executed = 120;
-  snap.sim.cycles_skipped = 9880;
-  snap.sim.events_scheduled = 400;
-  snap.sim.events_fired = 390;
-  snap.sim.events_cancelled = 10;
-  snap.sim.queue_peak = 64;
+  snap.sim.events.cycles_executed = 120;
+  snap.sim.events.cycles_skipped = 9880;
+  snap.sim.events.events_scheduled = 400;
+  snap.sim.events.events_fired = 390;
+  snap.sim.events.events_cancelled = 10;
+  snap.sim.events.queue_peak = 64;
   snap.sim.messages_total = 32;
   snap.sim.messages_consumed = 30;
   snap.sim.busy_channel_fraction = 0.25;
@@ -183,7 +183,17 @@ TEST(StatusSnapshotTest, GoldenBytesPinEveryKeyAndItsOrder) {
   snap.truth_misses = 203;
   snap.truth_hit_rate = 0.375;
   snap.fleet = {301, 302, 303, 304, 305, 306, 307, 308, 309};
-  snap.sim = {true, "event", 401, 402, 403, 404, 405, 406, 407, 408, 0.625};
+  snap.sim.active = true;
+  snap.sim.core = "event";
+  snap.sim.events.cycles_executed = 401;
+  snap.sim.events.cycles_skipped = 402;
+  snap.sim.events.events_scheduled = 403;
+  snap.sim.events.events_fired = 404;
+  snap.sim.events.events_cancelled = 405;
+  snap.sim.events.queue_peak = 406;
+  snap.sim.messages_total = 407;
+  snap.sim.messages_consumed = 408;
+  snap.sim.busy_channel_fraction = 0.625;
 
   SearchStatus& search = snap.search;
   search.active = true;

@@ -125,35 +125,6 @@ TEST_F(Fig1TraceTest, ChromeTraceIsValidJsonAndCoversEveryMessage) {
   EXPECT_EQ(begin_count, end_count);
 }
 
-TEST_F(Fig1TraceTest, MetricsCaptureLatencyAndHops) {
-  sim::PriorityArbitration policy({2, 0, 3, 1});
-  sim::WormholeSimulator simulator(family_.algorithm(), sim::SimConfig{},
-                                   policy);
-  for (const auto& spec : family_.message_specs())
-    simulator.add_message(spec);
-  MetricsRegistry registry;
-  simulator.attach_metrics(registry);
-  const auto result = simulator.run();
-  ASSERT_EQ(result.outcome, sim::RunOutcome::kAllConsumed);
-  simulator.finalize_metrics();
-
-  const std::size_t count = simulator.message_count();
-  EXPECT_EQ(registry.counter("sim.messages_injected").value(), count);
-  EXPECT_EQ(registry.counter("sim.messages_consumed").value(), count);
-  const Histogram* latency = registry.find_histogram("sim.message_latency");
-  ASSERT_NE(latency, nullptr);
-  EXPECT_EQ(latency->count(), count);
-  EXPECT_GT(latency->mean(), 0);
-  const Histogram* hops = registry.find_histogram("sim.message_hops");
-  ASSERT_NE(hops, nullptr);
-  EXPECT_EQ(hops->count(), count);
-  const Gauge* cycles = registry.find_gauge("sim.cycles");
-  ASSERT_NE(cycles, nullptr);
-  EXPECT_GT(cycles->value(), 0);
-  // The snapshot is parseable JSON.
-  EXPECT_TRUE(json::parse(registry.to_json()).has_value());
-}
-
 TEST(TraceEventTest, KindNamesAreStable) {
   EXPECT_STREQ(kind_name(TraceEventKind::kInject), "inject");
   EXPECT_STREQ(kind_name(TraceEventKind::kHeaderAdvance), "header-advance");

@@ -90,6 +90,14 @@ TEST(TableIo, MalformedDocumentsAreRejectedWithReasons) {
                               R"("nodes":5,"channels":8,"paths":[]})"},
       {"channel count mismatch", R"({"schema":"wormsim-table-v1","name":"x",)"
                                  R"("nodes":4,"channels":9,"paths":[]})"},
+      // Counts and ids must be exact integers, not numbers that truncate
+      // to one (4.7 would read as 4, 0.6 as node 0, 0.9 as channel 0).
+      {"fractional node count", R"({"schema":"wormsim-table-v1","name":"x",)"
+                                R"("nodes":4.7,"channels":8,"paths":[]})"},
+      {"fractional src and channel",
+       R"({"schema":"wormsim-table-v1","name":"x",)"
+       R"("nodes":4,"channels":8,)"
+       R"("paths":[{"src":0.6,"dst":1,"channels":[0.9]}]})"},
       {"paths not an array", R"({"schema":"wormsim-table-v1","name":"x",)"
                              R"("nodes":4,"channels":8,"paths":7})"},
       {"src out of range", R"({"schema":"wormsim-table-v1","name":"x",)"

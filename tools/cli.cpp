@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -11,18 +10,6 @@
 namespace wormsim::cli {
 
 constexpr double kMaxSeconds = 86400;  // see Parser::seconds
-
-std::optional<std::uint64_t> parse_u64(const char* text) {
-  // strtoull alone accepts a sign (wrapping "-1" to 2^64-1) and saturates
-  // out-of-range input.
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (!std::isdigit(static_cast<unsigned char>(*text)) || *end != '\0' ||
-      errno == ERANGE)
-    return std::nullopt;
-  return v;
-}
 
 std::optional<double> parse_fraction(const char* text) {
   char* end = nullptr;

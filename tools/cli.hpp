@@ -18,10 +18,10 @@
 #include <utility>
 #include <vector>
 
+#include "util/text.hpp"
+
 namespace wormsim::cli {
 
-/// A plain decimal integer: no sign, no trailing text, no overflow.
-[[nodiscard]] std::optional<std::uint64_t> parse_u64(const char* text);
 /// A number in [0, 1] (so never NaN or infinite).
 [[nodiscard]] std::optional<double> parse_fraction(const char* text);
 /// Comma-separated items; "" and "a,,b" keep their empty items.
@@ -62,7 +62,7 @@ class Parser {
                               std::to_string(max) + "]";
     return add({name, "N", range, std::to_string(field), doc,
                 [&field, min, max](const char* text) {
-                  const auto v = parse_u64(text);
+                  const auto v = util::parse_u64(text);
                   if (!v || *v < min || *v > max) return false;
                   field = static_cast<T>(*v);
                   return true;

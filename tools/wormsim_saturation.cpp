@@ -19,7 +19,6 @@
 // mirrors the most recently finished simulation's event-core stats. The
 // snapshot is updated between sweep points only, so the sampler thread
 // never reads a live simulator.
-#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdio>
@@ -169,7 +168,7 @@ void declare_flags(cli::Parser& p, Options& opt) {
            "fabric under test");
   p.add({"--k", "N", "an even integer in [2, 2147483646]",
          std::to_string(opt.k), "fat-tree radix", [&opt](const char* text) {
-           const auto v = cli::parse_u64(text);
+           const auto v = util::parse_u64(text);
            if (!v || *v < 2 || *v % 2 != 0 || *v > kIntMax) return false;
            opt.k = static_cast<int>(*v);
            return true;
@@ -183,7 +182,7 @@ void declare_flags(cli::Parser& p, Options& opt) {
          [&opt](const char* text) {
            std::vector<std::uint64_t> v;
            for (const std::string& item : cli::split(text)) {
-             const auto n = cli::parse_u64(item.c_str());
+             const auto n = util::parse_u64(item);
              if (!n || *n > kIntMax) return false;
              v.push_back(*n);
            }
@@ -225,7 +224,7 @@ void declare_flags(cli::Parser& p, Options& opt) {
          [&opt](const char* text) {
            std::vector<std::uint64_t> sizes;
            for (const std::string& item : cli::split(text)) {
-             const auto v = cli::parse_u64(item.c_str());
+             const auto v = util::parse_u64(item);
              if (!v || *v < 2 || !std::has_single_bit(*v)) return false;
              sizes.push_back(*v);
            }
@@ -366,30 +365,17 @@ int main(int argc, char** argv) {
     report.values[prefix + "run_cycles"] = static_cast<double>(result.cycles);
     report.values[prefix + "wall_seconds"] = elapsed;
     const sim::EventCoreStats& es = simulator.event_stats();
-    report.values[prefix + "cycles_executed"] =
-        static_cast<double>(es.cycles_executed);
-    report.values[prefix + "cycles_skipped"] =
-        static_cast<double>(es.cycles_skipped);
-    report.values[prefix + "events_scheduled"] =
-        static_cast<double>(es.events_scheduled);
-    report.values[prefix + "events_fired"] =
-        static_cast<double>(es.events_fired);
-    report.values[prefix + "events_cancelled"] =
-        static_cast<double>(es.events_cancelled);
-    report.values[prefix + "queue_peak"] = static_cast<double>(es.queue_peak);
+    for (const obs::EventCoreCounter& c : obs::kEventCoreCounters)
+      report.values[prefix + std::string(c.name)] =
+          static_cast<double>(es.*c.field);
 
     {
       std::lock_guard<std::mutex> lock(status_mu);
       ++status.done;
-      status.sim.cycles_executed += es.cycles_executed;
-      status.sim.cycles_skipped += es.cycles_skipped;
-      status.sim.events_scheduled += es.events_scheduled;
-      status.sim.events_fired += es.events_fired;
-      status.sim.events_cancelled += es.events_cancelled;
-      status.sim.queue_peak = std::max(status.sim.queue_peak, es.queue_peak);
+      status.sim.events.merge_from(es);
       status.sim.messages_total += stats.offered;
       status.sim.messages_consumed += stats.delivered;
-      status.sim.busy_channel_fraction = simulator.busy_channel_fraction();
+      status.sim.busy_channel_fraction = stats.mean_channel_utilization;
     }
     if (!opt.quiet)
       std::fprintf(stderr,
@@ -440,7 +426,8 @@ int main(int argc, char** argv) {
       // the two cores' costs are comparable: the cycle core pays for every
       // message every cycle, the event core only for scheduled work.
       const double active_channels =
-          simulator.busy_channel_fraction() *
+          sim::summarize_workload(simulator, result.cycles)
+              .mean_channel_utilization *
           static_cast<double>(grid.net().channel_count());
       report.values[prefix + tag + "_ns_per_active_channel_cycle"] =
           active_channels > 0
