@@ -88,9 +88,8 @@ SearchOutcome family_ground_truth(Evaluation& eval,
 /// probed (witness gap).
 SearchOutcome cyclic_ground_truth(Evaluation& eval,
                                   const MaterializedScenario& live,
-                                  const EvalOptions& options,
                                   const analysis::SearchLimits& limits) {
-  const auto cycles = live.graph->elementary_cycles(options.max_cycles_probed);
+  const auto cycles = live.graph->elementary_cycles(kMaxCyclesProbed);
   for (const auto& cycle : cycles) {
     const auto specs = cycle_probe(*live.alg, *live.graph, cycle);
     if (specs.size() != cycle.size()) continue;
@@ -107,7 +106,6 @@ SearchOutcome cyclic_ground_truth(Evaluation& eval,
 /// any deadlock refutes the classical theorem (or the CDG construction).
 SearchOutcome acyclic_ground_truth(Evaluation& eval, const Scenario& scenario,
                                    const MaterializedScenario& live,
-                                   const EvalOptions& options,
                                    const analysis::SearchLimits& limits) {
   const auto numbering = live.graph->topological_numbering();
   if (!numbering || !live.graph->verify_numbering(*numbering))
@@ -117,7 +115,7 @@ SearchOutcome acyclic_ground_truth(Evaluation& eval, const Scenario& scenario,
   const std::size_t n = live.net->node_count();
   std::vector<sim::MessageSpec> specs;
   for (std::size_t i = 0;
-       i < options.acyclic_probe_messages && specs.size() < n * n; ++i) {
+       i < kAcyclicProbeMessages && specs.size() < n * n; ++i) {
     sim::MessageSpec spec;
     spec.src = NodeId{rng.below(n)};
     spec.dst = NodeId{rng.below(n)};
@@ -168,7 +166,7 @@ SearchOutcome synthesized_ground_truth(Evaluation& eval,
 }
 
 /// Ground truth is a pure function of (scenario.truth_key(), search limits,
-/// probe knobs) — see TruthStore's header for the persistence story. Within
+/// probe sizes) — see TruthStore's header for the persistence story. Within
 /// one run the store doubles as the in-memory memo table: families resample
 /// the same structural instances constantly (most expensively the two
 /// Section-6 generalized shapes, whose exhaustive probes dominate an
@@ -283,8 +281,8 @@ std::optional<Evaluation> evaluate_impl(const Scenario& scenario,
       return synthesized_ground_truth(into, scenario, live, with);
     }
     if (eval.classification.cdg_cyclic)
-      return cyclic_ground_truth(into, live, options, with);
-    return acyclic_ground_truth(into, scenario, live, options, with);
+      return cyclic_ground_truth(into, live, with);
+    return acyclic_ground_truth(into, scenario, live, with);
   };
   if (!cached) {
     if (counters != nullptr)
@@ -348,18 +346,10 @@ Evaluation evaluate_scenario(const Scenario& scenario,
 
 std::optional<Scenario> scenario_from_fixture(std::string_view text,
                                               std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const auto at = text.find(needle);
-  if (at == std::string_view::npos) return std::nullopt;
-  const auto open = text.find('{', at);
-  if (open == std::string_view::npos) return std::nullopt;
-  int depth = 0;
-  for (std::size_t i = open; i < text.size(); ++i) {
-    if (text[i] == '{') ++depth;
-    if (text[i] == '}' && --depth == 0)
-      return Scenario::from_json(text.substr(open, i - open + 1));
-  }
-  return std::nullopt;
+  const auto fixture = obs::json::parse(text);
+  const obs::json::Value* scenario = fixture ? fixture->find(key) : nullptr;
+  if (scenario == nullptr) return std::nullopt;
+  return Scenario::from_json(*scenario);
 }
 
 std::string ScenarioRecord::to_json() const {
@@ -436,11 +426,13 @@ std::uint64_t campaign_truth_fingerprint(const EvalOptions& eval) {
   // to 1 here is documentation, not behaviour.
   analysis::SearchLimits recorded_limits = eval.limits;
   recorded_limits.threads = 1;
-  return truth_fingerprint(recorded_limits, eval.max_cycles_probed,
-                           eval.acyclic_probe_messages);
+  return truth_fingerprint(recorded_limits);
 }
 
 namespace {
+
+/// Predicate evaluations one disagreement's shrink may spend.
+constexpr std::size_t kShrinkBudget = 200;
 
 /// Shared engine behind run_campaign (the whole index space, internal
 /// store persisted via cache_file) and run_campaign_range (caller-chosen
@@ -640,7 +632,7 @@ CampaignResult run_range_impl(const CampaignConfig& config,
                eval.classification.rule == rule;
       };
       const ShrinkResult shrink =
-          shrink_scenario(scenario, still_disagrees, config.shrink_budget);
+          shrink_scenario(scenario, still_disagrees, kShrinkBudget);
       shrunk = shrink.minimal;
       record.shrunk_json = shrink.minimal.to_json();
     }

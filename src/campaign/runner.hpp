@@ -53,11 +53,6 @@ struct EvalOptions {
   /// default) is honored and, when not kOff, folded into the truth-cache
   /// fingerprint, because reduced searches record different states counts.
   analysis::SearchLimits limits;
-  /// Random-algorithm scenarios: elementary cycles examined for a probe
-  /// before declaring a witness gap.
-  std::size_t max_cycles_probed = 8;
-  /// Random acyclic scenarios: messages in the sampled no-deadlock probe.
-  std::size_t acyclic_probe_messages = 4;
   /// Also run the search on out-of-scope scenarios (informational; the
   /// verdict stays kSkip). Off by default — it is where the CPU time goes.
   bool probe_out_of_scope = false;
@@ -110,7 +105,6 @@ struct CampaignConfig {
   bool collect_profile = false;
   /// Shrink any disagreement and dump a JSON reproducer fixture.
   bool shrink_disagreements = true;
-  std::size_t shrink_budget = 200;  ///< predicate evaluations per shrink
   /// Directory for reproducer fixtures; empty disables dumping.
   std::string fixture_dir = ".";
   /// Live heartbeat: path of an atomically rewritten JSON status file

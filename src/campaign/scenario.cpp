@@ -191,27 +191,6 @@ std::string Scenario::to_json() const {
 
 namespace {
 
-// The obs::json parser stores numbers as double, which silently truncates
-// 64-bit seeds above 2^53. Seeds must survive a round-trip bit-exactly (a
-// replayed scenario regenerates its routing table from the seed), so pull
-// the digits straight out of the text instead.
-std::optional<std::uint64_t> extract_u64_field(std::string_view text,
-                                               std::string_view key) {
-  const std::string marker = "\"" + std::string(key) + "\":";
-  const auto at = text.find(marker);
-  if (at == std::string_view::npos) return std::nullopt;
-  std::size_t i = at + marker.size();
-  while (i < text.size() && text[i] == ' ') ++i;
-  std::uint64_t value = 0;
-  bool any = false;
-  for (; i < text.size() && text[i] >= '0' && text[i] <= '9'; ++i) {
-    value = value * 10 + static_cast<std::uint64_t>(text[i] - '0');
-    any = true;
-  }
-  if (!any) return std::nullopt;
-  return value;
-}
-
 /// `v` as an integer in [lo, hi] (both within int); nullopt when it is not
 /// a number, has a fraction, or lies outside — every case where a plain
 /// cast would truncate or be undefined, or a builder would abort.
@@ -226,26 +205,31 @@ std::optional<int> int_in(const obs::json::Value* v, int lo, int hi) {
 
 std::optional<Scenario> Scenario::from_json(std::string_view text) {
   const auto parsed = obs::json::parse(text);
-  if (!parsed || !parsed->is_object()) return std::nullopt;
-  const auto* index = parsed->find("index");
-  const auto* seed = parsed->find("seed");
-  const auto* kind = parsed->find("kind");
-  if (!index || !index->is_number() || !seed || !seed->is_number() || !kind ||
-      !kind->is_string())
+  if (!parsed) return std::nullopt;
+  return from_json(*parsed);
+}
+
+std::optional<Scenario> Scenario::from_json(const obs::json::Value& value) {
+  if (!value.is_object()) return std::nullopt;
+  const auto* index = value.find("index");
+  const auto* seed = value.find("seed");
+  const auto* kind = value.find("kind");
+  // Seeds must survive a round-trip bit-exactly (a replayed scenario
+  // regenerates its routing table from the seed), so both counters must be
+  // exact u64 literals.
+  if (!index || !index->is_exact_u64() || !seed || !seed->is_exact_u64() ||
+      !kind || !kind->is_string())
     return std::nullopt;
 
   Scenario s;
-  if (!index->is_exact_u64()) return std::nullopt;
   s.index = index->as_u64();
-  const auto exact_seed = extract_u64_field(text, "seed");
-  if (!exact_seed) return std::nullopt;
-  s.seed = *exact_seed;
+  s.seed = seed->as_u64();
 
   if (kind->as_string() == "family") {
     s.kind = ScenarioKind::kFamily;
-    const auto* name = parsed->find("name");
-    const auto* hub = parsed->find("hub");
-    const auto* messages = parsed->find("messages");
+    const auto* name = value.find("name");
+    const auto* hub = value.find("hub");
+    const auto* messages = value.find("messages");
     if (!messages || !messages->is_array()) return std::nullopt;
     s.family.name = name && name->is_string() ? name->as_string() : "fam";
     s.family.hub_completion = hub && hub->is_bool() && hub->as_bool();
@@ -267,12 +251,12 @@ std::optional<Scenario> Scenario::from_json(std::string_view text) {
   if (kind->as_string() != "random" && !synthesized) return std::nullopt;
   s.kind = synthesized ? ScenarioKind::kSynthesized
                        : ScenarioKind::kRandomAlgorithm;
-  const auto* topology = parsed->find("topology");
-  const auto* dims = parsed->find("dims");
-  const auto* nodes = parsed->find("nodes");
-  const auto* lanes = parsed->find("lanes");
-  const auto* chords = parsed->find("chords");
-  const auto* flavor = parsed->find("flavor");
+  const auto* topology = value.find("topology");
+  const auto* dims = value.find("dims");
+  const auto* nodes = value.find("nodes");
+  const auto* lanes = value.find("lanes");
+  const auto* chords = value.find("chords");
+  const auto* flavor = value.find("flavor");
   if (!topology || !topology->is_string()) return std::nullopt;
   const std::string& topo_name = topology->as_string();
   bool known = false;
@@ -312,7 +296,7 @@ std::optional<Scenario> Scenario::from_json(std::string_view text) {
                  ? RoutingFlavor::kRandomMinimal
                  : RoutingFlavor::kRandomTree;
   if (synthesized) {
-    const auto pairs = int_in(parsed->find("pairs"), 1, kIntMax);
+    const auto pairs = int_in(value.find("pairs"), 1, kIntMax);
     if (!pairs) return std::nullopt;
     s.pairs = *pairs;
   }
@@ -369,17 +353,35 @@ MaterializedScenario materialize(const Scenario& scenario) {
   return m;
 }
 
+namespace {
+
+// Scenario size bounds (inclusive), small enough that every exhaustive
+// search stays in the millisecond range. Family rings: message count,
+// sharers of c_s (clamped to the message count), access and hold lengths.
+constexpr int kMinMessages = 2;
+constexpr int kMaxMessages = 4;
+constexpr int kMinSharers = 0;
+constexpr int kMaxSharers = 4;
+constexpr int kMaxAccess = 4;
+constexpr int kMaxHold = 5;
+// The Figure-3 shape draws three distinct accesses of at least 2.
+static_assert(kMaxAccess >= 4);
+// Random-algorithm topologies.
+constexpr int kMaxRingNodes = 7;
+constexpr int kMaxMeshRadix = 3;
+constexpr int kMaxCompleteNodes = 5;
+constexpr int kMaxHypercubeDim = 3;
+constexpr int kMaxLanes = 2;
+// Perturbed variants: probability of adding random chord channels to a
+// mesh/ring base, and the chord-count cap.
+constexpr double kPerturbFraction = 0.25;
+constexpr int kMaxExtraChords = 3;
+
+}  // namespace
+
 ScenarioGenerator::ScenarioGenerator(std::uint64_t campaign_seed,
                                      GeneratorKnobs knobs)
     : campaign_seed_(campaign_seed), knobs_(knobs) {
-  WORMSIM_EXPECTS(knobs_.min_messages >= 2);
-  WORMSIM_EXPECTS(knobs_.max_messages >= knobs_.min_messages);
-  WORMSIM_EXPECTS(knobs_.min_sharers >= 0);
-  WORMSIM_EXPECTS(knobs_.max_sharers >= knobs_.min_sharers);
-  WORMSIM_EXPECTS(knobs_.max_access >= 2);
-  WORMSIM_EXPECTS(knobs_.max_hold >= 2);
-  WORMSIM_EXPECTS(knobs_.max_ring_nodes >= 3);
-  WORMSIM_EXPECTS(knobs_.max_mesh_radix >= 2);
   WORMSIM_EXPECTS(knobs_.synthesized_fraction >= 0.0 &&
                   knobs_.synthesized_fraction <= 1.0);
   WORMSIM_EXPECTS(knobs_.synth_max_pairs >= 2);
@@ -428,19 +430,17 @@ Scenario ScenarioGenerator::sample_family(util::Rng& rng) const {
     return s;
   }
 
-  const int m = irange(rng, knobs_.min_messages, knobs_.max_messages);
-  const int sharers =
-      std::clamp(irange(rng, knobs_.min_sharers, knobs_.max_sharers), 0, m);
+  const int m = irange(rng, kMinMessages, kMaxMessages);
+  const int sharers = std::clamp(irange(rng, kMinSharers, kMaxSharers), 0, m);
 
-  if (sharers == 3 && m >= 3 && knobs_.max_access >= 4 &&
-      rng.chance(knobs_.theorem5_shape_bias)) {
+  if (sharers == 3 && m >= 3 && rng.chance(knobs_.theorem5_shape_bias)) {
     // Figure-3 shape: three sharers with distinct accesses placed around
     // the ring in the order A, C, B, holds biased long so that Theorem 5's
     // conditions frequently all hold.
-    const int aC = irange(rng, 2, knobs_.max_access - 2);
-    const int aB = irange(rng, aC + 1, knobs_.max_access - 1);
-    const int aA = irange(rng, aB + 1, knobs_.max_access);
-    const int hold_hi = std::max(knobs_.max_hold, aA + 2);
+    const int aC = irange(rng, 2, kMaxAccess - 2);
+    const int aB = irange(rng, aC + 1, kMaxAccess - 1);
+    const int aA = irange(rng, aB + 1, kMaxAccess);
+    const int hold_hi = std::max(kMaxHold, aA + 2);
     core::CyclicMessageParams A{aA, irange(rng, aA + 1, hold_hi), true};
     core::CyclicMessageParams C{aC, irange(rng, aA - aC + 1, hold_hi), true};
     core::CyclicMessageParams B{aB, irange(rng, aB + 1, hold_hi), true};
@@ -450,8 +450,8 @@ Scenario ScenarioGenerator::sample_family(util::Rng& rng) const {
       // device Figure 3 (c), (e), (f) use). These land in the classifier's
       // "theorem5-open" region — the condition reconstruction is validated
       // only for 3-message rings — but keep the open region populated.
-      core::CyclicMessageParams extra{irange(rng, 1, knobs_.max_access),
-                                      irange(rng, 1, knobs_.max_hold), false};
+      core::CyclicMessageParams extra{irange(rng, 1, kMaxAccess),
+                                      irange(rng, 1, kMaxHold), false};
       const auto at = static_cast<std::size_t>(irange(rng, 0, 3));
       s.family.messages.insert(
           s.family.messages.begin() + static_cast<std::ptrdiff_t>(at), extra);
@@ -466,8 +466,8 @@ Scenario ScenarioGenerator::sample_family(util::Rng& rng) const {
   for (int i = 0; i < m; ++i) {
     core::CyclicMessageParams p;
     p.uses_shared = shares[static_cast<std::size_t>(i)];
-    p.access = irange(rng, p.uses_shared ? 2 : 1, knobs_.max_access);
-    p.hold = irange(rng, min_hold, knobs_.max_hold);
+    p.access = irange(rng, p.uses_shared ? 2 : 1, kMaxAccess);
+    p.hold = irange(rng, min_hold, kMaxHold);
     s.family.messages.push_back(p);
   }
   return s;
@@ -484,35 +484,33 @@ Scenario ScenarioGenerator::sample_random_algorithm(util::Rng& rng) const {
     switch (irange(rng, 0, kind_count - 1)) {
       case 0:
         s.topology = TopologyKind::kUniRing;
-        s.nodes = irange(rng, 3, knobs_.max_ring_nodes);
-        s.lanes = static_cast<std::uint16_t>(
-            irange(rng, 1, static_cast<int>(knobs_.max_lanes)));
+        s.nodes = irange(rng, 3, kMaxRingNodes);
+        s.lanes = static_cast<std::uint16_t>(irange(rng, 1, kMaxLanes));
         break;
       case 1:
         s.topology = TopologyKind::kBiRing;
-        s.nodes = irange(rng, 3, std::max(3, knobs_.max_ring_nodes - 1));
+        s.nodes = irange(rng, 3, kMaxRingNodes - 1);
         break;
       case 2:
         s.topology = TopologyKind::kMesh;
         if (rng.chance(0.3)) {
           s.dims = {irange(rng, 3, 6)};  // 1-D line
         } else {
-          s.dims = {irange(rng, 2, knobs_.max_mesh_radix),
-                    irange(rng, 2, knobs_.max_mesh_radix)};
+          s.dims = {irange(rng, 2, kMaxMeshRadix),
+                    irange(rng, 2, kMaxMeshRadix)};
         }
         break;
       case 3:
         s.topology = TopologyKind::kTorus;
-        s.dims = {irange(rng, 3, knobs_.max_mesh_radix),
-                  irange(rng, 2, knobs_.max_mesh_radix)};
+        s.dims = {irange(rng, 3, kMaxMeshRadix), irange(rng, 2, kMaxMeshRadix)};
         break;
       case 4:
         s.topology = TopologyKind::kHypercube;
-        s.nodes = irange(rng, 2, knobs_.max_hypercube_dim);
+        s.nodes = irange(rng, 2, kMaxHypercubeDim);
         break;
       case 5:
         s.topology = TopologyKind::kComplete;
-        s.nodes = irange(rng, 3, knobs_.max_complete_nodes);
+        s.nodes = irange(rng, 3, kMaxCompleteNodes);
         break;
       default:
         WORMSIM_UNREACHABLE("bad topology draw");
@@ -520,8 +518,8 @@ Scenario ScenarioGenerator::sample_random_algorithm(util::Rng& rng) const {
     if ((s.topology == TopologyKind::kMesh ||
          s.topology == TopologyKind::kBiRing ||
          s.topology == TopologyKind::kUniRing) &&
-        rng.chance(knobs_.perturb_fraction)) {
-      s.extra_chords = irange(rng, 1, knobs_.max_extra_chords);
+        rng.chance(kPerturbFraction)) {
+      s.extra_chords = irange(rng, 1, kMaxExtraChords);
     }
     s.flavor = rng.chance(0.5) ? RoutingFlavor::kRandomTree
                                : RoutingFlavor::kRandomMinimal;
@@ -586,8 +584,8 @@ Scenario ScenarioGenerator::sample_synthesized(util::Rng& rng) const {
   if ((s.topology == TopologyKind::kMesh ||
        s.topology == TopologyKind::kBiRing ||
        s.topology == TopologyKind::kUniRing) &&
-      rng.chance(knobs_.perturb_fraction)) {
-    s.extra_chords = irange(rng, 1, knobs_.max_extra_chords);
+      rng.chance(kPerturbFraction)) {
+    s.extra_chords = irange(rng, 1, kMaxExtraChords);
   }
   s.pairs = irange(rng, 2, std::max(2, knobs_.synth_max_pairs));
   return s;

@@ -24,6 +24,10 @@
 #include "topo/builders.hpp"
 #include "util/rng.hpp"
 
+namespace wormsim::obs::json {
+class Value;
+}
+
 namespace wormsim::campaign {
 
 enum class ScenarioKind : std::uint8_t {
@@ -52,23 +56,14 @@ enum class RoutingFlavor : std::uint8_t {
 /// the classifier always re-derives cyclicity from the actual CDG.
 enum class CycleBias : std::uint8_t { kAny, kForce, kForbid };
 
-/// Structural knobs for the generator. Defaults keep every scenario small
+/// The generator's knobs: which scenario classes it draws and how often.
+/// The size bounds of each class are constants in scenario.cpp, small
 /// enough that the exhaustive search stays in the millisecond range.
 struct GeneratorKnobs {
   /// Fraction of scenarios drawn from the family class (rest are random
   /// algorithms). Forced to 0 under CycleBias::kForbid (a family ring's CDG
   /// is cyclic by construction).
   double family_fraction = 0.55;
-  // -- family knobs --------------------------------------------------------
-  int min_messages = 2;
-  int max_messages = 4;
-  /// Number of ring messages routed through the shared channel c_s, clamped
-  /// to the sampled message count. The sharing count selects which of the
-  /// paper's results governs the instance (Theorems 2/4/5).
-  int min_sharers = 0;
-  int max_sharers = 4;
-  int max_access = 4;
-  int max_hold = 5;
   /// When a 3-sharer family is sampled, probability of drawing it from the
   /// Figure-3 shape (ring order A, C, B; distinct accesses) with holds biased
   /// long — the region where Theorem 5's eight conditions can all hold.
@@ -77,18 +72,7 @@ struct GeneratorKnobs {
   /// Fraction of family scenarios that are exact Section-6 generalized
   /// instances (k sampled in [1, 2]); these are provably unreachable cycles.
   double section6_fraction = 0.08;
-  // -- random-algorithm knobs ----------------------------------------------
   CycleBias cycle_bias = CycleBias::kAny;
-  int max_ring_nodes = 7;
-  int max_mesh_radix = 3;
-  int max_complete_nodes = 5;
-  int max_hypercube_dim = 3;
-  std::uint16_t max_lanes = 2;
-  /// Perturbed variants: probability of adding random chord channels to a
-  /// mesh/ring base, and the chord-count cap.
-  double perturb_fraction = 0.25;
-  int max_extra_chords = 3;
-  // -- synthesized-routing knobs --------------------------------------------
   /// Fraction of non-family scenarios drawn from the synthesized-routing
   /// class (src/synth: existence certificate compiled into a table, checked
   /// against the search). The default 0 draws nothing AND consumes no
@@ -139,7 +123,10 @@ struct Scenario {
   /// One-line JSON object; the exact bytes are covered by the determinism
   /// golden test, so extend rather than reorder fields.
   [[nodiscard]] std::string to_json() const;
+  /// Inverse of to_json(); nullopt when a field is missing, of the wrong
+  /// type, or outside what the builders accept.
   static std::optional<Scenario> from_json(std::string_view text);
+  static std::optional<Scenario> from_json(const obs::json::Value& value);
 };
 
 /// A scenario turned into live objects. For kFamily the CyclicFamily owns

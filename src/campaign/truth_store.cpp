@@ -102,9 +102,7 @@ std::optional<SearchOutcome> outcome_from_string(std::string_view text) {
   return std::nullopt;
 }
 
-std::uint64_t truth_fingerprint(const analysis::SearchLimits& limits,
-                                std::size_t max_cycles_probed,
-                                std::size_t acyclic_probe_messages) {
+std::uint64_t truth_fingerprint(const analysis::SearchLimits& limits) {
   // Canonical text, not raw struct bytes: the digest must survive struct
   // layout and field-order changes, and stay printable for triage.
   std::ostringstream os;
@@ -114,8 +112,8 @@ std::uint64_t truth_fingerprint(const analysis::SearchLimits& limits,
      << ";delay_budget=" << limits.delay_budget
      << ";metric=" << static_cast<int>(limits.metric)
      << ";max_branches=" << analysis::kMaxBranchesPerState
-     << ";cycles_probed=" << max_cycles_probed
-     << ";acyclic_messages=" << acyclic_probe_messages;
+     << ";cycles_probed=" << kMaxCyclesProbed
+     << ";acyclic_messages=" << kAcyclicProbeMessages;
   // Only knobs that change what a record CONTAINS are folded in. Reduction
   // keeps the verdict but changes the recorded states count, so the default
   // kSafe folds ";reduction=safe" and gets its own cache namespace; kOff

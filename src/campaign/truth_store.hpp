@@ -1,7 +1,7 @@
 // Persistent ground-truth cache for the campaign engine.
 //
 // Ground truth for a scenario — what the exhaustive search decides — is a
-// pure function of (scenario structure, search limits, probe knobs), so it
+// pure function of (scenario structure, search limits, probe sizes), so it
 // can be memoized across campaign *processes*, not just within one run.
 // A TruthStore is that memo table with a disk representation:
 //
@@ -82,13 +82,18 @@ struct TruthLoadStats {
   std::size_t dropped = 0;      ///< trailing lines discarded as corrupt
 };
 
+/// The runner's probe sizes, folded into the fingerprint: a random cyclic
+/// scenario examines up to kMaxCyclesProbed elementary CDG cycles before
+/// declaring a witness gap, and a random acyclic one searches a sample of
+/// kAcyclicProbeMessages messages.
+inline constexpr std::size_t kMaxCyclesProbed = 8;
+inline constexpr std::size_t kAcyclicProbeMessages = 4;
+
 /// Digest of everything that can change a search verdict: the limits, the
-/// runner's probe knobs, and a constant bumped whenever probe construction
-/// itself changes behaviour. Stores with a different fingerprint never
-/// serve hits.
+/// probe sizes, and a constant bumped whenever probe construction itself
+/// changes behaviour. Stores with a different fingerprint never serve hits.
 [[nodiscard]] std::uint64_t truth_fingerprint(
-    const analysis::SearchLimits& limits, std::size_t max_cycles_probed,
-    std::size_t acyclic_probe_messages);
+    const analysis::SearchLimits& limits);
 
 /// Thread-safe key -> TruthRecord map with the on-disk format above. The
 /// campaign runner uses one instance as both its in-run memo table and its

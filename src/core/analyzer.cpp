@@ -9,8 +9,8 @@
 namespace wormsim::core {
 
 std::vector<sim::MessageSpec> derive_probe_messages(
-    const routing::RoutingAlgorithm& alg, const cdg::ChannelDependencyGraph& g,
-    std::uint32_t extra_length) {
+    const routing::RoutingAlgorithm& alg,
+    const cdg::ChannelDependencyGraph& g) {
   // Channels inside any cyclic SCC.
   std::unordered_set<std::uint32_t> cyclic_channels;
   for (const auto& scc : g.cyclic_sccs())
@@ -39,8 +39,7 @@ std::vector<sim::MessageSpec> derive_probe_messages(
         sim::MessageSpec spec;
         spec.src = w.src;
         spec.dst = w.dst;
-        spec.length = std::max(1u, in_cycle > 0 ? in_cycle - 1 : 0u) +
-                      extra_length;
+        spec.length = std::max(1u, in_cycle > 0 ? in_cycle - 1 : 0u);
         specs.push_back(std::move(spec));
       }
     }
@@ -64,8 +63,7 @@ AlgorithmAnalysis analyze_algorithm(const routing::RoutingAlgorithm& alg,
   }
   result.elementary_cycle_count = graph.elementary_cycles().size();
 
-  result.probe_messages =
-      derive_probe_messages(alg, graph, options.extra_length);
+  result.probe_messages = derive_probe_messages(alg, graph);
   std::vector<sim::MessageSpec> probe = result.probe_messages;
   if (options.probe_with_duplicates) {
     const std::size_t base = probe.size();

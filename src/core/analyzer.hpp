@@ -46,8 +46,6 @@ struct AnalyzerOptions {
   /// Also probe with one extra copy of each witness message (the paper's
   /// "more than four messages" case in the Theorem-1 proof).
   bool probe_with_duplicates = false;
-  /// Extra flits added to each probe message beyond its minimum length.
-  std::uint32_t extra_length = 0;
 };
 
 /// Full analysis of `alg` (CDG + reachability of its cycles).
@@ -58,8 +56,8 @@ AlgorithmAnalysis analyze_algorithm(const routing::RoutingAlgorithm& alg,
 /// per witness pair whose route traverses an in-SCC channel, with length
 /// equal to its number of in-SCC channels (the minimum needed to hold them).
 std::vector<sim::MessageSpec> derive_probe_messages(
-    const routing::RoutingAlgorithm& alg, const cdg::ChannelDependencyGraph& g,
-    std::uint32_t extra_length = 0);
+    const routing::RoutingAlgorithm& alg,
+    const cdg::ChannelDependencyGraph& g);
 
 /// Bounded-but-thorough reachability probe for a CyclicFamily ring:
 /// searches the base message multiset (minimum lengths), and — because the

@@ -25,8 +25,8 @@ CyclicFamily::CyclicFamily(CyclicFamilySpec spec)
 
   topo::Network& net = *net_;
   src_ = net.add_node("Src");
-  nstar_ = net.add_node("N*");
-  shared_ = net.add_channel(src_, nstar_, 0, "c_s");
+  const NodeId nstar = net.add_node("N*");
+  shared_ = net.add_channel(src_, nstar, 0, "c_s");
 
   // Ring entry nodes.
   std::vector<NodeId> entry_nodes(m);
@@ -77,7 +77,7 @@ CyclicFamily::CyclicFamily(CyclicFamilySpec spec)
       info.source = src_;
       path.push_back(shared_);
       // access counts c_s itself; the arm from N* has access-1 channels.
-      NodeId at = nstar_;
+      NodeId at = nstar;
       for (int step = 0; step < p.access - 1; ++step) {
         const NodeId next =
             step == p.access - 2
@@ -112,9 +112,9 @@ CyclicFamily::CyclicFamily(CyclicFamilySpec spec)
     // Hub links both ways for every node (reusing existing channels).
     for (std::size_t x = 0; x < n; ++x) {
       const NodeId node{x};
-      if (node == nstar_) continue;
-      if (!net.find_channel(node, nstar_)) net.add_channel(node, nstar_);
-      if (!net.find_channel(nstar_, node)) net.add_channel(nstar_, node);
+      if (node == nstar) continue;
+      if (!net.find_channel(node, nstar)) net.add_channel(node, nstar);
+      if (!net.find_channel(nstar, node)) net.add_channel(nstar, node);
     }
     // Routes for every still-unrouted ordered pair, via N*.
     for (std::size_t x = 0; x < n; ++x) {
@@ -123,10 +123,10 @@ CyclicFamily::CyclicFamily(CyclicFamilySpec spec)
         const NodeId from{x}, to{y};
         if (routing_->routes(from, to)) continue;
         routing::PathSpec route{from, to, {}};
-        if (from != nstar_) route.channels.push_back(
-            *net.find_channel(from, nstar_));
-        if (to != nstar_) route.channels.push_back(
-            *net.find_channel(nstar_, to));
+        if (from != nstar) route.channels.push_back(
+            *net.find_channel(from, nstar));
+        if (to != nstar) route.channels.push_back(
+            *net.find_channel(nstar, to));
         routing_->add_path(route);
       }
     }

@@ -80,7 +80,6 @@ class CyclicFamily {
   }
   [[nodiscard]] ChannelId shared_channel() const { return shared_; }
   [[nodiscard]] NodeId src_node() const { return src_; }
-  [[nodiscard]] NodeId hub_node() const { return nstar_; }
   [[nodiscard]] const std::vector<MessageInfo>& messages() const {
     return messages_;
   }
@@ -98,7 +97,6 @@ class CyclicFamily {
   std::unique_ptr<routing::PathTable> routing_;
   ChannelId shared_;
   NodeId src_;
-  NodeId nstar_;
   std::vector<MessageInfo> messages_;
   std::vector<ChannelId> ring_;
 };

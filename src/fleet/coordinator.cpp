@@ -234,6 +234,13 @@ FleetResult run_coordinator(const FleetConfig& config) {
                     });
 
   bool first_scan = true;
+  // Takes a batch whose quarantine record is on disk out of circulation.
+  const auto retire = [&](std::uint64_t b) {
+    remove_quiet(paths.batch_task(b));
+    remove_quiet(paths.batch_claim(b));
+    batches[b].state = BatchState::kQuarantined;
+    ++result.batches_quarantined;
+  };
   const auto quarantine = [&](std::uint64_t b, const std::string& reason) {
     BatchInfo& info = batches[b];
     QuarantineRecord q;
@@ -243,10 +250,7 @@ FleetResult run_coordinator(const FleetConfig& config) {
     q.attempts = info.attempt;
     q.reason = reason;
     (void)util::write_file_atomic(paths.batch_quarantine(b), q.to_json());
-    remove_quiet(paths.batch_task(b));
-    remove_quiet(paths.batch_claim(b));
-    info.state = BatchState::kQuarantined;
-    ++result.batches_quarantined;
+    retire(b);
     WORMSIM_LOG(Warn) << "fleet: quarantined batch " << b << " (indices ["
                       << info.first << ", " << info.end << ")) after "
                       << info.attempt << " attempt(s): " << reason;
@@ -330,7 +334,14 @@ FleetResult run_coordinator(const FleetConfig& config) {
         continue;
       }
 
-      // 2. A claim file means some worker holds (or held) the lease.
+      // 2. A quarantine record from an earlier coordinator keeps the batch
+      // out of circulation until an operator deletes the record.
+      if (first_scan && fs::exists(paths.batch_quarantine(b), ec)) {
+        retire(b);
+        continue;
+      }
+
+      // 3. A claim file means some worker holds (or held) the lease.
       if (fs::exists(paths.batch_claim(b), ec)) {
         info.state = BatchState::kLeased;
         if (mtime_age_seconds(paths.batch_claim(b)) > manifest.lease_seconds) {
@@ -340,7 +351,7 @@ FleetResult run_coordinator(const FleetConfig& config) {
         continue;
       }
 
-      // 3. A queue file: waiting for a worker. Refresh the attempt count
+      // 4. A queue file: waiting for a worker. Refresh the attempt count
       // from the file on the first scan (a resumed coordinator inherits
       // re-queues its predecessor issued).
       if (const auto text = util::read_file(paths.batch_task(b))) {
@@ -352,7 +363,7 @@ FleetResult run_coordinator(const FleetConfig& config) {
         continue;
       }
 
-      // 4. Nothing on disk at all: publish the batch. Covers both the
+      // 5. Nothing on disk at all: publish the batch. Covers both the
       // fresh-run case and self-healing after a crash that removed a claim
       // without re-queuing.
       BatchTask task{b, info.first, info.end, info.attempt};

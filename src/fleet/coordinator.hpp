@@ -14,7 +14,8 @@
 //            evidence and the batch re-queued;
 //   quarantine  a batch whose attempts exceed the manifest's max_attempts
 //            is taken out of circulation with a QuarantineRecord — one
-//            poison batch cannot wedge the fleet;
+//            poison batch cannot wedge the fleet — and stays out, across
+//            resumes, until an operator deletes the record;
 //   merge    accepted batches are appended to merged.jsonl strictly in
 //            batch order, so the merged file grows as a byte-identical
 //            prefix of the single-process campaign output at all times;

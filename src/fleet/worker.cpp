@@ -24,6 +24,11 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// Lease rewrites per lease horizon: a live worker renews every third of
+/// the manifest's lease_seconds, so two missed renewals still leave it
+/// inside the horizon.
+constexpr double kRenewalsPerLease = 3;
+
 /// Rewrites the claim file on an interval so its mtime stays inside the
 /// coordinator's lease horizon. A killed worker stops renewing by dying,
 /// which IS the crash-detection protocol — no heartbeat channel needed.
@@ -138,9 +143,8 @@ WorkerResult run_worker(const WorkerConfig& config) {
   campaign::TruthStore store(manifest->truth_fingerprint);
   (void)store.load(paths.truth_cache());
 
-  const double renew_interval = config.renew_interval_seconds > 0
-                                    ? config.renew_interval_seconds
-                                    : std::max(0.01, manifest->lease_seconds / 3);
+  const double renew_interval =
+      std::max(0.01, manifest->lease_seconds / kRenewalsPerLease);
 
   auto idle_since = std::chrono::steady_clock::now();
   for (;;) {

@@ -38,8 +38,6 @@ struct WorkerConfig {
   /// Exit when the queue has been empty this long with no shutdown sentinel
   /// (0 = wait for the sentinel forever).
   double max_idle_seconds = 0;
-  /// Lease rewrite cadence; 0 = a third of the manifest's lease_seconds.
-  double renew_interval_seconds = 0;
   /// Stop after this many batches (0 = unlimited). For tests and drills.
   std::uint64_t max_batches = 0;
 };

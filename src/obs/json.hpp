@@ -81,10 +81,12 @@ class Value {
       return static_cast<double>(*u);
     return std::get<double>(storage_);
   }
-  /// Exact value for integer literals; double-rounded for everything else.
+  /// The exact value of an is_exact_u64() literal. Any other number (a
+  /// negative, a fraction, an exponent form or an out-of-range integer) has
+  /// no u64 value; as_u64 throws std::bad_variant_access on it, like the
+  /// other accessors on a value of the wrong type.
   [[nodiscard]] std::uint64_t as_u64() const {
-    if (const auto* u = std::get_if<std::uint64_t>(&storage_)) return *u;
-    return static_cast<std::uint64_t>(std::get<double>(storage_));
+    return std::get<std::uint64_t>(storage_);
   }
   [[nodiscard]] const std::string& as_string() const {
     return std::get<std::string>(storage_);

@@ -8,8 +8,8 @@
 // chrome://tracing / https://ui.perfetto.dev as per-message instant marks
 // and per-channel occupancy spans.
 //
-// narrate() renders one event as the line the Trace log prints (only the
-// four message-lifecycle kinds have one; channel-level and blocked events
+// narrate() renders one recorded event as a line of prose (only the four
+// message-lifecycle kinds have one; channel-level and blocked events
 // return empty).
 #pragma once
 

@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "util/log.hpp"
 #include "util/varint.hpp"
 
 namespace wormsim::sim {
@@ -175,7 +174,6 @@ WormholeSimulator::RequestOutcome WormholeSimulator::request_message(
 
 bool WormholeSimulator::compute_requests() {
   ++cycle_;
-  refresh_trace_armed();  // pick up runtime log-level changes
   bool progress = false;
   requests_.v.clear();
   for (std::size_t i = 0; i < messages_.size(); ++i) {
@@ -662,7 +660,6 @@ RunResult WormholeSimulator::run_event() {
   std::vector<std::uint32_t> curr;
   std::vector<RequestOutcome> outcomes;
   std::vector<std::uint8_t> moved_flags;
-  bool prev_armed = false;
 
   while (true) {
     // Pick the next cycle with runnable work; idle spans cost nothing.
@@ -709,30 +706,6 @@ RunResult WormholeSimulator::run_event() {
     // Process in message-id order — the exact sweep order of the cycle
     // core's request and move phases.
     std::sort(curr.begin(), curr.end());
-
-    refresh_trace_armed();
-    if (trace_armed_ && !prev_armed && sched.parked > 0) {
-      // Tracing armed mid-run: wake every parked header so the per-cycle
-      // blocked events resume exactly like the cycle core's sweep.
-      for (std::vector<std::uint32_t>& list : sched.waiters) {
-        for (const std::uint32_t m : list) {
-          if (!sched.subscribed[m]) {
-            ++st.events_cancelled;
-            continue;
-          }
-          sched.subscribed[m] = 0;
-          --sched.parked;
-          ++st.events_fired;
-          if (sched.ready_stamp[m] != cycle_) {
-            sched.ready_stamp[m] = cycle_;
-            curr.push_back(m);
-          }
-        }
-        list.clear();
-      }
-      std::sort(curr.begin(), curr.end());
-    }
-    prev_armed = trace_armed_;
 
     // Phase 1: requests (dormant messages raise none by construction).
     requests_.v.clear();
@@ -865,14 +838,6 @@ const MessageSpec& WormholeSimulator::spec(MessageId m) const {
   return messages_[m.index()].spec;
 }
 
-std::vector<ChannelId> WormholeSimulator::held_channels(MessageId m) const {
-  WORMSIM_EXPECTS(m.valid() && m.index() < messages_.size());
-  const MessageState& state = messages_[m.index()];
-  return {state.path.begin() +
-              static_cast<std::ptrdiff_t>(state.released),
-          state.path.end()};
-}
-
 std::vector<MessageOccupancy> WormholeSimulator::occupancy() const {
   std::vector<MessageOccupancy> result;
   for (std::size_t i = 0; i < messages_.size(); ++i) {
@@ -934,11 +899,7 @@ obs::TraceEvent WormholeSimulator::make_event(obs::TraceEventKind kind,
 }
 
 void WormholeSimulator::trace_event(const obs::TraceEvent& event) {
-  if (trace_sink_ != nullptr) trace_sink_->on_event(event);
-  if (!util::Log::enabled(util::LogLevel::Trace)) return;
-  const std::string text = obs::narrate(event, alg_->net());
-  if (text.empty()) return;  // typed-only event kind
-  WORMSIM_LOG(Trace) << "cycle " << cycle_ << ": " << text;
+  trace_sink_->on_event(event);
 }
 
 void WormholeSimulator::check_invariants() const {

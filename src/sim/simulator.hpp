@@ -44,7 +44,6 @@
 #include "routing/routing.hpp"
 #include "sim/arbitration.hpp"
 #include "sim/types.hpp"
-#include "util/log.hpp"
 
 namespace wormsim::sim {
 
@@ -223,9 +222,6 @@ class WormholeSimulator {
   [[nodiscard]] MessageStatus status(MessageId m) const;
   [[nodiscard]] const MessageSpec& spec(MessageId m) const;
 
-  /// Channels currently acquired (not yet released) by `m`, upstream first.
-  [[nodiscard]] std::vector<ChannelId> held_channels(MessageId m) const;
-
   /// Occupancy snapshot for all in-flight messages.
   [[nodiscard]] std::vector<MessageOccupancy> occupancy() const;
 
@@ -248,14 +244,12 @@ class WormholeSimulator {
     return event_stats_;
   }
 
-  /// Typed trace sink; receives every obs::TraceEvent (including blocked /
-  /// channel-acquire / channel-release, which obs::narrate leaves silent).
-  /// The sink must outlive the simulator or be cleared with nullptr.
-  /// Disabled tracing costs one branch per event site.
-  void set_trace_sink(obs::TraceSink* sink) {
-    trace_sink_ = sink;
-    refresh_trace_armed();
-  }
+  /// Typed trace sink, the simulator's one trace consumer; receives every
+  /// obs::TraceEvent (including blocked / channel-acquire /
+  /// channel-release, which obs::narrate leaves silent). The sink must
+  /// outlive the simulator or be cleared with nullptr. Disabled tracing
+  /// costs one branch per event site.
+  void set_trace_sink(obs::TraceSink* sink) { trace_sink_ = sink; }
 
  private:
   struct MessageState {
@@ -407,22 +401,14 @@ class WormholeSimulator {
     key_dirty_messages_.push_back(static_cast<std::uint32_t>(i));
   }
 
-  /// True when any trace consumer is active — the single guard every event
-  /// site checks before constructing a TraceEvent. A cached member bool so
-  /// the all-off fast path is one predictable branch even in congested
-  /// cycles, where the blocked-message site fires for many messages per
-  /// cycle; recomputed whenever a consumer is (un)installed and once per
-  /// cycle (so Trace-level logging toggled mid-run takes effect on the next
-  /// cycle, not mid-cycle).
-  [[nodiscard]] bool tracing() const { return trace_armed_; }
-  void refresh_trace_armed() {
-    trace_armed_ = !muted_ && (trace_sink_ != nullptr ||
-                               util::Log::enabled(util::LogLevel::Trace));
-  }
-  /// Dispatches one typed event: to the typed sink verbatim, and to the
-  /// Trace log as its obs::narrate line (when the event kind has one). Out
-  /// of line and cold: only reached when a consumer is attached, keeping
-  /// the instrumented call sites small in the hot loops.
+  /// True when a trace sink is attached — the single guard every event
+  /// site checks before constructing a TraceEvent, so the all-off fast path
+  /// is one predictable branch even in congested cycles, where the
+  /// blocked-message site fires for many messages per cycle.
+  [[nodiscard]] bool tracing() const { return trace_sink_ != nullptr; }
+  /// Hands one typed event to the sink. Out of line and cold: only reached
+  /// when a sink is attached, keeping the instrumented call sites small in
+  /// the hot loops.
 #if defined(__GNUC__)
   [[gnu::cold]]
 #endif
@@ -483,11 +469,6 @@ class WormholeSimulator {
   mutable std::vector<std::uint8_t> key_message_flag_;
   mutable bool key_valid_ = false;
   obs::TraceSink* trace_sink_ = nullptr;
-  /// Probe copies (peek_requests) set this so speculative cycles emit
-  /// nothing.
-  bool muted_ = false;
-  /// Cached "any trace consumer active" flag; see tracing().
-  bool trace_armed_ = false;
 
   /// Per-cycle request scratch. Copying a simulator deliberately does NOT
   /// copy it: every reader runs compute_requests() first, so a forked

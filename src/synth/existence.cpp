@@ -395,6 +395,10 @@ ExactResult exact_decide(const topo::Network& net,
   return ExactSearch(inst, max_states).run();
 }
 
+/// Re-checks the greedy obstruction minimization may spend, each an exact
+/// search under the caller's max_states.
+constexpr std::size_t kMaxObstructionChecks = 64;
+
 }  // namespace
 
 bool verify_order(const topo::Network& net, std::span<const NodePair> pairs,
@@ -497,25 +501,23 @@ ExistenceCertificate analyze_existence(const topo::Network& net,
   cert.obstruction.core = inst.pairs;
   cert.obstruction.states_searched = exact.states;
   cert.obstruction.minimized = true;
-  if (options.minimize_obstruction) {
-    std::size_t checks = 0;
-    std::size_t i = 0;
-    while (i < cert.obstruction.core.size() &&
-           cert.obstruction.core.size() > 1) {
-      if (checks >= options.max_obstruction_checks) {
-        cert.obstruction.minimized = false;
-        break;
-      }
-      std::vector<NodePair> trial = cert.obstruction.core;
-      trial.erase(trial.begin() + static_cast<std::ptrdiff_t>(i));
-      const ExactResult sub = exact_decide(net, trial, options.max_states);
-      ++checks;
-      cert.obstruction.states_searched += sub.states;
-      if (sub.status == ExactStatus::kNo)
-        cert.obstruction.core = std::move(trial);  // still refused: drop it
-      else
-        ++i;  // needed (or undecidable within budget): keep it
+  std::size_t checks = 0;
+  std::size_t i = 0;
+  while (i < cert.obstruction.core.size() &&
+         cert.obstruction.core.size() > 1) {
+    if (checks >= kMaxObstructionChecks) {
+      cert.obstruction.minimized = false;
+      break;
     }
+    std::vector<NodePair> trial = cert.obstruction.core;
+    trial.erase(trial.begin() + static_cast<std::ptrdiff_t>(i));
+    const ExactResult sub = exact_decide(net, trial, options.max_states);
+    ++checks;
+    cert.obstruction.states_searched += sub.states;
+    if (sub.status == ExactStatus::kNo)
+      cert.obstruction.core = std::move(trial);  // still refused: drop it
+    else
+      ++i;  // needed (or undecidable within budget): keep it
   }
   return cert;
 }

@@ -97,10 +97,6 @@ struct ExistenceOptions {
   /// Try this ranking first (e.g. a Dally–Seitz numbering of a known-good
   /// algorithm's CDG). Must have one entry per channel to be used.
   std::vector<std::uint32_t> hint_order;
-  /// Greedily shrink the obstruction core (each drop re-runs the exact
-  /// search with `max_states`); capped at this many re-checks.
-  bool minimize_obstruction = true;
-  std::size_t max_obstruction_checks = 64;
 };
 
 /// Checks a witness: every pair must have a path whose ranks strictly

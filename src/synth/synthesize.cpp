@@ -55,6 +55,23 @@ std::vector<int> distances_to(const topo::Network& net, NodeId dst) {
 // Cyclic backtracking search
 // ---------------------------------------------------------------------------
 
+/// Candidate simple paths kept per pair (shortest first), and the hops a
+/// candidate may exceed the pair's shortest distance by.
+constexpr std::size_t kMaxPathsPerPair = 6;
+constexpr std::size_t kMaxPathSlack = 2;
+/// Backtracking steps (pair/path decisions) the search may take — bounds it
+/// even when consistency conflicts keep it from ever completing an
+/// assignment.
+constexpr std::uint64_t kMaxSearchSteps = 200'000;
+/// The search is skipped on networks with more nodes than this (the
+/// verifier's exhaustive search dominates the cost; the paper's figure
+/// networks fit, datacenter fabrics do not) ...
+constexpr std::size_t kMaxCyclicNodes = 32;
+/// ... and on demands with more pairs than this: every cyclic candidate is
+/// verified by an exhaustive search whose probe multiset grows with the
+/// pair count.
+constexpr std::size_t kMaxCyclicPairs = 16;
+
 /// Searches pair -> path assignments for a table whose CDG is cyclic but
 /// whose cycles the exhaustive deadlock search proves unreachable. The
 /// routing-function property is maintained incrementally: an assignment may
@@ -67,9 +84,8 @@ class CyclicSearch {
       : net_(net), pairs_(std::move(pairs)), options_(options) {
     candidates_.resize(pairs_.size());
     for (std::size_t i = 0; i < pairs_.size(); ++i) {
-      candidates_[i] = enumerate_paths(net_, pairs_[i],
-                                       options_.max_paths_per_pair,
-                                       options_.max_path_slack);
+      candidates_[i] =
+          enumerate_paths(net_, pairs_[i], kMaxPathsPerPair, kMaxPathSlack);
       for (auto it = options_.seed_paths.rbegin();
            it != options_.seed_paths.rend(); ++it) {
         if (it->src != pairs_[i].src || it->dst != pairs_[i].dst) continue;
@@ -119,7 +135,7 @@ class CyclicSearch {
 
   bool dfs(std::size_t depth) {
     if (done_) return cyclic_table_ != nullptr;
-    if (++steps_ > options_.max_search_steps) {
+    if (++steps_ > kMaxSearchSteps) {
       done_ = true;
       return false;
     }
@@ -378,8 +394,7 @@ SynthesisResult synthesize(const topo::Network& net,
 
   std::optional<CyclicSearch::Outcome> cyclic;
   if (options.goal == SynthesisGoal::kPreferCyclic && !unique.empty() &&
-      net.node_count() <= options.max_cyclic_nodes &&
-      unique.size() <= options.max_cyclic_pairs) {
+      net.node_count() <= kMaxCyclicNodes && unique.size() <= kMaxCyclicPairs) {
     CyclicSearch search(net, unique, options);
     cyclic = search.run();
     result.assignments_tried = cyclic->assignments;

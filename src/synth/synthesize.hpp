@@ -62,27 +62,10 @@ enum class TableKind : std::uint8_t {
 struct SynthesisOptions {
   SynthesisGoal goal = SynthesisGoal::kPreferCyclic;
   ExistenceOptions existence;
-  /// Candidate simple paths kept per pair (shortest-first).
-  std::size_t max_paths_per_pair = 6;
-  /// Candidate paths may exceed the pair's shortest distance by this many
-  /// hops.
-  std::size_t max_path_slack = 2;
   /// Complete assignments the cyclic search may hand to the verifier
   /// (each verification runs the CDG builder and, for cyclic CDGs, the
   /// exhaustive deadlock search).
   std::uint64_t max_assignments = 64;
-  /// Backtracking steps (pair/path decisions) the cyclic search may take —
-  /// bounds the search even when consistency conflicts keep it from ever
-  /// completing an assignment.
-  std::uint64_t max_search_steps = 200'000;
-  /// The cyclic search is skipped on networks with more nodes than this
-  /// (the verifier's exhaustive search dominates the cost). The default
-  /// admits the paper's figure networks but not datacenter fabrics.
-  std::size_t max_cyclic_nodes = 32;
-  /// ... and on demands with more pairs than this: every cyclic candidate
-  /// is verified by an exhaustive search whose probe multiset grows with
-  /// the pair count, which dominates everything else.
-  std::size_t max_cyclic_pairs = 16;
   /// Known-good routes tried first by the cyclic search (e.g. the source
   /// paper's Figure-1 table). Pairs they belong to are matched by
   /// endpoints; unknown pairs are ignored.

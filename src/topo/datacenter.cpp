@@ -119,11 +119,6 @@ std::size_t DragonflySpec::terminal_count() const {
          static_cast<std::size_t>(terminals_per_router);
 }
 
-std::size_t DragonflySpec::router_count() const {
-  return static_cast<std::size_t>(groups) *
-         static_cast<std::size_t>(routers_per_group);
-}
-
 Dragonfly::Dragonfly(DragonflySpec spec) : spec_(spec) {
   const int a = spec_.routers_per_group;
   const int h = spec_.global_links;

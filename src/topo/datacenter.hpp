@@ -86,7 +86,6 @@ struct DragonflySpec {
   int terminals_per_router = 2;  ///< p
 
   [[nodiscard]] std::size_t terminal_count() const;
-  [[nodiscard]] std::size_t router_count() const;
 };
 
 /// Dragonfly fabric: each group is a complete graph of `a` routers over TWO

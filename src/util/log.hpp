@@ -1,9 +1,8 @@
-// Minimal leveled logging for simulator traces.
+// Minimal leveled logging for diagnostics (fleet progress, warnings).
 //
-// The simulator can narrate every flit movement (Trace level) which is
-// invaluable when debugging a deadlock schedule, but must be free when off —
-// so the level check is a single branch on an atomic and formatting happens
-// only when enabled.
+// A statement must be free when its level is off, so the level check is a
+// single branch on an atomic and formatting happens only when enabled. The
+// simulator does not log; its events go to a TraceSink (obs/trace.hpp).
 #pragma once
 
 #include <atomic>
@@ -13,7 +12,7 @@
 
 namespace wormsim::util {
 
-enum class LogLevel : int { Trace = 0, Debug = 1, Info = 2, Warn = 3, Off = 4 };
+enum class LogLevel : int { Debug = 1, Info = 2, Warn = 3, Off = 4 };
 
 /// Process-wide log sink. Tests may install a capture callback.
 class Log {

@@ -5,77 +5,27 @@
 // be documented. If the emitter and the manual drift apart, this fails.
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "campaign/runner.hpp"
 #include "obs/json.hpp"
+#include "test_support.hpp"
 
 namespace wormsim::campaign {
 namespace {
 
-struct DocField {
-  std::string name;      // between backticks in the first cell
-  std::string presence;  // third cell: "always", "optional", "family", ...
-};
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-std::string trim(const std::string& text) {
-  const auto begin = text.find_first_not_of(" \t");
-  if (begin == std::string::npos) return "";
-  return text.substr(begin, text.find_last_not_of(" \t") - begin + 1);
-}
-
-/// Rows of the first markdown table after `heading` whose first cell is a
-/// back-ticked field name; stops at the next heading.
-std::vector<DocField> parse_table(const std::string& doc,
-                                  const std::string& heading) {
-  std::vector<DocField> fields;
-  const auto at = doc.find(heading);
-  if (at == std::string::npos) return fields;
-  std::istringstream in(doc.substr(at));
-  std::string line;
-  std::getline(in, line);  // the heading itself
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] == '#') break;  // next section
-    if (line.rfind("| `", 0) != 0) continue;
-    const auto name_end = line.find('`', 3);
-    if (name_end == std::string::npos) continue;
-    // Cells: | `name` | type | presence | meaning |
-    std::vector<std::string> cells;
-    std::size_t start = 1;
-    for (std::size_t i = 1; i < line.size(); ++i) {
-      if (line[i] != '|') continue;
-      cells.push_back(trim(line.substr(start, i - start)));
-      start = i + 1;
-    }
-    if (cells.size() < 3) continue;
-    fields.push_back({line.substr(3, name_end - 3), cells[2]});
-  }
-  return fields;
-}
-
-const DocField* find_field(const std::vector<DocField>& fields,
-                           const std::string& name) {
-  for (const DocField& f : fields)
-    if (f.name == name) return &f;
-  return nullptr;
-}
+using test::DocField;
+using test::find_field;
+using test::parse_table;
+using test::slurp;
 
 std::string manual_path() {
   return std::string(WORMSIM_REPO_ROOT) + "/docs/campaign.md";
 }
 
 TEST(JsonlSchemaDoc, ManualTablesParse) {
-  const std::string doc = read_file(manual_path());
+  const std::string doc = slurp(manual_path());
   ASSERT_FALSE(doc.empty()) << "cannot read " << manual_path();
 
   const auto record = parse_table(doc, "## JSONL record schema");
@@ -88,7 +38,7 @@ TEST(JsonlSchemaDoc, ManualTablesParse) {
 }
 
 TEST(JsonlSchemaDoc, EmittedRecordsMatchTheManualFieldForField) {
-  const std::string doc = read_file(manual_path());
+  const std::string doc = slurp(manual_path());
   ASSERT_FALSE(doc.empty());
   const auto record_fields = parse_table(doc, "## JSONL record schema");
   const auto scenario_fields = parse_table(doc, "### The `scenario` object");
@@ -148,7 +98,7 @@ TEST(JsonlSchemaDoc, EmittedRecordsMatchTheManualFieldForField) {
 }
 
 TEST(JsonlSchemaDoc, DocumentedEnumsMatchEmitters) {
-  const std::string doc = read_file(manual_path());
+  const std::string doc = slurp(manual_path());
   // Every value the emitters can produce for the closed string fields must
   // be named somewhere in the manual.
   for (const SearchOutcome o :

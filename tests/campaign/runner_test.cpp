@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "core/cyclic_family.hpp"
+#include "test_support.hpp"
 
 namespace wormsim::campaign {
 namespace {
@@ -156,10 +157,7 @@ TEST(ScenarioRecordJson, ContainsNoTimingFields) {
 }
 
 TEST(RunCampaign, WarmCacheRerunIsAllDiskHitsAndByteIdentical) {
-  const std::string cache =
-      (std::filesystem::path(::testing::TempDir()) / "warm.truthstore")
-          .string();
-  std::filesystem::remove(cache);
+  const std::string cache = test::temp_dir("wormsim_warm.truthstore");
 
   CampaignConfig config = small_config(1);
   config.cache_file = cache;
@@ -244,9 +242,7 @@ TEST(RunCampaignRange, LeavesCacheFileToTheStoreOwner) {
   // persistence: cache_file must be left untouched.
   namespace fs = std::filesystem;
   CampaignConfig config = small_config(1);
-  config.cache_file =
-      (fs::path(::testing::TempDir()) / "range_untouched.cache").string();
-  fs::remove(config.cache_file);
+  config.cache_file = test::temp_dir("wormsim_range_untouched.cache");
 
   TruthStore store(campaign_truth_fingerprint(config.eval));
   const CampaignResult batch = run_campaign_range(config, 5, 12, &store);
@@ -267,11 +263,8 @@ TEST(SingleFlight, EachTruthKeyIsSearchedOnceAtFourShards) {
     config.knobs.family_fraction = 1;
     config.knobs.section6_fraction = 1;
     config.eval.limits.max_states = 4'000;
-    config.cache_file = (std::filesystem::path(::testing::TempDir()) /
-                         ("single_flight_" + std::to_string(shards) +
-                          ".truthstore"))
-                            .string();
-    std::filesystem::remove(config.cache_file);
+    config.cache_file = test::temp_dir("wormsim_single_flight_" +
+                                       std::to_string(shards) + ".truthstore");
     return run_campaign(config);
   };
   const CampaignResult one = run(1);
@@ -289,13 +282,14 @@ TEST(FixtureExtraction, FindsEmbeddedScenarios) {
   const std::string fixture =
       "{\n  \"rule\": \"x\",\n"
       "  \"scenario\": {\"index\":4,\"seed\":9,\"kind\":\"family\","
-      "\"name\":\"f\",\"hub\":false,\"messages\":[[2,2,1],[2,2,1]]},\n"
+      "\"name\":\"a}b\",\"hub\":false,\"messages\":[[2,2,1],[2,2,1]]},\n"
       "  \"shrunk\": {\"index\":4,\"seed\":9,\"kind\":\"random\","
       "\"topology\":\"uniring\",\"dims\":[],\"nodes\":3,\"lanes\":1,"
       "\"chords\":0,\"flavor\":\"tree\"}\n}\n";
   const auto scenario = scenario_from_fixture(fixture, "scenario");
   ASSERT_TRUE(scenario.has_value());
   EXPECT_EQ(scenario->kind, ScenarioKind::kFamily);
+  EXPECT_EQ(scenario->family.name, "a}b");  // a brace inside a string
   const auto shrunk = scenario_from_fixture(fixture, "shrunk");
   ASSERT_TRUE(shrunk.has_value());
   EXPECT_EQ(shrunk->kind, ScenarioKind::kRandomAlgorithm);

@@ -189,6 +189,12 @@ TEST(ScenarioJson, RejectsGarbage) {
                    "\"x\",\"hub\":false,\"messages\":[[2,2,1],[2,1e300,1],"
                    "[2,2,1]]}")
                    .has_value());
+  // A seed past 2^64 has no u64 value; it must not wrap to 5.
+  EXPECT_FALSE(Scenario::from_json(
+                   "{\"index\":0,\"seed\":18446744073709551621,\"kind\":"
+                   "\"family\",\"name\":\"x\",\"hub\":false,\"messages\":"
+                   "[[2,2,1],[2,2,1]]}")
+                   .has_value());
 }
 
 TEST(FamilySpec, BuildableEncodesConstructorDomain) {

@@ -12,7 +12,6 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,71 +20,19 @@
 #include "campaign/runner.hpp"
 #include "obs/json.hpp"
 #include "obs/status.hpp"
+#include "test_support.hpp"
 
 namespace wormsim::campaign {
 namespace {
 
 namespace fs = std::filesystem;
-
-struct DocField {
-  std::string name;      // between backticks in the first cell
-  std::string presence;  // third cell ("always" for every status field)
-};
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-std::string trim(const std::string& text) {
-  const auto begin = text.find_first_not_of(" \t");
-  if (begin == std::string::npos) return "";
-  return text.substr(begin, text.find_last_not_of(" \t") - begin + 1);
-}
-
-/// Rows of the first markdown table after `heading` whose first cell is a
-/// back-ticked field name; stops at the next heading.
-std::vector<DocField> parse_table(const std::string& doc,
-                                  const std::string& heading) {
-  std::vector<DocField> fields;
-  const auto at = doc.find(heading);
-  if (at == std::string::npos) return fields;
-  std::istringstream in(doc.substr(at));
-  std::string line;
-  std::getline(in, line);  // the heading itself
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] == '#') break;  // next section
-    if (line.rfind("| `", 0) != 0) continue;
-    const auto name_end = line.find('`', 3);
-    if (name_end == std::string::npos) continue;
-    std::vector<std::string> cells;
-    std::size_t start = 1;
-    for (std::size_t i = 1; i < line.size(); ++i) {
-      if (line[i] != '|') continue;
-      cells.push_back(trim(line.substr(start, i - start)));
-      start = i + 1;
-    }
-    if (cells.size() < 3) continue;
-    fields.push_back({line.substr(3, name_end - 3), cells[2]});
-  }
-  return fields;
-}
-
-const DocField* find_field(const std::vector<DocField>& fields,
-                           const std::string& name) {
-  for (const DocField& f : fields)
-    if (f.name == name) return &f;
-  return nullptr;
-}
+using test::DocField;
+using test::find_field;
+using test::parse_table;
+using test::slurp;
 
 std::string manual_path() {
   return std::string(WORMSIM_REPO_ROOT) + "/docs/observability.md";
-}
-
-std::string temp_path(const std::string& name) {
-  return (fs::temp_directory_path() / name).string();
 }
 
 CampaignConfig small_campaign(const std::string& status_file) {
@@ -115,7 +62,7 @@ void expect_matches_table(const obs::json::Value& object,
 }
 
 TEST(StatusSchemaDoc, ManualTablesParse) {
-  const std::string doc = read_file(manual_path());
+  const std::string doc = slurp(manual_path());
   ASSERT_FALSE(doc.empty()) << "cannot read " << manual_path();
   EXPECT_EQ(parse_table(doc, "## Status file schema").size(), 12u);
   EXPECT_EQ(parse_table(doc, "### The `progress` object").size(), 10u);
@@ -137,7 +84,7 @@ TEST(StatusSchemaDoc, ManualTablesParse) {
 TEST(StatusSchemaDoc, KindRowListsEveryProducerKind) {
   // Direction 1: every kind a producer emits is documented in the schema
   // table's `kind` row.
-  const std::string doc = read_file(manual_path());
+  const std::string doc = slurp(manual_path());
   ASSERT_FALSE(doc.empty());
   const auto at = doc.find("| `kind` |");
   ASSERT_NE(at, std::string::npos);
@@ -166,7 +113,7 @@ TEST(StatusSchemaDoc, SynthKindRoundTripsThroughTheEmitter) {
 }
 
 TEST(StatusSchemaDoc, EmittedSnapshotMatchesTheManualFieldForField) {
-  const std::string doc = read_file(manual_path());
+  const std::string doc = slurp(manual_path());
   ASSERT_FALSE(doc.empty());
   const auto top = parse_table(doc, "## Status file schema");
   const auto progress = parse_table(doc, "### The `progress` object");
@@ -177,12 +124,12 @@ TEST(StatusSchemaDoc, EmittedSnapshotMatchesTheManualFieldForField) {
   const auto worker = parse_table(doc, "### Worker entries");
   ASSERT_FALSE(top.empty());
 
-  const std::string status_file = temp_path("wormsim_schema_status.json");
-  fs::remove(status_file);
+  const std::string status_file =
+      test::temp_dir("wormsim_schema_status.json");
   const CampaignResult result = run_campaign(small_campaign(status_file));
   (void)result;
 
-  const auto parsed = obs::json::parse(read_file(status_file));
+  const auto parsed = obs::json::parse(slurp(status_file));
   ASSERT_TRUE(parsed.has_value()) << "final snapshot is not valid JSON";
   ASSERT_TRUE(parsed->is_object());
   EXPECT_EQ(parsed->find("schema")->as_string(), obs::kStatusSchema);
@@ -201,12 +148,11 @@ TEST(StatusSchemaDoc, EmittedSnapshotMatchesTheManualFieldForField) {
 }
 
 TEST(StatusSchemaDoc, FinalSnapshotReportsCompletionAndWorkerTotals) {
-  const std::string status_file = temp_path("wormsim_final_status.json");
-  fs::remove(status_file);
+  const std::string status_file = test::temp_dir("wormsim_final_status.json");
   const CampaignConfig config = small_campaign(status_file);
   const CampaignResult result = run_campaign(config);
 
-  const auto parsed = obs::json::parse(read_file(status_file));
+  const auto parsed = obs::json::parse(slurp(status_file));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_FALSE(parsed->find("running")->as_bool());
   const obs::json::Value& progress = *parsed->find("progress");
@@ -239,8 +185,8 @@ TEST(StatusSchemaDoc, FinalSnapshotReportsCompletionAndWorkerTotals) {
 }
 
 TEST(StatusSchemaDoc, StatusFileLeavesJsonlByteIdentical) {
-  const std::string status_file = temp_path("wormsim_identity_status.json");
-  fs::remove(status_file);
+  const std::string status_file =
+      test::temp_dir("wormsim_identity_status.json");
   CampaignConfig with_status = small_campaign(status_file);
   CampaignConfig without = with_status;
   without.status_file.clear();
@@ -259,14 +205,13 @@ TEST(StatusSchemaDoc, StatusFileLeavesJsonlByteIdentical) {
 }
 
 TEST(StatusSchemaDoc, RacingReadersNeverSeeATornSnapshot) {
-  const std::string status_file = temp_path("wormsim_racing_status.json");
-  fs::remove(status_file);
+  const std::string status_file = test::temp_dir("wormsim_racing_status.json");
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> reads{0};
   std::atomic<std::uint64_t> torn{0};
   std::thread reader([&] {
     while (!stop.load()) {
-      const std::string text = read_file(status_file);
+      const std::string text = slurp(status_file);
       if (text.empty()) continue;  // not yet published
       ++reads;
       const auto parsed = obs::json::parse(text);

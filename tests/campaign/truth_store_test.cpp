@@ -11,11 +11,11 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "test_support.hpp"
 #include "util/text.hpp"
 
 namespace wormsim::campaign {
@@ -24,17 +24,6 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr std::uint64_t kFp = 0x1122334455667788ull;
-
-std::string temp_path(const std::string& name) {
-  return (fs::path(::testing::TempDir()) / name).string();
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 void write_file(const std::string& path, const std::string& text) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -60,7 +49,7 @@ void fill(TruthStore& store,
 }
 
 TEST(TruthStore, SaveLoadRoundTripsEveryOutcome) {
-  const std::string path = temp_path("roundtrip.truthstore");
+  const std::string path = test::temp_dir("roundtrip.truthstore");
   TruthStore store(kFp);
   fill(store, {{"F-|2,2,1|1,3,0", {SearchOutcome::kDeadlock, 12345, false}},
             {"FH|2,4,1|2,6,1", {SearchOutcome::kNoDeadlock, 0, false}},
@@ -88,17 +77,17 @@ TEST(TruthStore, SaveLoadRoundTripsEveryOutcome) {
 
 TEST(TruthStore, MissingFileIsACleanColdStart) {
   TruthStore store(kFp);
-  const TruthLoadStats stats = store.load(temp_path("does_not_exist"));
+  const TruthLoadStats stats = store.load(test::temp_dir("does_not_exist"));
   EXPECT_FALSE(stats.loaded);
   EXPECT_EQ(store.size(), 0u);
 }
 
 TEST(TruthStore, VersionMismatchRejectsEverything) {
-  const std::string path = temp_path("version.truthstore");
+  const std::string path = test::temp_dir("version.truthstore");
   TruthStore store(kFp);
   fill(store, {{"k", {SearchOutcome::kDeadlock, 1}}});
   ASSERT_TRUE(store.save(path));
-  std::string text = read_file(path);
+  std::string text = test::slurp(path);
   const auto at = text.find(" v1 ");
   ASSERT_NE(at, std::string::npos);
   text.replace(at, 4, " v9 ");
@@ -113,7 +102,7 @@ TEST(TruthStore, VersionMismatchRejectsEverything) {
 }
 
 TEST(TruthStore, FingerprintMismatchLoadsAsAllMisses) {
-  const std::string path = temp_path("fingerprint.truthstore");
+  const std::string path = test::temp_dir("fingerprint.truthstore");
   TruthStore store(kFp);
   fill(store, {{"k", {SearchOutcome::kDeadlock, 1}}});
   ASSERT_TRUE(store.save(path));
@@ -128,14 +117,14 @@ TEST(TruthStore, FingerprintMismatchLoadsAsAllMisses) {
 }
 
 TEST(TruthStore, CorruptTailKeepsTheValidPrefix) {
-  const std::string path = temp_path("tail.truthstore");
+  const std::string path = test::temp_dir("tail.truthstore");
   TruthStore store(kFp);
   fill(store, {{"a", {SearchOutcome::kDeadlock, 10}},
                        {"b", {SearchOutcome::kNoDeadlock, 20}},
                        {"c", {SearchOutcome::kDeadlock, 30}}});
   ASSERT_TRUE(store.save(path));
   // Simulate a torn append: truncate mid-way through the final record.
-  std::string text = read_file(path);
+  std::string text = test::slurp(path);
   write_file(path, text.substr(0, text.size() - 9));
 
   TruthStore loaded(kFp);
@@ -149,7 +138,7 @@ TEST(TruthStore, CorruptTailKeepsTheValidPrefix) {
 }
 
 TEST(TruthStore, ChecksumFailureTruncatesFromTheBadLine) {
-  const std::string path = temp_path("checksum.truthstore");
+  const std::string path = test::temp_dir("checksum.truthstore");
   TruthStore store(kFp);
   fill(store, {{"a", {SearchOutcome::kDeadlock, 10}},
                        {"b", {SearchOutcome::kNoDeadlock, 20}},
@@ -157,7 +146,7 @@ TEST(TruthStore, ChecksumFailureTruncatesFromTheBadLine) {
   ASSERT_TRUE(store.save(path));
   // Flip one digit of record "b"'s states field: its checksum now fails,
   // and — append-only semantics — everything after it is untrusted too.
-  std::string text = read_file(path);
+  std::string text = test::slurp(path);
   const auto at = text.find("\t20\t");
   ASSERT_NE(at, std::string::npos);
   text[at + 1] = '9';
@@ -175,13 +164,13 @@ TEST(TruthStore, ChecksumFailureTruncatesFromTheBadLine) {
 TEST(TruthStore, OverflowingStatesFieldIsCorrupt) {
   // 2^64 + 1 under a valid checksum: a wrapping decimal parser would load
   // it as states = 1 and a warm hit would write that into the JSONL.
-  const std::string path = temp_path("overflow.truthstore");
+  const std::string path = test::temp_dir("overflow.truthstore");
   TruthStore store(kFp);
   fill(store, {{"a", {SearchOutcome::kDeadlock, 10}}});
   ASSERT_TRUE(store.save(path));
   const std::string payload = "b\tdeadlock\t18446744073709551617";
   write_file(path,
-             read_file(path) + payload + "\t" + util::hex16(fnv1a(payload)) +
+             test::slurp(path) + payload + "\t" + util::hex16(fnv1a(payload)) +
                  "\n");
 
   TruthStore loaded(kFp);
@@ -194,7 +183,7 @@ TEST(TruthStore, OverflowingStatesFieldIsCorrupt) {
 }
 
 TEST(TruthStore, ConcurrentSaversLeaveAFullyFormedFile) {
-  const std::string path = temp_path("race.truthstore");
+  const std::string path = test::temp_dir("race.truthstore");
   // Writers with distinct record sets race save() on one path. Atomic
   // rename means the survivor must be one complete snapshot — never an
   // interleaving — so a load must recover some writer's exact record count
@@ -226,9 +215,9 @@ TEST(TruthStore, ConcurrentSaversLeaveAFullyFormedFile) {
   EXPECT_TRUE(loaded.lookup(prefix).has_value());
   // No temp litter left behind.
   std::size_t temps = 0;
-  for (const auto& entry : fs::directory_iterator(::testing::TempDir()))
-    if (entry.path().filename().string().find("race.truthstore.tmp") !=
-        std::string::npos)
+  for (const auto& entry :
+       fs::directory_iterator(fs::path(path).parent_path()))
+    if (entry.path().string().find(path + ".tmp") != std::string::npos)
       ++temps;
   EXPECT_EQ(temps, 0u);
 }
@@ -263,25 +252,23 @@ TEST(TruthStore, MergeRejectsContradictionsAndForeignFingerprints) {
 
 TEST(TruthStore, FingerprintTracksSearchKnobs) {
   analysis::SearchLimits limits;
-  const std::uint64_t base = truth_fingerprint(limits, 8, 4);
-  EXPECT_EQ(truth_fingerprint(limits, 8, 4), base);  // stable
+  const std::uint64_t base = truth_fingerprint(limits);
+  EXPECT_EQ(truth_fingerprint(limits), base);  // stable
 
   analysis::SearchLimits bigger = limits;
   bigger.max_states *= 2;
-  EXPECT_NE(truth_fingerprint(bigger, 8, 4), base);
-  EXPECT_NE(truth_fingerprint(limits, 9, 4), base);
-  EXPECT_NE(truth_fingerprint(limits, 8, 5), base);
+  EXPECT_NE(truth_fingerprint(bigger), base);
   // A memo byte budget can turn exhaustive verdicts inconclusive.
   analysis::SearchLimits budgeted = limits;
   budgeted.memo_budget_bytes = 1 << 20;
-  EXPECT_NE(truth_fingerprint(budgeted, 8, 4), base);
+  EXPECT_NE(truth_fingerprint(budgeted), base);
 
   // Verdict-neutral knobs must NOT invalidate caches: witness strings and
   // the thread count never change what the search finds.
   analysis::SearchLimits cosmetic = limits;
   cosmetic.build_witness = !cosmetic.build_witness;
   cosmetic.threads = 7;
-  EXPECT_EQ(truth_fingerprint(cosmetic, 8, 4), base);
+  EXPECT_EQ(truth_fingerprint(cosmetic), base);
 }
 
 TEST(TruthStore, FingerprintFoldsReductionOnlyWhenEnabled) {
@@ -295,18 +282,18 @@ TEST(TruthStore, FingerprintFoldsReductionOnlyWhenEnabled) {
       "metric=0;max_branches=4096;cycles_probed=8;acyclic_messages=4";
 
   const analysis::SearchLimits defaults;
-  EXPECT_EQ(truth_fingerprint(defaults, 8, 4),
+  EXPECT_EQ(truth_fingerprint(defaults),
             fnv1a(legacy + ";reduction=safe"));
 
   analysis::SearchLimits off = defaults;
   off.reduction = analysis::ReductionMode::kOff;
-  EXPECT_EQ(truth_fingerprint(off, 8, 4), fnv1a(legacy));
+  EXPECT_EQ(truth_fingerprint(off), fnv1a(legacy));
 
   // threads stays verdict-neutral regardless of the reduction mode.
   analysis::SearchLimits threaded = defaults;
   threaded.threads = 9;
-  EXPECT_EQ(truth_fingerprint(threaded, 8, 4),
-            truth_fingerprint(defaults, 8, 4));
+  EXPECT_EQ(truth_fingerprint(threaded),
+            truth_fingerprint(defaults));
 }
 
 TEST(TruthStore, BudgetedFingerprintFoldsTheKeyEncoding) {
@@ -316,7 +303,7 @@ TEST(TruthStore, BudgetedFingerprintFoldsTheKeyEncoding) {
   // age out; the unbudgeted digests pinned above must not move.
   analysis::SearchLimits budgeted;
   budgeted.memo_budget_bytes = 1 << 20;
-  EXPECT_EQ(truth_fingerprint(budgeted, 8, 4),
+  EXPECT_EQ(truth_fingerprint(budgeted),
             fnv1a("behaviour=1;buffer_depth=1;max_states=2000000;"
                   "delay_budget=0;metric=0;max_branches=4096;"
                   "cycles_probed=8;acyclic_messages=4;reduction=safe;"
@@ -324,7 +311,7 @@ TEST(TruthStore, BudgetedFingerprintFoldsTheKeyEncoding) {
 }
 
 TEST(TruthStoreCheckpoint, AppendsOnlyFreshRecordsAcrossCalls) {
-  const std::string path = temp_path("checkpoint.truthstore");
+  const std::string path = test::temp_dir("checkpoint.truthstore");
   fs::remove(path);
   TruthStore store(kFp);
   EXPECT_EQ(store.unpersisted(), 0u);
@@ -333,17 +320,17 @@ TEST(TruthStoreCheckpoint, AppendsOnlyFreshRecordsAcrossCalls) {
   EXPECT_EQ(store.unpersisted(), 2u);
   ASSERT_TRUE(store.checkpoint(path));  // creates the file with a header
   EXPECT_EQ(store.unpersisted(), 0u);
-  const std::string after_first = read_file(path);
+  const std::string after_first = test::slurp(path);
 
   // Nothing new: checkpoint is a no-op, the bytes do not change.
   ASSERT_TRUE(store.checkpoint(path));
-  EXPECT_EQ(read_file(path), after_first);
+  EXPECT_EQ(test::slurp(path), after_first);
 
   // One more record: exactly one line is appended, the prefix is intact.
   fill(store, {{"c", {SearchOutcome::kDeadlock, 30}}});
   EXPECT_EQ(store.unpersisted(), 1u);
   ASSERT_TRUE(store.checkpoint(path));
-  const std::string after_second = read_file(path);
+  const std::string after_second = test::slurp(path);
   EXPECT_EQ(after_second.rfind(after_first, 0), 0u)
       << "checkpoint must append, never rewrite the prefix";
   EXPECT_GT(after_second.size(), after_first.size());
@@ -360,7 +347,7 @@ TEST(TruthStoreCheckpoint, AppendsOnlyFreshRecordsAcrossCalls) {
 }
 
 TEST(TruthStoreCheckpoint, LoadedRecordsAreNeverReappended) {
-  const std::string base = temp_path("checkpoint_base.truthstore");
+  const std::string base = test::temp_dir("checkpoint_base.truthstore");
   TruthStore writer(kFp);
   fill(writer, {{"a", {SearchOutcome::kDeadlock, 10}},
                 {"b", {SearchOutcome::kNoDeadlock, 20}}});
@@ -372,9 +359,9 @@ TEST(TruthStoreCheckpoint, LoadedRecordsAreNeverReappended) {
   ASSERT_TRUE(store.load(base).fingerprint_ok);
   EXPECT_EQ(store.unpersisted(), 0u);
   fill(store, {{"c", {SearchOutcome::kInconclusive, 30}}});
-  const std::string before = read_file(base);
+  const std::string before = test::slurp(base);
   ASSERT_TRUE(store.checkpoint(base));
-  const std::string after = read_file(base);
+  const std::string after = test::slurp(base);
   EXPECT_EQ(after.rfind(before, 0), 0u);
 
   TruthStore loaded(kFp);
@@ -387,14 +374,14 @@ TEST(TruthStoreCheckpoint, LoadedRecordsAreNeverReappended) {
 }
 
 TEST(TruthStoreCheckpoint, TornAppendTailSelfHealsOnLoad) {
-  const std::string path = temp_path("checkpoint_torn.truthstore");
+  const std::string path = test::temp_dir("checkpoint_torn.truthstore");
   fs::remove(path);
   TruthStore store(kFp);
   fill(store, {{"a", {SearchOutcome::kDeadlock, 10}},
                {"b", {SearchOutcome::kNoDeadlock, 20}}});
   ASSERT_TRUE(store.checkpoint(path));
   // A crash mid-append leaves a partial final line.
-  std::string text = read_file(path);
+  std::string text = test::slurp(path);
   write_file(path, text.substr(0, text.size() - 7));
 
   TruthStore loaded(kFp);
@@ -406,7 +393,7 @@ TEST(TruthStoreCheckpoint, TornAppendTailSelfHealsOnLoad) {
 }
 
 TEST(TruthStoreCheckpoint, ForeignFingerprintFallsBackToFullSave) {
-  const std::string path = temp_path("checkpoint_foreign.truthstore");
+  const std::string path = test::temp_dir("checkpoint_foreign.truthstore");
   TruthStore foreign(kFp + 1);
   fill(foreign, {{"x", {SearchOutcome::kDeadlock, 1}}});
   ASSERT_TRUE(foreign.save(path));
@@ -532,7 +519,7 @@ TEST(TruthStoreClaim, ReleasedClaimPassesToAWaiter) {
 }
 
 TEST(TruthStoreClaim, UnclaimedKeysKeepLookupAndInsert) {
-  const std::string path = temp_path("claimed.truthstore");
+  const std::string path = test::temp_dir("claimed.truthstore");
   TruthStore store(kFp);
   fill(store, {{"a", {SearchOutcome::kDeadlock, 10}}});
   const TruthStore::Claim held = store.claim("b", /*wait=*/false);

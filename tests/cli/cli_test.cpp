@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <ostream>
 #include <set>
 #include <sstream>
@@ -19,6 +18,7 @@
 #include <vector>
 
 #include "cli.hpp"
+#include "test_support.hpp"
 
 namespace wormsim::cli {
 namespace {
@@ -192,9 +192,9 @@ std::string tool_name(const ::testing::TestParamInfo<Tool>& tool) {
 /// stderr (a runaway tool can print without end).
 std::pair<int, std::string> run_tool(const Tool& tool,
                                      const std::string& args) {
-  const fs::path dir = fs::temp_directory_path() / "wormsim_cli_test";
+  static const std::string dir = test::temp_dir("wormsim_cli_test");
   fs::create_directories(dir);
-  const std::string command = "cd '" + dir.string() +
+  const std::string command = "cd '" + dir +
                               "' && WORMSIM_BENCH_DIR=. timeout 60 '" +
                               tool.path + "' " + args + " 2>&1";
   std::string output;
@@ -228,10 +228,8 @@ std::vector<std::pair<std::string, std::string>> help_flags(const Tool& tool) {
 /// First-cell flag names of the first markdown table after `heading`.
 std::set<std::string> doc_flags(const std::string& manual,
                                 const std::string& heading) {
-  std::ifstream file(std::string(WORMSIM_REPO_ROOT) + "/" + manual);
-  std::stringstream buffer;
-  buffer << file.rdbuf();
-  const std::string doc = buffer.str();
+  const std::string doc =
+      test::slurp(std::string(WORMSIM_REPO_ROOT) + "/" + manual);
   std::set<std::string> names;
   const auto at = doc.find(heading + "\n");
   if (at == std::string::npos) return names;

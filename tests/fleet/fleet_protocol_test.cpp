@@ -10,18 +10,13 @@
 
 #include "campaign/runner.hpp"
 #include "fleet/protocol.hpp"
+#include "test_support.hpp"
 #include "util/file.hpp"
 
 namespace wormsim::fleet {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string temp_dir(const std::string& name) {
-  const std::string dir = (fs::temp_directory_path() / name).string();
-  fs::remove_all(dir);
-  return dir;
-}
 
 /// `text` with the value after `"key":` replaced by `value`.
 std::string with_field(std::string text, const std::string& key,
@@ -199,7 +194,7 @@ TEST(FleetProtocol, RunPathsNameAndParseBatchStems) {
 }
 
 TEST(FleetProtocol, AtomicWriteCreatesParentsAndReplacesWhole) {
-  const std::string dir = temp_dir("wormsim_fleet_atomic");
+  const std::string dir = test::temp_dir("wormsim_fleet_atomic");
   const std::string path = dir + "/deep/nested/file.json";
   ASSERT_TRUE(util::write_file_atomic(path, "first\n"));
   EXPECT_EQ(util::read_file(path), "first\n");

@@ -18,19 +18,14 @@
 #include "campaign/runner.hpp"
 #include "fleet/coordinator.hpp"
 #include "fleet/protocol.hpp"
-#include "util/file.hpp"
 #include "fleet/worker.hpp"
+#include "test_support.hpp"
+#include "util/file.hpp"
 
 namespace wormsim::fleet {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string temp_dir(const std::string& name) {
-  const std::string dir = (fs::temp_directory_path() / name).string();
-  fs::remove_all(dir);
-  return dir;
-}
 
 campaign::CampaignConfig base_campaign() {
   campaign::CampaignConfig config;
@@ -79,7 +74,7 @@ std::string merged_bytes(const std::string& run_dir) {
 }
 
 TEST(FleetRuntime, CleanTwoWorkerRunMatchesSingleProcessBytes) {
-  const std::string dir = temp_dir("wormsim_fleet_clean");
+  const std::string dir = test::temp_dir("wormsim_fleet_clean");
   WorkerResult w0, w1;
   std::thread t0 = start_worker(dir, "w0", &w0);
   std::thread t1 = start_worker(dir, "w1", &w1);
@@ -111,7 +106,7 @@ TEST(FleetRuntime, ExpiredLeaseIsReassignedAndBytesAreUnchanged) {
   // The kill-a-worker drill, with the kill pre-staged: a claim whose mtime
   // is far past the lease horizon is exactly what a SIGKILLed worker
   // leaves behind (see docs/fleet.md "Crash drills").
-  const std::string dir = temp_dir("wormsim_fleet_expired");
+  const std::string dir = test::temp_dir("wormsim_fleet_expired");
   const RunPaths paths(dir);
   FleetConfig config = fleet_config(dir);
   config.lease_seconds = 5;
@@ -145,7 +140,7 @@ TEST(FleetRuntime, ExpiredLeaseIsReassignedAndBytesAreUnchanged) {
 }
 
 TEST(FleetRuntime, CoordinatorResumesFromResultsWithoutRerunningAnything) {
-  const std::string dir = temp_dir("wormsim_fleet_resume");
+  const std::string dir = test::temp_dir("wormsim_fleet_resume");
   // First life: a full fleet run.
   {
     WorkerResult w0;
@@ -191,7 +186,7 @@ TEST(FleetRuntime, CoordinatorResumesFromResultsWithoutRerunningAnything) {
 }
 
 TEST(FleetRuntime, TornResultIsKeptAsEvidenceAndRecomputed) {
-  const std::string dir = temp_dir("wormsim_fleet_torn");
+  const std::string dir = test::temp_dir("wormsim_fleet_torn");
   const RunPaths paths(dir);
   const FleetConfig config = fleet_config(dir);
   const FleetManifest manifest = manifest_for(
@@ -241,7 +236,7 @@ TEST(FleetRuntime, PoisonBatchIsQuarantinedInsteadOfWedgingTheFleet) {
                   ",\"verdict\":\"agree\",\"states\":1}\n";
   for (const std::string& planted :
        {std::string("not a result\n"), fractional}) {
-    const std::string dir = temp_dir("wormsim_fleet_poison");
+    const std::string dir = test::temp_dir("wormsim_fleet_poison");
     const RunPaths paths(dir);
     FleetConfig config = fleet_config(dir);
     config.campaign.count = 10;  // a single batch
@@ -275,8 +270,49 @@ TEST(FleetRuntime, PoisonBatchIsQuarantinedInsteadOfWedgingTheFleet) {
   }
 }
 
+TEST(FleetRuntime, ResumeKeepsQuarantinedBatchesOut) {
+  // docs/fleet.md: a quarantined batch re-queues only once an operator
+  // deletes its record. A coordinator resumed over a record must count the
+  // batch as quarantined and never publish it, even with a worker idle.
+  const std::string dir = test::temp_dir("wormsim_fleet_resume_quarantine");
+  const RunPaths paths(dir);
+  FleetConfig config = fleet_config(dir);
+  config.campaign.count = 10;  // a single batch
+  const FleetManifest manifest = manifest_for(
+      config.campaign, config.batch_size, config.max_attempts,
+      config.lease_seconds);
+  fs::create_directories(paths.quarantine_dir());
+  ASSERT_TRUE(util::write_file_atomic(paths.manifest(), manifest.to_json()));
+  QuarantineRecord planted;
+  planted.end = 10;
+  planted.attempts = 3;
+  planted.reason = "planted";
+  ASSERT_TRUE(util::write_file_atomic(paths.batch_quarantine(0),
+                                      planted.to_json()));
+
+  WorkerResult w0;
+  std::thread t0([&] {
+    WorkerConfig worker;
+    worker.run_dir = dir;
+    worker.name = "w0";
+    worker.poll_interval_seconds = 0.01;
+    worker.max_idle_seconds = 0.5;
+    w0 = run_worker(worker);
+  });
+  const FleetResult result = run_coordinator(config);
+  t0.join();
+
+  EXPECT_FALSE(result.complete);
+  EXPECT_EQ(result.batches_quarantined, 1u);
+  EXPECT_EQ(result.batches_done, 0u);
+  EXPECT_EQ(w0.batches_done, 0u);
+  EXPECT_TRUE(fs::exists(paths.batch_quarantine(0)));
+  EXPECT_FALSE(fs::exists(paths.batch_task(0)));
+  fs::remove_all(dir);
+}
+
 TEST(FleetRuntime, WorkerExitReasonsCoverTheIdlePaths) {
-  const std::string dir = temp_dir("wormsim_fleet_idle");
+  const std::string dir = test::temp_dir("wormsim_fleet_idle");
   fs::create_directories(dir);
   const RunPaths paths(dir);
 
@@ -310,8 +346,8 @@ TEST(FleetRuntime, WorkerExitReasonsCoverTheIdlePaths) {
 TEST(FleetRuntime, WarmTruthCacheCarriesAcrossRunDirectories) {
   // A completed run's truth.cache warm-starts a brand new run directory of
   // the same campaign: the second fleet does zero ground-truth searches.
-  const std::string cold_dir = temp_dir("wormsim_fleet_cold");
-  const std::string warm_dir = temp_dir("wormsim_fleet_warm");
+  const std::string cold_dir = test::temp_dir("wormsim_fleet_cold");
+  const std::string warm_dir = test::temp_dir("wormsim_fleet_warm");
   {
     WorkerResult w0;
     std::thread t0 = start_worker(cold_dir, "w0", &w0);

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -20,64 +19,16 @@
 #include "util/file.hpp"
 #include "fleet/worker.hpp"
 #include "obs/json.hpp"
+#include "test_support.hpp"
 
 namespace wormsim::fleet {
 namespace {
 
 namespace fs = std::filesystem;
-
-struct DocField {
-  std::string name;      // between backticks in the first cell
-  std::string presence;  // third cell ("always" for every protocol field)
-};
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-std::string trim(const std::string& text) {
-  const auto begin = text.find_first_not_of(" \t");
-  if (begin == std::string::npos) return "";
-  return text.substr(begin, text.find_last_not_of(" \t") - begin + 1);
-}
-
-/// Rows of the first markdown table after `heading` whose first cell is a
-/// back-ticked field name; stops at the next heading.
-std::vector<DocField> parse_table(const std::string& doc,
-                                  const std::string& heading) {
-  std::vector<DocField> fields;
-  const auto at = doc.find(heading);
-  if (at == std::string::npos) return fields;
-  std::istringstream in(doc.substr(at));
-  std::string line;
-  std::getline(in, line);  // the heading itself
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] == '#') break;  // next section
-    if (line.rfind("| `", 0) != 0) continue;
-    const auto name_end = line.find('`', 3);
-    if (name_end == std::string::npos) continue;
-    std::vector<std::string> cells;
-    std::size_t start = 1;
-    for (std::size_t i = 1; i < line.size(); ++i) {
-      if (line[i] != '|') continue;
-      cells.push_back(trim(line.substr(start, i - start)));
-      start = i + 1;
-    }
-    if (cells.size() < 3) continue;
-    fields.push_back({line.substr(3, name_end - 3), cells[2]});
-  }
-  return fields;
-}
-
-const DocField* find_field(const std::vector<DocField>& fields,
-                           const std::string& name) {
-  for (const DocField& f : fields)
-    if (f.name == name) return &f;
-  return nullptr;
-}
+using test::DocField;
+using test::find_field;
+using test::parse_table;
+using test::slurp;
 
 std::string manual_path() {
   return std::string(WORMSIM_REPO_ROOT) + "/docs/fleet.md";
@@ -161,9 +112,7 @@ TEST(FleetSchemaDoc, DeployedRunDirectoryMatchesTheManual) {
   // A real (miniature) fleet run, then the doc tables are checked against
   // the files it actually produced — and the merge against the documented
   // determinism contract.
-  const std::string dir =
-      (fs::temp_directory_path() / "wormsim_fleet_schema_run").string();
-  fs::remove_all(dir);
+  const std::string dir = test::temp_dir("wormsim_fleet_schema_run");
 
   FleetConfig config;
   config.run_dir = dir;

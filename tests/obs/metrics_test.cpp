@@ -124,15 +124,16 @@ TEST(JsonTest, U64LiteralsRoundTripExactly) {
 }
 
 TEST(JsonTest, NonIntegerNumbersStayDoubles) {
-  // Fractions, exponents, and negatives take the double path; as_u64 still
-  // gives a best-effort cast for mixed-provenance readers.
+  // Fractions, exponents, and negatives take the double path, and have no
+  // u64 value: a cast would wrap a negative or be undefined past 2^64.
   for (const char* text : {"1.5", "-7", "2e3", "18446744073709551616"}) {
     const auto v = json::parse(text);
     ASSERT_TRUE(v.has_value()) << text;
     EXPECT_TRUE(v->is_number()) << text;
     EXPECT_FALSE(v->is_exact_u64()) << text;
+    EXPECT_THROW((void)v->as_u64(), std::bad_variant_access) << text;
   }
-  EXPECT_EQ(json::parse("2e3")->as_u64(), 2000u);
+  EXPECT_EQ(json::parse("2e3")->as_number(), 2000.0);
 }
 
 TEST(JsonTest, ParsesNestedStructures) {

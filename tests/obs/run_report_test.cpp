@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <filesystem>
 #include <sstream>
 
 #include "obs/json.hpp"
+#include "test_support.hpp"
 
 namespace wormsim::obs {
 namespace {
@@ -42,16 +42,13 @@ TEST(RunReportTest, WritesBenchFileToRequestedDirectory) {
   RunReport report;
   report.name = "report_file_test";
   report.values["ok"] = 1;
-  ASSERT_TRUE(write_report_file(report, testing::TempDir()));
-  const std::string path = testing::TempDir() + "/BENCH_report_file_test.json";
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << path;
-  std::stringstream contents;
-  contents << in.rdbuf();
-  const auto parsed = json::parse(contents.str());
+  const std::string dir = test::temp_dir("wormsim_run_report_test");
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(write_report_file(report, dir));
+  const auto parsed =
+      json::parse(test::slurp(dir + "/BENCH_report_file_test.json"));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_DOUBLE_EQ(parsed->find("values")->find("ok")->as_number(), 1);
-  std::remove(path.c_str());
 }
 
 }  // namespace

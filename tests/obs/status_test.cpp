@@ -12,34 +12,21 @@
 #include <cstdint>
 #include <initializer_list>
 #include <filesystem>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "obs/json.hpp"
+#include "test_support.hpp"
 
 namespace wormsim::obs {
 namespace {
 
 namespace fs = std::filesystem;
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-std::string temp_path(const std::string& name) {
-  return (fs::temp_directory_path() / name).string();
-}
-
 TEST(StatusWriterTest, WritesParseableSnapshotAndStampsSeqPid) {
-  const std::string path = temp_path("wormsim_status_writer_test.json");
-  fs::remove(path);
+  const std::string path = test::temp_dir("wormsim_status_writer_test.json");
   StatusWriter writer(path);
 
   StatusSnapshot snap;
@@ -50,7 +37,7 @@ TEST(StatusWriterTest, WritesParseableSnapshotAndStampsSeqPid) {
   EXPECT_EQ(writer.writes(), 2u);
   EXPECT_EQ(writer.write_failures(), 0u);
 
-  const auto parsed = json::parse(read_file(path));
+  const auto parsed = json::parse(test::slurp(path));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->find("schema")->as_string(), kStatusSchema);
   EXPECT_EQ(parsed->find("seq")->as_u64(), 2u);  // stamped, not caller's
@@ -58,14 +45,14 @@ TEST(StatusWriterTest, WritesParseableSnapshotAndStampsSeqPid) {
   EXPECT_EQ(parsed->find("progress")->find("done")->as_u64(), 7u);
 
   // No temp droppings left behind by successful writes.
-  for (const auto& entry : fs::directory_iterator(fs::temp_directory_path()))
+  for (const auto& entry :
+       fs::directory_iterator(fs::path(path).parent_path()))
     EXPECT_EQ(entry.path().string().find(path + ".tmp"), std::string::npos);
   fs::remove(path);
 }
 
 TEST(StatusWriterTest, EmitsSimCoreIntrospection) {
-  const std::string path = temp_path("wormsim_status_sim_test.json");
-  fs::remove(path);
+  const std::string path = test::temp_dir("wormsim_status_sim_test.json");
   StatusWriter writer(path);
 
   StatusSnapshot snap;
@@ -83,7 +70,7 @@ TEST(StatusWriterTest, EmitsSimCoreIntrospection) {
   snap.sim.busy_channel_fraction = 0.25;
   ASSERT_TRUE(writer.write(snap));
 
-  const auto parsed = json::parse(read_file(path));
+  const auto parsed = json::parse(test::slurp(path));
   ASSERT_TRUE(parsed.has_value());
   const json::Value* sim = parsed->find("sim");
   ASSERT_NE(sim, nullptr);
@@ -102,8 +89,7 @@ TEST(StatusWriterTest, EmitsSimCoreIntrospection) {
 }
 
 TEST(StatusWriterTest, CreatesMissingParentDirectories) {
-  const std::string dir = temp_path("wormsim_status_nested_dir");
-  fs::remove_all(dir);
+  const std::string dir = test::temp_dir("wormsim_status_nested_dir");
   StatusWriter writer(dir + "/deep/status.json");
   EXPECT_TRUE(writer.write(StatusSnapshot{}));
   EXPECT_TRUE(fs::exists(dir + "/deep/status.json"));
@@ -111,20 +97,19 @@ TEST(StatusWriterTest, CreatesMissingParentDirectories) {
 }
 
 TEST(StatusWriterTest, FailureLeavesDestinationUntouchedAndCounts) {
-  const std::string dir = temp_path("wormsim_status_ro_dir");
-  fs::remove_all(dir);
+  const std::string dir = test::temp_dir("wormsim_status_ro_dir");
   fs::create_directories(dir);
   const std::string path = dir + "/status.json";
   StatusWriter writer(path);
   ASSERT_TRUE(writer.write(StatusSnapshot{}));
-  const std::string before = read_file(path);
+  const std::string before = test::slurp(path);
 
   fs::permissions(dir, fs::perms::owner_read | fs::perms::owner_exec);
   const bool wrote = writer.write(StatusSnapshot{});
   fs::permissions(dir, fs::perms::owner_all);
   if (!wrote) {  // root can often write anyway; only assert when it failed
     EXPECT_EQ(writer.write_failures(), 1u);
-    EXPECT_EQ(read_file(path), before);
+    EXPECT_EQ(test::slurp(path), before);
   }
   fs::remove_all(dir);
 }
@@ -275,8 +260,7 @@ TEST(StatusSnapshotTest, GoldenBytesPinEveryKeyAndItsOrder) {
 }
 
 TEST(StatusSamplerTest, FinalSnapshotHasRunningFalseAndProducerState) {
-  const std::string path = temp_path("wormsim_status_sampler_test.json");
-  fs::remove(path);
+  const std::string path = test::temp_dir("wormsim_status_sampler_test.json");
   std::atomic<std::uint64_t> done{0};
   {
     StatusSampler sampler(path, 0.01, [&done] {
@@ -292,7 +276,7 @@ TEST(StatusSamplerTest, FinalSnapshotHasRunningFalseAndProducerState) {
     EXPECT_GE(sampler.writes(), 2u);  // initial + final at minimum
     EXPECT_EQ(sampler.write_failures(), 0u);
   }
-  const auto parsed = json::parse(read_file(path));
+  const auto parsed = json::parse(test::slurp(path));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_FALSE(parsed->find("running")->as_bool());
   EXPECT_EQ(parsed->find("progress")->find("done")->as_u64(), 100u);
@@ -303,8 +287,7 @@ TEST(StatusSamplerTest, FinalSnapshotHasRunningFalseAndProducerState) {
 }
 
 TEST(StatusSamplerTest, EtaIsUnknownBeforeProgressThenZeroWhenDone) {
-  const std::string path = temp_path("wormsim_status_eta_test.json");
-  fs::remove(path);
+  const std::string path = test::temp_dir("wormsim_status_eta_test.json");
   {
     // Producer never advances: rate stays 0, remaining stays 50.
     StatusSampler sampler(path, 3600, [] {
@@ -313,7 +296,7 @@ TEST(StatusSamplerTest, EtaIsUnknownBeforeProgressThenZeroWhenDone) {
       snap.done = 0;
       return snap;
     });
-    const auto parsed = json::parse(read_file(path));
+    const auto parsed = json::parse(test::slurp(path));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_DOUBLE_EQ(
         parsed->find("progress")->find("eta_seconds")->as_number(), -1);
@@ -324,8 +307,7 @@ TEST(StatusSamplerTest, EtaIsUnknownBeforeProgressThenZeroWhenDone) {
 }
 
 TEST(StatusSamplerTest, StopIsIdempotentAndDestructorSafe) {
-  const std::string path = temp_path("wormsim_status_stop_test.json");
-  fs::remove(path);
+  const std::string path = test::temp_dir("wormsim_status_stop_test.json");
   StatusSampler sampler(path, 0.01, [] { return StatusSnapshot{}; });
   sampler.stop();
   const std::uint64_t writes = sampler.writes();
@@ -339,8 +321,7 @@ TEST(StatusSamplerTest, NonFiniteIntervalsAreClamped) {
   // (in practice an overflowed deadline and a spinning thread); the
   // sampler clamps it to a finite maximum, so only the initial snapshot is
   // written before stop(). NaN reads as the minimum interval.
-  const std::string path = temp_path("wormsim_status_clamp_test.json");
-  fs::remove(path);
+  const std::string path = test::temp_dir("wormsim_status_clamp_test.json");
   for (const double interval :
        {std::numeric_limits<double>::infinity(),
         std::numeric_limits<double>::quiet_NaN(), -1.0}) {
@@ -364,14 +345,13 @@ TEST(StatusSamplerTest, ParseSecondsAcceptsOnlyFinitePositiveNumbers) {
 // Readers must never see a torn snapshot while a writer keeps replacing the
 // file. This also exercises the rename path under concurrency for TSan.
 TEST(StatusSamplerTest, ConcurrentReadersSeeOnlyCompleteSnapshots) {
-  const std::string path = temp_path("wormsim_status_race_test.json");
-  fs::remove(path);
+  const std::string path = test::temp_dir("wormsim_status_race_test.json");
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> torn{0};
 
   std::thread reader([&] {
     while (!stop.load()) {
-      const std::string text = read_file(path);
+      const std::string text = test::slurp(path);
       if (text.empty()) continue;  // not yet published
       const auto parsed = json::parse(text);
       if (!parsed || !parsed->is_object() ||

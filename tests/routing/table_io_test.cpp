@@ -10,6 +10,7 @@
 
 #include "routing/table_io.hpp"
 #include "routing/table_routing.hpp"
+#include "test_support.hpp"
 #include "topo/builders.hpp"
 
 namespace wormsim::routing {
@@ -51,8 +52,7 @@ TEST(TableIo, RoundTripPreservesEveryPath) {
 
 TEST(TableIo, FileRoundTrip) {
   const Fixture fx;
-  const std::string path =
-      (fs::temp_directory_path() / "wormsim_table_io_test.json").string();
+  const std::string path = test::temp_dir("wormsim_table_io_test.json");
   std::string error;
   ASSERT_TRUE(write_table_file(fx.table, path, &error)) << error;
   const TableLoadResult loaded = load_table_file(fx.net, path);

@@ -10,7 +10,8 @@
 // byte-reproducible from the command line). An optional core-comparison
 // pass times the cycle and event cores on identical low-activity mesh
 // workloads and records both, normalized per active-channel-cycle so the
-// numbers are comparable across cores.
+// numbers are comparable across cores; it exits 1 when the two cores
+// disagree on run cycles or delivered messages.
 //
 // `--help` lists every flag.
 //
@@ -59,7 +60,6 @@ struct Options {
   sim::Cycle horizon = 300;
   sim::Cycle drain = 50'000;
   std::uint64_t seed = 1;
-  sim::SimCore core = sim::SimCore::kEvent;
   std::vector<std::uint64_t> core_compare;
   std::string routing_file;
   std::string report_name = "saturation";
@@ -215,12 +215,10 @@ void declare_flags(cli::Parser& p, Options& opt) {
   p.integer("--horizon", opt.horizon, "injection horizon in cycles");
   p.integer("--drain", opt.drain, "extra cycles allowed to drain");
   p.integer("--seed", opt.seed, "workload seed");
-  p.choice("--core", opt.core,
-           {{"event", sim::SimCore::kEvent}, {"cycle", sim::SimCore::kCycle}},
-           "simulation core");
   p.add({"--core-compare", "N,...", "comma-separated powers of two >= 2",
          join(opt.core_compare),
-         "also time both cores on meshes of these node counts",
+         "also time both cores on meshes of these node counts; exit 1 "
+         "if they disagree",
          [&opt](const char* text) {
            std::vector<std::uint64_t> sizes;
            for (const std::string& item : cli::split(text)) {
@@ -244,7 +242,8 @@ void declare_flags(cli::Parser& p, Options& opt) {
 int main(int argc, char** argv) {
   Options opt;
   cli::Parser parser("wormsim_saturation", "[flags]",
-                     "exit: 0 done, 1 report write failed, 2 usage\n"
+                     "exit: 0 done, 1 report write failed or the cores "
+                     "disagree, 2 usage\n"
                      "see docs/observability.md for the report\n");
   declare_flags(parser, opt);
   parser.parse(argc, argv);
@@ -298,8 +297,7 @@ int main(int argc, char** argv) {
   report.labels["topology"] = fabric.label;
   for (const auto& [name, pattern] : kPatterns)
     if (pattern == opt.pattern) report.labels["pattern"] = name;
-  report.labels["core"] =
-      opt.core == sim::SimCore::kEvent ? "event" : "cycle";
+  report.labels["core"] = "event";
   report.values["nodes"] = static_cast<double>(net.node_count());
   report.values["channels"] = static_cast<double>(net.channel_count());
   report.values["terminals"] = static_cast<double>(fabric.terminals.size());
@@ -312,7 +310,7 @@ int main(int argc, char** argv) {
   status.kind = "saturation";
   status.count = opt.loads.size() + (opt.core_compare.empty() ? 0 : 1);
   status.end_index = status.count;
-  status.sim.core = opt.core == sim::SimCore::kEvent ? "event" : "cycle";
+  status.sim.core = "event";
   status.sim.active = true;
   std::unique_ptr<obs::StatusSampler> sampler;
   if (!opt.status_file.empty())
@@ -335,7 +333,7 @@ int main(int argc, char** argv) {
 
     sim::FifoArbitration policy;
     sim::SimConfig config;
-    config.core = opt.core;
+    config.core = sim::SimCore::kEvent;
     config.buffer_depth = 2;
     config.max_cycles = opt.horizon + opt.drain;
     sim::WormholeSimulator simulator(*fabric.alg, config, policy);
@@ -388,7 +386,9 @@ int main(int argc, char** argv) {
   // Core comparison: identical low-activity workloads on meshes of the
   // requested sizes, timed under both cores. The event core must agree with
   // the cycle core on every deterministic output (the parity suite proves
-  // this exhaustively; here it doubles as a smoke check on big networks).
+  // this exhaustively; here run cycles and deliveries are checked on big
+  // networks).
+  bool cores_agree = true;
   for (const std::uint64_t nodes : opt.core_compare) {
     const topo::Grid grid = topo::make_mesh(mesh_dims(nodes));
     const routing::DimensionOrderMesh dor(grid);
@@ -406,6 +406,8 @@ int main(int argc, char** argv) {
 
     const std::string prefix = "cores.n" + std::to_string(nodes) + ".";
     double wall[2] = {0, 0};
+    sim::Cycle cycles[2] = {0, 0};
+    std::size_t delivered[2] = {0, 0};
     for (const sim::SimCore core :
          {sim::SimCore::kCycle, sim::SimCore::kEvent}) {
       sim::FifoArbitration policy;
@@ -419,15 +421,18 @@ int main(int argc, char** argv) {
       const sim::RunResult result = simulator.run();
       const double elapsed = seconds_since(start);
       const bool event = core == sim::SimCore::kEvent;
+      const sim::WorkloadStats stats =
+          sim::summarize_workload(simulator, result.cycles);
       wall[event ? 1 : 0] = elapsed;
+      cycles[event ? 1 : 0] = result.cycles;
+      delivered[event ? 1 : 0] = stats.delivered;
       const char* tag = event ? "event" : "cycle";
       report.values[prefix + tag + "_wall_seconds"] = elapsed;
       // Per-cycle cost normalized by the mean number of busy channels, so
       // the two cores' costs are comparable: the cycle core pays for every
       // message every cycle, the event core only for scheduled work.
       const double active_channels =
-          sim::summarize_workload(simulator, result.cycles)
-              .mean_channel_utilization *
+          stats.mean_channel_utilization *
           static_cast<double>(grid.net().channel_count());
       report.values[prefix + tag + "_ns_per_active_channel_cycle"] =
           active_channels > 0
@@ -440,6 +445,16 @@ int main(int argc, char** argv) {
     }
     report.values[prefix + "event_speedup"] =
         wall[1] > 0 ? wall[0] / wall[1] : 0;
+    if (cycles[0] != cycles[1] || delivered[0] != delivered[1]) {
+      cores_agree = false;
+      std::fprintf(stderr,
+                   "wormsim_saturation: cores disagree at n=%llu: cycle core "
+                   "%llu cycles, %zu delivered; event core %llu cycles, %zu "
+                   "delivered\n",
+                   static_cast<unsigned long long>(nodes),
+                   static_cast<unsigned long long>(cycles[0]), delivered[0],
+                   static_cast<unsigned long long>(cycles[1]), delivered[1]);
+    }
     {
       std::lock_guard<std::mutex> lock(status_mu);
       ++status.done;
@@ -462,5 +477,5 @@ int main(int argc, char** argv) {
                  opt.report_name.c_str());
     return 1;
   }
-  return 0;
+  return cores_agree ? 0 : 1;
 }

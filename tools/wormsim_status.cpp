@@ -7,7 +7,8 @@
 //
 // Missing or half-written files are reported as "waiting" rather than
 // treated as errors: the watcher is typically started before (or raced
-// against) the run it observes. Exit is 0 once every file parsed at least
+// against) the run it observes. So is a snapshot whose counters are not
+// all exact non-negative integers. Exit is 0 once every file parsed at least
 // once; 1 if a one-shot render found no readable snapshot; 2 on usage
 // errors. docs/observability.md documents the snapshot schema.
 #include <chrono>
@@ -48,11 +49,6 @@ struct Row {
   std::size_t workers = 0;
 };
 
-std::uint64_t u64_field(const Value& obj, const char* key) {
-  const Value* v = obj.find(key);
-  return v != nullptr && v->is_number() ? v->as_u64() : 0;
-}
-
 double num_field(const Value& obj, const char* key) {
   const Value* v = obj.find(key);
   return v != nullptr && v->is_number() ? v->as_number() : 0;
@@ -71,7 +67,16 @@ Row read_row(const std::string& path) {
       schema->as_string() != wormsim::obs::kStatusSchema)
     return row;
 
-  row.ok = true;
+  // A counter present but not an exact u64 (negative, fractional, out of
+  // range, not a number) voids the whole snapshot.
+  bool exact = true;
+  const auto u64_field = [&exact](const Value& obj, const char* key) {
+    const Value* v = obj.find(key);
+    if (v == nullptr) return std::uint64_t{0};
+    if (v->is_exact_u64()) return v->as_u64();
+    exact = false;
+    return std::uint64_t{0};
+  };
   if (const Value* kind = parsed->find("kind"); kind && kind->is_string())
     row.kind = kind->as_string();
   row.seq = u64_field(*parsed, "seq");
@@ -118,6 +123,8 @@ Row read_row(const std::string& path) {
       row.idle_ns += u64_field(w, "idle_ns");
     }
   }
+  if (!exact) return Row{};
+  row.ok = true;
   return row;
 }
 
