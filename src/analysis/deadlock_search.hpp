@@ -99,13 +99,13 @@ struct SearchLimits {
   /// witnesses-by-replay while visiting fewer states; kOff reproduces the
   /// unreduced enumeration bit for bit and is the cross-check reference.
   /// states_explored and the profile counters differ between the modes.
-  /// This is the one declaration of the search default: the campaign, the
-  /// fleet manifest and the CLIs all derive theirs from it.
+  /// This is the one declaration of the search default: the campaign and
+  /// the CLIs derive theirs from it.
   ReductionMode reduction = ReductionMode::kSafe;
   /// Live telemetry hook (analysis/search_status.hpp). When non-null the
   /// engine publishes per-worker profile shards, frontier depth and
   /// state-table occupancy into the board as it runs; a null board costs
-  /// one branch per fresh state (the WORMSIM_LOG discipline). The board
+  /// one branch per fresh state and nothing else. The board
   /// must outlive the search, and observes one search at a time — one per
   /// find_deadlock call, even when kSafe splits it into component runs.
   /// minimal_deadlock_delay's concurrent per-budget scans therefore run

@@ -27,6 +27,9 @@ namespace {
 // table it probes.
 constexpr std::uint64_t kProbeSalt = 0x51c3a87e9d24b6f1ull;
 
+/// Predicate evaluations one disagreement's shrink may spend.
+constexpr std::size_t kShrinkBudget = 200;
+
 void fold_search(Evaluation& eval, const analysis::DeadlockSearchResult& r) {
   eval.states += r.states_explored;
   eval.profile.merge_from(r.profile);
@@ -184,16 +187,48 @@ struct CacheCounters {
   std::atomic<std::uint64_t> parked{0};
 };
 
+/// cache_file's trail while the run is live. The worker that inserts a
+/// freshly searched record calls inserted(); the first one to do so after
+/// the shared deadline appends every record searched since the last append
+/// (TruthStore::checkpoint) and moves the deadline kCheckpointSeconds on.
+/// A killed run so loses only its last interval's records, and a warm run,
+/// which inserts nothing, never appends.
+class Checkpointer {
+  using Clock = std::chrono::steady_clock;
+  static constexpr Clock::rep kInterval =
+      std::chrono::duration_cast<Clock::duration>(
+          std::chrono::seconds(kCheckpointSeconds))
+          .count();
+
+ public:
+  Checkpointer(TruthStore& store, const std::string& path)
+      : store_(store), path_(path) {}
+
+  void inserted() {
+    const Clock::rep now = Clock::now().time_since_epoch().count();
+    Clock::rep due = due_.load();
+    if (now < due || !due_.compare_exchange_strong(due, now + kInterval))
+      return;
+    // A failed append keeps its records pending for the next one.
+    (void)store_.checkpoint(path_);
+  }
+
+ private:
+  TruthStore& store_;
+  const std::string& path_;
+  std::atomic<Clock::rep> due_{Clock::now().time_since_epoch().count() +
+                               kInterval};
+};
+
 /// Per-campaign-worker telemetry, allocated only when a status file was
-/// requested. The worker folds each finished scenario into `status` under
-/// `mu`, once per scenario, and the sampler copies it under the same lock;
-/// the board is the live window into the worker's in-flight ground-truth
-/// searches. A run without a status file never allocates these and the
-/// worker loop takes one null-check branch per scenario — the same
-/// discipline as WORMSIM_LOG and the metrics hooks.
+/// requested. The worker marks the scenario it starts as `in_flight` and
+/// folds each finished one into `status` under `mu`, and the sampler copies
+/// it under the same lock; the board is the live window into the worker's
+/// ground-truth searches. A run without a status file never allocates these
+/// and the worker loop takes one null-check branch per scenario.
 struct WorkerTelemetry {
   std::mutex mu;
-  obs::WorkerStatus status;  ///< accumulated over finished scenarios
+  obs::WorkerStatus status;  ///< in_flight, plus totals of finished ones
   analysis::SearchStatusBoard board;
 };
 
@@ -230,7 +265,8 @@ std::string fixture_json(const CampaignConfig& config,
 std::optional<Evaluation> evaluate_impl(const Scenario& scenario,
                                         const EvalOptions& options,
                                         TruthStore* cache,
-                                        CacheCounters* counters, bool park) {
+                                        CacheCounters* counters,
+                                        Checkpointer* checkpoint, bool park) {
   Evaluation eval;
   const MaterializedScenario live = materialize(scenario);
   eval.classification = classify(scenario, live);
@@ -291,6 +327,7 @@ std::optional<Evaluation> evaluate_impl(const Scenario& scenario,
     if (cache != nullptr)
       cache->insert(key, TruthRecord{eval.outcome, eval.states,
                                      /*from_disk=*/false});
+    if (checkpoint != nullptr) checkpoint->inserted();
     if (options.cross_check_reduction) {
       // Shadow arm: same probes under the other reduction mode — the
       // unreduced reference for the default kSafe. Runs into a scratch
@@ -341,7 +378,8 @@ std::optional<Evaluation> evaluate_impl(const Scenario& scenario,
 Evaluation evaluate_scenario(const Scenario& scenario,
                              const EvalOptions& options) {
   return *evaluate_impl(scenario, options, /*cache=*/nullptr,
-                        /*counters=*/nullptr, /*park=*/false);
+                        /*counters=*/nullptr, /*checkpoint=*/nullptr,
+                        /*park=*/false);
 }
 
 std::optional<Scenario> scenario_from_fixture(std::string_view text,
@@ -429,51 +467,38 @@ std::uint64_t campaign_truth_fingerprint(const EvalOptions& eval) {
   return truth_fingerprint(recorded_limits);
 }
 
-namespace {
-
-/// Predicate evaluations one disagreement's shrink may spend.
-constexpr std::size_t kShrinkBudget = 200;
-
-/// Shared engine behind run_campaign (the whole index space, internal
-/// store persisted via cache_file) and run_campaign_range (caller-chosen
-/// block, optionally a caller-owned store whose persistence the caller
-/// manages).
-CampaignResult run_range_impl(const CampaignConfig& config,
-                              std::uint64_t first, std::uint64_t end,
-                              TruthStore* external) {
+CampaignResult run_campaign(const CampaignConfig& config) {
   const auto t0 = std::chrono::steady_clock::now();
   const ScenarioGenerator generator(config.seed, config.knobs);
 
   CampaignResult result;
-  result.first_index = first;
-  result.end_index = end;
-  const std::uint64_t slice = result.end_index - result.first_index;
-  result.records.resize(slice);
+  result.records.resize(config.count);
 
   unsigned shards = config.shards != 0
                         ? config.shards
                         : std::max(1u, std::thread::hardware_concurrency());
-  if (slice < shards)
-    shards = static_cast<unsigned>(std::max<std::uint64_t>(1, slice));
+  if (config.count < shards)
+    shards = static_cast<unsigned>(std::max<std::uint64_t>(1, config.count));
   result.shards_used = shards;
 
   std::vector<analysis::SearchProfile> profiles(
-      config.collect_profile ? slice : 0);
+      config.collect_profile ? config.count : 0);
 
   // Parallelism lives at the shard level: recorded states_explored must be
   // deterministic, so every ground-truth search is single-threaded no
   // matter what the caller put in eval.limits.threads.
   EvalOptions eval_opts = config.eval;
   eval_opts.limits.threads = 1;
-  TruthStore local_cache(campaign_truth_fingerprint(config.eval));
-  // With an external store the caller owns persistence: cache_file is
-  // neither loaded nor saved, and hits against records the caller loaded
-  // from disk surface as disk hits via TruthRecord::from_disk as usual.
-  TruthStore* const cache = external != nullptr ? external : &local_cache;
-  WORMSIM_EXPECTS(cache->fingerprint() ==
-                  campaign_truth_fingerprint(config.eval));
-  if (external == nullptr && !config.cache_file.empty())
-    result.truth_loaded = local_cache.load(config.cache_file).records;
+  TruthStore cache(campaign_truth_fingerprint(config.eval));
+  std::optional<Checkpointer> checkpoint;
+  if (!config.cache_file.empty()) {
+    const TruthLoadStats loaded = cache.load(config.cache_file);
+    result.truth_loaded = loaded.records;
+    // Appends land after the last line, so a torn tail left by a killed
+    // run would hide them from the next load: start from a clean file.
+    if (loaded.dropped > 0) (void)cache.save(config.cache_file);
+    checkpoint.emplace(cache, config.cache_file);
+  }
   CacheCounters counters;
   std::atomic<std::uint64_t> divergences{0};
 
@@ -483,23 +508,30 @@ CampaignResult run_range_impl(const CampaignConfig& config,
   // cache are untouched by the status pointer riding along in the limits.
   std::vector<std::unique_ptr<WorkerTelemetry>> telemetry;
   if (!config.status_file.empty())
-    for (unsigned t = 0; t < shards; ++t)
+    for (unsigned t = 0; t < shards; ++t) {
       telemetry.push_back(std::make_unique<WorkerTelemetry>());
+      telemetry.back()->status.in_flight = config.count;  // idle
+    }
 
-  std::atomic<std::uint64_t> next{result.first_index};
+  std::atomic<std::uint64_t> next{0};
   const auto worker = [&](WorkerTelemetry* tele) {
     EvalOptions local_opts = eval_opts;
     if (tele != nullptr) local_opts.limits.status = &tele->board;
     // Evaluates and slots scenario i; false when it was parked.
     const auto evaluate = [&](std::uint64_t i, bool park) {
+      if (tele != nullptr) {
+        std::lock_guard<std::mutex> lock(tele->mu);
+        tele->status.in_flight = i;
+      }
       const Scenario scenario = generator.generate(i);
-      const std::optional<Evaluation> evaluated =
-          evaluate_impl(scenario, local_opts, cache, &counters, park);
+      const std::optional<Evaluation> evaluated = evaluate_impl(
+          scenario, local_opts, &cache, &counters,
+          checkpoint ? &*checkpoint : nullptr, park);
       if (!evaluated) return false;
       const Evaluation& eval = *evaluated;
       if (eval.reduction_divergence)
         divergences.fetch_add(1, std::memory_order_relaxed);
-      ScenarioRecord& record = result.records[i - result.first_index];
+      ScenarioRecord& record = result.records[i];
       record.index = i;
       record.seed = scenario.seed;
       record.kind = scenario.kind;
@@ -510,10 +542,11 @@ CampaignResult run_range_impl(const CampaignConfig& config,
       record.skip_reason = eval.skip_reason;
       record.states = eval.states;
       record.scenario_json = scenario.to_json();
-      if (config.collect_profile) profiles[i - result.first_index] = eval.profile;
+      if (config.collect_profile) profiles[i] = eval.profile;
       if (tele != nullptr) {
         std::lock_guard<std::mutex> lock(tele->mu);
         obs::WorkerStatus& w = tele->status;
+        w.in_flight = config.count;
         ++w.done;
         w.states += eval.states;
         switch (eval.verdict) {
@@ -530,7 +563,7 @@ CampaignResult run_range_impl(const CampaignConfig& config,
     std::vector<std::uint64_t> parked;
     for (;;) {
       const std::uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= result.end_index) break;
+      if (i >= config.count) break;
       if (!evaluate(i, /*park=*/true)) parked.push_back(i);
     }
     for (const std::uint64_t i : parked) evaluate(i, /*park=*/false);
@@ -547,8 +580,6 @@ CampaignResult run_range_impl(const CampaignConfig& config,
           obs::StatusSnapshot snap;
           snap.kind = "campaign";
           snap.count = config.count;
-          snap.first_index = result.first_index;
-          snap.end_index = result.end_index;
           // `search` folds what the workers' engines are doing right now
           // (current or last search per board); `workers` carries each
           // worker's accumulated totals, which the progress counts sum.
@@ -594,8 +625,8 @@ CampaignResult run_range_impl(const CampaignConfig& config,
     for (std::thread& t : threads) t.join();
   }
   // All workers have retired: the final heartbeat (running=false, done ==
-  // slice size) lands before any post-processing, so monitors see "done"
-  // even while shrinking/fixture dumping still runs.
+  // count) lands before any post-processing, so monitors see "done" even
+  // while shrinking/fixture dumping still runs.
   if (sampler) sampler->stop();
 
   // Aggregate serially in index order so merged histograms and counters are
@@ -626,8 +657,9 @@ CampaignResult run_range_impl(const CampaignConfig& config,
       const auto still_disagrees = [&](const Scenario& candidate) {
         // No counters: shrink probes are diagnostics, not campaign lookups.
         // The workers have joined, so no key is in flight and none parks.
-        const Evaluation eval = *evaluate_impl(
-            candidate, eval_opts, cache, /*counters=*/nullptr, /*park=*/false);
+        const Evaluation eval =
+            *evaluate_impl(candidate, eval_opts, &cache, /*counters=*/nullptr,
+                           /*checkpoint=*/nullptr, /*park=*/false);
         return eval.verdict == Verdict::kDisagree &&
                eval.classification.rule == rule;
       };
@@ -657,29 +689,15 @@ CampaignResult run_range_impl(const CampaignConfig& config,
   result.truth_misses = counters.misses.load();
   result.truth_parked = counters.parked.load();
   result.reduction_divergences = divergences.load();
-  if (external == nullptr && !config.cache_file.empty()) {
-    result.truth_stored = local_cache.size();
-    result.cache_saved = local_cache.save(config.cache_file);
+  if (!config.cache_file.empty()) {
+    result.truth_stored = cache.size();
+    result.cache_saved = cache.save(config.cache_file);
   }
 
   result.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   return result;
-}
-
-}  // namespace
-
-CampaignResult run_campaign(const CampaignConfig& config) {
-  return run_range_impl(config, 0, config.count, /*external=*/nullptr);
-}
-
-CampaignResult run_campaign_range(const CampaignConfig& config,
-                                  std::uint64_t first, std::uint64_t end,
-                                  TruthStore* store) {
-  WORMSIM_EXPECTS(first <= end);
-  WORMSIM_EXPECTS(end <= config.count);
-  return run_range_impl(config, first, end, store);
 }
 
 const char* to_string(Verdict verdict) {

@@ -18,13 +18,12 @@
 // index order — so the JSONL output is byte-identical across runs and
 // shard counts, while shards scale wall-clock near-linearly.
 //
-// Within a process, `shards` worker threads deal scenario indices
-// dynamically. Across processes (or machines), the fleet (src/fleet) hands
-// out run_campaign_range batches whose records concatenate to the
-// single-process bytes. Ground truth is memoized in a TruthStore that
-// `cache_file` persists across runs (docs/campaign.md documents the
-// operator contract); its lookups are single-flight, so within a process
-// each truth key is searched once whatever the shard count.
+// `shards` worker threads deal scenario indices dynamically. Ground truth
+// is memoized in a TruthStore that `cache_file` persists across runs
+// (docs/campaign.md documents the operator contract); its lookups are
+// single-flight, so each truth key is searched once whatever the shard
+// count. While the run is live, fresh records are appended to `cache_file`
+// about once a second, so a killed run resumes warm.
 #pragma once
 
 #include <cstdint>
@@ -89,6 +88,10 @@ struct Evaluation {
 [[nodiscard]] Evaluation evaluate_scenario(const Scenario& scenario,
                                            const EvalOptions& options);
 
+/// Seconds between the appends of freshly searched truth records to a
+/// live campaign's cache_file.
+inline constexpr int kCheckpointSeconds = 1;
+
 struct CampaignConfig {
   std::uint64_t seed = 1;
   std::uint64_t count = 1000;
@@ -96,8 +99,10 @@ struct CampaignConfig {
   /// std::thread::hardware_concurrency().
   unsigned shards = 1;
   /// Persistent TruthStore path: loaded before the run (missing file = cold
-  /// start) and atomically rewritten after it. Empty disables persistence;
-  /// the in-memory truth cache always runs.
+  /// start), appended to while it runs (TruthStore::checkpoint, every
+  /// kCheckpointSeconds) and atomically rewritten, sorted, after it. A
+  /// killed run loses only the records since its last append. Empty
+  /// disables persistence; the in-memory truth cache always runs.
   std::string cache_file;
   GeneratorKnobs knobs;
   EvalOptions eval;
@@ -140,9 +145,6 @@ struct ScenarioRecord {
 
 struct CampaignResult {
   std::vector<ScenarioRecord> records;  ///< in index order
-  /// First/one-past-last campaign index evaluated.
-  std::uint64_t first_index = 0;
-  std::uint64_t end_index = 0;
   std::uint64_t agree = 0;
   std::uint64_t disagree = 0;
   std::uint64_t skip = 0;
@@ -181,25 +183,10 @@ struct CampaignResult {
 
 /// The truth-cache fingerprint a campaign with these options uses for its
 /// RECORDED searches (threads forced to 1; the cross-check shadow arm is
-/// never recorded). External TruthStores handed to run_campaign_range must
+/// never recorded). A TruthStore that stands in for the campaign's own must
 /// be constructed with exactly this value.
 [[nodiscard]] std::uint64_t campaign_truth_fingerprint(
     const EvalOptions& eval);
-
-/// Evaluates one explicit contiguous block [first, end) of the campaign's
-/// index space — the fleet worker's batch primitive. When `store` is
-/// non-null, shares it as both memo table and warm cache
-/// instead of the config's cache_file (which is neither loaded nor saved;
-/// the store's owner is responsible for persistence). `store` must carry
-/// campaign_truth_fingerprint(config.eval) and may be shared across
-/// sequential calls — cross-batch hits are reported as disk or memo hits
-/// according to TruthRecord::from_disk. The records produced are
-/// byte-identical to the [first, end) slice of a full run_campaign with the
-/// same seed/count/knobs/limits, whatever the batch boundaries.
-[[nodiscard]] CampaignResult run_campaign_range(const CampaignConfig& config,
-                                                std::uint64_t first,
-                                                std::uint64_t end,
-                                                TruthStore* store = nullptr);
 
 /// Extracts the scenario object embedded under `key` ("shrunk" or
 /// "scenario") in a disagreement fixture's JSON text. nullopt when the key

@@ -215,44 +215,33 @@ std::size_t TruthStore::unpersisted() const {
 }
 
 bool TruthStore::checkpoint(const std::string& path) {
-  std::unique_lock<std::mutex> lock(mu_);
+  // Holds the lock throughout, so an insert racing the write either lands
+  // in it or stays pending for the next call.
+  const std::scoped_lock lock(mu_);
   if (unpersisted_.empty()) return true;
 
-  // Decide between append (file already carries our header) and create /
-  // full rewrite (missing, empty, or foreign-fingerprint file).
-  bool file_has_header = false;
-  bool header_is_ours = false;
+  bool ours = false;
   {
     std::ifstream in(path, std::ios::binary);
     std::string header;
-    if (in && std::getline(in, header)) {
-      file_has_header = true;
-      const auto fp = parse_header(header);
-      header_is_ours = fp && *fp == fingerprint_;
+    ours = in && std::getline(in, header) &&
+           parse_header(header) == fingerprint_;
+  }
+  if (!ours) {
+    // Missing, empty, foreign or unreadable: appending could corrupt it.
+    // Replace it with a full snapshot (the stale-store policy: overwrite,
+    // never mix), which also creates missing parent directories.
+    if (!util::write_file_atomic(path, snapshot())) return false;
+  } else {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    for (const std::string& key : unpersisted_) {
+      const auto it = map_.find(key);
+      if (it == map_.end()) continue;  // cannot happen today; belt-and-braces
+      out << format_record(key, it->second.record) << "\n";
     }
+    out.flush();
+    if (!out) return false;  // torn tail is truncated by the next load()
   }
-  if (file_has_header && !header_is_ours) {
-    // Foreign or unreadable header: appending would corrupt it. Replace with
-    // a full snapshot (the stale-store policy: overwrite, never mix).
-    // save() takes mu_ itself, so drop the lock around the delegation.
-    lock.unlock();
-    const bool ok = save(path);
-    lock.lock();
-    if (ok) unpersisted_.clear();
-    return ok;
-  }
-
-  std::ofstream out(path, std::ios::binary | std::ios::app);
-  if (!out) return false;
-  if (!file_has_header)
-    out << header_line(fingerprint_);
-  for (const std::string& key : unpersisted_) {
-    const auto it = map_.find(key);
-    if (it == map_.end()) continue;  // cannot happen today; belt-and-braces
-    out << format_record(key, it->second.record) << "\n";
-  }
-  out.flush();
-  if (!out) return false;  // torn tail is truncated by the next load()
   unpersisted_.clear();
   return true;
 }
@@ -316,43 +305,21 @@ TruthLoadStats TruthStore::load(const std::string& path) {
   return stats;
 }
 
-bool TruthStore::save(const std::string& path) const {
+std::string TruthStore::snapshot() const {
   std::string text = header_line(fingerprint_);
-  {
-    const std::scoped_lock lock(mu_);
-    for (const auto& [key, entry] : map_)
-      if (entry.flight == nullptr)
-        text += format_record(key, entry.record) + "\n";
-  }
-  return util::write_file_atomic(path, text);
+  for (const auto& [key, entry] : map_)
+    if (entry.flight == nullptr)
+      text += format_record(key, entry.record) + "\n";
+  return text;
 }
 
-bool TruthStore::merge_from(const TruthStore& other, std::string* error) {
-  const auto fail = [&](const std::string& why) {
-    if (error != nullptr) *error = why;
-    return false;
-  };
-  if (fingerprint_ != other.fingerprint_)
-    return fail("fingerprint mismatch: " + util::hex16(fingerprint_) +
-                " vs " + util::hex16(other.fingerprint_));
-  if (&other == this) return true;
-  const std::scoped_lock lock(mu_, other.mu_);  // std::lock: deadlock-free
-  for (const auto& [key, theirs] : other.map_) {
-    if (theirs.flight != nullptr) continue;  // claimed there, no record yet
-    const auto [it, fresh] = map_.try_emplace(key);
-    Entry& mine = it->second;
-    if (!fresh && mine.flight == nullptr) {
-      if (mine.record.outcome != theirs.record.outcome ||
-          mine.record.states != theirs.record.states)
-        return fail("contradictory records for key '" + key + "': " +
-                    record_payload(key, mine.record) + " vs " +
-                    record_payload(key, theirs.record));
-      continue;
-    }
-    settle(mine, theirs.record);
-    unpersisted_.push_back(key);
+bool TruthStore::save(const std::string& path) const {
+  std::string text;
+  {
+    const std::scoped_lock lock(mu_);
+    text = snapshot();
   }
-  return true;
+  return util::write_file_atomic(path, text);
 }
 
 }  // namespace wormsim::campaign

@@ -14,10 +14,11 @@
 // (or a concurrent reader catching a partial file) damages at most the tail.
 // load() verifies the header and walks records until the first malformed or
 // checksum-failing line, keeping the valid prefix and dropping the rest
-// ("corrupt-tail truncation"). save() never appends in place: it writes a
-// complete sorted snapshot to a sibling temp file and atomically renames it
-// over the destination, so readers and racing writers always observe a
-// fully-formed file (last rename wins).
+// ("corrupt-tail truncation"). A live campaign appends its fresh records
+// with checkpoint() and, at exit, replaces the file with save(), which
+// never appends in place: it writes a complete sorted snapshot to a sibling
+// temp file and atomically renames it over the destination, so readers and
+// racing writers always observe a fully-formed file (last rename wins).
 //
 // The header's fingerprint hashes every knob that can change what the
 // search would conclude (SearchLimits + the runner's probe parameters + a
@@ -178,29 +179,21 @@ class TruthStore {
   /// file cannot be written or the rename fails.
   [[nodiscard]] bool save(const std::string& path) const;
 
-  /// Appends every record gained via insert()/merge_from() since the last
-  /// checkpoint() to `path`, creating the file (with a header) when it is
-  /// missing or empty. Records that arrived through load() are already on
-  /// disk somewhere and are never re-appended. Because the format is
+  /// Appends every record gained via insert() since the last checkpoint()
+  /// to `path`. Records that arrived through load() are already on disk
+  /// somewhere and are never re-appended. Because the format is
   /// line-oriented with per-record checksums, a crash mid-append damages at
-  /// most the tail, which the next load() truncates away — this is the
-  /// fleet coordinator's crash-safe persistence primitive. When `path`
-  /// exists but carries a different fingerprint (or an unreadable header),
-  /// falls back to a full atomic save(). Returns false on I/O failure; the
-  /// pending records are kept for the next attempt.
+  /// most the tail, which the next load() truncates away — a live
+  /// campaign's crash-safe persistence. When `path` does not start with
+  /// this store's header (missing, empty, foreign fingerprint, unreadable),
+  /// writes a full atomic snapshot instead, as save() does. Runs under the
+  /// store's lock. Returns false on I/O failure; the pending records are
+  /// kept for the next attempt.
   [[nodiscard]] bool checkpoint(const std::string& path);
 
   /// Records gained since the last successful checkpoint() (or since
   /// construction). Lets callers skip a checkpoint when nothing is new.
   [[nodiscard]] std::size_t unpersisted() const;
-
-  /// Copies `other`'s records into this store. Fingerprints must match.
-  /// A key present in both with a *different* outcome/states is a
-  /// contradiction (two runs disagreeing about deterministic ground truth);
-  /// merge stops and reports it via `error`. Returns false on fingerprint
-  /// mismatch or contradiction.
-  [[nodiscard]] bool merge_from(const TruthStore& other,
-                                std::string* error = nullptr);
 
   /// The serialized form of one record line (no trailing newline); exposed
   /// for tests that build corrupt files byte-by-byte.
@@ -211,6 +204,8 @@ class TruthStore {
   /// Stores `record` in `entry`, settling its claim if it has one. Caller
   /// holds mu_.
   void settle(Entry& entry, const TruthRecord& record);
+  /// The sorted file text of every settled record. Caller holds mu_.
+  [[nodiscard]] std::string snapshot() const;
 
   mutable std::mutex mu_;
   std::uint64_t fingerprint_ = 0;

@@ -39,19 +39,6 @@ void append_search(std::string& out, const SearchStatus& s) {
   out += "}";
 }
 
-void append_fleet(std::string& out, const FleetStatus& f) {
-  out += "{\"batches_total\":" + json::number_u64(f.batches_total);
-  out += ",\"batches_done\":" + json::number_u64(f.batches_done);
-  out += ",\"batches_queued\":" + json::number_u64(f.batches_queued);
-  out += ",\"batches_leased\":" + json::number_u64(f.batches_leased);
-  out += ",\"batches_quarantined\":" + json::number_u64(f.batches_quarantined);
-  out += ",\"retries\":" + json::number_u64(f.retries);
-  out += ",\"workers_active\":" + json::number_u64(f.workers_active);
-  out += ",\"merged_records\":" + json::number_u64(f.merged_records);
-  out += ",\"truth_records\":" + json::number_u64(f.truth_records);
-  out += "}";
-}
-
 void append_sim(std::string& out, const SimStatus& s) {
   out += "{\"active\":";
   out += s.active ? "true" : "false";
@@ -67,7 +54,8 @@ void append_sim(std::string& out, const SimStatus& s) {
 }
 
 void append_worker(std::string& out, const WorkerStatus& w) {
-  out += "{\"done\":" + json::number_u64(w.done);
+  out += "{\"in_flight\":" + json::number_u64(w.in_flight);
+  out += ",\"done\":" + json::number_u64(w.done);
   out += ",\"agree\":" + json::number_u64(w.agree);
   out += ",\"disagree\":" + json::number_u64(w.disagree);
   out += ",\"skip\":" + json::number_u64(w.skip);
@@ -89,8 +77,6 @@ std::string StatusSnapshot::to_json() const {
   out += ",\"elapsed_seconds\":" + json::number(elapsed_seconds);
   out += ",\"progress\":{";
   out += "\"count\":" + json::number_u64(count);
-  out += ",\"first_index\":" + json::number_u64(first_index);
-  out += ",\"end_index\":" + json::number_u64(end_index);
   out += ",\"done\":" + json::number_u64(done);
   out += ",\"agree\":" + json::number_u64(agree);
   out += ",\"disagree\":" + json::number_u64(disagree);
@@ -103,9 +89,7 @@ std::string StatusSnapshot::to_json() const {
   out += ",\"memo_hits\":" + json::number_u64(truth_memo_hits);
   out += ",\"misses\":" + json::number_u64(truth_misses);
   out += ",\"hit_rate\":" + json::number(truth_hit_rate);
-  out += "},\"fleet\":";
-  append_fleet(out, fleet);
-  out += ",\"sim\":";
+  out += "},\"sim\":";
   append_sim(out, sim);
   out += ",\"search\":";
   append_search(out, search);
@@ -173,16 +157,15 @@ void StatusSampler::write_once(bool running) {
   snap.running = running;
 
   std::lock_guard<std::mutex> lock(mu_);
-  // Rolling completion rate over the last samples; ETA for the slice this
-  // producer is working through.
+  // Rolling completion rate over the last samples; ETA for the rest of
+  // the producer's count.
   window_.emplace_back(snap.elapsed_seconds, snap.done);
   while (window_.size() > 20) window_.pop_front();
   const double dt = window_.back().first - window_.front().first;
   const std::uint64_t ddone = window_.back().second - window_.front().second;
   snap.rate_per_second = dt > 0 ? static_cast<double>(ddone) / dt : 0;
-  const std::uint64_t slice =
-      snap.end_index > snap.first_index ? snap.end_index - snap.first_index : 0;
-  const std::uint64_t remaining = slice > snap.done ? slice - snap.done : 0;
+  const std::uint64_t remaining =
+      snap.count > snap.done ? snap.count - snap.done : 0;
   if (remaining == 0)
     snap.eta_seconds = 0;
   else if (snap.rate_per_second > 0)

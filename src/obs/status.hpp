@@ -47,7 +47,7 @@ namespace wormsim::obs {
 
 /// The `schema` value of every snapshot. Any field addition, removal or
 /// rename bumps the version (docs/observability.md).
-inline constexpr std::string_view kStatusSchema = "wormsim-status-v5";
+inline constexpr std::string_view kStatusSchema = "wormsim-status-v6";
 
 /// What the search engine(s) are doing right now: live gauges, the worker
 /// profile shards merged, and the state tables' occupancy. All-zero when no
@@ -68,6 +68,8 @@ struct SearchStatus {
 /// worker thread (scenario verdict counts plus its merged search profile);
 /// for a bare search it is one DFS worker (verdict counts stay zero).
 struct WorkerStatus {
+  /// The index the worker is evaluating; the snapshot's `count` when idle.
+  std::uint64_t in_flight = 0;
   std::uint64_t done = 0;
   std::uint64_t agree = 0;
   std::uint64_t disagree = 0;
@@ -90,35 +92,17 @@ struct SimStatus {
   double busy_channel_fraction = 0;  ///< busy channel-cycles / total
 };
 
-/// What a fleet coordinator (tools/wormsim_fleet) is doing right now: the
-/// batch state machine's occupancy plus merge/checkpoint progress. All-zero
-/// for every other producer kind. docs/fleet.md explains the state machine;
-/// docs/observability.md documents the fields.
-struct FleetStatus {
-  std::uint64_t batches_total = 0;
-  std::uint64_t batches_done = 0;
-  std::uint64_t batches_queued = 0;
-  std::uint64_t batches_leased = 0;
-  std::uint64_t batches_quarantined = 0;
-  std::uint64_t retries = 0;         ///< batch re-queues (expiry + bad results)
-  std::uint64_t workers_active = 0;  ///< live (unexpired) leases
-  std::uint64_t merged_records = 0;  ///< records appended to merged.jsonl
-  std::uint64_t truth_records = 0;   ///< records in the coordinator's store
-};
-
 /// One heartbeat. Everything is emitted on every write (fields never come
 /// and go), in a fixed key order, so the schema is byte-stable.
 struct StatusSnapshot {
-  std::string kind = "campaign";  ///< "campaign", "search", "fleet", ...
+  std::string kind = "campaign";  ///< "campaign", "search", "synth", ...
   std::uint64_t seq = 0;          ///< stamped by StatusWriter (1, 2, ...)
   std::uint64_t pid = 0;          ///< stamped by StatusWriter
   bool running = true;            ///< false only on the final snapshot
   double elapsed_seconds = 0;     ///< stamped by StatusSampler
 
-  // progress (campaign slice; zeros for kind="search")
+  // progress (zeros for kind="search")
   std::uint64_t count = 0;  ///< scenarios in the whole campaign
-  std::uint64_t first_index = 0;
-  std::uint64_t end_index = 0;  ///< half-open slice end
   std::uint64_t done = 0;
   std::uint64_t agree = 0;
   std::uint64_t disagree = 0;
@@ -133,7 +117,6 @@ struct StatusSnapshot {
   std::uint64_t truth_misses = 0;
   double truth_hit_rate = 0;
 
-  FleetStatus fleet;
   SimStatus sim;
   SearchStatus search;
   std::vector<WorkerStatus> workers;

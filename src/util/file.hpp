@@ -1,6 +1,6 @@
 // Whole-file reads and whole-or-nothing file publication: the one copy
-// behind the status heartbeat, the truth store's snapshot, the run reports
-// and every fleet message.
+// behind the status heartbeat, the truth store's snapshot and the run
+// reports.
 #pragma once
 
 #include <optional>

@@ -1,11 +1,16 @@
 // Campaign runner: verdict logic, sharding determinism, JSONL stability,
-// persistent truth-cache behaviour, and process-slice concatenation.
+// persistent truth-cache behaviour, and resume from a live run's appends.
 #include "campaign/runner.hpp"
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <fstream>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "core/cyclic_family.hpp"
 #include "test_support.hpp"
@@ -191,68 +196,6 @@ TEST(RunCampaign, CacheFileOffLeavesReportCold) {
   EXPECT_GT(result.truth_memo_hits + result.truth_misses, 0u);
 }
 
-TEST(RunCampaign, SliceCountsCoverOnlyTheSlice) {
-  const CampaignConfig config = small_config(2);
-  TruthStore store(campaign_truth_fingerprint(config.eval));
-  const CampaignResult slice = run_campaign_range(config, 7, 15, &store);
-  EXPECT_EQ(slice.records.size(), 8u);
-  EXPECT_EQ(slice.agree + slice.disagree + slice.skip, slice.records.size());
-  for (const ScenarioRecord& record : slice.records) {
-    EXPECT_GE(record.index, slice.first_index);
-    EXPECT_LT(record.index, slice.end_index);
-  }
-}
-
-TEST(RunCampaignRange, BatchConcatenationMatchesSingleProcessRun) {
-  // The fleet worker's primitive: explicit [first, end) blocks through a
-  // shared external store reproduce the full run byte-for-byte, whatever
-  // the batch boundaries — and cross-batch truth reuse is a pure speedup.
-  const CampaignConfig config = small_config(1);
-  const std::string full = jsonl_of(run_campaign(config));
-
-  TruthStore store(campaign_truth_fingerprint(config.eval));
-  std::string concatenated;
-  std::uint64_t misses = 0, memo_hits = 0;
-  for (const auto& [first, end] :
-       {std::pair<std::uint64_t, std::uint64_t>{0, 7},
-        {7, 8},
-        {8, 21},
-        {21, 30}}) {
-    const CampaignResult batch = run_campaign_range(config, first, end, &store);
-    EXPECT_EQ(batch.first_index, first);
-    EXPECT_EQ(batch.end_index, end);
-    EXPECT_EQ(batch.records.size(), end - first);
-    concatenated += jsonl_of(batch);
-    misses += batch.truth_misses;
-    memo_hits += batch.truth_memo_hits;
-  }
-  EXPECT_EQ(concatenated, full);
-  EXPECT_GT(store.size(), 0u);  // the shared store accumulated ground truth
-
-  // A second pass over the same store answers everything from memory.
-  const CampaignResult warm = run_campaign_range(config, 0, 30, &store);
-  EXPECT_EQ(jsonl_of(warm), full);
-  EXPECT_EQ(warm.truth_misses, 0u);
-  (void)misses;
-  (void)memo_hits;
-}
-
-TEST(RunCampaignRange, LeavesCacheFileToTheStoreOwner) {
-  // The caller owns the partitioning and, with an external store, the
-  // persistence: cache_file must be left untouched.
-  namespace fs = std::filesystem;
-  CampaignConfig config = small_config(1);
-  config.cache_file = test::temp_dir("wormsim_range_untouched.cache");
-
-  TruthStore store(campaign_truth_fingerprint(config.eval));
-  const CampaignResult batch = run_campaign_range(config, 5, 12, &store);
-  EXPECT_EQ(batch.first_index, 5u);
-  EXPECT_EQ(batch.end_index, 12u);
-  EXPECT_EQ(batch.records.size(), 7u);
-  EXPECT_FALSE(fs::exists(config.cache_file))
-      << "an external store means the fleet owns persistence";
-}
-
 TEST(SingleFlight, EachTruthKeyIsSearchedOnceAtFourShards) {
   // A Section-6-only stream draws just two truth keys (k = 1 and k = 2),
   // so four shards starting together would search each key several times
@@ -276,6 +219,53 @@ TEST(SingleFlight, EachTruthKeyIsSearchedOnceAtFourShards) {
   EXPECT_EQ(four.truth_memo_hits, one.truth_memo_hits);
   EXPECT_LE(four.truth_parked, four.truth_memo_hits);
   EXPECT_EQ(jsonl_of(four), jsonl_of(one));
+}
+
+TEST(CampaignCheckpoint, CacheFileGrowsWhileTheRunIsLiveAndResumes) {
+  // Random algorithms only: a steady stream of short searches, each of
+  // which inserts, for a few seconds on four shards. That is long enough
+  // for kCheckpointSeconds appends to land before the final sorted save.
+  CampaignConfig config;
+  config.seed = 1;
+  config.count = 60'000;
+  config.shards = 4;
+  config.knobs.family_fraction = 0;
+  config.fixture_dir.clear();
+  config.cache_file = test::temp_dir("wormsim_checkpoint.truthstore");
+
+  std::atomic<bool> finished{false};
+  CampaignResult cold;
+  std::thread run([&] {
+    cold = run_campaign(config);
+    finished.store(true);
+  });
+  // The file as it stood each time its record count changed while the run
+  // was live. Only the last write to it is the final save, so every state
+  // seen before another one was written by a checkpoint.
+  std::vector<std::string> seen;
+  while (!finished.load()) {
+    std::string text = test::slurp(config.cache_file);
+    const auto lines = std::count(text.begin(), text.end(), '\n');
+    if (lines > 1 && (seen.empty() ||
+                      lines != std::count(seen.back().begin(),
+                                          seen.back().end(), '\n')))
+      seen.push_back(std::move(text));
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  run.join();
+  ASSERT_GE(seen.size(), 2u) << "no append was seen before the final save";
+  ASSERT_TRUE(cold.cache_saved);
+
+  // A run killed where the first append left the file resumes warm from
+  // it, searches only what the append lacked, and ends in the same bytes.
+  const std::string cold_cache = test::slurp(config.cache_file);
+  config.cache_file = test::temp_dir("wormsim_checkpoint_resumed.truthstore");
+  { std::ofstream(config.cache_file, std::ios::binary) << seen.front(); }
+  const CampaignResult resumed = run_campaign(config);
+  EXPECT_GT(resumed.truth_loaded, 0u);
+  EXPECT_EQ(resumed.truth_loaded + resumed.truth_misses, cold.truth_misses);
+  EXPECT_EQ(jsonl_of(resumed), jsonl_of(cold));
+  EXPECT_EQ(test::slurp(config.cache_file), cold_cache);
 }
 
 TEST(FixtureExtraction, FindsEmbeddedScenarios) {

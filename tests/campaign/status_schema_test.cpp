@@ -3,7 +3,7 @@
 // directions (every emitted key documented, every documented key emitted),
 // in the style of jsonl_schema_test.cpp. It also pins the heartbeat's
 // behavioural contract on a real campaign: the final snapshot reports
-// running=false with done == slice size, the per-worker rows sum to the
+// running=false with done == count, the per-worker rows sum to the
 // campaign totals, racing readers never see a torn file, and — the
 // load-bearing property — the JSONL bytes are identical with and without a
 // status file attached.
@@ -64,18 +64,16 @@ void expect_matches_table(const obs::json::Value& object,
 TEST(StatusSchemaDoc, ManualTablesParse) {
   const std::string doc = slurp(manual_path());
   ASSERT_FALSE(doc.empty()) << "cannot read " << manual_path();
-  EXPECT_EQ(parse_table(doc, "## Status file schema").size(), 12u);
-  EXPECT_EQ(parse_table(doc, "### The `progress` object").size(), 10u);
+  EXPECT_EQ(parse_table(doc, "## Status file schema").size(), 11u);
+  EXPECT_EQ(parse_table(doc, "### The `progress` object").size(), 8u);
   EXPECT_EQ(parse_table(doc, "### The `truth_cache` object").size(), 4u);
-  EXPECT_EQ(parse_table(doc, "### The `fleet` object").size(), 9u);
   EXPECT_EQ(parse_table(doc, "### The `sim` object").size(), 11u);
   EXPECT_EQ(parse_table(doc, "### The `search` object").size(), 28u);
-  EXPECT_EQ(parse_table(doc, "### Worker entries").size(), 20u);
+  EXPECT_EQ(parse_table(doc, "### Worker entries").size(), 21u);
   for (const char* heading :
        {"## Status file schema", "### The `progress` object",
-        "### The `truth_cache` object", "### The `fleet` object",
-        "### The `sim` object", "### The `search` object",
-        "### Worker entries"})
+        "### The `truth_cache` object", "### The `sim` object",
+        "### The `search` object", "### Worker entries"})
     for (const DocField& f : parse_table(doc, heading))
       EXPECT_EQ(f.presence, "always")
           << f.name << ": status fields never come and go";
@@ -89,8 +87,7 @@ TEST(StatusSchemaDoc, KindRowListsEveryProducerKind) {
   const auto at = doc.find("| `kind` |");
   ASSERT_NE(at, std::string::npos);
   const std::string line = doc.substr(at, doc.find('\n', at) - at);
-  for (const char* kind : {"campaign", "search", "saturation", "synth",
-                           "fleet"})
+  for (const char* kind : {"campaign", "search", "saturation", "synth"})
     EXPECT_NE(line.find("`" + std::string(kind) + "`"), std::string::npos)
         << "kind '" << kind << "' missing from the schema table";
 }
@@ -118,7 +115,6 @@ TEST(StatusSchemaDoc, EmittedSnapshotMatchesTheManualFieldForField) {
   const auto top = parse_table(doc, "## Status file schema");
   const auto progress = parse_table(doc, "### The `progress` object");
   const auto truth = parse_table(doc, "### The `truth_cache` object");
-  const auto fleet = parse_table(doc, "### The `fleet` object");
   const auto sim = parse_table(doc, "### The `sim` object");
   const auto search = parse_table(doc, "### The `search` object");
   const auto worker = parse_table(doc, "### Worker entries");
@@ -137,7 +133,6 @@ TEST(StatusSchemaDoc, EmittedSnapshotMatchesTheManualFieldForField) {
   expect_matches_table(*parsed, top, "top-level");
   expect_matches_table(*parsed->find("progress"), progress, "progress");
   expect_matches_table(*parsed->find("truth_cache"), truth, "truth_cache");
-  expect_matches_table(*parsed->find("fleet"), fleet, "fleet");
   expect_matches_table(*parsed->find("sim"), sim, "sim");
   expect_matches_table(*parsed->find("search"), search, "search");
   const auto& workers = parsed->find("workers")->as_array();
@@ -164,9 +159,10 @@ TEST(StatusSchemaDoc, FinalSnapshotReportsCompletionAndWorkerTotals) {
   EXPECT_EQ(progress.find("states_total")->as_u64(), result.states_total);
   EXPECT_DOUBLE_EQ(progress.find("eta_seconds")->as_number(), 0);
 
-  // Worker rows partition the campaign totals.
+  // Worker rows partition the campaign totals, and every worker is idle.
   std::uint64_t done = 0, agree = 0, states = 0;
   for (const auto& row : parsed->find("workers")->as_array()) {
+    EXPECT_EQ(row.find("in_flight")->as_u64(), config.count);
     done += row.find("done")->as_u64();
     agree += row.find("agree")->as_u64();
     states += row.find("states")->as_u64();

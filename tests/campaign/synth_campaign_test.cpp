@@ -2,7 +2,7 @@
 // generator knob is opt-in (default bytes untouched), synthesized scenarios
 // round-trip through JSON, their certificates materialize deterministically,
 // mini-campaigns never disagree, and JSONL bytes are identical across
-// thread and process shard counts.
+// shard counts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -123,7 +123,6 @@ TEST(SynthCampaign, MiniCampaignNeverDisagrees) {
 }
 
 TEST(SynthCampaign, JsonlBytesAreShardCountInvariant) {
-  // Thread shards: same slice, more workers.
   CampaignConfig one = synth_campaign(48);
   CampaignConfig three = one;
   three.shards = 3;
@@ -131,14 +130,6 @@ TEST(SynthCampaign, JsonlBytesAreShardCountInvariant) {
   run_campaign(one).write_jsonl(a);
   run_campaign(three).write_jsonl(b);
   EXPECT_EQ(a.str(), b.str()) << "thread count changed the record bytes";
-
-  // Fleet batches: ranges concatenate to the single-process bytes.
-  std::ostringstream merged;
-  TruthStore store(campaign_truth_fingerprint(one.eval));
-  for (const auto& [first, end] :
-       {std::pair<std::uint64_t, std::uint64_t>{0, 24}, {24, 48}})
-    run_campaign_range(one, first, end, &store).write_jsonl(merged);
-  EXPECT_EQ(merged.str(), a.str()) << "batch ranges diverged";
 }
 
 }  // namespace

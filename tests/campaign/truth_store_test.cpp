@@ -1,6 +1,6 @@
 // TruthStore: on-disk format robustness (corrupt tails, version and
 // fingerprint mismatches), atomic-rename save under racing writers,
-// cross-store merge semantics, and single-flight claims.
+// append-only checkpoints, and single-flight claims.
 #include "campaign/truth_store.hpp"
 
 #include <gtest/gtest.h>
@@ -222,34 +222,6 @@ TEST(TruthStore, ConcurrentSaversLeaveAFullyFormedFile) {
   EXPECT_EQ(temps, 0u);
 }
 
-TEST(TruthStore, MergeUnionsAndAcceptsAgreeingOverlap) {
-  TruthStore a(kFp);
-  fill(a, {{"x", {SearchOutcome::kDeadlock, 10}},
-                                  {"y", {SearchOutcome::kNoDeadlock, 20}}});
-  TruthStore b(kFp);
-  fill(b, {{"y", {SearchOutcome::kNoDeadlock, 20}},
-                       {"z", {SearchOutcome::kInconclusive, 30}}});
-  std::string error;
-  ASSERT_TRUE(a.merge_from(b, &error)) << error;
-  EXPECT_EQ(a.size(), 3u);
-  EXPECT_EQ(a.lookup("z")->outcome, SearchOutcome::kInconclusive);
-}
-
-TEST(TruthStore, MergeRejectsContradictionsAndForeignFingerprints) {
-  TruthStore a(kFp);
-  fill(a, {{"x", {SearchOutcome::kDeadlock, 10}}});
-  TruthStore contradicting(kFp);
-  fill(contradicting, {{"x", {SearchOutcome::kNoDeadlock, 10}}});
-  std::string error;
-  EXPECT_FALSE(a.merge_from(contradicting, &error));
-  EXPECT_NE(error.find("contradictory"), std::string::npos);
-
-  TruthStore foreign(kFp + 1);
-  fill(foreign, {{"w", {SearchOutcome::kDeadlock, 1}}});
-  EXPECT_FALSE(a.merge_from(foreign, &error));
-  EXPECT_NE(error.find("fingerprint"), std::string::npos);
-}
-
 TEST(TruthStore, FingerprintTracksSearchKnobs) {
   analysis::SearchLimits limits;
   const std::uint64_t base = truth_fingerprint(limits);
@@ -344,6 +316,17 @@ TEST(TruthStoreCheckpoint, AppendsOnlyFreshRecordsAcrossCalls) {
   EXPECT_TRUE(stats.fingerprint_ok);
   EXPECT_EQ(loaded.size(), 3u);
   EXPECT_EQ(stats.dropped, 0u);
+}
+
+TEST(TruthStoreCheckpoint, MissingParentDirectoriesAreCreated) {
+  const std::string path =
+      test::temp_dir("checkpoint_parents") + "/deep/checkpoint.truthstore";
+  TruthStore store(kFp);
+  fill(store, {{"a", {SearchOutcome::kDeadlock, 10}}});
+  ASSERT_TRUE(store.checkpoint(path));
+  EXPECT_EQ(store.unpersisted(), 0u);
+  TruthStore loaded(kFp);
+  EXPECT_EQ(loaded.load(path).records, 1u);
 }
 
 TEST(TruthStoreCheckpoint, LoadedRecordsAreNeverReappended) {
@@ -534,9 +517,6 @@ TEST(TruthStoreClaim, UnclaimedKeysKeepLookupAndInsert) {
   ASSERT_TRUE(store.save(path));
   TruthStore loaded(kFp);
   EXPECT_EQ(loaded.load(path).records, 1u);
-  TruthStore merged(kFp);
-  ASSERT_TRUE(merged.merge_from(store));
-  EXPECT_EQ(merged.size(), 1u);
 
   // A stored key is a hit that carries its record.
   const TruthStore::Claim hit = store.claim("a", /*wait=*/false);

@@ -1,12 +1,17 @@
-// The shared flag parser (tools/cli.hpp) and the flag tables of the five
+// The shared flag parser (tools/cli.hpp) and the flag tables of the four
 // tools built on it. The parser is unit-tested in process. Each tool's
 // table is read back from its own --help output and (1) checked against
 // the flag table of its operator's manual in both directions, in the style
 // of status_schema_test.cpp, and (2) fed hostile values for every numeric
-// flag, each of which must exit 2 with "bad value for <flag>".
+// flag, each of which must exit 2 with "bad value for <flag>". Last, a
+// SIGKILLed campaign must resume from its --cache-file.
 #include <gtest/gtest.h>
+#include <signal.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -14,10 +19,12 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "cli.hpp"
+#include "obs/json.hpp"
 #include "test_support.hpp"
 
 namespace wormsim::cli {
@@ -168,12 +175,10 @@ struct Tool {
 
 void PrintTo(const Tool& tool, std::ostream* os) { *os << tool.name; }
 
-constexpr std::size_t kDocumented = 3;
+constexpr std::size_t kDocumented = 2;
 const Tool kTools[] = {
     {"wormsim_campaign", WORMSIM_CAMPAIGN_TOOL, "docs/campaign.md",
      "### Flags", "--count 1 --out campaign.jsonl --no-shrink --quiet"},
-    {"wormsim_fleet", WORMSIM_FLEET_TOOL, "docs/fleet.md", "## Flags",
-     "--run-dir fleet-run --worker --manifest-wait 0.01 --quiet"},
     {"wormsim_synth", WORMSIM_SYNTH_TOOL, "docs/synthesis.md", "## CLI",
      "analyze --instances fig1 --quiet"},
     {"wormsim_saturation", WORMSIM_SATURATION_TOOL, nullptr, nullptr,
@@ -190,13 +195,14 @@ std::string tool_name(const ::testing::TestParamInfo<Tool>& tool) {
 /// there) under a timeout, so an accepted hostile value cannot hang the
 /// suite. Returns the exit code and the start of the merged stdout and
 /// stderr (a runaway tool can print without end).
-std::pair<int, std::string> run_tool(const Tool& tool,
-                                     const std::string& args) {
+std::pair<int, std::string> run_tool(const Tool& tool, const std::string& args,
+                                     int timeout_seconds = 60) {
   static const std::string dir = test::temp_dir("wormsim_cli_test");
   fs::create_directories(dir);
-  const std::string command = "cd '" + dir +
-                              "' && WORMSIM_BENCH_DIR=. timeout 60 '" +
-                              tool.path + "' " + args + " 2>&1";
+  const std::string command =
+      "cd '" + dir + "' && WORMSIM_BENCH_DIR=. timeout " +
+      std::to_string(timeout_seconds) + " '" + tool.path + "' " + args +
+      " 2>&1";
   std::string output;
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) return {-1, "popen failed"};
@@ -313,6 +319,80 @@ TEST(CampaignCli, StaticSliceFlagsAreUnknown) {
     EXPECT_EQ(code, 2) << flag;
     EXPECT_NE(output.find("unknown flag"), std::string::npos) << output;
   }
+}
+
+/// The number after " key=" in a tool's summary output.
+std::uint64_t printed(const std::string& output, const std::string& key) {
+  const auto at = output.find(" " + key + "=");
+  EXPECT_NE(at, std::string::npos) << key << " not in\n" << output;
+  return at == std::string::npos
+             ? 0
+             : std::stoull(output.substr(at + key.size() + 2));
+}
+
+TEST(CampaignCli, KilledRunResumesWarmFromItsCacheFile) {
+  const Tool& tool = kTools[0];
+  const std::string dir = test::temp_dir("wormsim_cli_resume");
+  fs::create_directories(dir);
+  const std::string cache = dir + "/truth.cache";
+  const std::string status = dir + "/status.json";
+  const std::string campaign = "--seed 1 --count 2000 --shards 4";
+  const std::string args = campaign + " --cache-file " + cache +
+                           " --status-file " + status +
+                           " --status-interval 0.05 --out " + dir +
+                           "/resumed.jsonl --fixture-dir " + dir;
+
+  // Kill the run once its cache file holds a record and its heartbeat
+  // shows work left: what the file holds then came from the live appends.
+  const std::string command = "cd '" + dir + "' && WORMSIM_BENCH_DIR=. exec '" +
+                              tool.path + "' " + args + " >killed.log 2>&1";
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    execl("/bin/sh", "sh", "-c", command.c_str(), static_cast<char*>(nullptr));
+    _exit(127);
+  }
+  const auto mid_run = [&] {
+    const std::string text = test::slurp(cache);
+    if (std::count(text.begin(), text.end(), '\n') < 2) return false;
+    const auto snap = obs::json::parse(test::slurp(status));
+    const obs::json::Value* progress = snap ? snap->find("progress") : nullptr;
+    if (progress == nullptr) return false;
+    const obs::json::Value* done = progress->find("done");
+    const obs::json::Value* count = progress->find("count");
+    return done != nullptr && count != nullptr && done->is_exact_u64() &&
+           count->is_exact_u64() && done->as_u64() < count->as_u64();
+  };
+  int wait_status = 0;
+  bool exited = false;
+  while (!(exited = waitpid(pid, &wait_status, WNOHANG) == pid) &&
+         !mid_run())
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  if (!exited) {
+    kill(pid, SIGKILL);
+    waitpid(pid, &wait_status, 0);
+  }
+  ASSERT_TRUE(WIFSIGNALED(wait_status) && WTERMSIG(wait_status) == SIGKILL)
+      << "the run ended before it was killed:\n"
+      << test::slurp(dir + "/killed.log");
+
+  // The rerun of the same command loads what the killed run appended and
+  // searches only the rest; an uninterrupted run gives the same bytes.
+  const auto [resumed_code, resumed] = run_tool(tool, args, 3600);
+  ASSERT_EQ(resumed_code, 0) << resumed;
+  const auto [cold_code, cold] =
+      run_tool(tool,
+               campaign + " --cache-file " + dir + "/cold.cache --out " + dir +
+                   "/cold.jsonl --fixture-dir " + dir,
+               3600);
+  ASSERT_EQ(cold_code, 0) << cold;
+  EXPECT_GT(printed(resumed, "loaded"), 0u) << resumed;
+  EXPECT_EQ(printed(resumed, "loaded") + printed(resumed, "misses"),
+            printed(cold, "misses"))
+      << resumed << cold;
+  EXPECT_EQ(test::slurp(dir + "/resumed.jsonl"),
+            test::slurp(dir + "/cold.jsonl"));
+  EXPECT_EQ(test::slurp(cache), test::slurp(dir + "/cold.cache"));
 }
 
 }  // namespace

@@ -154,8 +154,6 @@ TEST(StatusSnapshotTest, GoldenBytesPinEveryKeyAndItsOrder) {
   snap.running = false;
   snap.elapsed_seconds = 1.5;
   snap.count = 101;
-  snap.first_index = 102;
-  snap.end_index = 103;
   snap.done = 104;
   snap.agree = 105;
   snap.disagree = 106;
@@ -167,7 +165,6 @@ TEST(StatusSnapshotTest, GoldenBytesPinEveryKeyAndItsOrder) {
   snap.truth_memo_hits = 202;
   snap.truth_misses = 203;
   snap.truth_hit_rate = 0.375;
-  snap.fleet = {301, 302, 303, 304, 305, 306, 307, 308, 309};
   snap.sim.active = true;
   snap.sim.core = "event";
   snap.sim.events.cycles_executed = 401;
@@ -204,6 +201,7 @@ TEST(StatusSnapshotTest, GoldenBytesPinEveryKeyAndItsOrder) {
   search.table = {601, 602, 603, 604, 605, 606};
 
   WorkerStatus& w = snap.workers.emplace_back();
+  w.in_flight = 700;
   w.done = 701;
   w.agree = 702;
   w.disagree = 703;
@@ -224,18 +222,13 @@ TEST(StatusSnapshotTest, GoldenBytesPinEveryKeyAndItsOrder) {
 
   EXPECT_EQ(
       snap.to_json(),
-      "{\"schema\":\"wormsim-status-v5\",\"kind\":\"campaign\",\"seq\":7,"
+      "{\"schema\":\"wormsim-status-v6\",\"kind\":\"campaign\",\"seq\":7,"
       "\"pid\":8,\"running\":false,\"elapsed_seconds\":1.5,"
-      "\"progress\":{\"count\":101,\"first_index\":102,\"end_index\":103,"
-      "\"done\":104,\"agree\":105,\"disagree\":106,\"skip\":107,"
-      "\"states_total\":108,\"rate_per_second\":2.25,"
-      "\"eta_seconds\":3.125},"
+      "\"progress\":{\"count\":101,\"done\":104,\"agree\":105,"
+      "\"disagree\":106,\"skip\":107,\"states_total\":108,"
+      "\"rate_per_second\":2.25,\"eta_seconds\":3.125},"
       "\"truth_cache\":{\"disk_hits\":201,\"memo_hits\":202,\"misses\":203,"
       "\"hit_rate\":0.375},"
-      "\"fleet\":{\"batches_total\":301,\"batches_done\":302,"
-      "\"batches_queued\":303,\"batches_leased\":304,"
-      "\"batches_quarantined\":305,\"retries\":306,\"workers_active\":307,"
-      "\"merged_records\":308,\"truth_records\":309},"
       "\"sim\":{\"active\":true,\"core\":\"event\",\"cycles_executed\":401,"
       "\"cycles_skipped\":402,\"events_scheduled\":403,\"events_fired\":404,"
       "\"events_cancelled\":405,\"queue_peak\":406,\"messages_total\":407,"
@@ -250,8 +243,9 @@ TEST(StatusSnapshotTest, GoldenBytesPinEveryKeyAndItsOrder) {
       "\"branch_p99\":4,\"table_keys\":601,\"table_slots\":602,"
       "\"table_arena_bytes\":603,\"table_stripes\":604,"
       "\"table_contended_locks\":605,\"table_resident_bytes\":606},"
-      "\"workers\":[{\"done\":701,\"agree\":702,\"disagree\":703,"
-      "\"skip\":704,\"states\":705,\"memo_hits\":1,\"memo_misses\":7,"
+      "\"workers\":[{\"in_flight\":700,\"done\":701,\"agree\":702,"
+      "\"disagree\":703,\"skip\":704,\"states\":705,\"memo_hits\":1,"
+      "\"memo_misses\":7,"
       "\"peak_depth\":711,\"branch_truncations\":712,\"budget_prunes\":713,"
       "\"steals\":714,\"steal_attempts\":715,\"splits\":716,"
       "\"split_items\":717,\"busy_ns\":718,\"idle_ns\":719,"
@@ -265,7 +259,7 @@ TEST(StatusSamplerTest, FinalSnapshotHasRunningFalseAndProducerState) {
   {
     StatusSampler sampler(path, 0.01, [&done] {
       StatusSnapshot snap;
-      snap.end_index = 100;
+      snap.count = 100;
       snap.done = done.load();
       return snap;
     });
@@ -292,7 +286,7 @@ TEST(StatusSamplerTest, EtaIsUnknownBeforeProgressThenZeroWhenDone) {
     // Producer never advances: rate stays 0, remaining stays 50.
     StatusSampler sampler(path, 3600, [] {
       StatusSnapshot snap;
-      snap.end_index = 50;
+      snap.count = 50;
       snap.done = 0;
       return snap;
     });

@@ -57,14 +57,6 @@ target_compile_definitions(campaign_tests PRIVATE
   WORMSIM_TEST_DATA_DIR="${CMAKE_CURRENT_SOURCE_DIR}"
   WORMSIM_REPO_ROOT="${CMAKE_SOURCE_DIR}")
 
-wormsim_test(fleet_tests
-  fleet/fleet_protocol_test.cpp
-  fleet/fleet_runtime_test.cpp
-  fleet/fleet_schema_test.cpp)
-target_link_libraries(fleet_tests PRIVATE wormsim_fleet wormsim_campaign)
-target_compile_definitions(fleet_tests PRIVATE
-  WORMSIM_REPO_ROOT="${CMAKE_SOURCE_DIR}")
-
 wormsim_test(synth_tests
   synth/existence_test.cpp
   synth/synthesize_test.cpp
@@ -76,12 +68,11 @@ target_link_libraries(synth_tests PRIVATE wormsim_synth)
 # values, so the suite runs the tool binaries and builds after them.
 wormsim_test(cli_tests cli/cli_test.cpp)
 target_link_libraries(cli_tests PRIVATE wormsim_cli)
-add_dependencies(cli_tests wormsim_campaign_tool wormsim_fleet_tool
-  wormsim_saturation_tool wormsim_synth_tool wormsim_status_tool)
+add_dependencies(cli_tests wormsim_campaign_tool wormsim_saturation_tool
+  wormsim_synth_tool wormsim_status_tool)
 target_compile_definitions(cli_tests PRIVATE
   WORMSIM_REPO_ROOT="${CMAKE_SOURCE_DIR}"
   WORMSIM_CAMPAIGN_TOOL="$<TARGET_FILE:wormsim_campaign_tool>"
-  WORMSIM_FLEET_TOOL="$<TARGET_FILE:wormsim_fleet_tool>"
   WORMSIM_SATURATION_TOOL="$<TARGET_FILE:wormsim_saturation_tool>"
   WORMSIM_SYNTH_TOOL="$<TARGET_FILE:wormsim_synth_tool>"
   WORMSIM_STATUS_TOOL="$<TARGET_FILE:wormsim_status_tool>")

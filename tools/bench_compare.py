@@ -65,13 +65,6 @@ INFORM = [
     # per-instance wall-clock rows are machine-dependent.
     "synth.*wall_seconds",
     "total_wall_seconds",
-    # wormsim_fleet: retry/resume/cache accounting depends on worker
-    # scheduling, kill timing and what a prior run left on disk; the
-    # deterministic outputs (records/agree/disagree/skip/states_total and
-    # the batch ledger) stay exact-gated.
-    "retries",
-    "resumed_results",
-    "truth_records",
     # bench_search --sched-report: wall-clock, speedup and worker-share rows
     # depend on the runner's core count and load; the deterministic search
     # outputs (sched.*.states / .deadlock / .exhausted) stay exact-gated —

@@ -10,16 +10,15 @@
 //
 // Determinism: the JSONL bytes depend only on (--seed, --count, generator
 // knobs, search limits) — never on --shards, --cache-file, or wall-clock —
-// so reruns diff clean and shard/cache changes are pure speedups. Runs
-// across processes go through wormsim_fleet. `--help` lists every flag;
-// docs/campaign.md is the operator's manual.
+// so reruns diff clean and shard/cache changes are pure speedups. A run
+// killed mid-way resumes warm from its --cache-file. `--help` lists every
+// flag; docs/campaign.md is the operator's manual.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "campaign/runner.hpp"
-#include "campaign_flags.hpp"
 #include "cli.hpp"
 #include "obs/run_report.hpp"
 
@@ -62,6 +61,8 @@ int replay_fixture(const std::string& path, const campaign::EvalOptions& eval) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using analysis::ReductionMode;
+  using campaign::CycleBias;
   campaign::CampaignConfig config;
   std::string out_path = "campaign.jsonl";
   std::string replay_path;
@@ -71,13 +72,33 @@ int main(int argc, char** argv) {
       "wormsim_campaign", "[flags]",
       "exit: 0 clean, 1 disagreements, 2 usage, 3 reduction divergence\n"
       "see docs/campaign.md for the full operator's manual\n");
-  cli::campaign_flags(parser, config);
+  parser.integer("--seed", config.seed,
+                 "campaign seed; scenario i is a pure function of (seed, i)");
+  parser.integer("--count", config.count, "scenarios in the whole campaign");
+  parser.choice("--bias", config.knobs.cycle_bias,
+                {{"any", CycleBias::kAny},
+                 {"force", CycleBias::kForce},
+                 {"forbid", CycleBias::kForbid}},
+                "random-algorithm generator bias: force or forbid CDG cycles");
+  parser.fraction(
+      "--synth-fraction", config.knobs.synthesized_fraction,
+      "fraction of non-family scenarios drawn as synthesized routing");
+  parser.integer("--synth-pairs", config.knobs.synth_max_pairs,
+                 "maximum demanded pairs per synthesized scenario", 2);
+  parser.integer("--max-states", config.eval.limits.max_states,
+                 "per-search state budget (changes the truth fingerprint)");
+  parser.choice("--reduction", config.eval.limits.reduction,
+                {{"off", ReductionMode::kOff}, {"safe", ReductionMode::kSafe}},
+                "ground-truth search reduction (DESIGN.md section 12)");
+  parser.text("--fixture-dir", "DIR", config.fixture_dir,
+              "where disagreement reproducer fixtures are written");
   parser.integer("--shards", config.shards,
                  "worker threads in this process; 0 = hardware concurrency");
   parser.text("--out", "FILE", out_path,
               "JSONL output, one record per scenario");
   parser.text("--cache-file", "FILE", config.cache_file,
-              "persistent truth store, loaded before and saved after the run");
+              "persistent truth store: loaded before the run, appended to "
+              "every second and rewritten sorted after it");
   parser.text("--replay", "FIXTURE", replay_path,
               "re-evaluate a disagreement fixture instead of a campaign");
   // Campaign ground truth forces 1 search thread so recorded states stay

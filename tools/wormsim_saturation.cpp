@@ -15,7 +15,7 @@
 //
 // `--help` lists every flag.
 //
-// The heartbeat (--status-file) publishes "wormsim-status-v5" snapshots of
+// The heartbeat (--status-file) publishes "wormsim-status-v6" snapshots of
 // kind "saturation": progress counts sweep points and the `sim` object
 // mirrors the most recently finished simulation's event-core stats. The
 // snapshot is updated between sweep points only, so the sampler thread
@@ -309,7 +309,6 @@ int main(int argc, char** argv) {
   obs::StatusSnapshot status;
   status.kind = "saturation";
   status.count = opt.loads.size() + (opt.core_compare.empty() ? 0 : 1);
-  status.end_index = status.count;
   status.sim.core = "event";
   status.sim.active = true;
   std::unique_ptr<obs::StatusSampler> sampler;

@@ -1,6 +1,6 @@
 // wormsim_status — render live heartbeat files written by --status-file.
 //
-// A campaign, fleet, saturation sweep or synth run (any producer using
+// A campaign, saturation sweep or synth run (any producer using
 // obs::StatusSampler) publishes an atomically replaced JSON snapshot; this
 // tool turns one or more of those files into a terminal dashboard, one row
 // per file. `--help` lists the flags.
@@ -33,15 +33,11 @@ struct Row {
   std::string kind;
   std::uint64_t seq = 0;
   bool running = false;
-  std::uint64_t done = 0, count = 0;  ///< count: end_index - first_index
+  std::uint64_t done = 0, count = 0;
   std::uint64_t agree = 0, disagree = 0, skip = 0;
   double rate = 0;
   double eta = -1;
   double truth_hit_rate = 0;
-  // kind == "fleet" only: coordinator batch accounting.
-  std::uint64_t batches_done = 0, batches_total = 0;
-  std::uint64_t batches_leased = 0, batches_quarantined = 0;
-  std::uint64_t fleet_workers = 0;
   bool search_active = false;
   std::uint64_t search_states = 0;
   std::uint64_t table_keys = 0;
@@ -87,8 +83,7 @@ Row read_row(const std::string& path) {
   if (const Value* progress = parsed->find("progress");
       progress && progress->is_object()) {
     row.done = u64_field(*progress, "done");
-    row.count = u64_field(*progress, "end_index") -
-                u64_field(*progress, "first_index");
+    row.count = u64_field(*progress, "count");
     row.agree = u64_field(*progress, "agree");
     row.disagree = u64_field(*progress, "disagree");
     row.skip = u64_field(*progress, "skip");
@@ -98,14 +93,6 @@ Row read_row(const std::string& path) {
   if (const Value* truth = parsed->find("truth_cache");
       truth && truth->is_object())
     row.truth_hit_rate = num_field(*truth, "hit_rate");
-  if (const Value* fleet = parsed->find("fleet");
-      fleet && fleet->is_object()) {
-    row.batches_done = u64_field(*fleet, "batches_done");
-    row.batches_total = u64_field(*fleet, "batches_total");
-    row.batches_leased = u64_field(*fleet, "batches_leased");
-    row.batches_quarantined = u64_field(*fleet, "batches_quarantined");
-    row.fleet_workers = u64_field(*fleet, "workers_active");
-  }
   if (const Value* search = parsed->find("search");
       search && search->is_object()) {
     if (const Value* active = search->find("active");
@@ -175,15 +162,6 @@ void print_row(const std::string& label, const Row& row) {
       row.search_active ? "live" : "idle",
       static_cast<unsigned long long>(row.search_states),
       static_cast<unsigned long long>(row.table_keys), row.workers, util);
-  if (row.kind == "fleet")
-    std::printf("%-28s   fleet batches=%llu/%llu leased=%llu "
-                "quarantined=%llu workers=%llu\n",
-                "",
-                static_cast<unsigned long long>(row.batches_done),
-                static_cast<unsigned long long>(row.batches_total),
-                static_cast<unsigned long long>(row.batches_leased),
-                static_cast<unsigned long long>(row.batches_quarantined),
-                static_cast<unsigned long long>(row.fleet_workers));
 }
 
 /// Renders one row per file. Returns true when every file parsed and none

@@ -18,7 +18,7 @@
 // The run lands in BENCH_synth.json (obs::RunReport, gated by
 // tools/bench_compare.py; the engines are deterministic, so every row
 // except *.wall_seconds is byte-reproducible). The heartbeat
-// (--status-file) publishes "wormsim-status-v5" snapshots of kind "synth":
+// (--status-file) publishes "wormsim-status-v6" snapshots of kind "synth":
 // progress counts instances, and the worker row mirrors per-instance
 // agree/disagree totals (an instance "agrees" when its certificates and
 // cross-checks are consistent).
@@ -291,7 +291,6 @@ int main(int argc, char** argv) {
   StatusBoard board;
   board.snapshot.kind = "synth";
   board.snapshot.count = opt.instances.size();
-  board.snapshot.end_index = opt.instances.size();
   board.snapshot.workers.resize(1);
   std::unique_ptr<obs::StatusSampler> sampler;
   if (!opt.status_file.empty())
@@ -321,6 +320,7 @@ int main(int argc, char** argv) {
       board.snapshot.states_total += out.states;
       obs::WorkerStatus& w = board.snapshot.workers.front();
       ++w.done;
+      w.in_flight = w.done;  // the next instance, or count once idle
       out.consistent ? ++w.agree : ++w.disagree;
       w.states += out.states;
     }
