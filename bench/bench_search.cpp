@@ -270,6 +270,24 @@ void BM_Memo_StateTable(benchmark::State& state) {
 }
 BENCHMARK(BM_Memo_StateTable)->Unit(benchmark::kMicrosecond);
 
+/// The Section-6 k=2 family probe's delta = 0 doubled search for ring
+/// message 1 (core::probe_family_deadlock): the base multiset, one copy of
+/// each message at its path length, and a second copy of message 1 — nine
+/// messages, 240,240 states, no deadlock. At about half a second on one
+/// thread it is the sched report's case long enough to time four workers.
+std::vector<sim::MessageSpec> k2_doubled_specs(const core::CyclicFamily& k2) {
+  const auto base = k2.message_specs();
+  std::vector<sim::MessageSpec> specs = base;
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    sim::MessageSpec aux = base[i];
+    aux.length = static_cast<std::uint32_t>(k2.messages()[i].path.size());
+    if (aux.length <= base[i].length) continue;
+    specs.push_back(aux);
+    if (i == 1) specs.push_back(aux);
+  }
+  return specs;
+}
+
 /// One measured scheduling case for the --sched-report harness.
 struct SchedCase {
   const char* name;                      ///< metric prefix (sched.<name>.*)
@@ -291,10 +309,12 @@ int run_sched_report() {
   fig1_x2.insert(fig1_x2.end(), fig1_base.begin(), fig1_base.end());
   fig1_x2.insert(fig1_x2.end(), fig1_base.begin(), fig1_base.end());
   const core::CyclicFamily skewed(skewed_spec());
+  const core::CyclicFamily k2(core::generalized_spec(2));
 
   std::vector<SchedCase> cases;
   cases.push_back({"fig1x2", &fig1, fig1_x2});
   cases.push_back({"skewed", &skewed, skewed.message_specs()});
+  cases.push_back({"k2doubled", &k2, k2_doubled_specs(k2)});
 
   obs::RunReport report;
   report.name = "bench_search";

@@ -188,6 +188,26 @@ class AssignmentGenerator {
   bool truncated_ = false;
 };
 
+/// The forced-move predicate (DESIGN.md §9): true when the synchronous model
+/// leaves the state exactly one legal assignment. That holds when every
+/// request is a moving header with one free candidate and no two share it,
+/// so the one tuple AssignmentGenerator would yield grants them all; an
+/// empty list is the idle step. Fills `grants` with that tuple, in the
+/// generator's request order.
+bool forced_grants(std::span<const sim::MessageRequests> groups,
+                   TakenSet& taken,
+                   std::vector<std::pair<ChannelId, MessageId>>& grants) {
+  grants.clear();
+  taken.reset();
+  for (const sim::MessageRequests& g : groups) {
+    if (!g.moving || g.channels.size() != 1 ||
+        !taken.try_take(g.channels.front()))
+      return false;
+    grants.emplace_back(g.channels.front(), g.message);
+  }
+  return true;
+}
+
 std::string describe_assignment(const topo::Network& net,
                                 const Assignment& a) {
   std::ostringstream os;
@@ -261,6 +281,12 @@ constexpr std::size_t kStealGranularity = 8;
 /// byte-identical to a threads=1 run. The witness is rebuilt by a serial
 /// step_with_grants replay from the initial state, which revalidates every
 /// grant.
+///
+/// Forced-move fast path (DESIGN.md §9): in the synchronous model a state
+/// with one legal assignment (forced_grants) is stepped in place and its
+/// child registered, with no generator or frame. Frames exist only at
+/// branching states, so paths and Dewey ordinals hold branching choices
+/// alone, and the replay re-derives every forced step.
 class SearchEngine {
  public:
   /// `twin_specs` (indexed by MessageId) enables twin symmetry; empty runs
@@ -312,7 +338,7 @@ class SearchEngine {
       outstanding_.store(1, std::memory_order_relaxed);
       items_created_.store(1, std::memory_order_relaxed);
       deques_[0]->items.push_back(
-          WorkItem{std::move(root), std::move(spent0), {}, {}});
+          WorkItem{std::move(root), std::move(spent0), {}, {}, 0});
       if (status_ != nullptr) status_->set_frontier(1);
 
       if (threads_ <= 1) {
@@ -417,6 +443,9 @@ class SearchEngine {
     std::size_t index;  ///< status-board shard this worker publishes to
     std::string key_scratch;
     Assignment branch_scratch;
+    /// open_frame's request list and forced-step grants, reused per state.
+    std::vector<sim::MessageRequests> requests;
+    std::vector<std::pair<ChannelId, MessageId>> forced;
     /// Retired simulators waiting for reuse by fork_sim: copy-assignment
     /// into a warm simulator keeps its heap buffers, so the DFS hot loop
     /// stops allocating per fork once the pool fills.
@@ -441,22 +470,28 @@ class SearchEngine {
     bool in_busy_phase = false;
   };
 
-  /// One DFS node. The generator runs one assignment ahead (`pending`), so
-  /// the loop knows whether the branch it is about to take is the last one:
-  /// the last branch steals the frame's simulator by move instead of
-  /// copying it — with mean branch factors near 1.5 that removes most state
-  /// forks, the search's single largest cost. A frame whose simulator was
-  /// stolen stays on the stack as an entry-edge tombstone until its subtree
-  /// finishes (the deadlock path reconstruction walks those edges).
+  /// One DFS node at a branching state (forced states get none). The
+  /// generator runs one assignment ahead (`pending`), so the loop knows
+  /// whether the branch it is about to take is the last one: the last
+  /// branch steals the frame's simulator by move instead of copying it.
+  /// A frame whose simulator was stolen stays on the stack as an entry-edge
+  /// tombstone until its subtree finishes (the deadlock path
+  /// reconstruction walks those edges).
   struct Frame {
     Frame(sim::WormholeSimulator&& s, AssignmentGenerator&& g,
-          std::vector<std::uint32_t>&& sp)
-        : sim(std::move(s)), gen(std::move(g)), spent(std::move(sp)) {}
+          std::vector<std::uint32_t>&& sp, std::uint32_t d)
+        : sim(std::move(s)), gen(std::move(g)), spent(std::move(sp)),
+          depth(d) {}
 
     sim::WormholeSimulator sim;
     AssignmentGenerator gen;
     std::vector<std::uint32_t> spent;
-    Assignment entry;    ///< choice that led INTO this frame's state
+    /// Tree depth of this frame's state: transitions from the initial
+    /// state, forced ones included.
+    std::uint32_t depth;
+    /// The branching choice that led into this frame's state, through any
+    /// forced steps after it.
+    Assignment entry;
     Assignment pending;  ///< next branch to take; valid when has_pending
     bool has_pending = false;
     /// Dewey bookkeeping: the ordinal of the entry edge, and the next
@@ -468,13 +503,15 @@ class SearchEngine {
   };
 
   /// A subtree root: a registered, not-yet-expanded state plus the
-  /// assignments that reach it from the initial state and the Dewey
-  /// ordinal of that path (for the deterministic winner rule).
+  /// branching choices that reach it from the initial state, the Dewey
+  /// ordinal of that path (for the deterministic winner rule), and its
+  /// tree depth.
   struct WorkItem {
     sim::WormholeSimulator sim;
     std::vector<std::uint32_t> spent;
     std::vector<Assignment> path;
     std::vector<std::uint32_t> ordinal;
+    std::uint32_t depth;
   };
 
   /// One worker's deque of work items. The mutex is taken for pushes, own
@@ -574,22 +611,42 @@ class SearchEngine {
 
   enum class Open { kPushed, kTerminal };
 
-  /// Opens a freshly registered state for expansion, emplacing the new
-  /// frame directly on `stack` (an earlier optional<Frame>-returning
-  /// version moved the simulator two extra times per fresh state, which
-  /// showed up in profiles). kTerminal with w.found_deadlock set means the
-  /// state is frozen with unfinished messages — a deadlock (the caller owns
-  /// the path that reached it); without it, an all-consumed safe terminal
-  /// whose simulator the caller still owns and may recycle.
+  /// Opens a freshly registered state at tree depth `depth`. While the
+  /// state is forced (synchronous model only), its one successor is
+  /// stepped in place and registered, with no generator or frame; the
+  /// first branching state gets a frame emplaced directly on `stack`.
+  /// Every opened state counts towards peak_depth, and a forced one
+  /// observes 1 in branch_factor, as its frame's generator would have.
+  /// kTerminal with w.found_deadlock set means the state reached is frozen
+  /// with unfinished messages — a deadlock (the caller owns the branching
+  /// path that reached it). Without it: an all-consumed safe terminal, or
+  /// a forced chain that ended at a seen or over-budget child; either way
+  /// the caller still owns the simulator and may recycle it.
   Open open_frame(std::vector<Frame>& stack, sim::WormholeSimulator&& sim,
-                  std::vector<std::uint32_t>&& spent, Worker& w) {
-    if (sim.all_consumed()) return Open::kTerminal;  // safe terminal
-    std::vector<sim::MessageRequests> groups = take_pooled(w.groups_pool);
-    sim.peek_requests_into(groups);
+                  std::vector<std::uint32_t>&& spent, std::uint32_t depth,
+                  Worker& w) {
+    std::vector<sim::MessageRequests>& groups = w.requests;
+    for (;; ++depth) {
+      if (sim.all_consumed()) return Open::kTerminal;  // safe terminal
+      sim.peek_requests_into(groups);
+      if (delay_mode_ || !forced_grants(groups, w.taken, w.forced)) break;
+      // Only the idle step can make no progress: the state is then frozen
+      // forever with unfinished messages, a deadlock.
+      if (!sim.step_with_grants_trusted(w.forced)) {
+        w.found_deadlock = true;
+        return Open::kTerminal;
+      }
+      w.profile.peak_depth =
+          std::max<std::uint64_t>(w.profile.peak_depth, depth + 1);
+      w.profile.branch_factor.observe(1.0);
+      const Lookup reg = register_state(sim, spent, w);
+      if (reg == Lookup::kOverBudget) w.exhausted = false;
+      if (reg != Lookup::kFresh) return Open::kTerminal;
+    }
     if (groups.empty()) {
-      // Only the idle transition exists; if it makes no progress the state
-      // is frozen forever with unfinished messages: a deadlock. Otherwise
-      // the generator over zero requests yields exactly the idle branch.
+      // Delay model: only the idle transition exists. If it makes no
+      // progress the state is a deadlock; otherwise the generator over
+      // zero requests yields exactly the idle branch.
       sim::WormholeSimulator probe(sim);
       if (!probe.step_with_grants({})) {
         w.found_deadlock = true;
@@ -605,11 +662,17 @@ class SearchEngine {
                       [](std::uint32_t t) { return t == kNoTwin; }))
         twin_next.clear();
     }
+    // The generator takes the filled request list; the worker keeps a
+    // pooled buffer in its place for the next state.
+    std::vector<sim::MessageRequests> requests = take_pooled(w.groups_pool);
+    requests.swap(groups);
     Frame& frame = stack.emplace_back(
         std::move(sim),
-        AssignmentGenerator(std::move(groups), model_, std::move(twin_next)),
-        std::move(spent));
+        AssignmentGenerator(std::move(requests), model_, std::move(twin_next)),
+        std::move(spent), depth);
     frame.has_pending = frame.gen.next(frame.pending, w.taken);
+    w.profile.peak_depth =
+        std::max<std::uint64_t>(w.profile.peak_depth, depth + 1);
     return Open::kPushed;
   }
 
@@ -720,8 +783,8 @@ class SearchEngine {
       std::vector<std::uint32_t> child_ordinal = prefix_ordinal;
       child_ordinal.push_back(ordinal);
       batch.push_back(WorkItem{std::move(child), std::move(child_spent),
-                               std::move(child_path),
-                               std::move(child_ordinal)});
+                               std::move(child_path), std::move(child_ordinal),
+                               frame.depth + 1});
     }
     if (batch.empty()) return;
     // outstanding_ rises before the items become stealable; it cannot hit
@@ -797,7 +860,6 @@ class SearchEngine {
   /// materialized once into the worker's scratch Assignment, and copied
   /// only when its child state turns out to be fresh.
   void run_item(Worker& w, WorkItem&& item) {
-    const std::size_t base_depth = item.path.size();
     std::vector<Frame> stack;
 
     const auto drain_observe = [&] {
@@ -813,14 +875,12 @@ class SearchEngine {
       deadlock_found_.store(true, std::memory_order_relaxed);
     };
 
-    if (open_frame(stack, std::move(item.sim), std::move(item.spent), w) ==
-        Open::kTerminal) {
+    if (open_frame(stack, std::move(item.sim), std::move(item.spent),
+                   item.depth, w) == Open::kTerminal) {
       if (w.found_deadlock)
         report_deadlock(std::move(item.path), std::move(item.ordinal));
       return;
     }
-    w.profile.peak_depth = std::max<std::uint64_t>(
-        w.profile.peak_depth, base_depth + stack.size());
 
     while (!stack.empty()) {
       if (stop_requested()) {
@@ -839,6 +899,7 @@ class SearchEngine {
       Assignment& choice = w.branch_scratch;
       choice = std::move(top.pending);
       const std::uint32_t choice_ordinal = top.next_ordinal++;
+      const std::uint32_t child_depth = top.depth + 1;
       top.has_pending = top.gen.next(top.pending, w.taken);
 
       std::vector<std::uint32_t> child_spent;
@@ -871,8 +932,8 @@ class SearchEngine {
       }
 
       // NOTE: `top` dangles past this point if the push reallocated.
-      const Open opened =
-          open_frame(stack, std::move(child), std::move(child_spent), w);
+      const Open opened = open_frame(stack, std::move(child),
+                                     std::move(child_spent), child_depth, w);
       if (w.found_deadlock) {
         // The deadlock execution: the item's prefix, every entry choice on
         // the DFS stack (subtree root excluded), then the final choice —
@@ -895,19 +956,20 @@ class SearchEngine {
         // the grant vector per fresh state showed up in the profile.
         stack.back().entry = std::move(w.branch_scratch);
         stack.back().entry_ordinal = choice_ordinal;
-        w.profile.peak_depth = std::max<std::uint64_t>(
-            w.profile.peak_depth, base_depth + stack.size());
       } else {
-        // Safe terminal: open_frame left `child` intact; recycle it.
+        // Safe terminal or an ended forced chain: open_frame left `child`
+        // intact; recycle it.
         donate_sim(std::move(child), w);
       }
     }
   }
 
   /// Rebuilds the authoritative deadlock artifacts by replaying the winning
-  /// assignment path serially from the initial state. step_with_grants
-  /// revalidates every grant against the actual per-cycle requests, so the
-  /// machine witness is verified, not just recorded.
+  /// branching choices serially from the initial state. Each forced step
+  /// between them is re-derived from the replayed state with the search's
+  /// own predicate, up to the frozen terminal. step_with_grants revalidates
+  /// every grant, forced or chosen, against the actual per-cycle requests,
+  /// so the machine witness is verified, not just recorded.
   void replay_deadlock(DeadlockSearchResult& result,
                        const sim::WormholeSimulator& pristine,
                        std::span<const Assignment> path,
@@ -915,14 +977,33 @@ class SearchEngine {
     result.deadlock_found = true;
     sim::WormholeSimulator replay(pristine);
     std::vector<std::uint32_t> spent(message_count, 0);
-    for (const Assignment& a : path) {
-      for (const MessageId m : a.stalled_moving) ++spent[m.index()];
-      replay.step_with_grants(a.grants);
+    TakenSet taken(net_.channel_count());
+    std::vector<sim::MessageRequests> groups;
+    Assignment forced;
+    std::size_t next = 0;
+    for (;;) {
+      const Assignment* a = nullptr;
+      if (!delay_mode_) {
+        replay.peek_requests_into(groups);
+        if (forced_grants(groups, taken, forced.grants)) {
+          if (forced.grants.empty() &&
+              !sim::WormholeSimulator(replay).step_with_grants({}))
+            break;  // frozen: the deadlock
+          a = &forced;
+        }
+      }
+      if (a == nullptr) {
+        if (next == path.size()) break;
+        a = &path[next++];
+      }
+      for (const MessageId m : a->stalled_moving) ++spent[m.index()];
+      replay.step_with_grants(a->grants);
       if (limits_.build_witness)
-        result.witness.push_back(describe_assignment(net_, a));
-      result.witness_grants.push_back(a.grants);
+        result.witness.push_back(describe_assignment(net_, *a));
+      result.witness_grants.push_back(a->grants);
     }
-    if (path.empty() && limits_.build_witness)
+    WORMSIM_ASSERT(next == path.size());
+    if (result.witness_grants.empty() && limits_.build_witness)
       result.witness.push_back("initial state is frozen");
     // The replayed terminal must be a genuine Definition-6 deadlock:
     // frozen under the idle transition with unfinished messages.

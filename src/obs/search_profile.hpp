@@ -28,8 +28,9 @@ namespace wormsim::obs {
 struct SearchProfile {
   std::uint64_t memo_hits = 0;
   std::uint64_t memo_misses = 0;
-  /// Deepest DFS stack reached (cycles of the longest execution examined).
-  /// In a parallel search this includes the frontier prefix depth.
+  /// Depth of the deepest state opened for expansion: cycles from the
+  /// initial state along the path that registered it, forced steps
+  /// included. In a parallel search that path depends on the schedule.
   std::uint64_t peak_depth = 0;
   /// Adversary assignments generated per expanded state. Branches are
   /// produced lazily, so a state retired early (deadlock found / limits

@@ -12,6 +12,7 @@ target_link_libraries(sim_tests PRIVATE wormsim_campaign)
 wormsim_test(analysis_tests
   analysis/configuration_test.cpp
   analysis/deadlock_search_test.cpp
+  analysis/forced_move_test.cpp
   analysis/message_flow_test.cpp
   analysis/parallel_search_test.cpp
   analysis/reduction_test.cpp

@@ -42,6 +42,7 @@
 #include "sim/workloads.hpp"
 #include "topo/builders.hpp"
 #include "topo/datacenter.hpp"
+#include "util/assert.hpp"
 
 using namespace wormsim;
 
@@ -114,6 +115,63 @@ std::vector<int> mesh_dims(std::uint64_t nodes) {
   for (; nodes > 16; nodes /= 16) dims.push_back(16);
   if (nodes >= 2) dims.push_back(static_cast<int>(nodes));
   return dims;
+}
+
+/// The most channels a network this tool builds may have. A k=64 fat-tree
+/// with its routing peaked at 42.6 MB max RSS, about 110 bytes per channel,
+/// so the cap keeps network state near 0.5 GB.
+constexpr std::uint64_t kMaxChannels = std::uint64_t{1} << 22;
+
+/// Saturating arithmetic for the channel counts below: the flags accept
+/// values whose networks have more channels than 64 bits count.
+std::uint64_t sat_mul(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t product = 0;
+  return __builtin_mul_overflow(a, b, &product)
+             ? std::numeric_limits<std::uint64_t>::max()
+             : product;
+}
+std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t sum = 0;
+  return __builtin_add_overflow(a, b, &sum)
+             ? std::numeric_limits<std::uint64_t>::max()
+             : sum;
+}
+
+/// The channel count of the fabric `opt` selects, by its builder's
+/// formula, and the flag that sizes it. A fat-tree has k^3/4 duplex links
+/// in each of its three layers; a dragonfly has one duplex link per
+/// terminal, two local lanes per ordered router pair in a group and one
+/// duplex global link per group pair; a full mesh has one channel per
+/// ordered node pair.
+std::pair<const char*, std::uint64_t> fabric_channels(const Options& opt) {
+  if (opt.topology == Topology::kFatTree) {
+    const auto k = static_cast<std::uint64_t>(opt.k);
+    return {"--k", sat_mul(sat_mul(3 * k, k), k / 2)};
+  }
+  if (opt.topology == Topology::kDragonfly) {
+    const topo::DragonflySpec& df = opt.dragonfly;
+    const auto a = static_cast<std::uint64_t>(df.routers_per_group);
+    const auto g = static_cast<std::uint64_t>(df.groups);
+    const auto p = static_cast<std::uint64_t>(df.terminals_per_router);
+    const std::uint64_t routers = sat_mul(g, a);
+    return {"--dragonfly",
+            sat_add(sat_add(sat_mul(2, sat_mul(routers, p)),
+                            sat_mul(2, sat_mul(routers, a - 1))),
+                    sat_mul(g, g - 1))};
+  }
+  const auto n = static_cast<std::uint64_t>(opt.nodes);
+  return {"--nodes", sat_mul(n, n - 1)};
+}
+
+/// The channel count of the core-comparison mesh of `nodes` nodes: a
+/// dimension of size s holds nodes/s lines of s - 1 duplex links each.
+std::uint64_t mesh_channels(std::uint64_t nodes) {
+  std::uint64_t channels = 0;
+  for (const int s : mesh_dims(nodes)) {
+    const auto size = static_cast<std::uint64_t>(s);
+    channels = sat_add(channels, sat_mul(2 * (size - 1), nodes / size));
+  }
+  return channels;
 }
 
 std::string format_load(double load) {
@@ -248,7 +306,23 @@ int main(int argc, char** argv) {
   declare_flags(parser, opt);
   parser.parse(argc, argv);
 
+  // A shape that passes its builder's preconditions can still describe a
+  // network too large to allocate: refuse it, naming its channel count,
+  // before anything is built.
+  const auto oversized = [&](const char* flag, std::uint64_t channels) {
+    return parser.error(std::string("bad value for ") + flag + ": " +
+                        std::to_string(channels) +
+                        " channels, over the cap of " +
+                        std::to_string(kMaxChannels));
+  };
+  const auto [fabric_flag, channels] = fabric_channels(opt);
+  if (channels > kMaxChannels) return oversized(fabric_flag, channels);
+  for (const std::uint64_t nodes : opt.core_compare)
+    if (const std::uint64_t mesh = mesh_channels(nodes); mesh > kMaxChannels)
+      return oversized("--core-compare", mesh);
+
   Fabric fabric = build_fabric(opt);
+  WORMSIM_ASSERT(fabric.alg->net().channel_count() == channels);
   // Only the built fabric knows its terminal count, so a permutation
   // pattern that does not fit it is refused here, before any workload.
   const std::size_t terminals = fabric.terminals.size();
@@ -390,6 +464,7 @@ int main(int argc, char** argv) {
   bool cores_agree = true;
   for (const std::uint64_t nodes : opt.core_compare) {
     const topo::Grid grid = topo::make_mesh(mesh_dims(nodes));
+    WORMSIM_ASSERT(grid.net().channel_count() == mesh_channels(nodes));
     const routing::DimensionOrderMesh dor(grid);
     sim::WorkloadConfig workload;
     workload.pattern = sim::TrafficPattern::kUniformRandom;
