@@ -13,6 +13,7 @@
 #include "analysis/deadlock_search.hpp"
 #include "analysis/state_table.hpp"
 #include "core/cyclic_family.hpp"
+#include "core/paper_networks.hpp"
 #include "obs/run_report.hpp"
 #include "routing/node_table.hpp"
 #include "topo/builders.hpp"
@@ -298,10 +299,13 @@ struct SchedCase {
 /// Runs the scheduling cases at threads {1, 4} and writes an
 /// obs::RunReport as BENCH_bench_search.json (honoring WORMSIM_BENCH_DIR).
 /// Wall seconds are the min over `reps` runs (inform-only downstream);
-/// state counts and the t1 memo-table peak bytes are exact and gated. t4
-/// rows include the largest per-worker share of memo misses — the direct
-/// evidence of whether the scheduler spread the one deep subtree or left
-/// it on a single worker.
+/// verdicts and state counts at both thread counts and the t1 memo-table
+/// peak bytes are exact and gated, so the gate holds the t4 results to the
+/// t1 ones. Three cases are exhaustive proofs; fig3cx2 deadlocks, so its
+/// t4 run stops early and returns the serial re-derivation. t4 rows of a
+/// parallel result include the largest per-worker share of memo misses —
+/// the direct evidence of whether the scheduler spread the one deep
+/// subtree or left it on a single worker.
 int run_sched_report() {
   const core::CyclicFamily fig1(core::fig1_spec());
   const auto fig1_base = fig1.message_specs();
@@ -310,11 +314,16 @@ int run_sched_report() {
   fig1_x2.insert(fig1_x2.end(), fig1_base.begin(), fig1_base.end());
   const core::CyclicFamily skewed(skewed_spec());
   const core::CyclicFamily k2(core::generalized_spec(2));
+  const core::CyclicFamily fig3c(core::fig3_spec(core::Fig3Variant::kC));
+  const auto fig3c_base = fig3c.message_specs();
+  std::vector<sim::MessageSpec> fig3c_x2 = fig3c_base;
+  fig3c_x2.insert(fig3c_x2.end(), fig3c_base.begin(), fig3c_base.end());
 
   std::vector<SchedCase> cases;
   cases.push_back({"fig1x2", &fig1, fig1_x2});
   cases.push_back({"skewed", &skewed, skewed.message_specs()});
   cases.push_back({"k2doubled", &k2, k2_doubled_specs(k2)});
+  cases.push_back({"fig3cx2", &fig3c, fig3c_x2});
 
   obs::RunReport report;
   report.name = "bench_search";
@@ -345,35 +354,37 @@ int run_sched_report() {
       report.values[prefix + ".wall_seconds"] = best;
       report.values[prefix + ".states"] =
           static_cast<double>(result.states_explored);
+      // The t1 verdict rows keep the case's own prefix.
+      const std::string verdict =
+          threads == 1 ? std::string("sched.") + c.name : prefix;
+      report.values[verdict + ".deadlock"] = result.deadlock_found ? 1.0 : 0.0;
+      report.values[verdict + ".exhausted"] = result.exhausted ? 1.0 : 0.0;
       if (threads == 1) {
         wall_t1 = best;
         // Memo footprint: deterministic at one thread (same keys, same
         // insertion order), so exact-gated like the state counts.
         report.values[prefix + ".table_peak_bytes"] =
             static_cast<double>(result.profile.table_peak_resident_bytes);
-        report.values[std::string("sched.") + c.name + ".deadlock"] =
-            result.deadlock_found ? 1.0 : 0.0;
-        report.values[std::string("sched.") + c.name + ".exhausted"] =
-            result.exhausted ? 1.0 : 0.0;
       } else {
         if (best > 0)
           report.values[std::string("sched.") + c.name + ".speedup_t" +
                         std::to_string(threads)] = wall_t1 / best;
         // Worst-case worker share of unique-state expansions: ~1.0 means
-        // one worker owned the whole deep subtree, ~1/threads is ideal.
+        // one worker owned the whole deep subtree, ~1/threads is ideal. A
+        // re-derived result has a single shard, which says nothing.
         std::uint64_t total = 0, peak = 0;
         for (const auto& shard : result.worker_profiles) {
           total += shard.memo_misses;
           peak = std::max(peak, shard.memo_misses);
         }
-        if (total > 0)
+        if (total > 0 && result.worker_profiles.size() > 1)
           report.values[prefix + ".max_worker_share"] =
               static_cast<double>(peak) / static_cast<double>(total);
       }
-      std::printf("%s.wall_seconds=%.4f states=%llu exhausted=%d\n",
+      std::printf("%s.wall_seconds=%.4f states=%llu deadlock=%d exhausted=%d\n",
                   prefix.c_str(), best,
                   static_cast<unsigned long long>(result.states_explored),
-                  result.exhausted ? 1 : 0);
+                  result.deadlock_found ? 1 : 0, result.exhausted ? 1 : 0);
     }
   }
   if (!obs::write_report_file(report)) {

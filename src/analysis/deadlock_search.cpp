@@ -227,6 +227,28 @@ std::string describe_assignment(const topo::Network& net,
   return os.str();
 }
 
+/// The Definition-6 epilogue of every deadlock result, whichever replay
+/// reached `frozen`: it must be frozen under the idle transition with
+/// unfinished messages. Records its configuration and wait cycle, and says
+/// so when the witness reaches it in zero cycles.
+void finish_deadlock(DeadlockSearchResult& result,
+                     const sim::WormholeSimulator& frozen, bool build_witness) {
+  result.deadlock_found = true;
+  WORMSIM_ASSERT(!frozen.all_consumed());
+#ifndef NDEBUG
+  {
+    sim::WormholeSimulator probe(frozen);
+    WORMSIM_ASSERT(!probe.step_with_grants({}));
+  }
+#endif
+  if (build_witness && result.witness.empty())
+    result.witness.push_back("initial state is frozen");
+  result.deadlock_configuration = snapshot(frozen);
+  const auto occ = frozen.occupancy();
+  result.deadlock_cycle = find_wait_cycle(
+      occ, [&frozen](ChannelId c) { return frozen.channel_owner(c); });
+}
+
 void check_specs(std::span<const sim::MessageSpec> messages) {
   for (const sim::MessageSpec& spec : messages) {
     WORMSIM_EXPECTS_MSG(spec.release_time == 0,
@@ -273,20 +295,19 @@ constexpr std::size_t kStealGranularity = 8;
 /// striped StateTable. Soundness of "exhausted": a state is recorded in
 /// the table exactly once, by a worker that then expands it,
 /// so when every item completes without hitting a limit the union of the
-/// explorations covers every reachable state — and conversely any reachable
-/// deadlock is found by some worker. The deadlock verdict is therefore
-/// deterministic; ties between concurrently found deadlocks break to the
-/// lexicographically least Dewey ordinal (the DFS-first one), and the whole
-/// deadlock-positive result is then re-derived serially so it is
-/// byte-identical to a threads=1 run. The witness is rebuilt by a serial
-/// step_with_grants replay from the initial state, which revalidates every
-/// grant.
+/// explorations covers every reachable state, whoever reached each one,
+/// and the counts are the serial search's. A run that stops early — on a
+/// deadlock, max_states or the memo budget — holds whichever states its
+/// schedule reached first, so its workers only raise the stop flag and
+/// run() returns the serial search's result instead. The witness
+/// is rebuilt by a serial step_with_grants replay from the initial state,
+/// which revalidates every grant.
 ///
 /// Forced-move fast path (DESIGN.md §9): in the synchronous model a state
 /// with one legal assignment (forced_grants) is stepped in place and its
 /// child registered, with no generator or frame. Frames exist only at
-/// branching states, so paths and Dewey ordinals hold branching choices
-/// alone, and the replay re-derives every forced step.
+/// branching states, so the deadlock path holds branching choices alone,
+/// and the replay re-derives every forced step.
 class SearchEngine {
  public:
   /// `twin_specs` (indexed by MessageId) enables twin symmetry; empty runs
@@ -309,121 +330,76 @@ class SearchEngine {
 
   DeadlockSearchResult run(sim::WormholeSimulator root,
                            std::size_t message_count) {
-    started_ = std::chrono::steady_clock::now();
     if (status_ != nullptr) status_->begin_segment(&visited_);
-    DeadlockSearchResult result;
-    result.profile.branch_factor =
-        obs::Histogram(obs::Histogram::exponential_bounds(1, 4096));
-
-    // Kept pristine for the witness replay (the search mutates copies).
+    // Kept pristine for the witness replay and the serial re-derivation
+    // (the search mutates copies).
     const sim::WormholeSimulator pristine(root);
     const std::size_t channel_count = net_.channel_count();
     workers_.reserve(threads_);
     for (unsigned t = 0; t < threads_; ++t)
       workers_.emplace_back(channel_count, t);
-    Worker& lead = workers_.front();
 
     // The spent-delay vector only exists in the bounded-delay model; the
     // synchronous search carries an empty one instead of copying a zero
     // vector per transition.
     std::vector<std::uint32_t> spent0(delay_mode_ ? message_count : 0, 0);
-    bool found = false;
-    std::vector<Assignment> winner_path;
-
     deques_.reserve(threads_);
     for (unsigned t = 0; t < threads_; ++t)
       deques_.push_back(std::make_unique<ItemDeque>());
 
-    if (register_state(root, spent0, lead) == Lookup::kFresh) {
+    if (register_state(root, spent0, workers_.front()) == Lookup::kFresh) {
       outstanding_.store(1, std::memory_order_relaxed);
       items_created_.store(1, std::memory_order_relaxed);
       deques_[0]->items.push_back(
-          WorkItem{std::move(root), std::move(spent0), {}, {}, 0});
+          WorkItem{std::move(root), std::move(spent0), 0});
       if (status_ != nullptr) status_->set_frontier(1);
 
-      if (threads_ <= 1) {
-        worker_loop(lead);
-      } else {
-        std::vector<std::thread> pool;
-        pool.reserve(threads_ - 1);
-        for (unsigned t = 1; t < threads_; ++t)
-          pool.emplace_back([this, t] { worker_loop(workers_[t]); });
-        worker_loop(lead);
-        for (std::thread& th : pool) th.join();
-      }
-
-      // Winner: the deadlock with the lexicographically least Dewey ordinal
-      // among those reported — the one a serial DFS would reach first.
-      // Every tree edge is materialized exactly once across items, so
-      // ordinals are unique and there are no ties.
-      const Worker* winner = nullptr;
-      for (const Worker& w : workers_)
-        if (w.found_deadlock &&
-            (winner == nullptr || w.found_ordinal < winner->found_ordinal))
-          winner = &w;
-      if (winner != nullptr) {
-        found = true;
-        winner_path = winner->deadlock_path;
-      }
+      std::vector<std::thread> pool;
+      pool.reserve(threads_ - 1);
+      for (unsigned t = 1; t < threads_; ++t)
+        pool.emplace_back([this, t] { worker_loop(workers_[t]); });
+      worker_loop(workers_.front());
+      for (std::thread& th : pool) th.join();
     }
 
-    // A deadlock-positive parallel result depends on which worker won the
-    // race; re-derive it serially so witness, profile and state counts are
-    // byte-identical to a threads=1 run. The parallel search served as the
-    // (sound) oracle that a deadlock exists; exhaustive negative searches
-    // — the expensive case — never reach this. Falls back to the raw
-    // parallel winner if the serial rerun hits a limit first (possible when
-    // the parallel schedule lucked into the deadlock within max_states).
-    if (found && threads_ > 1) {
+    const bool found = deadlock_found_.load(std::memory_order_relaxed);
+    DeadlockSearchResult result;
+    if (threads_ > 1 &&
+        (found || over_budget_.load(std::memory_order_relaxed))) {
+      // Stopped early: the registered states depend on the schedule, so
+      // the serial search's result, whatever it finds, is the answer.
       SearchLimits serial_limits = limits_;
       serial_limits.threads = 1;
       serial_limits.status = nullptr;
-      SearchEngine serial(net_, model_, serial_limits, twin_specs_);
-      DeadlockSearchResult canon =
-          serial.run(sim::WormholeSimulator(pristine), message_count);
-      if (canon.deadlock_found) {
-        if (status_ != nullptr) {
-          // The board's final shards describe the returned result, so they
-          // are the serial rerun's (one shard), not the parallel race's.
-          for (const Worker& w : workers_)
-            status_->publish_worker(
-                w.index, w.index < canon.worker_profiles.size()
-                             ? canon.worker_profiles[w.index]
-                             : SearchProfile{});
-          status_->end_segment(canon.states_explored);
-        }
-        return canon;
+      result = SearchEngine(net_, model_, serial_limits, twin_specs_)
+                   .run(sim::WormholeSimulator(pristine), message_count);
+    } else {
+      result.profile.branch_factor =
+          obs::Histogram(obs::Histogram::exponential_bounds(1, 4096));
+      for (const Worker& w : workers_) {
+        result.profile.merge_from(w.profile);
+        result.worker_profiles.push_back(w.profile);
       }
+      result.profile.table_peak_resident_bytes = visited_.resident_bytes();
+      result.states_explored = states_.load(std::memory_order_relaxed);
+      result.exhausted =
+          !over_budget_.load(std::memory_order_relaxed) &&
+          std::all_of(workers_.begin(), workers_.end(),
+                      [](const Worker& w) { return w.exhausted; });
+      if (found)
+        replay_deadlock(result, pristine, workers_.front().deadlock_path,
+                        message_count);
     }
 
-    for (const Worker& w : workers_) result.profile.merge_from(w.profile);
-    result.profile.table_peak_resident_bytes = visited_.resident_bytes();
-    result.worker_profiles.reserve(workers_.size());
-    for (const Worker& w : workers_)
-      result.worker_profiles.push_back(w.profile);
-    result.states_explored = states_.load(std::memory_order_relaxed);
-    result.exhausted =
-        !over_budget_.load(std::memory_order_relaxed) &&
-        std::all_of(workers_.begin(), workers_.end(),
-                    [](const Worker& w) { return w.exhausted; });
-
-    if (found) replay_deadlock(result, pristine, winner_path, message_count);
-
-    // Clamp: steady_clock quantization can report 0 elapsed on tiny
-    // searches, which used to surface as 0 states/sec on warm fixtures.
-    const double secs = std::max(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      started_)
-            .count(),
-        1e-9);
-    result.profile.elapsed_seconds = secs;
-    result.profile.states_per_second =
-        static_cast<double>(result.states_explored) / secs;
     if (status_ != nullptr) {
       // Final shard publication (workers have joined), then detach — the
-      // board folds this run into the search's totals.
+      // board folds this run into the search's totals. The shards describe
+      // the returned result: a re-derived one has a single shard.
       for (const Worker& w : workers_)
-        status_->publish_worker(w.index, w.profile);
+        status_->publish_worker(w.index,
+                                w.index < result.worker_profiles.size()
+                                    ? result.worker_profiles[w.index]
+                                    : SearchProfile{});
       status_->end_segment(result.states_explored);
     }
     return result;
@@ -457,13 +433,10 @@ class SearchEngine {
     std::vector<std::vector<std::uint32_t>> twin_pool;
     SearchProfile profile;
     bool exhausted = true;
-    bool found_deadlock = false;
-    /// Dewey ordinal of the found deadlock: the branch index taken at every
-    /// tree level from the root. Lexicographic order over these is exactly
-    /// serial DFS discovery order, and it survives item splits because each
-    /// item carries its own ordinal prefix.
-    std::vector<std::uint32_t> found_ordinal;
-    std::vector<Assignment> deadlock_path;  ///< root -> deadlock state
+    /// The branching choices from the item root to the deadlock it found:
+    /// the whole execution in a serial search, whose one item is the
+    /// initial state. A parallel run never reads it (it re-derives).
+    std::vector<Assignment> deadlock_path;
     /// Busy-phase bookkeeping so the stride publisher can report live
     /// busy_ns mid-item (the profile field is only folded at item end).
     std::chrono::steady_clock::time_point busy_phase_start{};
@@ -494,23 +467,13 @@ class SearchEngine {
     Assignment entry;
     Assignment pending;  ///< next branch to take; valid when has_pending
     bool has_pending = false;
-    /// Dewey bookkeeping: the ordinal of the entry edge, and the next
-    /// ordinal to hand out for a branch materialized from this frame's
-    /// generator (budget-pruned branches consume one too — the numbering
-    /// follows the deterministic generator sequence, not survivorship).
-    std::uint32_t entry_ordinal = 0;
-    std::uint32_t next_ordinal = 0;
   };
 
-  /// A subtree root: a registered, not-yet-expanded state plus the
-  /// branching choices that reach it from the initial state, the Dewey
-  /// ordinal of that path (for the deterministic winner rule), and its
-  /// tree depth.
+  /// A subtree root: a registered, not-yet-expanded state and its tree
+  /// depth.
   struct WorkItem {
     sim::WormholeSimulator sim;
     std::vector<std::uint32_t> spent;
-    std::vector<Assignment> path;
-    std::vector<std::uint32_t> ordinal;
     std::uint32_t depth;
   };
 
@@ -609,7 +572,7 @@ class SearchEngine {
     if (w.sim_pool.size() < 64) w.sim_pool.push_back(std::move(sim));
   }
 
-  enum class Open { kPushed, kTerminal };
+  enum class Open { kPushed, kTerminal, kDeadlock };
 
   /// Opens a freshly registered state at tree depth `depth`. While the
   /// state is forced (synchronous model only), its one successor is
@@ -617,11 +580,11 @@ class SearchEngine {
   /// first branching state gets a frame emplaced directly on `stack`.
   /// Every opened state counts towards peak_depth, and a forced one
   /// observes 1 in branch_factor, as its frame's generator would have.
-  /// kTerminal with w.found_deadlock set means the state reached is frozen
-  /// with unfinished messages — a deadlock (the caller owns the branching
-  /// path that reached it). Without it: an all-consumed safe terminal, or
-  /// a forced chain that ended at a seen or over-budget child; either way
-  /// the caller still owns the simulator and may recycle it.
+  /// kDeadlock: the state reached is frozen with unfinished messages (the
+  /// caller owns the branching path that reached it). kTerminal: an
+  /// all-consumed safe terminal, or a forced chain that ended at a seen or
+  /// over-budget child; the caller still owns the simulator and may
+  /// recycle it.
   Open open_frame(std::vector<Frame>& stack, sim::WormholeSimulator&& sim,
                   std::vector<std::uint32_t>&& spent, std::uint32_t depth,
                   Worker& w) {
@@ -632,10 +595,7 @@ class SearchEngine {
       if (delay_mode_ || !forced_grants(groups, w.taken, w.forced)) break;
       // Only the idle step can make no progress: the state is then frozen
       // forever with unfinished messages, a deadlock.
-      if (!sim.step_with_grants_trusted(w.forced)) {
-        w.found_deadlock = true;
-        return Open::kTerminal;
-      }
+      if (!sim.step_with_grants_trusted(w.forced)) return Open::kDeadlock;
       w.profile.peak_depth =
           std::max<std::uint64_t>(w.profile.peak_depth, depth + 1);
       w.profile.branch_factor.observe(1.0);
@@ -648,10 +608,7 @@ class SearchEngine {
       // progress the state is a deadlock; otherwise the generator over
       // zero requests yields exactly the idle branch.
       sim::WormholeSimulator probe(sim);
-      if (!probe.step_with_grants({})) {
-        w.found_deadlock = true;
-        return Open::kTerminal;
-      }
+      if (!probe.step_with_grants({})) return Open::kDeadlock;
     }
     // Twin chains (reduction.hpp); kept only when the state has a twin.
     std::vector<std::uint32_t> twin_next = take_pooled(w.twin_pool);
@@ -696,6 +653,39 @@ class SearchEngine {
     frame.gen.recycle_into(w.groups_pool, w.twin_pool);
   }
 
+  /// Takes `frame`'s pending branch into w.branch_scratch and steps it:
+  /// the generator moves one ahead, the delay budget is checked, and the
+  /// child is forked — or, on the last branch, takes the frame's simulator
+  /// by move, leaving the frame a tombstone that carries its entry edge.
+  /// A fresh child goes to `fresh` with its spent-delay vector (`frame`
+  /// may dangle once it returns); a seen one is recycled; an over-budget
+  /// one marks the worker unexhausted, and the stop flag is already up.
+  template <typename Fresh>
+  void take_branch(Frame& frame, Worker& w, Fresh&& fresh) {
+    Assignment& choice = w.branch_scratch;
+    choice = std::move(frame.pending);
+    frame.has_pending = frame.gen.next(frame.pending, w.taken);
+    std::vector<std::uint32_t> child_spent;
+    if (delay_mode_) {
+      child_spent = frame.spent;
+      for (const MessageId m : choice.stalled_moving) ++child_spent[m.index()];
+      if (!budget_ok(child_spent)) {
+        ++w.profile.budget_prunes;
+        return;
+      }
+    }
+    sim::WormholeSimulator child =
+        frame.has_pending ? fork_sim(frame.sim, w) : std::move(frame.sim);
+    child.step_with_grants_trusted(choice.grants);
+    const Lookup reg = register_state(child, child_spent, w);
+    if (reg == Lookup::kFresh)
+      fresh(std::move(child), std::move(child_spent));
+    else if (reg == Lookup::kSeen)
+      donate_sim(std::move(child), w);
+    else
+      w.exhausted = false;
+  }
+
   /// Pops the worker's own newest item (back), else sweeps the peers'
   /// deques from the next index up and steals the oldest item (front) of
   /// the first non-empty one — front items are the earliest splits, i.e.
@@ -730,11 +720,8 @@ class SearchEngine {
   /// The shallowest frame holds the largest remaining subtrees, and — key
   /// invariant — a frame with has_pending still owns its simulator (the
   /// move-out only happens on the *last* branch, which clears has_pending),
-  /// so its children can always be forked. Materialized branches consume
-  /// Dewey ordinals exactly as run_item would have, so the winner rule is
-  /// split-invariant.
-  void maybe_split(Worker& w, std::vector<Frame>& stack,
-                   const WorkItem& item) {
+  /// so its children can always be forked.
+  void maybe_split(Worker& w, std::vector<Frame>& stack) {
     std::size_t f = 0;
     while (f < stack.size() && !stack[f].has_pending) ++f;
     if (f == stack.size()) return;
@@ -744,47 +731,16 @@ class SearchEngine {
       if (mine.items.size() >= kDequeCap) return;
     }
     Frame& frame = stack[f];
-    std::vector<Assignment> prefix_path = item.path;
-    std::vector<std::uint32_t> prefix_ordinal = item.ordinal;
-    for (std::size_t i = 1; i <= f; ++i) {
-      prefix_path.push_back(stack[i].entry);
-      prefix_ordinal.push_back(stack[i].entry_ordinal);
-    }
-
     std::vector<WorkItem> batch;
-    while (frame.has_pending && batch.size() < kStealGranularity) {
-      Assignment choice = std::move(frame.pending);
-      const std::uint32_t ordinal = frame.next_ordinal++;
-      frame.has_pending = frame.gen.next(frame.pending, w.taken);
-      std::vector<std::uint32_t> child_spent;
-      if (delay_mode_) {
-        child_spent = frame.spent;
-        for (const MessageId m : choice.stalled_moving)
-          ++child_spent[m.index()];
-        if (!budget_ok(child_spent)) {
-          ++w.profile.budget_prunes;
-          continue;
-        }
-      }
-      sim::WormholeSimulator child =
-          frame.has_pending ? fork_sim(frame.sim, w) : std::move(frame.sim);
-      child.step_with_grants_trusted(choice.grants);
-      const Lookup reg = register_state(child, child_spent, w);
-      if (reg == Lookup::kSeen) {
-        donate_sim(std::move(child), w);
-        continue;
-      }
-      if (reg == Lookup::kOverBudget) {
-        w.exhausted = false;
-        break;
-      }
-      std::vector<Assignment> child_path = prefix_path;
-      child_path.push_back(std::move(choice));
-      std::vector<std::uint32_t> child_ordinal = prefix_ordinal;
-      child_ordinal.push_back(ordinal);
-      batch.push_back(WorkItem{std::move(child), std::move(child_spent),
-                               std::move(child_path), std::move(child_ordinal),
-                               frame.depth + 1});
+    while (frame.has_pending && batch.size() < kStealGranularity &&
+           !stop_requested()) {
+      take_branch(frame, w,
+                  [&](sim::WormholeSimulator&& child,
+                      std::vector<std::uint32_t>&& spent) {
+                    batch.push_back(WorkItem{std::move(child),
+                                             std::move(spent),
+                                             frame.depth + 1});
+                  });
     }
     if (batch.empty()) return;
     // outstanding_ rises before the items become stealable; it cannot hit
@@ -858,114 +814,60 @@ class SearchEngine {
 
   /// DFS over one subtree. Frames carry generator cursors; each branch is
   /// materialized once into the worker's scratch Assignment, and copied
-  /// only when its child state turns out to be fresh.
+  /// only when its child state turns out to be fresh. A stop leaves the
+  /// unfinished frames on the stack, and each observes the branches it
+  /// generated so far.
   void run_item(Worker& w, WorkItem&& item) {
     std::vector<Frame> stack;
-
-    const auto drain_observe = [&] {
-      for (const Frame& f : stack)
-        w.profile.branch_factor.observe(
-            static_cast<double>(f.gen.yielded()));
-    };
-    const auto report_deadlock = [&](std::vector<Assignment>&& path,
-                                     std::vector<std::uint32_t>&& ordinal) {
-      w.found_deadlock = true;
-      w.found_ordinal = std::move(ordinal);
-      w.deadlock_path = std::move(path);
-      deadlock_found_.store(true, std::memory_order_relaxed);
-    };
-
     if (open_frame(stack, std::move(item.sim), std::move(item.spent),
-                   item.depth, w) == Open::kTerminal) {
-      if (w.found_deadlock)
-        report_deadlock(std::move(item.path), std::move(item.ordinal));
-      return;
-    }
-
-    while (!stack.empty()) {
-      if (stop_requested()) {
-        drain_observe();
-        return;
-      }
+                   item.depth, w) == Open::kDeadlock)
+      deadlock_found_.store(true, std::memory_order_relaxed);
+    while (!stack.empty() && !stop_requested()) {
       if (threads_ > 1 &&
           starving_.load(std::memory_order_relaxed) > 0)
-        maybe_split(w, stack, item);
+        maybe_split(w, stack);
       Frame& top = stack.back();
       if (!top.has_pending) {
         retire_frame(top, w);
         stack.pop_back();
         continue;
       }
-      Assignment& choice = w.branch_scratch;
-      choice = std::move(top.pending);
-      const std::uint32_t choice_ordinal = top.next_ordinal++;
       const std::uint32_t child_depth = top.depth + 1;
-      top.has_pending = top.gen.next(top.pending, w.taken);
-
-      std::vector<std::uint32_t> child_spent;
-      if (delay_mode_) {
-        child_spent = top.spent;
-        for (const MessageId m : choice.stalled_moving)
-          ++child_spent[m.index()];
-        if (!budget_ok(child_spent)) {
-          ++w.profile.budget_prunes;
-          continue;
+      take_branch(top, w, [&](sim::WormholeSimulator&& child,
+                              std::vector<std::uint32_t>&& spent) {
+        // `top` dangles from here on if the push reallocates.
+        switch (open_frame(stack, std::move(child), std::move(spent),
+                           child_depth, w)) {
+          case Open::kPushed:
+            // The frame adopts the scratch assignment as its entry edge
+            // (the generator clears moved-from scratch before reusing it);
+            // copying the grant vector per fresh state showed up in the
+            // profile.
+            stack.back().entry = std::move(w.branch_scratch);
+            break;
+          case Open::kTerminal:
+            // Safe terminal or an ended forced chain: open_frame left
+            // `child` intact; recycle it.
+            donate_sim(std::move(child), w);
+            break;
+          case Open::kDeadlock:
+            // The deadlock path: every entry choice on the DFS stack (item
+            // root excluded), then the final choice. The raised flag ends
+            // the loop.
+            for (std::size_t f = 1; f < stack.size(); ++f)
+              w.deadlock_path.push_back(stack[f].entry);
+            w.deadlock_path.push_back(w.branch_scratch);
+            deadlock_found_.store(true, std::memory_order_relaxed);
+            break;
         }
-      }
-
-      // Last branch: the parent has no further use for its simulator, so
-      // the child takes it by move. The emptied frame stays on the stack as
-      // a tombstone carrying its entry edge.
-      sim::WormholeSimulator child =
-          top.has_pending ? fork_sim(top.sim, w) : std::move(top.sim);
-      child.step_with_grants_trusted(choice.grants);
-
-      const Lookup reg = register_state(child, child_spent, w);
-      if (reg == Lookup::kSeen) {
-        donate_sim(std::move(child), w);
-        continue;
-      }
-      if (reg == Lookup::kOverBudget) {
-        w.exhausted = false;
-        drain_observe();
-        return;
-      }
-
-      // NOTE: `top` dangles past this point if the push reallocated.
-      const Open opened = open_frame(stack, std::move(child),
-                                     std::move(child_spent), child_depth, w);
-      if (w.found_deadlock) {
-        // The deadlock execution: the item's prefix, every entry choice on
-        // the DFS stack (subtree root excluded), then the final choice —
-        // and the matching Dewey ordinal for the winner rule.
-        std::vector<Assignment> path = std::move(item.path);
-        std::vector<std::uint32_t> ordinal = std::move(item.ordinal);
-        for (std::size_t f = 1; f < stack.size(); ++f) {
-          path.push_back(stack[f].entry);
-          ordinal.push_back(stack[f].entry_ordinal);
-        }
-        path.push_back(choice);
-        ordinal.push_back(choice_ordinal);
-        report_deadlock(std::move(path), std::move(ordinal));
-        drain_observe();
-        return;
-      }
-      if (opened == Open::kPushed) {
-        // The frame adopts the scratch assignment as its entry edge (the
-        // generator clears moved-from scratch before reusing it); copying
-        // the grant vector per fresh state showed up in the profile.
-        stack.back().entry = std::move(w.branch_scratch);
-        stack.back().entry_ordinal = choice_ordinal;
-      } else {
-        // Safe terminal or an ended forced chain: open_frame left `child`
-        // intact; recycle it.
-        donate_sim(std::move(child), w);
-      }
+      });
     }
+    for (const Frame& f : stack)
+      w.profile.branch_factor.observe(static_cast<double>(f.gen.yielded()));
   }
 
-  /// Rebuilds the authoritative deadlock artifacts by replaying the winning
-  /// branching choices serially from the initial state. Each forced step
+  /// Rebuilds the authoritative deadlock artifacts by replaying the serial
+  /// search's branching choices from the initial state. Each forced step
   /// between them is re-derived from the replayed state with the search's
   /// own predicate, up to the frozen terminal. step_with_grants revalidates
   /// every grant, forced or chosen, against the actual per-cycle requests,
@@ -974,7 +876,6 @@ class SearchEngine {
                        const sim::WormholeSimulator& pristine,
                        std::span<const Assignment> path,
                        std::size_t message_count) {
-    result.deadlock_found = true;
     sim::WormholeSimulator replay(pristine);
     std::vector<std::uint32_t> spent(message_count, 0);
     TakenSet taken(net_.channel_count());
@@ -1003,21 +904,7 @@ class SearchEngine {
       result.witness_grants.push_back(a->grants);
     }
     WORMSIM_ASSERT(next == path.size());
-    if (result.witness_grants.empty() && limits_.build_witness)
-      result.witness.push_back("initial state is frozen");
-    // The replayed terminal must be a genuine Definition-6 deadlock:
-    // frozen under the idle transition with unfinished messages.
-    WORMSIM_ASSERT(!replay.all_consumed());
-#ifndef NDEBUG
-    {
-      sim::WormholeSimulator probe(replay);
-      WORMSIM_ASSERT(!probe.step_with_grants({}));
-    }
-#endif
-    result.deadlock_configuration = snapshot(replay);
-    const auto occ = replay.occupancy();
-    result.deadlock_cycle = find_wait_cycle(
-        occ, [&replay](ChannelId c) { return replay.channel_owner(c); });
+    finish_deadlock(result, replay, limits_.build_witness);
     result.delay_used_total = static_cast<std::uint32_t>(
         std::accumulate(spent.begin(), spent.end(), std::uint64_t{0}));
     result.delay_used_max =
@@ -1049,7 +936,6 @@ class SearchEngine {
   std::atomic<std::uint64_t> items_completed_{0};
   std::vector<std::unique_ptr<ItemDeque>> deques_;
   std::vector<Worker> workers_;
-  std::chrono::steady_clock::time_point started_;
 };
 
 /// One engine run over `messages`. kSafe hands the engine the specs for
@@ -1071,14 +957,25 @@ DeadlockSearchResult run_engine(const Routing& alg,
 
 /// Brackets one find_deadlock call as exactly one search on the status
 /// board, however many engine runs (root components) it takes: each run is
-/// a segment the board folds into the search's totals.
+/// a segment the board folds into the search's totals. Also stamps the
+/// call's wall-clock figures, once, serial re-derivations included.
 template <typename Search>
 DeadlockSearchResult observed(const SearchLimits& limits, Search&& search) {
   SearchStatusBoard* const board = limits.status;
-  if (board == nullptr) return search();
-  board->begin_search(resolve_threads(limits.threads), limits.max_states);
+  if (board != nullptr)
+    board->begin_search(resolve_threads(limits.threads), limits.max_states);
+  const auto start = std::chrono::steady_clock::now();
   DeadlockSearchResult result = search();
-  board->end_search();
+  // Clamp: steady_clock quantization can report 0 elapsed on tiny
+  // searches, which used to surface as 0 states/sec on warm fixtures.
+  const double secs = std::max(
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count(),
+      1e-9);
+  result.profile.elapsed_seconds = secs;
+  result.profile.states_per_second =
+      static_cast<double>(result.states_explored) / secs;
+  if (board != nullptr) board->end_search();
   return result;
 }
 
@@ -1130,7 +1027,6 @@ void finish_decomposed_witness(DeadlockSearchResult& total,
                                const SearchLimits& limits,
                                const DeadlockSearchResult& sub,
                                std::span<const std::uint32_t> to_orig) {
-  total.deadlock_found = true;
   sim::SimConfig config;
   config.buffer_depth = limits.buffer_depth;
   sim::WormholeSimulator replay(alg, config);
@@ -1172,7 +1068,6 @@ void finish_decomposed_witness(DeadlockSearchResult& total,
     total.witness_grants.push_back(std::move(grants));
   }
 
-  WORMSIM_ASSERT(!replay.all_consumed());
   if (limits.build_witness) {
     Assignment describe;
     for (const auto& cycle : total.witness_grants) {
@@ -1180,13 +1075,8 @@ void finish_decomposed_witness(DeadlockSearchResult& total,
       describe.grants = cycle;
       total.witness.push_back(describe_assignment(alg.net(), describe));
     }
-    if (total.witness.empty())
-      total.witness.push_back("initial state is frozen");
   }
-  total.deadlock_configuration = snapshot(replay);
-  const auto occ = replay.occupancy();
-  total.deadlock_cycle = find_wait_cycle(
-      occ, [&replay](ChannelId c) { return replay.channel_owner(c); });
+  finish_deadlock(total, replay, limits.build_witness);
 }
 
 /// Root component decomposition (DESIGN.md §12.3): when the messages split
@@ -1212,7 +1102,6 @@ std::optional<DeadlockSearchResult> decomposed_find_deadlock(
       route_components(routes, alg.net().channel_count(), comp_of);
   if (count < 2) return std::nullopt;
 
-  const auto start = std::chrono::steady_clock::now();
   DeadlockSearchResult total;
   total.profile.branch_factor =
       obs::Histogram(obs::Histogram::exponential_bounds(1, 4096));
@@ -1243,13 +1132,6 @@ std::optional<DeadlockSearchResult> decomposed_find_deadlock(
       break;
     }
   }
-  const double secs = std::max(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count(),
-      1e-9);
-  total.profile.elapsed_seconds = secs;
-  total.profile.states_per_second =
-      static_cast<double>(total.states_explored) / secs;
   return total;
 }
 

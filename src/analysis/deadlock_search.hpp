@@ -32,15 +32,15 @@
 // workers run a work-stealing DFS: each worker owns a deque of subtree-root
 // work items, pushes dynamically split-off subtrees of its own stack when
 // peers starve, and steals from the front of a victim's deque when its own
-// runs dry. Verdicts (deadlock_found / exhausted) are deterministic either
-// way: the workers' shared visited table jointly covers the reachable
-// space, so "every worker exhausted" is still a proof, and any reachable
-// deadlock is found by some worker; when several are, Dewey-ordinal
-// tracking through splits picks the DFS-first one. A found deadlock is
-// replayed serially through step_with_grants from the initial state to
-// rebuild the exact configuration and witness, and a deadlock-positive
-// parallel result is re-derived by a serial search so the whole result is
-// thread-count-independent.
+// runs dry. Results equal the serial search's except peak_depth, the
+// per-worker shards, the scheduler counters, the memo table's footprint
+// (it has more stripes) and timing. The workers' shared visited table
+// jointly covers the reachable space, so a negative run that completes
+// keeps the parallel counts, which equal the serial ones; any run that
+// stops early — on a deadlock, max_states or the memo budget — is
+// re-derived by the serial search, whose result it returns. A found
+// deadlock is replayed through step_with_grants from the initial state to
+// rebuild the exact configuration and witness.
 #pragma once
 
 #include <optional>
@@ -84,11 +84,12 @@ struct SearchLimits {
   bool build_witness = true;
   /// DFS worker threads. 1 (the default) runs fully serially. Values > 1
   /// run this many work-stealing DFS workers over a shared visited table.
-  /// 0 means std::thread::hardware_concurrency(). Verdicts are identical to
-  /// the serial search; states_explored is too for exhaustive searches
-  /// (each unique state is expanded exactly once whoever reaches it);
-  /// per-worker shard counters vary run-to-run because workers race to
-  /// memoize shared states.
+  /// 0 means std::thread::hardware_concurrency(). The result equals the
+  /// serial search's except peak_depth, the per-worker shards, the
+  /// scheduler counters, table_peak_resident_bytes and timing. A negative
+  /// run that completes keeps the parallel counts (each unique state is
+  /// expanded exactly once whoever reaches it); any run stopped early, by a
+  /// deadlock or a limit, is re-derived serially.
   unsigned threads = 1;
   /// Cap on the StateTable's logical resident bytes (0 = unlimited).
   /// Overflow ends the search non-exhausted, exactly like max_states.

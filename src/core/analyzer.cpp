@@ -48,7 +48,7 @@ std::vector<sim::MessageSpec> derive_probe_messages(
 }
 
 AlgorithmAnalysis analyze_algorithm(const routing::RoutingAlgorithm& alg,
-                                    const AnalyzerOptions& options) {
+                                    const analysis::SearchLimits& limits) {
   AlgorithmAnalysis result;
   const auto graph = cdg::ChannelDependencyGraph::build(alg);
   result.cdg_edges = graph.edge_count();
@@ -64,14 +64,9 @@ AlgorithmAnalysis analyze_algorithm(const routing::RoutingAlgorithm& alg,
   result.elementary_cycle_count = graph.elementary_cycles().size();
 
   result.probe_messages = derive_probe_messages(alg, graph);
-  std::vector<sim::MessageSpec> probe = result.probe_messages;
-  if (options.probe_with_duplicates) {
-    const std::size_t base = probe.size();
-    for (std::size_t i = 0; i < base; ++i) probe.push_back(probe[i]);
-  }
-
-  result.search = analysis::find_deadlock(
-      alg, probe, analysis::AdversaryModel::kSynchronous, options.limits);
+  result.search = analysis::find_deadlock(alg, result.probe_messages,
+                                          analysis::AdversaryModel::kSynchronous,
+                                          limits);
 
   if (result.search.deadlock_found)
     result.verdict = CycleVerdict::kDeadlockReachable;

@@ -41,16 +41,9 @@ struct AlgorithmAnalysis {
   analysis::DeadlockSearchResult search;
 };
 
-struct AnalyzerOptions {
-  analysis::SearchLimits limits;
-  /// Also probe with one extra copy of each witness message (the paper's
-  /// "more than four messages" case in the Theorem-1 proof).
-  bool probe_with_duplicates = false;
-};
-
 /// Full analysis of `alg` (CDG + reachability of its cycles).
 AlgorithmAnalysis analyze_algorithm(const routing::RoutingAlgorithm& alg,
-                                    const AnalyzerOptions& options = {});
+                                    const analysis::SearchLimits& limits = {});
 
 /// Derives the probe messages for the given CDG's cyclic SCCs: one message
 /// per witness pair whose route traverses an in-SCC channel, with length

@@ -30,7 +30,8 @@ struct SearchProfile {
   std::uint64_t memo_misses = 0;
   /// Depth of the deepest state opened for expansion: cycles from the
   /// initial state along the path that registered it, forced steps
-  /// included. In a parallel search that path depends on the schedule.
+  /// included. At threads > 1 it depends on the schedule: a state's depth
+  /// is that of whichever worker registered it first.
   std::uint64_t peak_depth = 0;
   /// Adversary assignments generated per expanded state. Branches are
   /// produced lazily, so a state retired early (deadlock found / limits

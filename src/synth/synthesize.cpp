@@ -181,10 +181,7 @@ class CyclicSearch {
                                                    chosen_.end());
       return false;  // keep hunting for a verified cyclic table
     }
-    core::AnalyzerOptions verify;
-    verify.limits = options_.verify_limits;
-    const core::AlgorithmAnalysis analysis = core::analyze_algorithm(*table,
-                                                                     verify);
+    const core::AlgorithmAnalysis analysis = core::analyze_algorithm(*table);
     if (analysis.verdict == core::CycleVerdict::kFalseResourceCycle) {
       cyclic_table_ = build_table(chosen_, "synth-cyclic");
       done_ = true;
@@ -352,10 +349,7 @@ std::unique_ptr<routing::PathTable> table_from_order(
 
 TableCheck check_table(const routing::RoutingAlgorithm& alg,
                        const analysis::SearchLimits& limits) {
-  core::AnalyzerOptions options;
-  options.limits = limits;
-  const core::AlgorithmAnalysis analysis = core::analyze_algorithm(alg,
-                                                                   options);
+  const core::AlgorithmAnalysis analysis = core::analyze_algorithm(alg, limits);
   TableCheck check;
   check.verdict = analysis.verdict;
   check.cdg_cyclic = analysis.cyclic_scc_count > 0;
@@ -410,8 +404,7 @@ SynthesisResult synthesize(const topo::Network& net,
 
   if (result.existence.verdict == ExistenceVerdict::kExists) {
     result.table = table_from_order(net, unique, result.existence.order);
-    const TableCheck check = check_table(*result.table,
-                                         options.verify_limits);
+    const TableCheck check = check_table(*result.table, {});
     result.kind = TableKind::kAcyclicCertified;
     result.verdict = check.verdict;
     result.cdg_cyclic = check.cdg_cyclic;
@@ -426,8 +419,7 @@ SynthesisResult synthesize(const topo::Network& net,
     // kInconclusive — an acyclic table *implies* an ordering).
     CyclicSearch search(net, unique, options);
     result.table = search.build_table(*cyclic->acyclic, "synth-acyclic");
-    const TableCheck check = check_table(*result.table,
-                                         options.verify_limits);
+    const TableCheck check = check_table(*result.table, {});
     result.kind = TableKind::kAcyclicCertified;
     result.verdict = check.verdict;
     result.cdg_cyclic = check.cdg_cyclic;

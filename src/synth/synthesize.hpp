@@ -70,8 +70,6 @@ struct SynthesisOptions {
   /// paper's Figure-1 table). Pairs they belong to are matched by
   /// endpoints; unknown pairs are ignored.
   std::vector<routing::PathSpec> seed_paths;
-  /// Limits for every core::analyze_algorithm verification run.
-  analysis::SearchLimits verify_limits;
 };
 
 struct SynthesisResult {

@@ -4,9 +4,10 @@
 // engine's workers share one exact visited table, so "every worker
 // exhausted" is the same proof the serial DFS produces, and any reachable
 // deadlock is found by some worker. These tests pin that contract on the
-// paper's instances (ring, Figures 1–3) in both adversary models, and check
+// paper's instances (ring, Figures 1–3) in both adversary models, check
 // that a parallel deadlock's grant witness replays on a fresh serial
-// simulator to the identical configuration.
+// simulator to the identical configuration, and check that a search
+// stopped early by max_states returns exactly the threads=1 result.
 #include <gtest/gtest.h>
 
 #include "analysis/deadlock_search.hpp"
@@ -216,6 +217,55 @@ TEST(ParallelPaperTest, Fig3VariantCMatchesSerial) {
   EXPECT_EQ(parallel.deadlock_found, serial.deadlock_found);
   EXPECT_EQ(serial.deadlock_found,
             !core::fig3_expected_unreachable(core::Fig3Variant::kC));
+}
+
+// --- Searches stopped by max_states ----------------------------------------
+
+TEST(ParallelCappedSearch, StoppedEarlyResultEqualsSerial) {
+  // The family-probe shape (core::probe_family_deadlock): a three-message
+  // ring plus one copy of each message at its path length. Serial DFS
+  // reaches its first deadlock at the 3,359th state, so a cap of 3,358
+  // stops one state short of it and a cap of 3,359 just reaches it. Which
+  // states a parallel run registers before the cap depends on the
+  // schedule; a run stopped early must still return the threads=1 result.
+  core::CyclicFamilySpec spec;
+  spec.messages = {{2, 1, true}, {3, 5, true}, {2, 3, true}};
+  const core::CyclicFamily family(spec);
+  std::vector<sim::MessageSpec> specs = family.message_specs();
+  for (std::size_t i = 0; i < family.messages().size(); ++i) {
+    sim::MessageSpec copy = specs[i];
+    copy.length = static_cast<std::uint32_t>(family.messages()[i].path.size());
+    specs.push_back(copy);
+  }
+  ASSERT_EQ(specs.size(), 6u);
+
+  for (const std::uint64_t cap : {3358u, 3359u}) {
+    SearchLimits limits;
+    limits.max_states = cap;
+    const auto serial = find_deadlock(family.algorithm(), specs,
+                                      AdversaryModel::kSynchronous,
+                                      with_threads(1, limits));
+    EXPECT_EQ(serial.deadlock_found, cap == 3359u);
+    if (!serial.deadlock_found) {
+      EXPECT_FALSE(serial.exhausted);
+    }
+    EXPECT_EQ(serial.states_explored, cap);
+    for (const unsigned threads : {2u, 4u}) {
+      for (int run = 0; run < 20; ++run) {
+        const auto parallel = find_deadlock(family.algorithm(), specs,
+                                            AdversaryModel::kSynchronous,
+                                            with_threads(threads, limits));
+        EXPECT_EQ(parallel.deadlock_found, serial.deadlock_found)
+            << "cap " << cap << " threads " << threads << " run " << run;
+        EXPECT_EQ(parallel.exhausted, serial.exhausted)
+            << "cap " << cap << " threads " << threads << " run " << run;
+        EXPECT_EQ(parallel.states_explored, serial.states_explored)
+            << "cap " << cap << " threads " << threads << " run " << run;
+        EXPECT_TRUE(parallel.witness_grants == serial.witness_grants)
+            << "cap " << cap << " threads " << threads << " run " << run;
+      }
+    }
+  }
 }
 
 }  // namespace

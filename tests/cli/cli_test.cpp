@@ -4,7 +4,8 @@
 // the flag table of its operator's manual in both directions, in the style
 // of status_schema_test.cpp, and (2) fed hostile values for every numeric
 // flag, each of which must exit 2 with "bad value for <flag>". Last, a
-// SIGKILLed campaign must resume from its --cache-file.
+// replay whose search decides nothing must exit 4, and a SIGKILLed
+// campaign must resume from its --cache-file.
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <ostream>
 #include <set>
 #include <sstream>
@@ -319,6 +321,28 @@ TEST(CampaignCli, StaticSliceFlagsAreUnknown) {
     EXPECT_EQ(code, 2) << flag;
     EXPECT_NE(output.find("unknown flag"), std::string::npos) << output;
   }
+}
+
+TEST(CampaignCli, ReplayOfAnUndecidedSearchExitsFour) {
+  // A Theorem-2 ring that deadlocks; one state decides nothing, and an
+  // undecided search must not exit 0, which means "fixed".
+  const std::string dir = test::temp_dir("wormsim_cli_replay");
+  fs::create_directories(dir);
+  const std::string fixture = dir + "/undecided.json";
+  std::ofstream(fixture) << R"({"scenario": {"index": 0, "seed": 1, )"
+                            R"("kind": "family", "name": "fam", )"
+                            R"("hub": false, "messages": )"
+                            R"([[2,3,0],[2,3,0],[2,3,0]]}})"
+                         << '\n';
+  const auto [capped_code, capped] =
+      run_tool(kTools[0], "--replay " + fixture + " --max-states 1");
+  EXPECT_EQ(capped_code, 4) << capped;
+  EXPECT_NE(capped.find("outcome   inconclusive"), std::string::npos)
+      << capped;
+  const auto [decided_code, decided] =
+      run_tool(kTools[0], "--replay " + fixture);
+  EXPECT_EQ(decided_code, 0) << decided;
+  EXPECT_NE(decided.find("outcome   deadlock"), std::string::npos) << decided;
 }
 
 /// The number after " key=" in a tool's summary output.

@@ -47,18 +47,24 @@ TEST(Analyzer, Fig1IsFalseResourceCycle) {
 }
 
 TEST(Analyzer, DuplicateProbeOptionStillSafeOnFig1) {
+  // The Theorem-1 proof's "more than four messages" case: one extra copy
+  // of each probe message still reaches no deadlock.
   const CyclicFamily family(fig1_spec());
-  AnalyzerOptions options;
-  options.probe_with_duplicates = true;
-  const auto analysis = analyze_algorithm(family.algorithm(), options);
-  EXPECT_EQ(analysis.verdict, CycleVerdict::kFalseResourceCycle);
+  const auto graph = cdg::ChannelDependencyGraph::build(family.algorithm());
+  const auto base = derive_probe_messages(family.algorithm(), graph);
+  std::vector<sim::MessageSpec> probe = base;
+  probe.insert(probe.end(), base.begin(), base.end());
+  const auto search = analysis::find_deadlock(
+      family.algorithm(), probe, analysis::AdversaryModel::kSynchronous, {});
+  EXPECT_FALSE(search.deadlock_found);
+  EXPECT_TRUE(search.exhausted);
 }
 
 TEST(Analyzer, TightStateBoundGivesInconclusive) {
   const CyclicFamily family(fig1_spec());
-  AnalyzerOptions options;
-  options.limits.max_states = 5;
-  const auto analysis = analyze_algorithm(family.algorithm(), options);
+  analysis::SearchLimits limits;
+  limits.max_states = 5;
+  const auto analysis = analyze_algorithm(family.algorithm(), limits);
   EXPECT_EQ(analysis.verdict, CycleVerdict::kInconclusive);
 }
 

@@ -138,9 +138,9 @@ TEST(CoherentAlgorithms, AcyclicOrReachableNeverUnreachable) {
     util::Rng rng(99);
     const auto alg = routing::random_minimal_routing(topo.net, rng);
     if (!routing::is_coherent(*alg)) continue;
-    AnalyzerOptions options;
-    options.limits.max_states = 500'000;
-    const auto analysis = analyze_algorithm(*alg, options);
+    analysis::SearchLimits limits;
+    limits.max_states = 500'000;
+    const auto analysis = analyze_algorithm(*alg, limits);
     EXPECT_NE(analysis.verdict, CycleVerdict::kFalseResourceCycle)
         << topo.name;
   }

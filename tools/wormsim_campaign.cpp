@@ -28,7 +28,8 @@ namespace {
 
 /// Replays the "shrunk" (preferred) or "scenario" object of a disagreement
 /// fixture and reports whether the disagreement still reproduces. Exit 0 =
-/// fixed (now agrees), 1 = still disagrees, 2 = unusable fixture.
+/// fixed (now agrees), 1 = still disagrees, 2 = unusable fixture, 4 = the
+/// search ran out of max_states or the memo budget, so it decided nothing.
 int replay_fixture(const std::string& path, const campaign::EvalOptions& eval) {
   std::ifstream in(path);
   if (!in) {
@@ -55,7 +56,8 @@ int replay_fixture(const std::string& path, const campaign::EvalOptions& eval) {
               campaign::to_string(result.classification.prediction),
               campaign::to_string(result.outcome),
               campaign::to_string(result.verdict));
-  return result.verdict == campaign::Verdict::kDisagree ? 1 : 0;
+  if (result.verdict == campaign::Verdict::kDisagree) return 1;
+  return result.outcome == campaign::SearchOutcome::kInconclusive ? 4 : 0;
 }
 
 }  // namespace
@@ -70,7 +72,8 @@ int main(int argc, char** argv) {
 
   cli::Parser parser(
       "wormsim_campaign", "[flags]",
-      "exit: 0 clean, 1 disagreements, 2 usage, 3 reduction divergence\n"
+      "exit: 0 clean, 1 disagreements, 2 usage, 3 reduction divergence,\n"
+      "      4 --replay search undecided (state or memo budget)\n"
       "see docs/campaign.md for the full operator's manual\n");
   parser.integer("--seed", config.seed,
                  "campaign seed; scenario i is a pure function of (seed, i)");

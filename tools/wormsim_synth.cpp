@@ -170,7 +170,7 @@ InstanceOutcome run_synthesize(const synth::SynthInstance& inst,
     // Independent re-verification: CDG + exhaustive search, then a
     // simulator drain run of one message per pair.
     const synth::TableCheck check =
-        synth::check_table(*result.table, sopt.verify_limits);
+        synth::check_table(*result.table, analysis::SearchLimits{});
     if (check.verdict != core::CycleVerdict::kAcyclicCdg &&
         check.verdict != core::CycleVerdict::kFalseResourceCycle)
       fail(out, std::string("emitted table re-verifies as ") +
