@@ -10,7 +10,6 @@
 #include <numeric>
 #include <optional>
 #include <sstream>
-#include <string_view>
 #include <thread>
 
 #include "analysis/search_status.hpp"
@@ -503,23 +502,17 @@ class SearchEngine {
     });
   }
 
-  /// Memoizes one state: one hash, one striped-table insert, one atomic
-  /// count. Synchronous searches hash the simulator's own key cache in
-  /// place; only the delay model — whose key carries a varint spent-delay
-  /// suffix, one counter per message — assembles the key in the worker's
-  /// scratch buffer.
+  /// Memoizes one state: one key write, one hash, one striped-table
+  /// insert, one atomic count. The key is written from scratch into the
+  /// worker's scratch buffer, followed in the delay model by the spent-delay
+  /// suffix, one varint per message (`spent` is empty in the synchronous
+  /// model).
   Lookup register_state(const sim::WormholeSimulator& sim,
                         std::span<const std::uint32_t> spent, Worker& w) {
-    std::string_view key;
-    if (delay_mode_) {
-      w.key_scratch.clear();
-      sim.append_state_key(w.key_scratch);
-      for (const std::uint32_t v : spent) util::append_varint(w.key_scratch, v);
-      key = w.key_scratch;
-    } else {
-      key = sim.state_key_view();
-    }
-    const Lookup look = visited_.lookup_or_insert(key);
+    w.key_scratch.clear();
+    sim.append_state_key(w.key_scratch);
+    for (const std::uint32_t v : spent) util::append_varint(w.key_scratch, v);
+    const Lookup look = visited_.lookup_or_insert(w.key_scratch);
     if (look == Lookup::kSeen) {
       ++w.profile.memo_hits;
       return look;

@@ -1,7 +1,6 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <queue>
 #include <sstream>
 #include <unordered_map>
@@ -58,7 +57,6 @@ MessageId WormholeSimulator::add_message(MessageSpec spec) {
   MessageState state;
   state.spec = std::move(spec);
   messages_.push_back(std::move(state));
-  key_valid_ = false;  // the key gains a segment; rebuild lazily
   return id;
 }
 
@@ -346,33 +344,23 @@ std::string WormholeSimulator::state_key() const {
   return key;
 }
 
-std::string_view WormholeSimulator::state_key_view() const {
-  // Hot path of the deadlock search (called once per explored state). The
-  // incremental cache means a step that granted k messages re-serializes
-  // O(k) segments, not the whole state; the synchronous search hashes the
-  // returned view without any copy at all.
-  refresh_state_key();
-  const std::string_view key(key_cache_.data(), key_size_);
-#ifndef NDEBUG
-  {
-    std::string fresh;
-    serialize_state_key(fresh);
-    WORMSIM_ASSERT(fresh == key);
-  }
-#endif
-  return key;
-}
-
 void WormholeSimulator::append_state_key(std::string& out) const {
-  out.append(state_key_view());
+  // Room for the worst case, one writing pass, then trim to what was
+  // written: per-byte push_back was a measurable fraction of search time.
+  const std::size_t base = out.size();
+  std::size_t bound = 0;
+  for (const MessageState& m : messages_) bound += key_segment_bound(m);
+  out.resize(base + bound);
+  char* p = out.data() + base;
+  for (const MessageState& m : messages_) p = write_key_segment(m, p);
+  out.resize(static_cast<std::size_t>(p - out.data()));
 }
 
 std::size_t WormholeSimulator::key_segment_bound(const MessageState& m) {
   return 1 + (4 + 2 * (m.path.size() - m.released)) * util::kMaxVarint32Bytes;
 }
 
-char* WormholeSimulator::write_key_segment(const MessageState& m,
-                                           char* p) const {
+char* WormholeSimulator::write_key_segment(const MessageState& m, char* p) {
   *p++ = static_cast<char>(m.status);
   p = util::put_varint(p, m.flits_injected);
   p = util::put_varint(p, m.flits_consumed);
@@ -383,72 +371,6 @@ char* WormholeSimulator::write_key_segment(const MessageState& m,
     p = util::put_varint(p, m.exited[j]);
   }
   return p;
-}
-
-void WormholeSimulator::serialize_state_key(std::string& out) const {
-  // Room for the worst case, one writing pass, then trim to what was
-  // written — per-byte push_back was a measurable fraction of search time
-  // before the cache.
-  const std::size_t base = out.size();
-  std::size_t bound = 0;
-  for (const MessageState& m : messages_) bound += key_segment_bound(m);
-  out.resize(base + bound);
-  char* p = out.data() + base;
-  for (const MessageState& m : messages_) p = write_key_segment(m, p);
-  out.resize(static_cast<std::size_t>(p - out.data()));
-}
-
-std::size_t WormholeSimulator::put_key_segment(std::size_t i,
-                                               std::size_t off) const {
-  const MessageState& m = messages_[i];
-  const std::size_t room = off + key_segment_bound(m);
-  if (key_cache_.size() < room) key_cache_.resize(room);
-  char* const at = key_cache_.data() + off;
-  return static_cast<std::size_t>(write_key_segment(m, at) - at);
-}
-
-void WormholeSimulator::append_key_segment(std::size_t i) const {
-  const std::size_t len = put_key_segment(i, key_size_);
-  key_msg_off_.push_back(static_cast<std::uint32_t>(key_size_));
-  key_msg_len_.push_back(static_cast<std::uint32_t>(len));
-  key_size_ += len;
-}
-
-void WormholeSimulator::refresh_state_key() const {
-  if (!key_valid_) {
-    key_size_ = 0;
-    key_msg_off_.clear();
-    key_msg_len_.clear();
-    key_msg_off_.reserve(messages_.size());
-    key_msg_len_.reserve(messages_.size());
-    for (std::size_t i = 0; i < messages_.size(); ++i) append_key_segment(i);
-    key_message_flag_.assign(messages_.size(), 0);
-    key_dirty_messages_.clear();
-    key_valid_ = true;
-    return;
-  }
-  if (key_dirty_messages_.empty()) return;
-
-  // Each dirty segment is rewritten in place in one pass. An unchanged
-  // length (data shifts, consumption) completes the patch. A changed one
-  // (path growth, a release, a counter gaining a varint byte) shifts every
-  // later segment, so the tail rebuilds from the first such segment —
-  // which also overwrites whatever the in-place write spilled past that
-  // segment's old end.
-  std::uint32_t first_resized = std::numeric_limits<std::uint32_t>::max();
-  for (const std::uint32_t i : key_dirty_messages_) {
-    key_message_flag_[i] = 0;
-    if (i >= first_resized) continue;  // rebuilt below
-    if (put_key_segment(i, key_msg_off_[i]) != key_msg_len_[i])
-      first_resized = i;
-  }
-  key_dirty_messages_.clear();
-  if (first_resized == std::numeric_limits<std::uint32_t>::max()) return;
-  key_size_ = key_msg_off_[first_resized];
-  key_msg_off_.resize(first_resized);
-  key_msg_len_.resize(first_resized);
-  for (std::size_t i = first_resized; i < messages_.size(); ++i)
-    append_key_segment(i);
 }
 
 bool WormholeSimulator::execute_moves() {
@@ -559,8 +481,6 @@ bool WormholeSimulator::move_message(std::size_t i) {
     }
   }
 
-  // Every key-relevant mutation above is to message i's own segment.
-  if (moved) touch_message(i);
   return moved;
 }
 

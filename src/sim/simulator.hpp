@@ -35,7 +35,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -201,17 +200,12 @@ class WormholeSimulator {
   /// construction.
   [[nodiscard]] std::string state_key() const;
 
-  /// state_key() into a caller-provided buffer: appends the key bytes to
-  /// `out` without clearing it. Reachability searches reuse one scratch
-  /// buffer across millions of states (plus a trailing suffix of their own,
-  /// e.g. the spent-delay vector), avoiding a heap string per lookup.
+  /// The one key writer: serializes the key from scratch and appends its
+  /// bytes to `out` without clearing it. The deadlock search calls it once
+  /// per registered state, into one scratch buffer per worker that it
+  /// reuses across millions of states (the bounded-delay model appends its
+  /// spent-delay suffix after it), so a lookup allocates no heap string.
   void append_state_key(std::string& out) const;
-
-  /// A view of the key bytes inside the simulator's own cache, valid until
-  /// the next mutation or copy of this simulator. The synchronous search
-  /// hashes this view directly instead of copying the key into a scratch
-  /// buffer first — the copy was a measurable slice of per-state memo cost.
-  [[nodiscard]] std::string_view state_key_view() const;
 
   /// Runs until completion, deadlock, or the cycle limit.
   RunResult run();
@@ -373,33 +367,12 @@ class WormholeSimulator {
   /// EventScheduler is opaque here; only reached when sched_.p is set.
   void report_freed(ChannelId c);
 
-  /// Serializes the full state key from scratch (the layout described at
-  /// state_key), appending to `out`. Cold path: the incremental cache
-  /// below makes this a once-per-simulator cost.
-  void serialize_state_key(std::string& out) const;
-  /// Writes message `m`'s key segment at `p` and returns its end; the
-  /// caller provides key_segment_bound(m) bytes of room.
-  char* write_key_segment(const MessageState& m, char* p) const;
+  /// Writes message `m`'s key segment (the layout described at state_key)
+  /// at `p` and returns its end; the caller provides key_segment_bound(m)
+  /// bytes of room.
+  static char* write_key_segment(const MessageState& m, char* p);
   /// Worst-case size of `m`'s key segment (every varint at full width).
   static std::size_t key_segment_bound(const MessageState& m);
-  /// Writes message `i`'s segment into key_cache_ at byte `off`, growing
-  /// the write room past key_size_ if needed; returns the segment length.
-  std::size_t put_key_segment(std::size_t i, std::size_t off) const;
-  /// Appends message `i`'s key segment at key_size_, recording its
-  /// offset/length in the cache index.
-  void append_key_segment(std::size_t i) const;
-  /// Brings key_cache_ up to date: full rebuild when invalid, else rewrite
-  /// each dirty segment in place (the cache tail rebuilds from the first
-  /// segment whose length changed).
-  void refresh_state_key() const;
-  /// Marks key-relevant state of message `i` as changed. No-ops until the
-  /// first key build: simulators that never serialize (plain workload
-  /// runs) pay one predictable branch per call.
-  void touch_message(std::size_t i) {
-    if (!key_valid_ || key_message_flag_[i]) return;
-    key_message_flag_[i] = 1;
-    key_dirty_messages_.push_back(static_cast<std::uint32_t>(i));
-  }
 
   /// True when a trace sink is attached — the single guard every event
   /// site checks before constructing a TraceEvent, so the all-off fast path
@@ -453,21 +426,6 @@ class WormholeSimulator {
   SchedulerRef sched_;
   EventCoreStats event_stats_;
 
-  /// Incremental state-key cache. key_cache_ holds the current serialized
-  /// key in its first key_size_ bytes, then write room for a segment that
-  /// grows in place; after the first build, execute_moves records which
-  /// messages moved and refresh_state_key() rewrites only their segments —
-  /// a grant cycle touches O(granted messages) bytes, not O(state). The
-  /// cache copies with the simulator, so a forked child inherits the
-  /// parent's key and patches only its own step's deltas. All mutable:
-  /// append_state_key is morally const. add_message invalidates.
-  mutable std::string key_cache_;
-  mutable std::size_t key_size_ = 0;
-  mutable std::vector<std::uint32_t> key_msg_off_;  ///< segment offsets
-  mutable std::vector<std::uint32_t> key_msg_len_;  ///< segment lengths
-  mutable std::vector<std::uint32_t> key_dirty_messages_;
-  mutable std::vector<std::uint8_t> key_message_flag_;
-  mutable bool key_valid_ = false;
   obs::TraceSink* trace_sink_ = nullptr;
 
   /// Per-cycle request scratch. Copying a simulator deliberately does NOT

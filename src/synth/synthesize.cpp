@@ -347,16 +347,6 @@ std::unique_ptr<routing::PathTable> table_from_order(
   return table;
 }
 
-TableCheck check_table(const routing::RoutingAlgorithm& alg,
-                       const analysis::SearchLimits& limits) {
-  const core::AlgorithmAnalysis analysis = core::analyze_algorithm(alg, limits);
-  TableCheck check;
-  check.verdict = analysis.verdict;
-  check.cdg_cyclic = analysis.cyclic_scc_count > 0;
-  check.search_states = analysis.search.states_explored;
-  return check;
-}
-
 bool simulate_clean(const routing::RoutingAlgorithm& alg,
                     std::span<const NodePair> pairs, std::uint32_t length,
                     std::uint64_t max_cycles) {
@@ -404,10 +394,11 @@ SynthesisResult synthesize(const topo::Network& net,
 
   if (result.existence.verdict == ExistenceVerdict::kExists) {
     result.table = table_from_order(net, unique, result.existence.order);
-    const TableCheck check = check_table(*result.table, {});
+    const core::AlgorithmAnalysis analysis =
+        core::analyze_algorithm(*result.table);
     result.kind = TableKind::kAcyclicCertified;
-    result.verdict = check.verdict;
-    result.cdg_cyclic = check.cdg_cyclic;
+    result.verdict = analysis.verdict;
+    result.cdg_cyclic = analysis.cyclic_scc_count > 0;
     result.note = "ordering-derived acyclic-CDG table (method " +
                   result.existence.method + ")";
     return result;
@@ -419,10 +410,11 @@ SynthesisResult synthesize(const topo::Network& net,
     // kInconclusive — an acyclic table *implies* an ordering).
     CyclicSearch search(net, unique, options);
     result.table = search.build_table(*cyclic->acyclic, "synth-acyclic");
-    const TableCheck check = check_table(*result.table, {});
+    const core::AlgorithmAnalysis analysis =
+        core::analyze_algorithm(*result.table);
     result.kind = TableKind::kAcyclicCertified;
-    result.verdict = check.verdict;
-    result.cdg_cyclic = check.cdg_cyclic;
+    result.verdict = analysis.verdict;
+    result.cdg_cyclic = analysis.cyclic_scc_count > 0;
     result.note = "acyclic-CDG table found by path search";
     return result;
   }

@@ -37,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/deadlock_search.hpp"
 #include "core/analyzer.hpp"
 #include "routing/table_routing.hpp"
 #include "synth/existence.hpp"
@@ -109,15 +108,6 @@ struct SynthesisResult {
 [[nodiscard]] std::vector<std::vector<ChannelId>> enumerate_paths(
     const topo::Network& net, NodePair pair, std::size_t max_paths,
     std::size_t max_slack);
-
-/// Verification summary of one table (wraps core::analyze_algorithm).
-struct TableCheck {
-  core::CycleVerdict verdict = core::CycleVerdict::kInconclusive;
-  bool cdg_cyclic = false;
-  std::uint64_t search_states = 0;
-};
-[[nodiscard]] TableCheck check_table(const routing::RoutingAlgorithm& alg,
-                                     const analysis::SearchLimits& limits);
 
 /// Drives one simulator run with one message per pair (all injected at
 /// cycle 0, modest lengths) and reports whether every message was consumed.

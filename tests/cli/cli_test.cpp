@@ -345,6 +345,26 @@ TEST(CampaignCli, ReplayOfAnUndecidedSearchExitsFour) {
   EXPECT_NE(decided.find("outcome   deadlock"), std::string::npos) << decided;
 }
 
+TEST(SynthCli, ExistenceSearchOutOfBudgetExitsFour) {
+  // ring4 provably has no acyclic-CDG routing. A one-state budget decides
+  // nothing, and an undecided existence search neither refuses the
+  // instance nor contradicts its pinned expectation.
+  for (const std::string mode : {"analyze", "synthesize"}) {
+    const auto [capped_code, capped] =
+        run_tool(kTools[1], mode + " --instances ring4 --max-states 1");
+    EXPECT_EQ(capped_code, 4) << mode << "\n" << capped;
+    EXPECT_NE(capped.find("verdict=inconclusive"), std::string::npos)
+        << capped;
+    EXPECT_NE(capped.find("UNDECIDED"), std::string::npos) << capped;
+    EXPECT_EQ(capped.find("INCONSISTENT"), std::string::npos) << capped;
+    const auto [decided_code, decided] =
+        run_tool(kTools[1], mode + " --instances ring4");
+    EXPECT_EQ(decided_code, 0) << mode << "\n" << decided;
+    EXPECT_NE(decided.find("verdict=not-exists"), std::string::npos)
+        << decided;
+  }
+}
+
 /// The number after " key=" in a tool's summary output.
 std::uint64_t printed(const std::string& output, const std::string& key) {
   const auto at = output.find(" " + key + "=");

@@ -1,8 +1,9 @@
-// The incremental state-key cache must be invisible: a simulator stepped
-// through an arbitrary grant history serializes exactly the same key bytes
-// as a fresh simulator replaying that history (whose first key call takes
-// the from-scratch path). Divergence here means the dirty-segment tracking
-// in execute_moves missed a key-relevant mutation.
+// The state key is a function of the state alone: a simulator stepped
+// through an arbitrary grant history, copied, or grown by add_message
+// serializes exactly the same key bytes as a fresh simulator replaying
+// that history. The StateKeyCache suite, named for a per-simulator key
+// cache that has since been deleted, pins that; StateKey pins the bytes
+// themselves against the layout documented at WormholeSimulator::state_key.
 //
 // The key must also stay exact: it stores only the per-message segments,
 // so channel ownership and occupancy have to be a function of them. The
@@ -29,6 +30,7 @@
 #include "sim/types.hpp"
 #include "topo/builders.hpp"
 #include "util/rng.hpp"
+#include "util/varint.hpp"
 
 namespace wormsim::sim {
 namespace {
@@ -227,8 +229,8 @@ std::vector<std::pair<ChannelId, MessageId>> random_grants(
 }
 
 /// Runs `walks` seeded random walks of at most `cycles` cycles from the
-/// initial state of `make(config)`, reading every key through the stepped
-/// simulator's incremental cache, and binds each key to the occupancy of
+/// initial state of `make(config)`, reading every key from the stepped
+/// simulator, and binds each key to the occupancy of
 /// the state it came from. Fails on a key bound to two occupancies. Walks
 /// run at buffer depths 1 and 2: at depth 1 every held channel holds one
 /// flit, so only depth 2 lets flit counts vary along a worm. Returns how
@@ -386,6 +388,56 @@ TEST(StateKeyCache, VarintWidthChangesRebuildTheTail) {
   }
   EXPECT_TRUE(sim.all_consumed());
   EXPECT_EQ(sim.state_key(), replay_key(alg, config, specs, {}, history));
+}
+
+/// Grants message `m` the first candidate of its request and steps once.
+ChannelId inject(WormholeSimulator& sim, MessageId m) {
+  for (const MessageRequests& req : sim.peek_requests()) {
+    if (req.message != m) continue;
+    const std::pair<ChannelId, MessageId> grant{req.channels.front(), m};
+    sim.step_with_grants({&grant, 1});
+    return grant.first;
+  }
+  ADD_FAILURE() << "message " << m.value() << " raised no request";
+  return ChannelId::invalid();
+}
+
+TEST(StateKey, BytesFollowTheDocumentedLayout) {
+  // One segment per message: the status byte, then varints of
+  // flits_injected, flits_consumed, released and the path length, then a
+  // (channel id, flits exited) varint pair per held channel.
+  const core::CyclicFamily family(core::fig1_spec());
+  SimConfig config;
+  config.buffer_depth = 1;
+  WormholeSimulator fig1(family.algorithm(), config);
+  for (const MessageSpec& spec : family.message_specs())
+    fig1.add_message(spec);
+  ASSERT_EQ(fig1.message_count(), 4u);
+  const std::string pending(5, '\0');  // kPending and four zero varints
+  EXPECT_EQ(fig1.state_key(), pending + pending + pending + pending);
+
+  const ChannelId c = inject(fig1, MessageId{0});
+  std::string moving = {static_cast<char>(MessageStatus::kMoving), 1, 0, 0, 1};
+  util::append_varint(moving, c.value());
+  util::append_varint(moving, 0);
+  EXPECT_EQ(fig1.state_key(), moving + pending + pending + pending);
+
+  // A channel id past 127 takes two varint bytes: (7,0) -> (0,8) leaves
+  // on channel 205 of the 254-channel 8x9 mesh.
+  const topo::Grid grid = topo::make_mesh({8, 9});
+  const routing::DimensionOrderMesh alg(grid);
+  const int from[2] = {7, 0};
+  const int to[2] = {0, 8};
+  WormholeSimulator mesh(alg, config);
+  mesh.add_message({grid.node_at(from), grid.node_at(to), 3, 0, {}});
+  const ChannelId wide = inject(mesh, MessageId{0});
+  ASSERT_GE(wide.value(), 128u);
+  std::string segment = {static_cast<char>(MessageStatus::kMoving), 1, 0, 0,
+                         1};
+  util::append_varint(segment, wide.value());
+  util::append_varint(segment, 0);
+  EXPECT_EQ(segment.size(), 8u);  // five one-byte fields, 2 + 1 for the pair
+  EXPECT_EQ(mesh.state_key(), segment);
 }
 
 }  // namespace

@@ -49,12 +49,12 @@ TEST(Synthesize, MenuMatrixHonorsTheConsistencyContract) {
 
     if (result.table != nullptr) {
       // Every emitted table passes the exhaustive deadlock search...
-      const TableCheck check =
-          check_table(*result.table, analysis::SearchLimits{});
+      const core::AlgorithmAnalysis check =
+          core::analyze_algorithm(*result.table);
       EXPECT_TRUE(check.verdict == core::CycleVerdict::kAcyclicCdg ||
                   check.verdict == core::CycleVerdict::kFalseResourceCycle);
-      EXPECT_EQ(check.cdg_cyclic, result.cdg_cyclic);
-      EXPECT_EQ(check.cdg_cyclic,
+      EXPECT_EQ(check.cyclic_scc_count > 0, result.cdg_cyclic);
+      EXPECT_EQ(check.cyclic_scc_count > 0,
                 result.kind == TableKind::kCyclicVerified);
       // ...and drives a clean simulator run.
       EXPECT_TRUE(simulate_clean(*result.table, inst.pairs));
@@ -116,10 +116,10 @@ TEST(Synthesize, SynthesizedTableSurvivesAJsonRoundTrip) {
 
   // The reloaded table re-verifies to the same verdict and drives the same
   // clean run — the dump/load cycle loses nothing the checker can see.
-  const TableCheck before = check_table(*result.table, {});
-  const TableCheck after = check_table(*loaded.table, {});
+  const core::AlgorithmAnalysis before = core::analyze_algorithm(*result.table);
+  const core::AlgorithmAnalysis after = core::analyze_algorithm(*loaded.table);
   EXPECT_EQ(before.verdict, after.verdict);
-  EXPECT_EQ(before.cdg_cyclic, after.cdg_cyclic);
+  EXPECT_EQ(before.cyclic_scc_count > 0, after.cyclic_scc_count > 0);
   EXPECT_TRUE(simulate_clean(*loaded.table, inst.pairs));
 }
 

@@ -104,10 +104,6 @@ int main(int argc, char** argv) {
               "every second and rewritten sorted after it");
   parser.text("--replay", "FIXTURE", replay_path,
               "re-evaluate a disagreement fixture instead of a campaign");
-  // Campaign ground truth forces 1 search thread so recorded states stay
-  // deterministic (see EvalOptions::limits); --replay honours this.
-  parser.integer("--search-threads", config.eval.limits.threads,
-                 "search threads for --replay");
   // Over-budget searches report inconclusive, so this one is folded into
   // the truth fingerprint.
   parser.integer("--memo-budget", config.eval.limits.memo_budget_bytes,

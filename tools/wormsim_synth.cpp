@@ -88,6 +88,19 @@ void fail(InstanceOutcome& out, const std::string& why) {
   out.detail = out.detail.empty() ? why : out.detail + "; " + why;
 }
 
+/// Checks a decided existence verdict against the instance's pinned
+/// expectation. An inconclusive one (the search ran out of --max-states)
+/// contradicts nothing: the instance is reported UNDECIDED and the run
+/// exits 4.
+void check_expectation(InstanceOutcome& out, synth::Expectation expected) {
+  if (expected == synth::Expectation::kMustExist &&
+      out.verdict == synth::ExistenceVerdict::kNotExists)
+    fail(out, "known-good instance did not certify");
+  if (expected == synth::Expectation::kMustNotExist &&
+      out.verdict == synth::ExistenceVerdict::kExists)
+    fail(out, "known-impossible instance not refused");
+}
+
 InstanceOutcome run_analyze(const synth::SynthInstance& inst,
                             const Options& opt) {
   InstanceOutcome out;
@@ -119,12 +132,7 @@ InstanceOutcome run_analyze(const synth::SynthInstance& inst,
     case synth::ExistenceVerdict::kInconclusive:
       break;
   }
-  if (inst.expectation == synth::Expectation::kMustExist &&
-      cert.verdict != synth::ExistenceVerdict::kExists)
-    fail(out, "known-good instance did not certify");
-  if (inst.expectation == synth::Expectation::kMustNotExist &&
-      cert.verdict != synth::ExistenceVerdict::kNotExists)
-    fail(out, "known-impossible instance not refused");
+  check_expectation(out, inst.expectation);
   out.wall_seconds = seconds_since(t0);
   return out;
 }
@@ -159,23 +167,18 @@ InstanceOutcome run_synthesize(const synth::SynthInstance& inst,
   if (result.existence.verdict == synth::ExistenceVerdict::kNotExists &&
       result.table && result.kind != synth::TableKind::kCyclicVerified)
     fail(out, "kNotExists contradicted by a non-cyclic table");
-  if (inst.expectation == synth::Expectation::kMustExist &&
-      result.existence.verdict != synth::ExistenceVerdict::kExists)
-    fail(out, "known-good instance did not certify");
-  if (inst.expectation == synth::Expectation::kMustNotExist &&
-      result.existence.verdict != synth::ExistenceVerdict::kNotExists)
-    fail(out, "known-impossible instance not refused");
+  check_expectation(out, inst.expectation);
 
   if (result.table) {
     // Independent re-verification: CDG + exhaustive search, then a
     // simulator drain run of one message per pair.
-    const synth::TableCheck check =
-        synth::check_table(*result.table, analysis::SearchLimits{});
+    const core::AlgorithmAnalysis check =
+        core::analyze_algorithm(*result.table);
     if (check.verdict != core::CycleVerdict::kAcyclicCdg &&
         check.verdict != core::CycleVerdict::kFalseResourceCycle)
       fail(out, std::string("emitted table re-verifies as ") +
                     core::to_string(check.verdict));
-    if (check.cdg_cyclic != result.cdg_cyclic)
+    if ((check.cyclic_scc_count > 0) != result.cdg_cyclic)
       fail(out, "cdg_cyclic flag disagrees with re-verification");
     if (!synth::simulate_clean(*result.table, inst.pairs))
       fail(out, "simulator drain run did not consume every message");
@@ -214,8 +217,8 @@ int run_verify(const Options& opt) {
       return 1;
     }
   }
-  const synth::TableCheck check =
-      synth::check_table(*loaded.table, analysis::SearchLimits{});
+  const core::AlgorithmAnalysis check =
+      core::analyze_algorithm(*loaded.table);
   const bool deadlock_free =
       check.verdict == core::CycleVerdict::kAcyclicCdg ||
       check.verdict == core::CycleVerdict::kFalseResourceCycle;
@@ -223,7 +226,8 @@ int run_verify(const Options& opt) {
   if (!opt.quiet)
     std::printf("%-11s table=%s verdict=%s cyclic=%d sim=%s\n",
                 inst.name.c_str(), opt.table_file.c_str(),
-                core::to_string(check.verdict), check.cdg_cyclic ? 1 : 0,
+                core::to_string(check.verdict),
+                check.cyclic_scc_count > 0 ? 1 : 0,
                 sim_ok ? "clean" : "FAILED");
   return deadlock_free && sim_ok ? 0 : 1;
 }
@@ -236,7 +240,8 @@ int main(int argc, char** argv) {
   cli::Parser parser(
       "wormsim_synth", "analyze|synthesize|verify [flags]",
       "verify needs --instance NAME --table FILE\n"
-      "exit: 0 all consistent, 1 inconsistency/deadlock, 2 usage, 3 I/O\n"
+      "exit: 0 all consistent, 1 inconsistency/deadlock, 2 usage, 3 I/O,\n"
+      "      4 undecided (an existence search ran out of --max-states)\n"
       "see docs/synthesis.md for the manual\n");
   parser.operands(mode);
   std::string menu;
@@ -302,16 +307,20 @@ int main(int argc, char** argv) {
 
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<InstanceOutcome> outcomes;
+  std::size_t undecided = 0;
   for (const std::string& name : opt.instances) {
     const synth::SynthInstance inst = synth::make_synth_instance(name);
     InstanceOutcome out = opt.mode == "analyze" ? run_analyze(inst, opt)
                                                 : run_synthesize(inst, opt);
+    const bool decided = out.verdict != synth::ExistenceVerdict::kInconclusive;
+    if (!decided) ++undecided;
     if (!opt.quiet)
       std::printf(
           "%-11s verdict=%-12s method=%-14s kind=%-17s cyclic=%d %s%s\n",
           out.name.c_str(), synth::to_string(out.verdict),
           out.method.c_str(), synth::to_string(out.kind),
-          out.cdg_cyclic ? 1 : 0, out.consistent ? "ok" : "INCONSISTENT: ",
+          out.cdg_cyclic ? 1 : 0,
+          !out.consistent ? "INCONSISTENT: " : decided ? "ok" : "UNDECIDED",
           out.detail.c_str());
     {
       std::lock_guard<std::mutex> lock(board.mu);
@@ -357,7 +366,10 @@ int main(int argc, char** argv) {
     return 3;
   }
   if (!opt.quiet)
-    std::printf("%s: %zu instances, %s\n", opt.mode.c_str(), outcomes.size(),
-                all_consistent ? "all consistent" : "INCONSISTENCIES FOUND");
-  return all_consistent ? 0 : 1;
+    std::printf("%s: %zu instances, %s, %zu undecided\n", opt.mode.c_str(),
+                outcomes.size(),
+                all_consistent ? "all consistent" : "INCONSISTENCIES FOUND",
+                undecided);
+  if (!all_consistent) return 1;
+  return undecided > 0 ? 4 : 0;
 }
