@@ -111,10 +111,10 @@ void BM_Provers_DuatoAdaptive(benchmark::State& state) {
     return grid.node_at(c);
   };
   const std::vector<sim::MessageSpec> specs = {
-      {at(0, 0), at(1, 1), 1, 0, {}},
-      {at(1, 0), at(0, 1), 1, 0, {}},
-      {at(1, 1), at(0, 0), 1, 0, {}},
-      {at(0, 1), at(1, 0), 1, 0, {}},
+      {at(0, 0), at(1, 1), 1, 0},
+      {at(1, 0), at(0, 1), 1, 0},
+      {at(1, 1), at(0, 0), 1, 0},
+      {at(0, 1), at(1, 0), 1, 0},
   };
   double search_free = 0.0;
   for (auto _ : state) {
@@ -141,10 +141,10 @@ void BM_Provers_MinimalAdaptive(benchmark::State& state) {
     return grid.node_at(c);
   };
   const std::vector<sim::MessageSpec> specs = {
-      {at(0, 0), at(1, 1), 1, 0, {}},
-      {at(1, 0), at(0, 1), 1, 0, {}},
-      {at(1, 1), at(0, 0), 1, 0, {}},
-      {at(0, 1), at(1, 0), 1, 0, {}},
+      {at(0, 0), at(1, 1), 1, 0},
+      {at(1, 0), at(0, 1), 1, 0},
+      {at(1, 1), at(0, 0), 1, 0},
+      {at(0, 1), at(1, 0), 1, 0},
   };
   double search_free = 1.0;
   for (auto _ : state) {

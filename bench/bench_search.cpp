@@ -74,7 +74,7 @@ void BM_Search_UnidirectionalRing(benchmark::State& state) {
                   *net.find_channel(NodeId{s}, NodeId{(s + 1) % sz}));
   std::vector<sim::MessageSpec> specs;
   for (std::size_t s = 0; s < sz; ++s)
-    specs.push_back({NodeId{s}, NodeId{(s + 2) % sz}, 2, 0, {}});
+    specs.push_back({NodeId{s}, NodeId{(s + 2) % sz}, 2, 0});
 
   analysis::DeadlockSearchResult result;
   for (auto _ : state) {

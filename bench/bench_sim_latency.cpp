@@ -169,7 +169,7 @@ void BM_Mesh_LatencyVsDistance(benchmark::State& state) {
   for (auto _ : state) {
     sim::WormholeSimulator simulator(dor, sim::SimConfig{}, policy);
     const auto m = simulator.add_message(
-        {grid.node_at(from_c), grid.node_at(to_c), 16, 0, {}});
+        {grid.node_at(from_c), grid.node_at(to_c), 16, 0});
     simulator.run();
     latency = static_cast<double>(simulator.stats(m).deliver_cycle -
                                   simulator.stats(m).inject_cycle);

@@ -249,12 +249,9 @@ void finish_deadlock(DeadlockSearchResult& result,
 }
 
 void check_specs(std::span<const sim::MessageSpec> messages) {
-  for (const sim::MessageSpec& spec : messages) {
+  for (const sim::MessageSpec& spec : messages)
     WORMSIM_EXPECTS_MSG(spec.release_time == 0,
                         "the adversary controls generation times; use 0");
-    WORMSIM_EXPECTS_MSG(spec.hop_stalls.empty(),
-                        "the adversary controls stalls; leave hop_stalls empty");
-  }
 }
 
 unsigned resolve_threads(unsigned requested) {
@@ -373,8 +370,6 @@ class SearchEngine {
       result = SearchEngine(net_, model_, serial_limits, twin_specs_)
                    .run(sim::WormholeSimulator(pristine), message_count);
     } else {
-      result.profile.branch_factor =
-          obs::Histogram(obs::Histogram::exponential_bounds(1, 4096));
       for (const Worker& w : workers_) {
         result.profile.merge_from(w.profile);
         result.worker_profiles.push_back(w.profile);
@@ -410,10 +405,7 @@ class SearchEngine {
   /// One DFS execution context; the serial search uses exactly one.
   struct Worker {
     Worker(std::size_t channel_count, std::size_t idx)
-        : taken(channel_count), index(idx) {
-      profile.branch_factor =
-          obs::Histogram(obs::Histogram::exponential_bounds(1, 4096));
-    }
+        : taken(channel_count), index(idx) {}
     TakenSet taken;
     std::size_t index;  ///< status-board shard this worker publishes to
     std::string key_scratch;
@@ -1096,8 +1088,6 @@ std::optional<DeadlockSearchResult> decomposed_find_deadlock(
   if (count < 2) return std::nullopt;
 
   DeadlockSearchResult total;
-  total.profile.branch_factor =
-      obs::Histogram(obs::Histogram::exponential_bounds(1, 4096));
   for (std::uint32_t c = 0; c < count; ++c) {
     std::vector<sim::MessageSpec> sub;
     std::vector<std::uint32_t> to_orig;

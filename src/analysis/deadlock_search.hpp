@@ -71,6 +71,9 @@ enum class DelayMetric {
 /// assignments are enumerated up to this many (counted by the profile's
 /// branch_truncations). Folded into the truth fingerprint.
 inline constexpr std::size_t kMaxBranchesPerState = 4096;
+// The profile's branch_factor histogram ends its finite buckets here, so a
+// truncated state's 4096 branches land in the last one, never in overflow.
+static_assert(obs::Histogram::kBounds.back() == kMaxBranchesPerState);
 
 struct SearchLimits {
   std::uint32_t buffer_depth = 1;
@@ -150,8 +153,8 @@ struct DeadlockSearchResult {
 };
 
 /// Searches for a reachable deadlock among executions of `messages` under
-/// `alg`. All specs must have release_time 0 and no hop_stalls — generation
-/// timing and stalling are the adversary's choices inside the search.
+/// `alg`. All specs must have release_time 0 — generation timing and
+/// stalling are the adversary's choices inside the search.
 DeadlockSearchResult find_deadlock(const routing::RoutingAlgorithm& alg,
                                    std::span<const sim::MessageSpec> messages,
                                    AdversaryModel model,

@@ -45,8 +45,7 @@ void twin_next_siblings(std::span<const sim::MessageRequests> requests,
     const sim::MessageSpec& sa = specs[a.message.index()];
     const sim::MessageSpec& sb = specs[b.message.index()];
     if (sa.src != sb.src || sa.dst != sb.dst || sa.length != sb.length ||
-        sa.release_time != sb.release_time ||
-        sa.hop_stalls != sb.hop_stalls)
+        sa.release_time != sb.release_time)
       return false;
     // Equal specs imply equal desired channels, but the free-channel filter
     // ran per message; require byte-equal candidate sets so the canonical

@@ -2,19 +2,11 @@
 
 #include <algorithm>
 
-#include "util/assert.hpp"
-
 namespace wormsim::obs {
 
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)), counts_(bounds_.size() + 1, 0) {
-  WORMSIM_EXPECTS_MSG(std::is_sorted(bounds_.begin(), bounds_.end()),
-                      "histogram bounds must be ascending");
-}
-
 void Histogram::observe(double v) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
+  const auto it = std::lower_bound(kBounds.begin(), kBounds.end(), v);
+  ++counts_[static_cast<std::size_t>(it - kBounds.begin())];
   ++count_;
   sum_ += v;
   if (count_ == 1) {
@@ -27,17 +19,6 @@ void Histogram::observe(double v) {
 
 void Histogram::merge_from(const Histogram& other) {
   if (other.count_ == 0) return;
-  if (bounds_ != other.bounds_) {
-    WORMSIM_EXPECTS_MSG(count_ == 0 && bounds_.empty(),
-                        "histogram merge requires identical bounds");
-    bounds_ = other.bounds_;
-    counts_ = other.counts_;
-    count_ = other.count_;
-    sum_ = other.sum_;
-    min_ = other.min_;
-    max_ = other.max_;
-    return;
-  }
   min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
   max_ = count_ == 0 ? other.max_ : std::max(max_, other.max_);
   count_ += other.count_;
@@ -55,16 +36,9 @@ double Histogram::percentile(double p) const {
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     cumulative += counts_[i];
     if (cumulative > rank)
-      return i < bounds_.size() ? std::min(bounds_[i], max_) : max_;
+      return i < kBounds.size() ? std::min(kBounds[i], max_) : max_;
   }
   return max_;
-}
-
-std::vector<double> Histogram::exponential_bounds(double first, double limit) {
-  WORMSIM_EXPECTS(first > 0 && limit >= first);
-  std::vector<double> bounds;
-  for (double b = first; b <= limit; b *= 2) bounds.push_back(b);
-  return bounds;
 }
 
 }  // namespace wormsim::obs

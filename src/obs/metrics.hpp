@@ -16,26 +16,26 @@
 #include <array>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 namespace wormsim::obs {
 
-/// Fixed-boundary histogram with cumulative-style buckets: an observation v
+/// Fixed-bucket histogram with cumulative-style buckets: an observation v
 /// lands in the first bucket whose upper bound satisfies v <= bound; values
-/// above every bound land in the implicit +Inf overflow bucket. Bounds are
-/// fixed at construction (no rebucketing on the hot path).
+/// above every bound land in the +Inf overflow bucket. The bounds are the
+/// powers of two 1 .. 4096, so a histogram is plain data that copies and
+/// merges without allocating.
 class Histogram {
  public:
-  Histogram() : Histogram(std::vector<double>{}) {}
-  explicit Histogram(std::vector<double> upper_bounds);
+  /// Finite upper bounds (ascending). counts() has one extra entry: the
+  /// overflow bucket.
+  static constexpr std::array<double, 13> kBounds{
+      1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096};
+  using Counts = std::array<std::uint64_t, kBounds.size() + 1>;
 
   void observe(double v);
 
-  /// Folds another histogram's observations into this one. The bounds must
-  /// be identical, except that a default-constructed (empty-bounds, zero
-  /// observations) histogram adopts `other`'s bounds — so per-thread
-  /// histograms can be merged into a freshly declared accumulator. Used to
-  /// combine the parallel deadlock search's per-worker profiles.
+  /// Folds another histogram's observations into this one. Used to combine
+  /// the parallel deadlock search's per-worker profiles.
   void merge_from(const Histogram& other);
 
   [[nodiscard]] std::uint64_t count() const { return count_; }
@@ -46,12 +46,7 @@ class Histogram {
     return count_ == 0 ? 0 : sum_ / static_cast<double>(count_);
   }
 
-  /// Finite upper bounds (ascending). counts() has one extra entry: the
-  /// overflow bucket.
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& counts() const {
-    return counts_;
-  }
+  [[nodiscard]] const Counts& counts() const { return counts_; }
 
   /// Upper bound of the bucket containing the p-quantile (0 <= p <= 1) of
   /// the observations — the histogram analogue of a percentile query. For
@@ -63,13 +58,8 @@ class Histogram {
   [[nodiscard]] double p90() const { return percentile(0.90); }
   [[nodiscard]] double p99() const { return percentile(0.99); }
 
-  /// `{1, 2, 4, ..., <= limit}` — the standard bounds used for cycle-count
-  /// and branch-factor histograms.
-  static std::vector<double> exponential_bounds(double first, double limit);
-
  private:
-  std::vector<double> bounds_;
-  std::vector<std::uint64_t> counts_;
+  Counts counts_{};
   std::uint64_t count_ = 0;
   double sum_ = 0;
   double min_ = 0;
@@ -90,7 +80,7 @@ void merge_counter(const Counter& c, Stats& into, const Stats& from) {
 /// Introspection counters from the event-driven run core
 /// (WormholeSimulator::run() under SimCore::kEvent). Zero until the first
 /// event run; cumulative across runs of the same simulator. An "event" is
-/// one scheduler entry: a ready-set enqueue, a sleep timer (stall/release
+/// one scheduler entry: a ready-set enqueue, a sleep timer (release
 /// expiry), or a channel-wait subscription of a blocked header.
 struct EventCoreStats {
   std::uint64_t events_scheduled = 0;  ///< scheduler entries enqueued

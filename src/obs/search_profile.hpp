@@ -16,6 +16,7 @@
 #include <array>
 #include <cstdint>
 #include <string_view>
+#include <type_traits>
 
 #include "obs/metrics.hpp"
 
@@ -77,6 +78,10 @@ struct SearchProfile {
   /// engine stamps wall-clock figures once at the end).
   void merge_from(const SearchProfile& other);
 };
+
+// Plain data: publishing a shard to the status board and returning
+// per-worker profiles copy bytes, never a heap buffer.
+static_assert(std::is_trivially_copyable_v<SearchProfile>);
 
 struct ProfileCounter {
   std::string_view name;  ///< JSON key in the status heartbeat

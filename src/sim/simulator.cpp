@@ -55,7 +55,7 @@ MessageId WormholeSimulator::add_message(MessageSpec spec) {
                       "routing algorithm does not route this pair");
   const MessageId id{messages_.size()};
   MessageState state;
-  state.spec = std::move(spec);
+  state.spec = spec;
   messages_.push_back(std::move(state));
   return id;
 }
@@ -88,20 +88,6 @@ void WormholeSimulator::desired_channels_into(
   WORMSIM_UNREACHABLE("bad MessageStatus");
 }
 
-bool WormholeSimulator::tick_stall(MessageState& m, std::size_t hop) {
-  if (!m.stall_loaded) {
-    m.stall_remaining = hop < m.spec.hop_stalls.size()
-                            ? m.spec.hop_stalls[hop]
-                            : 0u;
-    m.stall_loaded = true;
-  }
-  if (m.stall_remaining > 0) {
-    --m.stall_remaining;
-    return true;
-  }
-  return false;
-}
-
 void WormholeSimulator::note_exit(MessageId id, MessageState& m,
                                   std::size_t path_index) {
   ++m.exited[path_index];
@@ -130,7 +116,6 @@ void WormholeSimulator::acquire(MessageId id, MessageState& m, ChannelId c) {
   ch.acquired_cycle = cycle_;
   m.path.push_back(c);
   m.exited.push_back(0);
-  m.stall_loaded = false;
   m.waiting = false;
   ++m.stats.hops;
   ++flits_moved_;
@@ -150,8 +135,6 @@ WormholeSimulator::RequestOutcome WormholeSimulator::request_message(
   desired_channels_into(m, wants);
   if (wants.empty())
     return RequestOutcome::kAtDestination;  // consume, don't route
-  const std::size_t hop = m.path.size();
-  if (tick_stall(m, hop)) return RequestOutcome::kStalled;
   if (!m.waiting) {
     m.waiting = true;
     m.waiting_since = cycle_;
@@ -174,14 +157,10 @@ bool WormholeSimulator::compute_requests() {
   ++cycle_;
   bool progress = false;
   requests_.v.clear();
-  for (std::size_t i = 0; i < messages_.size(); ++i) {
-    const RequestOutcome outcome = request_message(i);
-    // Time passing toward a release, and adversarial stall ticking, count
-    // as progress so quiescence is not declared prematurely.
-    if (outcome == RequestOutcome::kNotReleased ||
-        outcome == RequestOutcome::kStalled)
-      progress = true;
-  }
+  // Time passing toward a release counts as progress so quiescence is not
+  // declared prematurely.
+  for (std::size_t i = 0; i < messages_.size(); ++i)
+    if (request_message(i) == RequestOutcome::kNotReleased) progress = true;
   return progress;
 }
 
@@ -232,8 +211,7 @@ void WormholeSimulator::peek_requests_into(
   // without mutating the simulator (earlier versions probed by copying the
   // whole simulator, which dominated the deadlock search's per-state cost).
   // Must stay in lockstep with compute_requests: same release gating (the
-  // probed cycle is cycle_ + 1), same stall decision (tick_stall stalls
-  // while the pending remaining count is nonzero), same free-channel filter.
+  // probed cycle is cycle_ + 1), same free-channel filter.
   // `out` entries past `filled` are leftovers from the caller's previous
   // state; their channel capacity is reused in place.
   std::size_t filled = 0;
@@ -248,13 +226,6 @@ void WormholeSimulator::peek_requests_into(
       continue;
     desired_channels_into(m, wants);
     if (wants.empty()) continue;  // header at destination
-    const std::size_t hop = m.path.size();
-    const std::uint32_t stall_remaining =
-        m.stall_loaded ? m.stall_remaining
-                       : (hop < m.spec.hop_stalls.size()
-                              ? m.spec.hop_stalls[hop]
-                              : 0u);
-    if (stall_remaining > 0) continue;  // adversarial stall would tick
     if (filled == out.size()) out.emplace_back();
     MessageRequests& entry = out[filled];
     entry.message = MessageId{i};
@@ -307,18 +278,15 @@ bool WormholeSimulator::step_with_grants_trusted(
     std::span<const std::pair<ChannelId, MessageId>> grants) {
   // Fast-path cycle for the deadlock search (header contract). Relative to
   // the checked step this skips compute_requests entirely: with
-  // release_time == 0 and no hop stalls — asserted below — the checked
-  // step's extra progress sources (pending release gating, stall ticking)
-  // can never fire, and the remaining compute_requests work (request list,
-  // waiting flags) feeds only policy arbitration, which the search never
-  // reads. The cycle-stamped grant table and per-channel
-  // transmitted stamp mean no per-cycle reset is needed at all; only the
-  // clock advance (delivery stats) remains.
+  // release_time == 0 — asserted below — the checked step's extra progress
+  // source (pending release gating) can never fire, and the remaining
+  // compute_requests work (request list, waiting flags) feeds only policy
+  // arbitration, which the search never reads. The cycle-stamped grant
+  // table and per-channel transmitted stamp mean no per-cycle reset is
+  // needed at all; only the clock advance (delivery stats) remains.
 #ifndef NDEBUG
-  for (const MessageState& m : messages_) {
+  for (const MessageState& m : messages_)
     WORMSIM_ASSERT(m.spec.release_time == 0);
-    WORMSIM_ASSERT(m.spec.hop_stalls.empty());
-  }
 #endif
   ++cycle_;
   ensure_grant_capacity();
@@ -523,8 +491,7 @@ RunResult WormholeSimulator::run_cycle() {
 /// run_event()'s scheduler. Three queues, all message-granular:
 ///   - ready: messages to process in the next executed cycle (every entry
 ///     is stamped with that cycle so duplicates collapse);
-///   - timers: (wake cycle, message) min-heap for pending releases and
-///     per-hop stall expirations;
+///   - timers: (wake cycle, message) min-heap for pending releases;
 ///   - waiters: per-channel subscription lists for headers whose every
 ///     candidate channel is owned; a release wakes the subscribers.
 /// Dormancy is sound because a message that made no move in a cycle and
@@ -592,7 +559,7 @@ RunResult WormholeSimulator::run_event() {
       // Nothing scheduled, nothing sleeping: the next cycle makes no
       // progress at all. With live messages that is exactly the cycle
       // core's quiescence observation (its blocked sweep finds no free
-      // candidate, no stall ticks, no release pending).
+      // candidate, no release pending).
       if (cycle_ + 1 > max) break;  // the observation cycle is past the horizon
       ++cycle_;
       if (live == 0) {
@@ -660,17 +627,6 @@ RunResult WormholeSimulator::run_event() {
           sched.timers.emplace(msg.spec.release_time, m);
           ++st.events_scheduled;
           continue;
-        case RequestOutcome::kStalled:
-          any_wait_progress = true;
-          if (moved) break;  // body still shifting: revisit every cycle
-          // No data movement while the stall ticks means none until it
-          // expires (the shift preconditions cannot change meanwhile);
-          // consume the remaining ticks in one hop. The first request
-          // cycle after a stall of r remaining ticks is cycle_ + r + 1.
-          sched.timers.emplace(cycle_ + msg.stall_remaining + 1, m);
-          msg.stall_remaining = 0;
-          ++st.events_scheduled;
-          continue;
         case RequestOutcome::kAllBusy:
           if (!moved && !tracing()) {
             // Fully blocked and quiescent: park until a wanted channel
@@ -720,8 +676,8 @@ RunResult WormholeSimulator::run_event() {
                                                    sched.timers.size() +
                                                    sched.parked);
 
-    // Sleeping messages are cycle-core progress every cycle (stall ticks,
-    // time toward a release); parked blocked headers are not.
+    // Sleeping messages are cycle-core progress every cycle (time toward a
+    // release); parked blocked headers are not.
     const bool progress =
         any_moved || any_wait_progress || !sched.timers.empty();
     if (live == 0) {

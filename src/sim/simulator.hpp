@@ -13,7 +13,9 @@
 //      the paper's adversarial tie-breaking.
 //
 // Timing model (synchronous, one network clock — Section 3's "same network
-// cycle time" with modest skew modeled by per-hop stalls):
+// cycle time"; a message's release_time is its only timing input, and
+// Section 6's delay adversary lives in the deadlock search, which withholds
+// grants through step_with_grants):
 //   - each channel transmits at most one flit per cycle;
 //   - a flit may enter a buffer slot vacated in the same cycle by the flit
 //     ahead of it in the same worm (standard wormhole pipelining), because
@@ -24,11 +26,10 @@
 //     the headers requesting it this cycle.
 //
 // Deadlock detection: the simulation is deterministic, so if a cycle passes
-// with no state change (no flit moved/injected/consumed, no stall counter
-// ticked, no pending release times in the future), the state is frozen
-// forever; if undelivered messages remain this is precisely a deadlock
-// (Definition 6). The detector also reports the wait-for cycle among the
-// frozen messages for diagnostics.
+// with no state change (no flit moved/injected/consumed, no pending release
+// times in the future), the state is frozen forever; if undelivered
+// messages remain this is precisely a deadlock (Definition 6). The detector
+// also reports the wait-for cycle among the frozen messages for diagnostics.
 #pragma once
 
 #include <functional>
@@ -55,7 +56,7 @@ enum class SimCore : std::uint8_t {
   /// O(messages) per cycle regardless of activity.
   kCycle,
   /// Event-driven engine: only messages with pending work (requests,
-  /// draining flits, stall/release expirations) are scheduled, idle spans
+  /// draining flits, release expirations) are scheduled, idle spans
   /// with no runnable message are jumped over, and parked headers wake on
   /// channel release. The default for throughput workloads on large
   /// networks, where most channels are idle most cycles.
@@ -173,12 +174,12 @@ class WormholeSimulator {
   /// tuples drawn from peek_requests(). Skips the per-cycle request
   /// re-derivation, grant validation, and arbitration bookkeeping (waiting
   /// flags, busy-cycle counters, the request list), none of which affect
-  /// the state key or future transitions. Requires release_time == 0 and
-  /// empty hop_stalls on every message (the search's scenario contract;
-  /// asserted in debug builds) — under that contract the return value and
-  /// the resulting state are identical to the checked step. Witness
-  /// replays keep using the checked step_with_grants, so every reported
-  /// deadlock is still revalidated grant by grant.
+  /// the state key or future transitions. Requires release_time == 0 on
+  /// every message (the search's scenario contract; asserted in debug
+  /// builds) — under that contract the return value and the resulting
+  /// state are identical to the checked step. Witness replays keep using
+  /// the checked step_with_grants, so every reported deadlock is still
+  /// revalidated grant by grant.
   bool step_with_grants_trusted(
       std::span<const std::pair<ChannelId, MessageId>> grants);
 
@@ -195,9 +196,8 @@ class WormholeSimulator {
   /// left. Varints are prefix-free, so equal keys mean equal field
   /// sequences. Two states with equal keys behave identically under
   /// identical future grant choices, so reachability searches may memoize
-  /// on it. Release times must be in the past and per-hop stalls exhausted
-  /// for the key to be sound; the model checker enforces that by
-  /// construction.
+  /// on it. Release times must be in the past for the key to be sound; the
+  /// model checker enforces that by construction.
   [[nodiscard]] std::string state_key() const;
 
   /// The one key writer: serializes the key from scratch and appends its
@@ -254,8 +254,6 @@ class WormholeSimulator {
     std::size_t released = 0;           ///< prefix of path released
     std::uint32_t flits_injected = 0;   ///< flits that left the source
     std::uint32_t flits_consumed = 0;
-    std::uint32_t stall_remaining = 0;
-    bool stall_loaded = false;   ///< stall for the current hop initialized
     Cycle waiting_since = 0;     ///< for FIFO arbitration fairness
     bool waiting = false;
     MessageStats stats;
@@ -301,20 +299,19 @@ class WormholeSimulator {
   enum class RequestOutcome : std::uint8_t {
     kIdle,           ///< Delivered/Consumed: no routing request possible
     kNotReleased,    ///< pending with release_time still in the future
-    kStalled,        ///< per-hop stall ticked this cycle
     kAtDestination,  ///< header at its destination (consumption is a move)
     kRequested,      ///< >= 1 free candidate pushed into requests_
     kAllBusy,        ///< wants channels but every candidate is owned
   };
 
-  /// Per-message request phase: tick stalls, maintain waiting bookkeeping,
-  /// push free-candidate requests into requests_, emit the blocked trace
-  /// event. Shared verbatim by both run cores — this is what makes them
-  /// cycle-exact by construction.
+  /// Per-message request phase: gate on release time, maintain waiting
+  /// bookkeeping, push free-candidate requests into requests_, emit the
+  /// blocked trace event. Shared verbatim by both run cores — this is what
+  /// makes them cycle-exact by construction.
   RequestOutcome request_message(std::size_t i);
 
   /// Phase 1 (cycle core): advance the clock, run request_message for every
-  /// message. Returns whether any pending-time/stall progress occurred.
+  /// message. Returns whether any message is still waiting for its release.
   bool compute_requests();
 
   /// Resolves requests_ into per-message grants (set_grant) exactly like
@@ -355,10 +352,6 @@ class WormholeSimulator {
   RunResult run_event();
   /// Shared deadlock epilogue: fills outcome/cycles/deadlock_cycle.
   void fill_deadlock_result(RunResult& result);
-
-  /// Loads the per-hop stall counter on first want of a hop; returns true
-  /// while the stall is still ticking (counts as progress).
-  bool tick_stall(MessageState& m, std::size_t hop);
 
   void acquire(MessageId id, MessageState& m, ChannelId c);
   void note_exit(MessageId id, MessageState& m, std::size_t path_index);

@@ -2,7 +2,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <type_traits>
 
 #include "util/ids.hpp"
 
@@ -21,12 +21,11 @@ struct MessageSpec {
   std::uint32_t length = 1;
   /// Earliest cycle at which injection may be attempted.
   Cycle release_time = 0;
-  /// Extra cycles the header must wait before acquiring hop i (index 0 = the
-  /// initial channel), *in addition to* any blocking. This models the
-  /// Section-6 clock-skew/delay adversary: a message is stalled even though
-  /// its output channel is available. Missing entries mean zero stall.
-  std::vector<std::uint32_t> hop_stalls;
 };
+
+// Plain data: the deadlock search forks a simulator per transition, and
+// each fork copies every message's spec without touching the heap.
+static_assert(std::is_trivially_copyable_v<MessageSpec>);
 
 enum class MessageStatus : std::uint8_t {
   kPending,    ///< not yet injected (header still at the source)

@@ -65,7 +65,7 @@ std::vector<MessageSpec> generate(const topo::Network& net,
       const NodeId dst = pick_destination(config.pattern, src, n, grid,
                                           config.hotspot_fraction, rng);
       if (dst == src) continue;  // self-addressed trial: skip
-      specs.push_back(MessageSpec{src, dst, config.message_length, t, {}});
+      specs.push_back(MessageSpec{src, dst, config.message_length, t});
     }
   }
   std::stable_sort(specs.begin(), specs.end(),
@@ -138,7 +138,7 @@ std::vector<MessageSpec> generate_workload(std::span<const NodeId> terminals,
       }
       if (j == i) continue;  // self-addressed trial: skip
       specs.push_back(
-          MessageSpec{terminals[i], terminals[j], config.message_length, t, {}});
+          MessageSpec{terminals[i], terminals[j], config.message_length, t});
     }
   }
   std::stable_sort(specs.begin(), specs.end(),

@@ -45,21 +45,7 @@ Instance make_instance(const topo::Network& net,
                        std::span<const NodePair> pairs) {
   Instance inst;
   inst.net = &net;
-  std::vector<NodePair> unique;
-  for (const NodePair& p : pairs) {
-    WORMSIM_EXPECTS(p.src.valid() && p.dst.valid());
-    WORMSIM_EXPECTS(p.src.index() < net.node_count() &&
-                    p.dst.index() < net.node_count());
-    if (p.src == p.dst) continue;
-    unique.push_back(p);
-  }
-  std::sort(unique.begin(), unique.end(), [](const NodePair& a,
-                                             const NodePair& b) {
-    return std::pair(a.src.index(), a.dst.index()) <
-           std::pair(b.src.index(), b.dst.index());
-  });
-  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-  inst.pairs = std::move(unique);
+  inst.pairs = canonical_pairs(net, pairs);
   for (const NodePair& p : inst.pairs) {
     if (inst.sources.empty() || inst.sources.back() != p.src)
       inst.sources.push_back(p.src);
@@ -536,6 +522,25 @@ std::vector<NodePair> terminal_pairs(std::span<const NodeId> terminals) {
     for (const NodeId d : terminals)
       if (s != d) pairs.push_back({s, d});
   return pairs;
+}
+
+std::vector<NodePair> canonical_pairs(const topo::Network& net,
+                                      std::span<const NodePair> pairs) {
+  std::vector<NodePair> unique;
+  for (const NodePair& p : pairs) {
+    WORMSIM_EXPECTS(p.src.valid() && p.dst.valid());
+    WORMSIM_EXPECTS(p.src.index() < net.node_count() &&
+                    p.dst.index() < net.node_count());
+    if (p.src == p.dst) continue;
+    unique.push_back(p);
+  }
+  std::sort(unique.begin(), unique.end(), [](const NodePair& a,
+                                             const NodePair& b) {
+    return std::pair(a.src.index(), a.dst.index()) <
+           std::pair(b.src.index(), b.dst.index());
+  });
+  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
+  return unique;
 }
 
 const char* to_string(ExistenceVerdict verdict) {

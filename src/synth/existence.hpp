@@ -121,6 +121,12 @@ struct ExistenceOptions {
 [[nodiscard]] std::vector<NodePair> terminal_pairs(
     std::span<const NodeId> terminals);
 
+/// The demand the analyzer and the synthesizer work on: `pairs` without
+/// src == dst entries, sorted by (src, dst), duplicates removed. Every node
+/// must belong to `net`.
+[[nodiscard]] std::vector<NodePair> canonical_pairs(
+    const topo::Network& net, std::span<const NodePair> pairs);
+
 const char* to_string(ExistenceVerdict verdict);
 
 }  // namespace wormsim::synth

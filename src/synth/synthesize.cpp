@@ -13,25 +13,6 @@ namespace wormsim::synth {
 
 namespace {
 
-std::vector<NodePair> dedupe_pairs(const topo::Network& net,
-                                   std::span<const NodePair> pairs) {
-  std::vector<NodePair> unique;
-  for (const NodePair& p : pairs) {
-    WORMSIM_EXPECTS(p.src.valid() && p.dst.valid());
-    WORMSIM_EXPECTS(p.src.index() < net.node_count() &&
-                    p.dst.index() < net.node_count());
-    if (p.src == p.dst) continue;
-    unique.push_back(p);
-  }
-  std::sort(unique.begin(), unique.end(), [](const NodePair& a,
-                                             const NodePair& b) {
-    return std::pair(a.src.index(), a.dst.index()) <
-           std::pair(b.src.index(), b.dst.index());
-  });
-  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-  return unique;
-}
-
 /// Distance to `dst` from every node (BFS over reversed channels), for
 /// pruning the simple-path enumeration.
 std::vector<int> distances_to(const topo::Network& net, NodeId dst) {
@@ -266,7 +247,7 @@ std::unique_ptr<routing::PathTable> table_from_order(
     std::span<const std::uint32_t> order) {
   WORMSIM_EXPECTS(order.size() == net.channel_count());
   WORMSIM_EXPECTS(verify_order(net, pairs, order));
-  const std::vector<NodePair> unique = dedupe_pairs(net, pairs);
+  const std::vector<NodePair> unique = canonical_pairs(net, pairs);
 
   // Refine the (possibly tied) ranking into a strict permutation by
   // (rank, id); strictly order-increasing paths stay strictly increasing.
@@ -356,7 +337,7 @@ bool simulate_clean(const routing::RoutingAlgorithm& alg,
   config.max_cycles = max_cycles;
   sim::WormholeSimulator simulator(alg, config, fifo);
   std::size_t added = 0;
-  for (const NodePair& p : dedupe_pairs(alg.net(), pairs)) {
+  for (const NodePair& p : canonical_pairs(alg.net(), pairs)) {
     if (!alg.routes(p.src, p.dst)) return false;
     sim::MessageSpec spec;
     spec.src = p.src;
@@ -374,7 +355,7 @@ SynthesisResult synthesize(const topo::Network& net,
                            const SynthesisOptions& options) {
   SynthesisResult result;
   result.existence = analyze_existence(net, pairs, options.existence);
-  const std::vector<NodePair> unique = dedupe_pairs(net, pairs);
+  const std::vector<NodePair> unique = canonical_pairs(net, pairs);
 
   std::optional<CyclicSearch::Outcome> cyclic;
   if (options.goal == SynthesisGoal::kPreferCyclic && !unique.empty() &&

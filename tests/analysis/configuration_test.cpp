@@ -27,7 +27,7 @@ class ConfigurationTest : public ::testing::Test {
 
 TEST_F(ConfigurationTest, SnapshotOfRunningSimIsLegal) {
   sim::WormholeSimulator sim(*table_, sim::SimConfig{}, policy_);
-  sim.add_message({NodeId{std::size_t{0}}, NodeId{std::size_t{2}}, 2, 0, {}});
+  sim.add_message({NodeId{std::size_t{0}}, NodeId{std::size_t{2}}, 2, 0});
   sim.step();
   sim.step();
   const Configuration config = snapshot(sim);
@@ -39,7 +39,7 @@ TEST_F(ConfigurationTest, SnapshotOfRunningSimIsLegal) {
 TEST_F(ConfigurationTest, DeadlockSnapshotIsLegalAndDeadlockShaped) {
   sim::WormholeSimulator sim(*table_, sim::SimConfig{}, policy_);
   for (std::size_t s = 0; s < 4; ++s)
-    sim.add_message({NodeId{s}, NodeId{(s + 2) % 4}, 2, 0, {}});
+    sim.add_message({NodeId{s}, NodeId{(s + 2) % 4}, 2, 0});
   const auto result = sim.run();
   ASSERT_EQ(result.outcome, sim::RunOutcome::kDeadlock);
   const Configuration config = snapshot(sim);
@@ -49,7 +49,7 @@ TEST_F(ConfigurationTest, DeadlockSnapshotIsLegalAndDeadlockShaped) {
 
 TEST_F(ConfigurationTest, DrainingConfigurationIsNotDeadlockShaped) {
   sim::WormholeSimulator sim(*table_, sim::SimConfig{}, policy_);
-  sim.add_message({NodeId{std::size_t{0}}, NodeId{std::size_t{1}}, 3, 0, {}});
+  sim.add_message({NodeId{std::size_t{0}}, NodeId{std::size_t{1}}, 3, 0});
   sim.step();
   sim.step();  // header at destination channel
   const Configuration config = snapshot(sim);

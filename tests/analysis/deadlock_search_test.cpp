@@ -23,7 +23,7 @@ class SearchRingTest : public ::testing::Test {
   std::vector<sim::MessageSpec> ring_messages(std::uint32_t length) const {
     std::vector<sim::MessageSpec> specs;
     for (std::size_t s = 0; s < 4; ++s)
-      specs.push_back({NodeId{s}, NodeId{(s + 2) % 4}, length, 0, {}});
+      specs.push_back({NodeId{s}, NodeId{(s + 2) % 4}, length, 0});
     return specs;
   }
   topo::Network net_;
@@ -55,7 +55,7 @@ TEST_F(SearchRingTest, SingleFlitRingTrafficAlsoDeadlocks) {
 TEST_F(SearchRingTest, NeighborTrafficProvedSafe) {
   std::vector<sim::MessageSpec> specs;
   for (std::size_t s = 0; s < 4; ++s)
-    specs.push_back({NodeId{s}, NodeId{(s + 1) % 4}, 3, 0, {}});
+    specs.push_back({NodeId{s}, NodeId{(s + 1) % 4}, 3, 0});
   const auto result = find_deadlock(*table_, specs,
                                     AdversaryModel::kSynchronous, {});
   EXPECT_FALSE(result.deadlock_found);
@@ -64,7 +64,7 @@ TEST_F(SearchRingTest, NeighborTrafficProvedSafe) {
 
 TEST_F(SearchRingTest, SingleMessageCannotDeadlock) {
   const std::vector<sim::MessageSpec> specs = {
-      {NodeId{std::size_t{0}}, NodeId{std::size_t{2}}, 10, 0, {}}};
+      {NodeId{std::size_t{0}}, NodeId{std::size_t{2}}, 10, 0}};
   const auto result = find_deadlock(*table_, specs,
                                     AdversaryModel::kSynchronous, {});
   EXPECT_FALSE(result.deadlock_found);
@@ -76,7 +76,7 @@ TEST_F(SearchRingTest, StateBoundReportsNonExhaustive) {
   // early and say so.
   std::vector<sim::MessageSpec> specs;
   for (std::size_t s = 0; s < 4; ++s)
-    specs.push_back({NodeId{s}, NodeId{(s + 1) % 4}, 3, 0, {}});
+    specs.push_back({NodeId{s}, NodeId{(s + 1) % 4}, 3, 0});
   SearchLimits limits;
   limits.max_states = 3;
   const auto result = find_deadlock(*table_, specs,
@@ -106,7 +106,7 @@ TEST_F(SearchRingTest, MinimalDelayZeroForRingDeadlock) {
 TEST_F(SearchRingTest, NoDelayBudgetBreaksNeighborTraffic) {
   std::vector<sim::MessageSpec> specs;
   for (std::size_t s = 0; s < 4; ++s)
-    specs.push_back({NodeId{s}, NodeId{(s + 1) % 4}, 3, 0, {}});
+    specs.push_back({NodeId{s}, NodeId{(s + 1) % 4}, 3, 0});
   bool exhausted = false;
   const auto min_delay = minimal_deadlock_delay(
       *table_, specs, DelayMetric::kTotal, 3, {}, &exhausted);
@@ -142,14 +142,6 @@ TEST_F(SearchDeathTest, RejectsNonZeroReleaseTimes) {
   EXPECT_DEATH(
       (void)find_deadlock(*table_, specs, AdversaryModel::kSynchronous, {}),
       "generation times");
-}
-
-TEST_F(SearchDeathTest, RejectsPresetStalls) {
-  std::vector<sim::MessageSpec> specs = ring_messages(2);
-  specs[0].hop_stalls = {1};
-  EXPECT_DEATH(
-      (void)find_deadlock(*table_, specs, AdversaryModel::kSynchronous, {}),
-      "stalls");
 }
 
 TEST(MemoBudgetSearch, OverflowReportsNonExhausted) {

@@ -29,7 +29,7 @@ sim::MessageRequests make_request(std::size_t id, bool moving,
 
 sim::MessageSpec make_spec(std::size_t src, std::size_t dst,
                            std::uint32_t length) {
-  return {NodeId{src}, NodeId{dst}, length, 0, {}};
+  return {NodeId{src}, NodeId{dst}, length, 0};
 }
 
 ChannelId ch(std::size_t i) { return ChannelId{i}; }

@@ -24,7 +24,7 @@ class ProfiledRingTest : public ::testing::Test {
   std::vector<sim::MessageSpec> ring_messages(std::uint32_t length) const {
     std::vector<sim::MessageSpec> specs;
     for (std::size_t s = 0; s < 4; ++s)
-      specs.push_back({NodeId{s}, NodeId{(s + 2) % 4}, length, 0, {}});
+      specs.push_back({NodeId{s}, NodeId{(s + 2) % 4}, length, 0});
     return specs;
   }
   topo::Network net_;
@@ -37,7 +37,7 @@ TEST_F(ProfiledRingTest, MemoCountsAreConsistent) {
   // is explored) or hits; misses are exactly the explored states.
   std::vector<sim::MessageSpec> specs;
   for (std::size_t s = 0; s < 4; ++s)
-    specs.push_back({NodeId{s}, NodeId{(s + 1) % 4}, 3, 0, {}});
+    specs.push_back({NodeId{s}, NodeId{(s + 1) % 4}, 3, 0});
   const auto result = find_deadlock(*table_, specs,
                                     AdversaryModel::kSynchronous, {});
   ASSERT_TRUE(result.exhausted);
@@ -51,7 +51,7 @@ TEST_F(ProfiledRingTest, MemoCountsAreConsistent) {
 TEST_F(ProfiledRingTest, BranchHistogramCoversExpandedStates) {
   std::vector<sim::MessageSpec> specs;
   for (std::size_t s = 0; s < 4; ++s)
-    specs.push_back({NodeId{s}, NodeId{(s + 1) % 4}, 3, 0, {}});
+    specs.push_back({NodeId{s}, NodeId{(s + 1) % 4}, 3, 0});
   const auto result = find_deadlock(*table_, specs,
                                     AdversaryModel::kSynchronous, {});
   // Terminal states (consumed / deadlock) are explored but never expanded,
@@ -68,7 +68,7 @@ TEST_F(ProfiledRingTest, TimingNeverQuantizesToZero) {
   // clamps elapsed time so states_per_second stays finite and nonzero
   // instead of collapsing to 0 (or dividing by 0) on fast hosts.
   std::vector<sim::MessageSpec> specs;
-  specs.push_back({NodeId{0}, NodeId{1}, 1, 0, {}});
+  specs.push_back({NodeId{0}, NodeId{1}, 1, 0});
   const auto result = find_deadlock(*table_, specs,
                                     AdversaryModel::kSynchronous, {});
   ASSERT_TRUE(result.exhausted);
@@ -156,7 +156,7 @@ TEST_F(ProfiledRingTest, BudgetPrunesCountedInDelayModel) {
 TEST_F(ProfiledRingTest, SafeSearchStillProfiled) {
   std::vector<sim::MessageSpec> specs;
   for (std::size_t s = 0; s < 4; ++s)
-    specs.push_back({NodeId{s}, NodeId{(s + 1) % 4}, 3, 0, {}});
+    specs.push_back({NodeId{s}, NodeId{(s + 1) % 4}, 3, 0});
   const auto result = find_deadlock(*table_, specs,
                                     AdversaryModel::kSynchronous, {});
   EXPECT_FALSE(result.deadlock_found);

@@ -38,13 +38,13 @@ class SearchStatusRingTest : public ::testing::Test {
   std::vector<sim::MessageSpec> neighbor_messages() const {
     std::vector<sim::MessageSpec> specs;
     for (std::size_t s = 0; s < 4; ++s)
-      specs.push_back({NodeId{s}, NodeId{(s + 1) % 4}, 3, 0, {}});
+      specs.push_back({NodeId{s}, NodeId{(s + 1) % 4}, 3, 0});
     return specs;
   }
   std::vector<sim::MessageSpec> ring_messages(std::uint32_t length) const {
     std::vector<sim::MessageSpec> specs;
     for (std::size_t s = 0; s < 4; ++s)
-      specs.push_back({NodeId{s}, NodeId{(s + 2) % 4}, length, 0, {}});
+      specs.push_back({NodeId{s}, NodeId{(s + 2) % 4}, length, 0});
     return specs;
   }
   topo::Network net_;

@@ -34,7 +34,7 @@ class WaitForRing : public ::testing::Test {
 TEST_F(WaitForRing, CycleAppearsExactlyAtTheWedge) {
   sim::WormholeSimulator sim(*table_, sim::SimConfig{}, policy_);
   for (std::size_t s = 0; s < 4; ++s)
-    sim.add_message({NodeId{s}, NodeId{(s + 2) % 4}, 2, 0, {}});
+    sim.add_message({NodeId{s}, NodeId{(s + 2) % 4}, 2, 0});
   const auto trace = run_with_waitfor_monitor(sim);
   EXPECT_EQ(trace.run.outcome, sim::RunOutcome::kDeadlock);
   ASSERT_TRUE(trace.ever_cyclic());
@@ -47,7 +47,7 @@ TEST_F(WaitForRing, CycleAppearsExactlyAtTheWedge) {
 TEST_F(WaitForRing, NeighborTrafficNeverFormsWaitCycle) {
   sim::WormholeSimulator sim(*table_, sim::SimConfig{}, policy_);
   for (std::size_t s = 0; s < 4; ++s)
-    sim.add_message({NodeId{s}, NodeId{(s + 1) % 4}, 3, 0, {}});
+    sim.add_message({NodeId{s}, NodeId{(s + 1) % 4}, 3, 0});
   const auto trace = run_with_waitfor_monitor(sim);
   EXPECT_EQ(trace.run.outcome, sim::RunOutcome::kAllConsumed);
   EXPECT_FALSE(trace.ever_cyclic());

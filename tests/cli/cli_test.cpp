@@ -193,16 +193,18 @@ std::string tool_name(const ::testing::TestParamInfo<Tool>& tool) {
   return tool.param.name;
 }
 
-/// Runs `tool args` in a scratch directory (reports and fixtures land
-/// there) under a timeout, so an accepted hostile value cannot hang the
-/// suite. Returns the exit code and the start of the merged stdout and
-/// stderr (a runaway tool can print without end).
+/// Runs `tool args` in a scratch directory (fixtures land there, and
+/// reports too unless `bench_dir` says otherwise) under a timeout, so an
+/// accepted hostile value cannot hang the suite. Returns the exit code and
+/// the start of the merged stdout and stderr (a runaway tool can print
+/// without end).
 std::pair<int, std::string> run_tool(const Tool& tool, const std::string& args,
-                                     int timeout_seconds = 60) {
+                                     int timeout_seconds = 60,
+                                     const std::string& bench_dir = ".") {
   static const std::string dir = test::temp_dir("wormsim_cli_test");
   fs::create_directories(dir);
   const std::string command =
-      "cd '" + dir + "' && WORMSIM_BENCH_DIR=. timeout " +
+      "cd '" + dir + "' && WORMSIM_BENCH_DIR='" + bench_dir + "' timeout " +
       std::to_string(timeout_seconds) + " '" + tool.path + "' " + args +
       " 2>&1";
   std::string output;
@@ -363,6 +365,41 @@ TEST(SynthCli, ExistenceSearchOutOfBudgetExitsFour) {
     EXPECT_NE(decided.find("verdict=not-exists"), std::string::npos)
         << decided;
   }
+}
+
+/// A path no file can be written at: it runs through a regular file.
+std::string unwritable_path(const std::string& name) {
+  const std::string dir = test::temp_dir("wormsim_cli_" + name);
+  fs::create_directories(dir);
+  std::ofstream(dir + "/regular") << "not a directory\n";
+  return dir + "/regular/" + name;
+}
+
+// Each campaign output that cannot be written exits 2 and names the file,
+// under --quiet too; the other outputs are still attempted.
+TEST(CampaignCli, JsonlThatCannotBeWrittenExitsTwo) {
+  const auto [code, output] = run_tool(
+      kTools[0], "--count 1 --no-shrink --quiet --out /dev/full");
+  EXPECT_EQ(code, 2) << output;
+  EXPECT_NE(output.find("cannot write /dev/full"), std::string::npos)
+      << output;
+}
+
+TEST(CampaignCli, BenchReportThatCannotBeWrittenExitsTwo) {
+  const auto [code, output] =
+      run_tool(kTools[0], kTools[0].tail, 60, unwritable_path("bench"));
+  EXPECT_EQ(code, 2) << output;
+  EXPECT_NE(output.find("cannot write BENCH_campaign.json"), std::string::npos)
+      << output;
+}
+
+TEST(CampaignCli, CacheFileThatCannotBeSavedExitsTwo) {
+  const std::string cache = unwritable_path("truth.cache");
+  const auto [code, output] = run_tool(
+      kTools[0], std::string(kTools[0].tail) + " --cache-file " + cache);
+  EXPECT_EQ(code, 2) << output;
+  EXPECT_NE(output.find("cannot write " + cache), std::string::npos)
+      << output;
 }
 
 /// The number after " key=" in a tool's summary output.

@@ -23,10 +23,10 @@ std::vector<sim::MessageSpec> corner_traffic(const topo::Grid& grid,
     return grid.node_at(c);
   };
   return {
-      {at(0, 0), at(1, 1), length, 0, {}},
-      {at(1, 0), at(0, 1), length, 0, {}},
-      {at(1, 1), at(0, 0), length, 0, {}},
-      {at(0, 1), at(1, 0), length, 0, {}},
+      {at(0, 0), at(1, 1), length, 0},
+      {at(1, 0), at(0, 1), length, 0},
+      {at(1, 1), at(0, 0), length, 0},
+      {at(0, 1), at(1, 0), length, 0},
   };
 }
 

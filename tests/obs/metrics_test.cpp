@@ -8,49 +8,54 @@ namespace wormsim::obs {
 namespace {
 
 TEST(HistogramTest, BucketBoundariesAreInclusiveUpperBounds) {
-  Histogram h({1, 2, 4});
+  Histogram h;
   // v <= bound lands in that bucket: exactly-on-boundary values go to the
   // bucket whose le equals the value.
-  h.observe(1);    // bucket le=1
-  h.observe(2);    // bucket le=2
-  h.observe(1.5);  // bucket le=2
-  h.observe(4);    // bucket le=4
-  h.observe(5);    // overflow
-  ASSERT_EQ(h.counts().size(), 4u);
+  h.observe(1);     // bucket le=1
+  h.observe(2);     // bucket le=2
+  h.observe(1.5);   // bucket le=2
+  h.observe(4);     // bucket le=4
+  h.observe(5);     // bucket le=8
+  h.observe(4096);  // bucket le=4096, the last finite one
+  h.observe(4097);  // overflow
+  ASSERT_EQ(h.counts().size(), 14u);
   EXPECT_EQ(h.counts()[0], 1u);
   EXPECT_EQ(h.counts()[1], 2u);
   EXPECT_EQ(h.counts()[2], 1u);
-  EXPECT_EQ(h.counts()[3], 1u);  // +Inf
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.sum(), 13.5);
+  EXPECT_EQ(h.counts()[3], 1u);
+  EXPECT_EQ(h.counts()[12], 1u);
+  EXPECT_EQ(h.counts()[13], 1u);  // +Inf
+  EXPECT_EQ(h.count(), 7u);
+  EXPECT_DOUBLE_EQ(h.sum(), 8206.5);
   EXPECT_DOUBLE_EQ(h.min(), 1);
-  EXPECT_DOUBLE_EQ(h.max(), 5);
+  EXPECT_DOUBLE_EQ(h.max(), 4097);
 }
 
 TEST(HistogramTest, PercentileQueries) {
-  Histogram h({10, 20, 30, 40, 50, 60, 70, 80, 90, 100});
+  Histogram h;
   for (int v = 1; v <= 100; ++v) h.observe(v);
-  EXPECT_DOUBLE_EQ(h.percentile(0.0), 10);   // first nonempty bucket
-  EXPECT_DOUBLE_EQ(h.percentile(0.5), 50);   // median bucket
-  EXPECT_DOUBLE_EQ(h.percentile(0.95), 100);
+  EXPECT_DOUBLE_EQ(h.percentile(0.0), 1);     // first nonempty bucket
+  EXPECT_DOUBLE_EQ(h.percentile(0.3), 32);    // 30 is in bucket le=32
+  EXPECT_DOUBLE_EQ(h.percentile(0.5), 64);    // median bucket
+  EXPECT_DOUBLE_EQ(h.percentile(0.95), 100);  // le=128, clamped to the max
   EXPECT_DOUBLE_EQ(h.percentile(1.0), 100);
 }
 
 TEST(HistogramTest, NamedPercentileAccessorsMatchPercentile) {
-  Histogram h({10, 20, 30, 40, 50, 60, 70, 80, 90, 100});
+  Histogram h;
   for (int v = 1; v <= 100; ++v) h.observe(v);
   EXPECT_DOUBLE_EQ(h.p50(), h.percentile(0.50));
   EXPECT_DOUBLE_EQ(h.p90(), h.percentile(0.90));
   EXPECT_DOUBLE_EQ(h.p99(), h.percentile(0.99));
-  // With 1..100 uniform and decade buckets, the named quantiles land on
-  // their bucket upper bounds.
-  EXPECT_DOUBLE_EQ(h.p50(), 50);
-  EXPECT_DOUBLE_EQ(h.p90(), 90);
+  // With 1..100 uniform and power-of-two buckets, the median lands on its
+  // bucket's upper bound and the tail on the observed max.
+  EXPECT_DOUBLE_EQ(h.p50(), 64);
+  EXPECT_DOUBLE_EQ(h.p90(), 100);
   EXPECT_DOUBLE_EQ(h.p99(), 100);
 }
 
 TEST(HistogramTest, NamedPercentilesOnSkewedDistribution) {
-  Histogram h({1, 2, 4, 8});
+  Histogram h;
   // 97 observations at 1, 2 at 3, 1 at 100: the tail only shows past p97.
   for (int i = 0; i < 97; ++i) h.observe(1);
   h.observe(3);
@@ -62,32 +67,25 @@ TEST(HistogramTest, NamedPercentilesOnSkewedDistribution) {
 }
 
 TEST(HistogramTest, PercentileOfOverflowReturnsObservedMax) {
-  Histogram h({10});
+  Histogram h;
   h.observe(5);
-  h.observe(1000);
-  EXPECT_DOUBLE_EQ(h.percentile(1.0), 1000);
+  h.observe(10'000);
+  EXPECT_DOUBLE_EQ(h.percentile(1.0), 10'000);
 }
 
 TEST(HistogramTest, PercentileClampsToObservedMaxWithinBucket) {
-  Histogram h({100});
-  h.observe(3);  // single observation, bucket le=100
-  EXPECT_DOUBLE_EQ(h.percentile(0.5), 3);
+  Histogram h;
+  h.observe(100);  // single observation, bucket le=128
+  EXPECT_DOUBLE_EQ(h.percentile(0.5), 100);
 }
 
 TEST(HistogramTest, EmptyHistogramIsWellDefined) {
-  Histogram h({1, 2});
+  Histogram h;
   EXPECT_EQ(h.count(), 0u);
   EXPECT_DOUBLE_EQ(h.min(), 0);
   EXPECT_DOUBLE_EQ(h.max(), 0);
   EXPECT_DOUBLE_EQ(h.mean(), 0);
   EXPECT_DOUBLE_EQ(h.percentile(0.5), 0);
-}
-
-TEST(HistogramTest, ExponentialBoundsDoubleUpToLimit) {
-  const auto bounds = Histogram::exponential_bounds(1, 16);
-  ASSERT_EQ(bounds.size(), 5u);
-  EXPECT_DOUBLE_EQ(bounds[0], 1);
-  EXPECT_DOUBLE_EQ(bounds[4], 16);
 }
 
 TEST(JsonTest, EscapesControlAndQuoteCharacters) {

@@ -137,7 +137,7 @@ TEST(StatusSnapshotTest, U64FieldsSurviveRoundTripAtFullWidth) {
 /// A histogram holding `n` observations of each given value.
 Histogram branch_histogram(
     std::initializer_list<std::pair<double, int>> observations) {
-  Histogram h(Histogram::exponential_bounds(1, 16));
+  Histogram h;
   for (const auto& [value, n] : observations)
     for (int i = 0; i < n; ++i) h.observe(value);
   return h;

@@ -127,10 +127,10 @@ TEST_F(AdaptiveMeshTest, AdaptiveHeaderRoutesAroundABlockedChannel) {
   sim::WormholeSimulator simulator(alg, sim::SimConfig{}, policy);
   // Blocker: a long worm occupying the east channel out of (0,0).
   const auto blocker = simulator.add_message(
-      {at(single_, 0, 0), at(single_, 2, 0), 12, 0, {}});
+      {at(single_, 0, 0), at(single_, 2, 0), 12, 0});
   // Probe: wants (1,1); its east candidate is busy, north is free.
   const auto probe = simulator.add_message(
-      {at(single_, 0, 0), at(single_, 1, 1), 2, 0, {}});
+      {at(single_, 0, 0), at(single_, 1, 1), 2, 0});
   const auto result = simulator.run();
   EXPECT_EQ(result.outcome, sim::RunOutcome::kAllConsumed);
   // The probe must not have waited for the 12-flit blocker worm to drain

@@ -64,8 +64,8 @@ class ContentionTest : public ::testing::Test {
 TEST_F(ContentionTest, PriorityDecidesSimultaneousRequests) {
   PriorityArbitration policy({1, 0});  // message 1 outranks message 0
   WormholeSimulator sim(*table_, SimConfig{}, policy);
-  sim.add_message({a_, d_, 3, 0, {}});  // m0
-  sim.add_message({b_, d_, 3, 0, {}});  // m1
+  sim.add_message({a_, d_, 3, 0});  // m0
+  sim.add_message({b_, d_, 3, 0});  // m1
   const auto result = sim.run();
   EXPECT_EQ(result.outcome, RunOutcome::kAllConsumed);
   // Both arrive at c simultaneously (cycle 2); m1 must win the shared
@@ -79,8 +79,8 @@ TEST_F(ContentionTest, FifoPreventsStarvation) {
   WormholeSimulator sim(*table_, SimConfig{}, policy);
   // A stream of messages from a and one from b: the b message must still
   // get through (Assumption 5).
-  for (int i = 0; i < 4; ++i) sim.add_message({a_, d_, 2, 0, {}});
-  const MessageId mb = sim.add_message({b_, d_, 2, 0, {}});
+  for (int i = 0; i < 4; ++i) sim.add_message({a_, d_, 2, 0});
+  const MessageId mb = sim.add_message({b_, d_, 2, 0});
   const auto result = sim.run();
   EXPECT_EQ(result.outcome, RunOutcome::kAllConsumed);
   EXPECT_EQ(sim.status(mb), MessageStatus::kConsumed);

@@ -33,7 +33,7 @@ TEST_F(RingDeadlockTest, SimultaneousLongMessagesDeadlock) {
   config.check_invariants = true;
   WormholeSimulator sim(*table_, config, policy_);
   for (std::size_t s = 0; s < 4; ++s)
-    sim.add_message({NodeId{s}, NodeId{(s + 2) % 4}, 2, 0, {}});
+    sim.add_message({NodeId{s}, NodeId{(s + 2) % 4}, 2, 0});
   const auto result = sim.run();
   EXPECT_EQ(result.outcome, RunOutcome::kDeadlock);
   // All four messages participate in the wait-for cycle.
@@ -48,7 +48,7 @@ TEST_F(RingDeadlockTest, SingleFlitMessagesStillWedgeTheRing) {
   // n-cube wedge needs no long worms.
   WormholeSimulator sim(*table_, SimConfig{}, policy_);
   for (std::size_t s = 0; s < 4; ++s)
-    sim.add_message({NodeId{s}, NodeId{(s + 2) % 4}, 1, 0, {}});
+    sim.add_message({NodeId{s}, NodeId{(s + 2) % 4}, 1, 0});
   const auto result = sim.run();
   EXPECT_EQ(result.outcome, RunOutcome::kDeadlock);
 }
@@ -58,7 +58,7 @@ TEST_F(RingDeadlockTest, NeighborTrafficDrains) {
   // the header is at its destination after one hop.
   WormholeSimulator sim(*table_, SimConfig{}, policy_);
   for (std::size_t s = 0; s < 4; ++s)
-    sim.add_message({NodeId{s}, NodeId{(s + 1) % 4}, 3, 0, {}});
+    sim.add_message({NodeId{s}, NodeId{(s + 1) % 4}, 3, 0});
   const auto result = sim.run();
   EXPECT_EQ(result.outcome, RunOutcome::kAllConsumed);
 }
@@ -68,7 +68,7 @@ TEST_F(RingDeadlockTest, StaggeredInjectionAvoidsDeadlock) {
   // enters: reachability of the deadlock depends on the schedule.
   WormholeSimulator sim(*table_, SimConfig{}, policy_);
   for (std::size_t s = 0; s < 4; ++s)
-    sim.add_message({NodeId{s}, NodeId{(s + 2) % 4}, 2, s * 20, {}});
+    sim.add_message({NodeId{s}, NodeId{(s + 2) % 4}, 2, s * 20});
   const auto result = sim.run();
   EXPECT_EQ(result.outcome, RunOutcome::kAllConsumed);
 }
@@ -81,7 +81,7 @@ TEST_F(RingDeadlockTest, DeeperBuffersDoNotSaveTheRing) {
   config.buffer_depth = 2;
   WormholeSimulator sim(*table_, config, policy_);
   for (std::size_t s = 0; s < 4; ++s)
-    sim.add_message({NodeId{s}, NodeId{(s + 2) % 4}, 4, 0, {}});
+    sim.add_message({NodeId{s}, NodeId{(s + 2) % 4}, 4, 0});
   const auto result = sim.run();
   EXPECT_EQ(result.outcome, RunOutcome::kDeadlock);
 }
@@ -89,7 +89,7 @@ TEST_F(RingDeadlockTest, DeeperBuffersDoNotSaveTheRing) {
 TEST_F(RingDeadlockTest, WaitCycleMembersAreMutuallyBlocked) {
   WormholeSimulator sim(*table_, SimConfig{}, policy_);
   for (std::size_t s = 0; s < 4; ++s)
-    sim.add_message({NodeId{s}, NodeId{(s + 2) % 4}, 2, 0, {}});
+    sim.add_message({NodeId{s}, NodeId{(s + 2) % 4}, 2, 0});
   const auto result = sim.run();
   ASSERT_EQ(result.outcome, RunOutcome::kDeadlock);
   const auto occ = sim.occupancy();

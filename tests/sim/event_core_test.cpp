@@ -12,7 +12,7 @@
 //                 (parked headers, channel-wait wake-ups, clock jumps) and
 //                 must still land on the identical final state —
 // across the paper's figures (Fig1, Fig2, Fig3 a–f, Section-6
-// generalizations), stall/release timing variations, both arbitration
+// generalizations), staggered release times, both arbitration
 // policies, and a 200-scenario pinned sample of the campaign generator.
 #include <gtest/gtest.h>
 
@@ -118,19 +118,15 @@ SimConfig small_config() {
   return config;
 }
 
-/// Seeded timing decoration: staggered releases and per-hop stalls turn a
-/// bare spec multiset into a scenario that exercises the event core's
-/// timer heap (sleep-until-release, sleep-through-stall).
+/// Seeded timing decoration: staggered releases turn a bare spec multiset
+/// into a scenario that exercises the event core's timer heap
+/// (sleep-until-release).
 std::vector<MessageSpec> decorate(std::vector<MessageSpec> specs,
                                   std::uint64_t seed) {
   util::Rng rng(seed);
-  for (MessageSpec& spec : specs) {
+  for (MessageSpec& spec : specs)
     if (rng.below(2) == 0)
       spec.release_time = static_cast<Cycle>(rng.below(24));
-    const std::size_t stalled_hops = rng.below(4);
-    for (std::size_t h = 0; h < stalled_hops; ++h)
-      spec.hop_stalls.push_back(static_cast<std::uint32_t>(rng.below(9)));
-  }
   return specs;
 }
 

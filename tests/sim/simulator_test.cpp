@@ -40,7 +40,7 @@ class LineSimTest : public ::testing::Test {
 
 TEST_F(LineSimTest, SingleFlitMessageTraversesOneChannelPerCycle) {
   auto sim = make_sim();
-  const MessageId m = sim.add_message({nodes_[0], nodes_[4], 1, 0, {}});
+  const MessageId m = sim.add_message({nodes_[0], nodes_[4], 1, 0});
   const auto result = sim.run();
   EXPECT_EQ(result.outcome, RunOutcome::kAllConsumed);
   // Inject at cycle 1, one hop per cycle over 4 channels, consumed on
@@ -53,7 +53,7 @@ TEST_F(LineSimTest, SingleFlitMessageTraversesOneChannelPerCycle) {
 
 TEST_F(LineSimTest, WormPipelinesBehindHeader) {
   auto sim = make_sim();
-  const MessageId m = sim.add_message({nodes_[0], nodes_[4], 3, 0, {}});
+  const MessageId m = sim.add_message({nodes_[0], nodes_[4], 3, 0});
   const auto result = sim.run();
   EXPECT_EQ(result.outcome, RunOutcome::kAllConsumed);
   // Header arrives as before; the remaining 2 flits drain at 1/cycle.
@@ -63,7 +63,7 @@ TEST_F(LineSimTest, WormPipelinesBehindHeader) {
 
 TEST_F(LineSimTest, LongWormStreamsWithoutStalling) {
   auto sim = make_sim();
-  const MessageId m = sim.add_message({nodes_[0], nodes_[4], 10, 0, {}});
+  const MessageId m = sim.add_message({nodes_[0], nodes_[4], 10, 0});
   const auto result = sim.run();
   EXPECT_EQ(result.outcome, RunOutcome::kAllConsumed);
   EXPECT_EQ(sim.stats(m).deliver_cycle, 5u);
@@ -72,27 +72,16 @@ TEST_F(LineSimTest, LongWormStreamsWithoutStalling) {
 
 TEST_F(LineSimTest, ReleaseTimeDelaysInjection) {
   auto sim = make_sim();
-  const MessageId m = sim.add_message({nodes_[0], nodes_[4], 1, 7, {}});
+  const MessageId m = sim.add_message({nodes_[0], nodes_[4], 1, 7});
   const auto result = sim.run();
   EXPECT_EQ(result.outcome, RunOutcome::kAllConsumed);
   EXPECT_EQ(sim.stats(m).inject_cycle, 7u);
 }
 
-TEST_F(LineSimTest, HopStallsHoldHeaderDespiteFreeChannel) {
-  auto sim = make_sim();
-  // Stall 3 cycles before acquiring hop 2 (the third channel).
-  const MessageId m = sim.add_message({nodes_[0], nodes_[4], 1, 0,
-                                       {0, 0, 3, 0}});
-  const auto result = sim.run();
-  EXPECT_EQ(result.outcome, RunOutcome::kAllConsumed);
-  EXPECT_EQ(sim.stats(m).deliver_cycle, 8u);  // 5 + 3 stall cycles
-  (void)m;
-}
-
 TEST_F(LineSimTest, AtomicAllocationSeparatesMessages) {
   auto sim = make_sim();
-  const MessageId first = sim.add_message({nodes_[0], nodes_[4], 4, 0, {}});
-  const MessageId second = sim.add_message({nodes_[0], nodes_[4], 1, 0, {}});
+  const MessageId first = sim.add_message({nodes_[0], nodes_[4], 4, 0});
+  const MessageId second = sim.add_message({nodes_[0], nodes_[4], 1, 0});
   const auto result = sim.run();
   EXPECT_EQ(result.outcome, RunOutcome::kAllConsumed);
   // The second message may enter channel 0 only after the first's tail has
@@ -104,7 +93,7 @@ TEST_F(LineSimTest, AtomicAllocationSeparatesMessages) {
 
 TEST_F(LineSimTest, DeeperBuffersCompressTheWorm) {
   auto sim = make_sim(/*buffers=*/2);
-  const MessageId m = sim.add_message({nodes_[0], nodes_[4], 8, 0, {}});
+  const MessageId m = sim.add_message({nodes_[0], nodes_[4], 8, 0});
   const auto result = sim.run();
   EXPECT_EQ(result.outcome, RunOutcome::kAllConsumed);
   EXPECT_EQ(sim.stats(m).deliver_cycle, 5u);
@@ -113,7 +102,7 @@ TEST_F(LineSimTest, DeeperBuffersCompressTheWorm) {
 
 TEST_F(LineSimTest, OccupancySnapshotTracksWorm) {
   auto sim = make_sim();
-  sim.add_message({nodes_[0], nodes_[4], 4, 0, {}});
+  sim.add_message({nodes_[0], nodes_[4], 4, 0});
   sim.step();  // inject: header in chans_[0]
   sim.step();  // header -> chans_[1], flit behind it
   const auto occ = sim.occupancy();
@@ -128,7 +117,7 @@ TEST_F(LineSimTest, OccupancySnapshotTracksWorm) {
 
 TEST_F(LineSimTest, ChannelsReleasedAfterTailPasses) {
   auto sim = make_sim();
-  sim.add_message({nodes_[0], nodes_[4], 2, 0, {}});
+  sim.add_message({nodes_[0], nodes_[4], 2, 0});
   for (int i = 0; i < 4; ++i) sim.step();
   // After 4 cycles the 2-flit worm has moved past chans_[0]: cycle 1 inject,
   // cycle 2 header->1 + flit2->0, cycle 3 header->2, flit2->1 (tail leaves
@@ -140,8 +129,8 @@ TEST_F(LineSimTest, StateKeyIdenticalForIdenticalRuns) {
   auto sim1 = make_sim();
   auto sim2 = make_sim();
   for (auto* s : {&sim1, &sim2}) {
-    s->add_message({nodes_[0], nodes_[4], 3, 0, {}});
-    s->add_message({nodes_[1], nodes_[4], 2, 0, {}});
+    s->add_message({nodes_[0], nodes_[4], 3, 0});
+    s->add_message({nodes_[1], nodes_[4], 2, 0});
     s->step();
     s->step();
   }
@@ -152,7 +141,7 @@ TEST_F(LineSimTest, StateKeyIdenticalForIdenticalRuns) {
 
 TEST_F(LineSimTest, PeekRequestsDoesNotMutate) {
   auto sim = make_sim();
-  sim.add_message({nodes_[0], nodes_[4], 1, 0, {}});
+  sim.add_message({nodes_[0], nodes_[4], 1, 0});
   const auto key_before = sim.state_key();
   const auto requests = sim.peek_requests();
   EXPECT_EQ(sim.state_key(), key_before);
@@ -164,7 +153,7 @@ TEST_F(LineSimTest, PeekRequestsDoesNotMutate) {
 
 TEST_F(LineSimTest, StepWithGrantsHonorsEmptyGrant) {
   auto sim = make_sim();
-  sim.add_message({nodes_[0], nodes_[4], 1, 0, {}});
+  sim.add_message({nodes_[0], nodes_[4], 1, 0});
   // Denying the injection leaves the network empty: no progress.
   EXPECT_FALSE(sim.step_with_grants({}));
   // Granting it moves the header in.
@@ -177,7 +166,7 @@ TEST_F(LineSimTest, StepWithGrantsHonorsEmptyGrant) {
 
 TEST_F(LineSimTest, FlitsMovedCountsActivity) {
   auto sim = make_sim();
-  sim.add_message({nodes_[0], nodes_[4], 2, 0, {}});
+  sim.add_message({nodes_[0], nodes_[4], 2, 0});
   sim.run();
   // 2 flits each traverse 4 channels = 8 channel entries.
   EXPECT_EQ(sim.flits_moved(), 8u);
@@ -192,7 +181,7 @@ TEST(SimulatorDeath, AddMessageRequiresRoute) {
   table.set(a, b, *net.find_channel(a, b));
   FifoArbitration policy;
   WormholeSimulator sim(table, SimConfig{}, policy);
-  EXPECT_DEATH(sim.add_message({a, c, 1, 0, {}}), "does not route");
+  EXPECT_DEATH(sim.add_message({a, c, 1, 0}), "does not route");
 }
 
 TEST(SimulatorDeath, ZeroLengthMessageRejected) {
@@ -203,7 +192,7 @@ TEST(SimulatorDeath, ZeroLengthMessageRejected) {
   table.set(a, b, *net.find_channel(a, b));
   FifoArbitration policy;
   WormholeSimulator sim(table, SimConfig{}, policy);
-  EXPECT_DEATH(sim.add_message({a, b, 0, 0, {}}), "length");
+  EXPECT_DEATH(sim.add_message({a, b, 0, 0}), "length");
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // The state key is a function of the state alone: a simulator stepped
 // through an arbitrary grant history, copied, or grown by add_message
 // serializes exactly the same key bytes as a fresh simulator replaying
-// that history. The StateKeyCache suite, named for a per-simulator key
-// cache that has since been deleted, pins that; StateKey pins the bytes
-// themselves against the layout documented at WormholeSimulator::state_key.
+// that history. The StateKeyWriter suite pins that; StateKey pins the
+// bytes themselves against the layout documented at
+// WormholeSimulator::state_key.
 //
 // The key must also stay exact: it stores only the per-message segments,
 // so channel ownership and occupancy have to be a function of them. The
@@ -54,8 +54,8 @@ std::vector<std::pair<ChannelId, MessageId>> greedy_grants(
 }
 
 /// Replays `history` (per-cycle grant lists, with message additions at the
-/// recorded cycles) on a fresh simulator and returns its key — built from
-/// scratch, since the fresh simulator never serialized before.
+/// recorded cycles) on a fresh simulator and returns its key — the
+/// reference every stepped, copied or grown simulator must match.
 std::string replay_key(const routing::RoutingAlgorithm& alg, SimConfig config,
                        const std::vector<MessageSpec>& initial,
                        const std::vector<std::pair<std::size_t, MessageSpec>>&
@@ -72,7 +72,7 @@ std::string replay_key(const routing::RoutingAlgorithm& alg, SimConfig config,
   return fresh.state_key();
 }
 
-TEST(StateKeyCache, SteppedKeyMatchesFreshReplayEveryCycle) {
+TEST(StateKeyWriter, SteppedKeyMatchesFreshReplayEveryCycle) {
   const core::CyclicFamily family(core::fig1_spec());
   const auto specs = family.message_specs();
   SimConfig config;
@@ -83,12 +83,12 @@ TEST(StateKeyCache, SteppedKeyMatchesFreshReplayEveryCycle) {
 
   std::vector<std::vector<std::pair<ChannelId, MessageId>>> history;
   for (int cycle = 0; cycle < 40 && !sim.all_consumed(); ++cycle) {
-    // Serialize BEFORE stepping too, so the incremental path (patch after
-    // prior build) is exercised on every cycle, not just the last.
-    const std::string incremental = sim.state_key();
+    // Serialize BEFORE stepping too, so every cycle's key is checked, not
+    // just the last, and serializing is seen not to disturb the stepping.
+    const std::string stepped = sim.state_key();
     const std::string fresh = replay_key(family.algorithm(), config, specs,
                                          {}, history);
-    ASSERT_EQ(incremental, fresh) << "cycle " << cycle;
+    ASSERT_EQ(stepped, fresh) << "cycle " << cycle;
 
     history.push_back(greedy_grants(sim));
     sim.step_with_grants(history.back());
@@ -97,7 +97,7 @@ TEST(StateKeyCache, SteppedKeyMatchesFreshReplayEveryCycle) {
             replay_key(family.algorithm(), config, specs, {}, history));
 }
 
-TEST(StateKeyCache, IdleCyclesLeaveKeyUnchanged) {
+TEST(StateKeyWriter, IdleCyclesLeaveKeyUnchanged) {
   const core::CyclicFamily family(core::fig1_spec());
   SimConfig config;
   config.buffer_depth = 1;
@@ -110,7 +110,7 @@ TEST(StateKeyCache, IdleCyclesLeaveKeyUnchanged) {
   EXPECT_EQ(sim.state_key(), before);
 }
 
-TEST(StateKeyCache, AddMessageInvalidatesAfterFirstSerialization) {
+TEST(StateKeyWriter, MessageAddedMidRunMatchesFreshReplay) {
   const core::CyclicFamily family(core::fig1_spec());
   const auto specs = family.message_specs();
   SimConfig config;
@@ -123,9 +123,9 @@ TEST(StateKeyCache, AddMessageInvalidatesAfterFirstSerialization) {
   std::vector<std::vector<std::pair<ChannelId, MessageId>>> history;
   std::vector<std::pair<std::size_t, MessageSpec>> late;
   for (int cycle = 0; cycle < 12; ++cycle) {
-    (void)sim.state_key();  // force the cache live before mutations
+    (void)sim.state_key();  // serialized before the key grows
     if (cycle == 3 && specs.size() > 1) {
-      sim.add_message(specs[1]);  // grows the key: must invalidate
+      sim.add_message(specs[1]);  // grows the key by one segment
       late.emplace_back(static_cast<std::size_t>(cycle), specs[1]);
     }
     history.push_back(greedy_grants(sim));
@@ -136,12 +136,12 @@ TEST(StateKeyCache, AddMessageInvalidatesAfterFirstSerialization) {
   }
 }
 
-TEST(StateKeyCache, TrustedStepMatchesCheckedStepEveryCycle) {
+TEST(StateKeyWriter, TrustedStepMatchesCheckedStepEveryCycle) {
   // The deadlock search's forward exploration uses step_with_grants_trusted,
   // which skips the request re-derivation and arbitration bookkeeping of the
-  // checked step. Under the search's scenario contract (release_time == 0,
-  // no hop stalls) the two steps must be observationally identical: same
-  // progress flag, same key bytes, same requests, every cycle.
+  // checked step. Under the search's scenario contract (release_time == 0)
+  // the two steps must be observationally identical: same progress flag,
+  // same key bytes, same requests, every cycle.
   const core::CyclicFamily family(core::fig1_spec());
   SimConfig config;
   config.buffer_depth = 1;
@@ -174,19 +174,19 @@ TEST(StateKeyCache, TrustedStepMatchesCheckedStepEveryCycle) {
   EXPECT_TRUE(trusted.all_consumed());
 }
 
-TEST(StateKeyCache, CopiedSimulatorKeysStayIndependent) {
+TEST(StateKeyWriter, CopiedSimulatorKeysStayIndependent) {
   const core::CyclicFamily family(core::fig1_spec());
   SimConfig config;
   config.buffer_depth = 1;
   WormholeSimulator parent(family.algorithm(), config);
   for (const MessageSpec& spec : family.message_specs())
     parent.add_message(spec);
-  (void)parent.state_key();  // cache live, then fork (the search's pattern)
+  (void)parent.state_key();  // key, then fork (the search's pattern)
 
   WormholeSimulator child = parent;
   child.step_with_grants(greedy_grants(child));
 
-  // Child patched only its own copy; parent still serializes its old state.
+  // Child stepped only its own copy; parent still serializes its old state.
   WormholeSimulator pristine(family.algorithm(), config);
   for (const MessageSpec& spec : family.message_specs())
     pristine.add_message(spec);
@@ -303,9 +303,9 @@ TEST(KeyDeterminesOccupancy, MinimalAdaptiveMesh) {
     return grid.node_at(c);
   };
   const std::vector<MessageSpec> specs = {
-      {at(0, 0), at(3, 3), 3, 0, {}}, {at(3, 0), at(0, 3), 2, 0, {}},
-      {at(0, 3), at(3, 0), 4, 0, {}}, {at(3, 3), at(0, 0), 2, 0, {}},
-      {at(1, 0), at(2, 3), 5, 0, {}}};
+      {at(0, 0), at(3, 3), 3, 0}, {at(3, 0), at(0, 3), 2, 0},
+      {at(0, 3), at(3, 0), 4, 0}, {at(3, 3), at(0, 0), 2, 0},
+      {at(1, 0), at(2, 3), 5, 0}};
   const auto make = [&](const SimConfig& config) {
     WormholeSimulator sim(alg, config);
     for (const MessageSpec& spec : specs) sim.add_message(spec);
@@ -355,11 +355,11 @@ TEST(KeyDeterminesOccupancy, PinnedCampaignRandomAlgorithmSample) {
   EXPECT_GT(repeats, 0u);
 }
 
-TEST(StateKeyCache, VarintWidthChangesRebuildTheTail) {
+TEST(StateKeyWriter, VarintWidthChangesMatchFreshReplay) {
   // A 130-flit worm on a 254-channel mesh: its flit counters cross 127 and
   // its route uses channel ids past 127, so its segment changes length
-  // mid-run without a path change, and the segments after it must be
-  // rebuilt at their new offsets.
+  // mid-run without a path change, and the segments after it move to new
+  // offsets.
   const topo::Grid grid = topo::make_mesh({8, 9});
   ASSERT_GE(grid.net().channel_count(), 130u);
   const routing::DimensionOrderMesh alg(grid);
@@ -367,9 +367,9 @@ TEST(StateKeyCache, VarintWidthChangesRebuildTheTail) {
     const int c[2] = {x, y};
     return grid.node_at(c);
   };
-  const std::vector<MessageSpec> specs = {{at(0, 0), at(7, 8), 130, 0, {}},
-                                          {at(7, 0), at(0, 8), 3, 0, {}},
-                                          {at(0, 8), at(7, 0), 2, 0, {}}};
+  const std::vector<MessageSpec> specs = {{at(0, 0), at(7, 8), 130, 0},
+                                          {at(7, 0), at(0, 8), 3, 0},
+                                          {at(0, 8), at(7, 0), 2, 0}};
   const auto route = routing::trace_path(alg, specs[0].src, specs[0].dst);
   ASSERT_TRUE(route.has_value());
   EXPECT_TRUE(std::any_of(route->begin(), route->end(),
@@ -429,7 +429,7 @@ TEST(StateKey, BytesFollowTheDocumentedLayout) {
   const int from[2] = {7, 0};
   const int to[2] = {0, 8};
   WormholeSimulator mesh(alg, config);
-  mesh.add_message({grid.node_at(from), grid.node_at(to), 3, 0, {}});
+  mesh.add_message({grid.node_at(from), grid.node_at(to), 3, 0});
   const ChannelId wide = inject(mesh, MessageId{0});
   ASSERT_GE(wide.value(), 128u);
   std::string segment = {static_cast<char>(MessageStatus::kMoving), 1, 0, 0,

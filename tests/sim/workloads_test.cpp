@@ -237,7 +237,7 @@ TEST(Workloads, BusyCyclesMatchWormLifetime) {
   FifoArbitration policy;
   WormholeSimulator sim(dor, SimConfig{}, policy);
   const int a[2] = {0, 0}, b[2] = {3, 0};
-  sim.add_message({grid.node_at(a), grid.node_at(b), 4, 0, {}});
+  sim.add_message({grid.node_at(a), grid.node_at(b), 4, 0});
   const auto result = sim.run();
   ASSERT_EQ(result.outcome, RunOutcome::kAllConsumed);
   for (const ChannelId c : grid.net().channel_ids()) {

@@ -53,8 +53,6 @@ INFORM = [
     "truth_cache.loaded",
     "truth_cache.stored",
     "truth_cache.parked",
-    "shard_sweep.*",
-    "reduction.*",
     # wormsim_saturation: wall-clock rows and the cycle-vs-event core timing
     # comparison are machine-dependent; the deterministic sweep metrics
     # (offered/delivered/latency/event counters) stay exact-gated.

@@ -72,8 +72,9 @@ int main(int argc, char** argv) {
 
   cli::Parser parser(
       "wormsim_campaign", "[flags]",
-      "exit: 0 clean, 1 disagreements, 2 usage, 3 reduction divergence,\n"
-      "      4 --replay search undecided (state or memo budget)\n"
+      "exit: 0 clean, 1 disagreements, 2 usage or an output file not\n"
+      "      written (--out, BENCH report, --cache-file), 3 reduction\n"
+      "      divergence, 4 --replay search undecided (state or memo budget)\n"
       "see docs/campaign.md for the full operator's manual\n");
   parser.integer("--seed", config.seed,
                  "campaign seed; scenario i is a pure function of (seed, i)");
@@ -132,10 +133,21 @@ int main(int argc, char** argv) {
     return 2;
   }
   result.write_jsonl(out);
+  out.close();
+  // Every output is attempted and each failure named; a lost output
+  // exits 2 after the summary, unless a reduction divergence outranks it.
+  bool outputs_written = true;
+  const auto output_failed = [&](const std::string& what) {
+    std::fprintf(stderr, "wormsim_campaign: cannot write %s\n", what.c_str());
+    outputs_written = false;
+  };
+  if (!out) output_failed(out_path);
 
-  obs::RunReport report = result.report(config);
+  const obs::RunReport report = result.report(config);
   if (!obs::write_report_file(report))
-    std::fprintf(stderr, "wormsim_campaign: failed to write BENCH report\n");
+    output_failed("BENCH_" + report.name + ".json");
+  if (!config.cache_file.empty() && !result.cache_saved)
+    output_failed(config.cache_file);
 
   if (!quiet) {
     std::printf(
@@ -198,5 +210,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(result.reduction_divergences));
     return 3;
   }
+  if (!outputs_written) return 2;
   return result.disagree == 0 ? 0 : 1;
 }
