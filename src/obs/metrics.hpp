@@ -81,12 +81,12 @@ void merge_counter(const Counter& c, Stats& into, const Stats& from) {
 /// (WormholeSimulator::run() under SimCore::kEvent). Zero until the first
 /// event run; cumulative across runs of the same simulator. An "event" is
 /// one scheduler entry: a ready-set enqueue, a sleep timer (release
-/// expiry), or a channel-wait subscription of a blocked header.
+/// expiry), or a blocked header's entry in a channel-wait heap.
 struct EventCoreStats {
   std::uint64_t events_scheduled = 0;  ///< scheduler entries enqueued
   std::uint64_t events_fired = 0;      ///< entries that dispatched work
   std::uint64_t events_cancelled = 0;  ///< stale entries discarded unfired
-  std::uint64_t queue_peak = 0;  ///< peak pending entries across all queues
+  std::uint64_t queue_peak = 0;  ///< peak ready, sleeping and parked messages
   std::uint64_t cycles_executed = 0;  ///< cycles actually processed
   std::uint64_t cycles_skipped = 0;   ///< idle cycles jumped over
 

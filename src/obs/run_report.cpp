@@ -28,15 +28,18 @@ std::string to_json(const RunReport& report) {
   return out;
 }
 
-bool write_report_file(const RunReport& report, const std::string& dir) {
-  std::string directory = dir;
-  if (directory.empty()) {
-    if (const char* env = std::getenv("WORMSIM_BENCH_DIR")) directory = env;
+std::string report_path(const RunReport& report, const std::string& dir) {
+  std::string path = dir;
+  if (path.empty()) {
+    if (const char* env = std::getenv("WORMSIM_BENCH_DIR")) path = env;
   }
-  std::string path = directory;
   if (!path.empty() && path.back() != '/') path += '/';
-  path += "BENCH_" + report.name + ".json";
-  return util::write_file_atomic(path, to_json(report) + "\n");
+  return path + "BENCH_" + report.name + ".json";
+}
+
+bool write_report_file(const RunReport& report, const std::string& dir) {
+  return util::write_file_atomic(report_path(report, dir),
+                                 to_json(report) + "\n");
 }
 
 }  // namespace wormsim::obs

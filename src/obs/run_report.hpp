@@ -25,9 +25,13 @@ struct RunReport {
 /// The report as one JSON object.
 std::string to_json(const RunReport& report);
 
-/// Publishes `dir`/BENCH_<name>.json atomically, creating missing parent
-/// directories (dir defaults to the working directory; set
-/// WORMSIM_BENCH_DIR to redirect). Returns false on I/O failure.
+/// Where write_report_file publishes `report`: `dir`/BENCH_<name>.json, with
+/// dir defaulting to WORMSIM_BENCH_DIR when set, else the working
+/// directory. Tools name this path when the write fails.
+std::string report_path(const RunReport& report, const std::string& dir = {});
+
+/// Publishes the report at report_path(report, dir) atomically, creating
+/// missing parent directories. Returns false on I/O failure.
 bool write_report_file(const RunReport& report, const std::string& dir = {});
 
 }  // namespace wormsim::obs

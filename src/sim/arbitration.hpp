@@ -10,6 +10,7 @@
 // message orderings.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -25,29 +26,41 @@ struct ChannelRequest {
   Cycle waiting_since;  ///< cycle the message first wanted this hop
 };
 
-/// Strategy interface: choose the winner among requests for one channel.
-/// `requests` is non-empty and all entries target the same channel.
+/// Strategy interface: a policy ranks each request, and the lowest
+/// (rank, message id) among the requests for one channel wins it.
+///
+/// A request's rank must not change while its header stays blocked: the
+/// event core (SimCore::kEvent) parks a blocked header in each wanted
+/// channel's wait heap under the rank it had when it parked, and wakes only
+/// the headers a release lets win (DESIGN.md §13).
 class ArbitrationPolicy {
  public:
   virtual ~ArbitrationPolicy() = default;
-  [[nodiscard]] virtual MessageId pick(
-      std::span<const ChannelRequest> requests) const = 0;
+  [[nodiscard]] virtual std::uint64_t rank(const ChannelRequest& r) const = 0;
+
+  /// The winner among `requests`, which is non-empty and targets one
+  /// channel: the lowest (rank, message id).
+  [[nodiscard]] MessageId pick(std::span<const ChannelRequest> requests) const {
+    WORMSIM_EXPECTS(!requests.empty());
+    const ChannelRequest* best = &requests.front();
+    std::uint64_t best_rank = rank(*best);
+    for (const ChannelRequest& r : requests.subspan(1)) {
+      const std::uint64_t k = rank(r);
+      if (k < best_rank || (k == best_rank && r.message < best->message)) {
+        best = &r;
+        best_rank = k;
+      }
+    }
+    return best->message;
+  }
 };
 
 /// Longest-waiting-first, ties broken by lower message id. Starvation-free:
 /// a waiting message's seniority only grows, so it is eventually the oldest.
 class FifoArbitration final : public ArbitrationPolicy {
  public:
-  [[nodiscard]] MessageId pick(
-      std::span<const ChannelRequest> requests) const override {
-    WORMSIM_EXPECTS(!requests.empty());
-    const ChannelRequest* best = &requests.front();
-    for (const ChannelRequest& r : requests)
-      if (r.waiting_since < best->waiting_since ||
-          (r.waiting_since == best->waiting_since &&
-           r.message < best->message))
-        best = &r;
-    return best->message;
+  [[nodiscard]] std::uint64_t rank(const ChannelRequest& r) const override {
+    return r.waiting_since;
   }
 };
 
@@ -61,20 +74,13 @@ class PriorityArbitration final : public ArbitrationPolicy {
   explicit PriorityArbitration(std::vector<std::uint32_t> ranking)
       : ranking_(std::move(ranking)) {}
 
-  [[nodiscard]] MessageId pick(
-      std::span<const ChannelRequest> requests) const override {
-    WORMSIM_EXPECTS(!requests.empty());
-    const ChannelRequest* best = &requests.front();
-    for (const ChannelRequest& r : requests)
-      if (rank(r.message) < rank(best->message)) best = &r;
-    return best->message;
+  [[nodiscard]] std::uint64_t rank(const ChannelRequest& r) const override {
+    const std::size_t i = r.message.index();
+    if (i < ranking_.size()) return ranking_[i];
+    return std::uint64_t{1} << 40 | r.message.value();
   }
 
  private:
-  [[nodiscard]] std::uint64_t rank(MessageId m) const {
-    if (m.index() < ranking_.size()) return ranking_[m.index()];
-    return std::uint64_t{1} << 40 | m.value();
-  }
   std::vector<std::uint32_t> ranking_;
 };
 

@@ -165,32 +165,27 @@ bool WormholeSimulator::compute_requests() {
 }
 
 void WormholeSimulator::arbitrate_requests() {
-  // Arbitration: one winner per contested channel; a message that has
-  // already won a channel this cycle (adaptive multi-candidate requests)
-  // is skipped and the surplus channel stays idle for this cycle.
-  std::unordered_map<std::uint32_t, std::vector<ChannelRequest>> by_channel;
-  for (const ChannelRequest& r : requests_.v)
-    by_channel[r.channel.value()].push_back(r);
-  // Deterministic processing order (map order is not).
-  std::vector<std::uint32_t> channel_order;
-  channel_order.reserve(by_channel.size());
-  for (const auto& [chan, reqs] : by_channel) channel_order.push_back(chan);
-  std::sort(channel_order.begin(), channel_order.end());
-  for (const std::uint32_t chan : channel_order) {
-    auto& reqs = by_channel[chan];
-    // Drop requesters that already won another channel this cycle.
-    reqs.erase(std::remove_if(reqs.begin(), reqs.end(),
-                              [&](const ChannelRequest& r) {
-                                return grant_of(r.message.index()).valid();
-                              }),
-               reqs.end());
-    if (reqs.empty()) continue;
-    const MessageId winner = policy_->pick(reqs);
-    WORMSIM_ASSERT(std::any_of(reqs.begin(), reqs.end(),
-                               [&](const ChannelRequest& r) {
-                                 return r.message == winner;
-                               }));
-    set_grant(winner.index(), ChannelId{chan});
+  // Arbitration: one winner per contested channel, channels in ascending
+  // id order; a message that has already won a channel this cycle
+  // (adaptive multi-candidate requests) is skipped and the surplus channel
+  // stays idle for this cycle. Sorting in place groups each channel's
+  // requests without a per-cycle container.
+  std::vector<ChannelRequest>& reqs = requests_.v;
+  std::sort(reqs.begin(), reqs.end(),
+            [](const ChannelRequest& a, const ChannelRequest& b) {
+              return a.channel != b.channel ? a.channel < b.channel
+                                            : a.message < b.message;
+            });
+  for (auto run = reqs.begin(); run != reqs.end();) {
+    const ChannelId chan = run->channel;
+    const auto end = std::find_if(
+        run, reqs.end(),
+        [&](const ChannelRequest& r) { return r.channel != chan; });
+    const auto open = std::remove_if(run, end, [&](const ChannelRequest& r) {
+      return grant_of(r.message.index()).valid();
+    });
+    if (open != run) set_grant(policy_->pick({run, open}).index(), chan);
+    run = end;
   }
 }
 
@@ -492,21 +487,39 @@ RunResult WormholeSimulator::run_cycle() {
 ///   - ready: messages to process in the next executed cycle (every entry
 ///     is stamped with that cycle so duplicates collapse);
 ///   - timers: (wake cycle, message) min-heap for pending releases;
-///   - waiters: per-channel subscription lists for headers whose every
-///     candidate channel is owned; a release wakes the subscribers.
+///   - waiters: one min-heap per channel of the headers whose every
+///     candidate channel is owned, in the arbiter's (rank, message) order;
+///     a release wakes only the headers that can still win the channel.
 /// Dormancy is sound because a message that made no move in a cycle and
 /// raised no request cannot move again until a wanted channel frees (its
 /// own shift/injection preconditions are unchanged — nobody else can touch
 /// channels it owns), and parked headers are exactly those messages.
 struct WormholeSimulator::EventScheduler {
   using Wake = std::pair<Cycle, std::uint32_t>;
+  /// One parked header in one channel's wait heap. A header with several
+  /// candidates has an entry in each of their heaps; a wake bumps the
+  /// message's generation, which turns its other entries stale.
+  struct Waiter {
+    std::uint64_t rank;  ///< the policy's rank of the request, fixed while
+                         ///< the header stays blocked
+    std::uint32_t message;
+    std::uint32_t generation;  ///< the park it belongs to; wraps only after
+                               ///< 2^32 parks of one message
+  };
+  static_assert(sizeof(Waiter) == 16);
+  /// Heap order: std's heaps keep the greatest element in front, so
+  /// "behind" puts the arbiter's lowest (rank, message) there.
+  static bool behind(const Waiter& a, const Waiter& b) {
+    return a.rank != b.rank ? a.rank > b.rank : a.message > b.message;
+  }
   std::vector<std::uint32_t> ready;   ///< accumulates the next cycle's work
   std::vector<Cycle> ready_stamp;     ///< cycle each message is queued for
   std::priority_queue<Wake, std::vector<Wake>, std::greater<Wake>> timers;
-  std::vector<std::vector<std::uint32_t>> waiters;  ///< per channel
-  std::vector<std::uint8_t> subscribed;             ///< per message
-  std::uint64_t parked = 0;   ///< messages currently subscribed
-  std::vector<ChannelId> freed;  ///< channels released this cycle
+  std::vector<std::vector<Waiter>> waiters;  ///< per channel, heap by behind
+  std::vector<std::uint32_t> generation;     ///< per message
+  std::vector<std::uint8_t> sole;  ///< per message: parked on one channel
+  std::uint64_t parked = 0;        ///< messages currently parked
+  std::vector<ChannelId> freed;    ///< channels released this cycle
 };
 
 void WormholeSimulator::report_freed(ChannelId c) {
@@ -520,7 +533,8 @@ RunResult WormholeSimulator::run_event() {
   EventScheduler sched;
   sched.waiters.resize(channels_.size());
   sched.ready_stamp.assign(messages_.size(), 0);
-  sched.subscribed.assign(messages_.size(), 0);
+  sched.generation.assign(messages_.size(), 0);
+  sched.sole.assign(messages_.size(), 0);
   sched_.p = &sched;
   ensure_grant_capacity();
   EventCoreStats& st = event_stats_;
@@ -633,10 +647,16 @@ RunResult WormholeSimulator::run_event() {
             // frees. Under tracing the message stays ready instead, so
             // the per-cycle blocked events match the cycle core's.
             desired_channels_into(msg, wants_scratch_);
-            sched.subscribed[m] = 1;
+            sched.sole[m] = wants_scratch_.size() == 1 ? 1 : 0;
             ++sched.parked;
             for (const ChannelId want : wants_scratch_) {
-              sched.waiters[want.index()].push_back(m);
+              std::vector<EventScheduler::Waiter>& heap =
+                  sched.waiters[want.index()];
+              heap.push_back({policy_->rank({MessageId{m}, want,
+                                             msg.waiting_since}),
+                              m, sched.generation[m]});
+              std::push_heap(heap.begin(), heap.end(),
+                             EventScheduler::behind);
               ++st.events_scheduled;
             }
             continue;
@@ -650,23 +670,31 @@ RunResult WormholeSimulator::run_event() {
       push_ready(m, cycle_ + 1);
     }
 
-    // Phase 4: releases this cycle wake subscribed headers for the next
-    // cycle (atomic allocation: a freed channel accepts a new header no
-    // earlier than the cycle after its release — exactly what the cycle
-    // core's start-of-next-cycle request sweep observes).
+    // Phase 4: releases this cycle wake parked headers for the next cycle
+    // (atomic allocation: a freed channel accepts a new header no earlier
+    // than the cycle after its release — exactly what the cycle core's
+    // start-of-next-cycle request sweep observes). A release wakes its
+    // heap in arbitration order up to and including the first header
+    // whose only candidate is this channel: that header requests it next
+    // cycle and cannot have won a lower channel first, so the channel goes
+    // to it or to a header ahead of it, and every header behind it would
+    // only request, lose and park again, which changes no state.
     for (const ChannelId c : sched.freed) {
-      std::vector<std::uint32_t>& list = sched.waiters[c.index()];
-      for (const std::uint32_t m : list) {
-        if (!sched.subscribed[m]) {
-          ++st.events_cancelled;
+      std::vector<EventScheduler::Waiter>& heap = sched.waiters[c.index()];
+      while (!heap.empty()) {
+        const EventScheduler::Waiter w = heap.front();
+        std::pop_heap(heap.begin(), heap.end(), EventScheduler::behind);
+        heap.pop_back();
+        if (w.generation != sched.generation[w.message]) {
+          ++st.events_cancelled;  // woken since by another release
           continue;
         }
-        sched.subscribed[m] = 0;
+        ++sched.generation[w.message];
         --sched.parked;
         ++st.events_fired;
-        push_ready(m, cycle_ + 1);
+        push_ready(w.message, cycle_ + 1);
+        if (sched.sole[w.message]) break;
       }
-      list.clear();
     }
     sched.freed.clear();
 

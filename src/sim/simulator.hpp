@@ -317,7 +317,7 @@ class WormholeSimulator {
   /// Resolves requests_ into per-message grants (set_grant) exactly like
   /// the policy arbitration documented at step(): one winner per contested
   /// channel, channels in ascending id order, requesters that already won
-  /// a channel this cycle dropped.
+  /// a channel this cycle dropped. Reorders requests_ in place.
   void arbitrate_requests();
 
   /// Grants are stored cycle-stamped so neither core pays an O(messages)

@@ -386,10 +386,32 @@ TEST(CampaignCli, JsonlThatCannotBeWrittenExitsTwo) {
 }
 
 TEST(CampaignCli, BenchReportThatCannotBeWrittenExitsTwo) {
-  const auto [code, output] =
-      run_tool(kTools[0], kTools[0].tail, 60, unwritable_path("bench"));
+  const std::string dir = unwritable_path("bench");
+  const auto [code, output] = run_tool(kTools[0], kTools[0].tail, 60, dir);
   EXPECT_EQ(code, 2) << output;
-  EXPECT_NE(output.find("cannot write BENCH_campaign.json"), std::string::npos)
+  EXPECT_NE(output.find("cannot write " + dir + "/BENCH_campaign.json"),
+            std::string::npos)
+      << output;
+}
+
+// A report that cannot be written is named by its full path. Saturation
+// exits 2 for it, not 1, which means the two run cores disagree; synth
+// exits 3, its I/O code.
+TEST(SaturationCli, BenchReportThatCannotBeWrittenExitsTwo) {
+  const std::string dir = unwritable_path("bench_saturation");
+  const auto [code, output] = run_tool(kTools[2], kTools[2].tail, 60, dir);
+  EXPECT_EQ(code, 2) << output;
+  EXPECT_NE(output.find("cannot write " + dir + "/BENCH_saturation.json"),
+            std::string::npos)
+      << output;
+}
+
+TEST(SynthCli, BenchReportThatCannotBeWrittenExitsThree) {
+  const std::string dir = unwritable_path("bench_synth");
+  const auto [code, output] = run_tool(kTools[1], kTools[1].tail, 60, dir);
+  EXPECT_EQ(code, 3) << output;
+  EXPECT_NE(output.find("cannot write " + dir + "/BENCH_synth.json"),
+            std::string::npos)
       << output;
 }
 

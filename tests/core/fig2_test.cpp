@@ -44,16 +44,13 @@ class Fig2Oracle final : public sim::ArbitrationPolicy {
  public:
   Fig2Oracle(ChannelId shared, ChannelId entry0, ChannelId entry1)
       : shared_(shared), entry0_(entry0), entry1_(entry1) {}
-  [[nodiscard]] MessageId pick(
-      std::span<const sim::ChannelRequest> requests) const override {
+  [[nodiscard]] std::uint64_t rank(
+      const sim::ChannelRequest& r) const override {
     MessageId want = MessageId::invalid();
-    const ChannelId target = requests.front().channel;
-    if (target == shared_) want = MessageId{1u};
-    if (target == entry0_) want = MessageId{0u};
-    if (target == entry1_) want = MessageId{1u};
-    for (const sim::ChannelRequest& r : requests)
-      if (r.message == want) return want;
-    return requests.front().message;
+    if (r.channel == shared_) want = MessageId{1u};
+    if (r.channel == entry0_) want = MessageId{0u};
+    if (r.channel == entry1_) want = MessageId{1u};
+    return r.message == want ? 0 : 1;
   }
 
  private:

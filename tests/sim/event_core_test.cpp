@@ -13,7 +13,9 @@
 //                 must still land on the identical final state —
 // across the paper's figures (Fig1, Fig2, Fig3 a–f, Section-6
 // generalizations), staggered release times, both arbitration
-// policies, and a 200-scenario pinned sample of the campaign generator.
+// policies, a 200-scenario pinned sample of the campaign generator, and
+// adaptive meshes and a fat-tree driven past saturation, where a channel
+// release wakes only the parked headers that can still win it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,11 +27,14 @@
 #include "core/cyclic_family.hpp"
 #include "core/paper_networks.hpp"
 #include "obs/trace.hpp"
+#include "routing/adaptive.hpp"
+#include "routing/datacenter.hpp"
 #include "routing/dor.hpp"
 #include "routing/routing.hpp"
 #include "sim/simulator.hpp"
 #include "sim/workloads.hpp"
 #include "topo/builders.hpp"
+#include "topo/datacenter.hpp"
 #include "util/rng.hpp"
 
 namespace wormsim::sim {
@@ -44,8 +49,9 @@ struct RunArtifacts {
   std::vector<MessageStats> stats;
 };
 
-RunArtifacts run_one(const routing::RoutingAlgorithm& alg,
-                     const std::vector<MessageSpec>& specs,
+/// `Alg` is a routing::RoutingAlgorithm or a routing::AdaptiveRouting.
+template <typename Alg>
+RunArtifacts run_one(const Alg& alg, const std::vector<MessageSpec>& specs,
                      const ArbitrationPolicy& policy, SimConfig config,
                      SimCore core, bool trace) {
   config.core = core;
@@ -97,8 +103,8 @@ void expect_equal(const RunArtifacts& cycle, const RunArtifacts& event,
 }
 
 /// The three-way comparison every scenario goes through.
-void expect_parity(const routing::RoutingAlgorithm& alg,
-                   const std::vector<MessageSpec>& specs,
+template <typename Alg>
+void expect_parity(const Alg& alg, const std::vector<MessageSpec>& specs,
                    const ArbitrationPolicy& policy, SimConfig config,
                    const std::string& label) {
   const RunArtifacts cycle =
@@ -246,6 +252,101 @@ TEST(EventCoreParity, PinnedCampaignSampleOf200Scenarios) {
   EXPECT_GE(simulated, 150u);
 }
 
+/// Open-loop traffic released over 40 cycles. On the 16-terminal networks
+/// below, loads of 0.2 and more are past saturation: most headers park.
+WorkloadConfig saturating(TrafficPattern pattern, double load,
+                          std::uint32_t length, std::uint64_t seed) {
+  WorkloadConfig workload;
+  workload.pattern = pattern;
+  workload.injection_rate = load;
+  workload.message_length = length;
+  workload.horizon = 40;
+  workload.seed = seed;
+  return workload;
+}
+
+std::string point(const std::string& name, double load, std::uint32_t length,
+                  std::uint64_t seed) {
+  std::ostringstream out;
+  out << name << " load=" << load << " length=" << length << " seed=" << seed;
+  return out.str();
+}
+
+TEST(EventCoreParity, AdaptiveMeshesPastSaturation) {
+  // An adaptive header parks in the wait heap of every candidate; a wake
+  // from one heap must leave its entries in the others stale.
+  const topo::Grid single = topo::make_mesh({4, 4});
+  const topo::Grid dual = topo::make_mesh({4, 4}, 2);
+  const routing::MinimalAdaptiveMesh minimal(single);
+  const routing::WestFirstAdaptiveMesh west_first(single);
+  const routing::DuatoFullyAdaptiveMesh duato(dual);
+  const std::pair<const routing::AdaptiveRouting*, const topo::Grid*>
+      meshes[] = {{&minimal, &single}, {&west_first, &single},
+                  {&duato, &dual}};
+  FifoArbitration fifo;
+  for (const auto& [alg, grid] : meshes)
+    for (const double load : {0.05, 0.1, 0.2, 0.3})
+      for (const std::uint32_t length : {1u, 4u, 8u})
+        for (std::uint64_t seed = 1; seed <= 4; ++seed)
+          expect_parity(*alg,
+                        generate_workload(
+                            *grid, saturating(TrafficPattern::kUniformRandom,
+                                              load, length, seed)),
+                        fifo, small_config(),
+                        point(alg->name(), load, length, seed));
+}
+
+TEST(EventCoreParity, FatTreePastSaturation) {
+  // Hotspot traffic queues many headers on the hot host's down-links.
+  const topo::FatTree tree(4);
+  const routing::FatTreeUpDown alg(tree);
+  FifoArbitration fifo;
+  for (const TrafficPattern pattern :
+       {TrafficPattern::kUniformRandom, TrafficPattern::kHotspot})
+    for (const double load : {0.2, 0.5})
+      for (const std::uint32_t length : {1u, 8u})
+        for (const std::uint32_t depth : {1u, 2u})
+          for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            SimConfig config = small_config();
+            config.buffer_depth = depth;
+            expect_parity(
+                alg,
+                generate_workload(tree.hosts(),
+                                  saturating(pattern, load, length, seed)),
+                fifo, config,
+                point(pattern == TrafficPattern::kHotspot ? "hotspot"
+                                                          : "uniform",
+                      load, length, seed) +
+                    " depth=" + std::to_string(depth));
+          }
+}
+
+TEST(EventCoreParity, PriorityArbitrationWithTiedRanks) {
+  // Three rank classes, so most contests fall to the message-id tie-break,
+  // which the wait heaps must order exactly as pick() does.
+  const topo::FatTree tree(4);
+  const routing::FatTreeUpDown up_down(tree);
+  const topo::Grid mesh = topo::make_mesh({4, 4});
+  const routing::WestFirstAdaptiveMesh west_first(mesh);
+  for (const double load : {0.2, 0.5})
+    for (const std::uint32_t length : {1u, 4u})
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        const WorkloadConfig workload = saturating(
+            TrafficPattern::kUniformRandom, load, length, seed);
+        const auto tree_specs = generate_workload(tree.hosts(), workload);
+        const auto mesh_specs = generate_workload(mesh, workload);
+        std::vector<std::uint32_t> ranking(
+            std::max(tree_specs.size(), mesh_specs.size()));
+        for (std::size_t i = 0; i < ranking.size(); ++i)
+          ranking[i] = static_cast<std::uint32_t>(i % 3);
+        const PriorityArbitration priority(ranking);
+        expect_parity(up_down, tree_specs, priority, small_config(),
+                      point("fattree priority", load, length, seed));
+        expect_parity(west_first, mesh_specs, priority, small_config(),
+                      point("west-first priority", load, length, seed));
+      }
+}
+
 TEST(EventCoreStatsTest, SparseWorkloadSkipsIdleCyclesAndCounts) {
   // One late-released message on a big grid: the event core must jump the
   // idle span instead of grinding it cycle by cycle.
@@ -281,6 +382,40 @@ TEST(EventCoreStatsTest, SparseWorkloadSkipsIdleCyclesAndCounts) {
   EXPECT_EQ(expected.outcome, result.outcome);
   EXPECT_EQ(expected.cycles, result.cycles);
   EXPECT_EQ(reference.event_stats().cycles_executed, 0u);
+}
+
+TEST(EventCoreStatsTest, QueuedHeadersCostEventsLinearInTheirNumber) {
+  // N messages queued at one fat-tree host for another, all released at
+  // cycle 0, park on the host's one up-link. Each release of it goes to one
+  // header; waking every parked header instead costs O(N^2) events (62,500
+  // and 245,000 for N = 200 and 400, against 3,397 and 6,797 when a
+  // release wakes only the next winner).
+  const topo::FatTree tree(4);
+  const routing::FatTreeUpDown alg(tree);
+  FifoArbitration fifo;
+  std::uint64_t fired[2] = {0, 0};
+  for (const std::size_t n : {200u, 400u}) {
+    const std::vector<MessageSpec> specs(
+        n, MessageSpec{tree.host(0), tree.host(15), 8, 0});
+    SimConfig config;
+    config.buffer_depth = 2;
+    config.max_cycles = 100'000;
+    Cycle cycles[2] = {0, 0};
+    for (const SimCore core : {SimCore::kCycle, SimCore::kEvent}) {
+      config.core = core;
+      WormholeSimulator sim(alg, config, fifo);
+      for (const MessageSpec& spec : specs) sim.add_message(spec);
+      const RunResult result = sim.run();
+      EXPECT_EQ(result.outcome, RunOutcome::kAllConsumed) << n;
+      const bool event = core == SimCore::kEvent;
+      cycles[event ? 1 : 0] = result.cycles;
+      if (event) fired[n == 200 ? 0 : 1] = sim.event_stats().events_fired;
+    }
+    EXPECT_EQ(cycles[0], cycles[1]) << n;
+  }
+  EXPECT_LT(static_cast<double>(fired[1]) / static_cast<double>(fired[0]),
+            2.5)
+      << fired[0] << " events for 200 messages, " << fired[1] << " for 400";
 }
 
 TEST(EventCoreStatsTest, CycleCoreLeavesStatsUntouched) {

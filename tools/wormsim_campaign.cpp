@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
 
   const obs::RunReport report = result.report(config);
   if (!obs::write_report_file(report))
-    output_failed("BENCH_" + report.name + ".json");
+    output_failed(obs::report_path(report));
   if (!config.cache_file.empty() && !result.cache_saved)
     output_failed(config.cache_file);
 

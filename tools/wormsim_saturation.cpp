@@ -11,7 +11,8 @@
 // pass times the cycle and event cores on identical low-activity mesh
 // workloads and records both, normalized per active-channel-cycle so the
 // numbers are comparable across cores; it exits 1 when the two cores
-// disagree on run cycles or delivered messages.
+// disagree on run cycles or delivered messages, and 2 when the report
+// cannot be written.
 //
 // `--help` lists every flag.
 //
@@ -300,8 +301,8 @@ void declare_flags(cli::Parser& p, Options& opt) {
 int main(int argc, char** argv) {
   Options opt;
   cli::Parser parser("wormsim_saturation", "[flags]",
-                     "exit: 0 done, 1 report write failed or the cores "
-                     "disagree, 2 usage\n"
+                     "exit: 0 done, 1 the cores disagree, 2 usage or the "
+                     "report cannot be written (1 outranks 2)\n"
                      "see docs/observability.md for the report\n");
   declare_flags(parser, opt);
   parser.parse(argc, argv);
@@ -546,10 +547,12 @@ int main(int argc, char** argv) {
     status.sim.active = false;
   }
   if (sampler) sampler->stop();
-  if (!obs::write_report_file(report)) {
-    std::fprintf(stderr, "wormsim_saturation: cannot write BENCH_%s.json\n",
-                 opt.report_name.c_str());
-    return 1;
-  }
-  return cores_agree ? 0 : 1;
+  // A lost report exits 2, like a usage error; cores that disagree
+  // outrank it, since that finding is already on stderr.
+  const bool written = obs::write_report_file(report);
+  if (!written)
+    std::fprintf(stderr, "wormsim_saturation: cannot write %s\n",
+                 obs::report_path(report).c_str());
+  if (!cores_agree) return 1;
+  return written ? 0 : 2;
 }

@@ -361,8 +361,8 @@ int main(int argc, char** argv) {
   report.values["instances"] = static_cast<double>(outcomes.size());
   report.values["total_wall_seconds"] = seconds_since(t0);
   if (!obs::write_report_file(report)) {
-    std::fprintf(stderr, "wormsim_synth: cannot write BENCH_%s.json\n",
-                 opt.report.c_str());
+    std::fprintf(stderr, "wormsim_synth: cannot write %s\n",
+                 obs::report_path(report).c_str());
     return 3;
   }
   if (!opt.quiet)
