@@ -6,13 +6,11 @@
 //   mean_latency   inject -> header-delivery, cycles (delivered messages)
 //   max_latency    worst observed
 //   delivered      fraction of offered messages delivered in the horizon
-//   flits_per_cyc  network activity
+//   flits_per_cyc  accepted throughput: consumed flits per cycle
 //   ns_per_active_channel_cycle
 //                  wall time / run cycles / mean busy channels — per-cycle
 //                  cost normalized by how much of the network was actually
-//                  working, so the cycle core (which pays for every channel
-//                  every cycle) and the event core (which pays only for
-//                  scheduled work) are directly comparable.
+//                  working (run() pays only for scheduled work).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -32,7 +30,7 @@ constexpr sim::Cycle kDrain = 30'000;
 void run_workload(benchmark::State& state,
                   const routing::RoutingAlgorithm& alg,
                   const topo::Grid& grid, sim::TrafficPattern pattern,
-                  double rate, sim::SimCore core = sim::SimCore::kCycle) {
+                  double rate) {
   sim::WorkloadConfig config;
   config.pattern = pattern;
   config.injection_rate = rate;
@@ -45,7 +43,6 @@ void run_workload(benchmark::State& state,
   sim::SimConfig sim_config;
   sim_config.buffer_depth = 2;
   sim_config.max_cycles = kDrain;
-  sim_config.core = core;
 
   sim::WorkloadStats stats;
   sim::Cycle cycles = 0;
@@ -96,21 +93,6 @@ void BM_Mesh_DorUniform(benchmark::State& state) {
                static_cast<double>(state.range(0)) * 1e-6);
 }
 BENCHMARK(BM_Mesh_DorUniform)
-    ->Arg(1000)->Arg(3000)->Arg(6000)->Arg(10000)->Arg(15000)
-    ->Unit(benchmark::kMillisecond);
-
-// The same sweep under the event-driven core. Identical workloads, identical
-// deterministic outputs (the parity suite proves it); the interesting delta
-// is ns_per_active_channel_cycle — the event core's advantage shrinks as
-// offered load fills the network and the idle cycles it skips disappear.
-void BM_Mesh_DorUniformEvent(benchmark::State& state) {
-  const topo::Grid grid = topo::make_mesh({8, 8});
-  const routing::DimensionOrderMesh dor(grid);
-  run_workload(state, dor, grid, sim::TrafficPattern::kUniformRandom,
-               static_cast<double>(state.range(0)) * 1e-6,
-               sim::SimCore::kEvent);
-}
-BENCHMARK(BM_Mesh_DorUniformEvent)
     ->Arg(1000)->Arg(3000)->Arg(6000)->Arg(10000)->Arg(15000)
     ->Unit(benchmark::kMillisecond);
 

@@ -13,7 +13,7 @@ bool waitfor_cycle_now(const sim::WormholeSimulator& sim) {
 
 WaitForTrace run_with_waitfor_monitor(sim::WormholeSimulator& sim) {
   WaitForTrace trace;
-  while (sim.now() < 1'000'000) {
+  while (sim.now() < sim.max_cycles()) {
     const bool progress = sim.step();
     if (waitfor_cycle_now(sim)) trace.cycle_timestamps.push_back(sim.now());
     if (sim.all_consumed()) {

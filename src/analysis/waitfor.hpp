@@ -28,8 +28,9 @@ struct WaitForTrace {
   [[nodiscard]] bool ever_cyclic() const { return !cycle_timestamps.empty(); }
 };
 
-/// Runs `sim` to completion (like sim.run()) while sampling the PWFG every
-/// cycle.
+/// Runs `sim` like sim.run(), stopping where it stops (every message
+/// consumed, a cycle with no progress, or max_cycles), while sampling the
+/// PWFG every cycle.
 WaitForTrace run_with_waitfor_monitor(sim::WormholeSimulator& sim);
 
 }  // namespace wormsim::analysis

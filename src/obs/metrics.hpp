@@ -77,11 +77,10 @@ void merge_counter(const Counter& c, Stats& into, const Stats& from) {
                       : std::max(into.*c.field, from.*c.field);
 }
 
-/// Introspection counters from the event-driven run core
-/// (WormholeSimulator::run() under SimCore::kEvent). Zero until the first
-/// event run; cumulative across runs of the same simulator. An "event" is
-/// one scheduler entry: a ready-set enqueue, a sleep timer (release
-/// expiry), or a blocked header's entry in a channel-wait heap.
+/// Introspection counters from the event-driven WormholeSimulator::run().
+/// Zero until the first run; cumulative across runs of the same simulator.
+/// An "event" is one scheduler entry: a ready-set enqueue, a sleep timer
+/// (release expiry), or a blocked header's entry in a channel-wait heap.
 struct EventCoreStats {
   std::uint64_t events_scheduled = 0;  ///< scheduler entries enqueued
   std::uint64_t events_fired = 0;      ///< entries that dispatched work

@@ -42,7 +42,6 @@ void append_search(std::string& out, const SearchStatus& s) {
 void append_sim(std::string& out, const SimStatus& s) {
   out += "{\"active\":";
   out += s.active ? "true" : "false";
-  out += ",\"core\":" + json::quote(s.core);
   for (const EventCoreCounter& c : kEventCoreCounters)
     out += "," + json::quote(c.name) + ":" +
            json::number_u64(s.events.*c.field);

@@ -47,7 +47,7 @@ namespace wormsim::obs {
 
 /// The `schema` value of every snapshot. Any field addition, removal or
 /// rename bumps the version (docs/observability.md).
-inline constexpr std::string_view kStatusSchema = "wormsim-status-v6";
+inline constexpr std::string_view kStatusSchema = "wormsim-status-v7";
 
 /// What the search engine(s) are doing right now: live gauges, the worker
 /// profile shards merged, and the state tables' occupancy. All-zero when no
@@ -81,11 +81,9 @@ struct WorkerStatus {
 /// What a simulator-driven run (saturation sweep, throughput bench) is
 /// doing right now: the runs' WormholeSimulator::event_stats() folded
 /// together, plus message progress. All-zero when the run drives no
-/// simulator (a search/campaign heartbeat) or the cycle core is in use and
-/// has nothing to report.
+/// simulator (a search/campaign heartbeat).
 struct SimStatus {
   bool active = false;   ///< a simulation is attached and running
-  std::string core = "cycle";  ///< "cycle" or "event"
   EventCoreStats events;
   std::uint64_t messages_total = 0;
   std::uint64_t messages_consumed = 0;

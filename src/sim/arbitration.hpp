@@ -29,10 +29,10 @@ struct ChannelRequest {
 /// Strategy interface: a policy ranks each request, and the lowest
 /// (rank, message id) among the requests for one channel wins it.
 ///
-/// A request's rank must not change while its header stays blocked: the
-/// event core (SimCore::kEvent) parks a blocked header in each wanted
-/// channel's wait heap under the rank it had when it parked, and wakes only
-/// the headers a release lets win (DESIGN.md §13).
+/// A request's rank must not change while its header stays blocked: run()
+/// parks a blocked header in each wanted channel's wait heap under the
+/// rank it had when it parked, and wakes only the headers a release lets
+/// win (DESIGN.md §13).
 class ArbitrationPolicy {
  public:
   virtual ~ArbitrationPolicy() = default;

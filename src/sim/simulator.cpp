@@ -447,10 +447,6 @@ bool WormholeSimulator::move_message(std::size_t i) {
   return moved;
 }
 
-RunResult WormholeSimulator::run() {
-  return config_.core == SimCore::kEvent ? run_event() : run_cycle();
-}
-
 void WormholeSimulator::fill_deadlock_result(RunResult& result) {
   // Quiescent with unfinished messages: frozen forever => deadlock.
   result.outcome = RunOutcome::kDeadlock;
@@ -460,30 +456,7 @@ void WormholeSimulator::fill_deadlock_result(RunResult& result) {
       find_wait_cycle(occ, [this](ChannelId c) { return channel_owner(c); });
 }
 
-RunResult WormholeSimulator::run_cycle() {
-  RunResult result;
-  while (cycle_ < config_.max_cycles) {
-    const bool progress = step();
-    const bool all_done = std::all_of(
-        messages_.begin(), messages_.end(), [](const MessageState& m) {
-          return m.status == MessageStatus::kConsumed;
-        });
-    if (all_done) {
-      result.outcome = RunOutcome::kAllConsumed;
-      result.cycles = cycle_;
-      return result;
-    }
-    if (!progress) {
-      fill_deadlock_result(result);
-      return result;
-    }
-  }
-  result.outcome = RunOutcome::kHorizon;
-  result.cycles = cycle_;
-  return result;
-}
-
-/// run_event()'s scheduler. Three queues, all message-granular:
+/// run()'s scheduler. Three queues, all message-granular:
 ///   - ready: messages to process in the next executed cycle (every entry
 ///     is stamped with that cycle so duplicates collapse);
 ///   - timers: (wake cycle, message) min-heap for pending releases;
@@ -526,7 +499,7 @@ void WormholeSimulator::report_freed(ChannelId c) {
   sched_.p->freed.push_back(c);
 }
 
-RunResult WormholeSimulator::run_event() {
+RunResult WormholeSimulator::run() {
   WORMSIM_EXPECTS_MSG(policy_ != nullptr,
                       "run() requires an arbitration policy");
   RunResult result;
@@ -571,8 +544,8 @@ RunResult WormholeSimulator::run_event() {
       next = std::max(cycle_ + 1, sched.timers.top().first);
     } else {
       // Nothing scheduled, nothing sleeping: the next cycle makes no
-      // progress at all. With live messages that is exactly the cycle
-      // core's quiescence observation (its blocked sweep finds no free
+      // progress at all. With live messages that is exactly the
+      // quiescence a step() loop observes (its blocked sweep finds no free
       // candidate, no release pending).
       if (cycle_ + 1 > max) break;  // the observation cycle is past the horizon
       ++cycle_;
@@ -604,8 +577,8 @@ RunResult WormholeSimulator::run_event() {
 
     curr.clear();
     std::swap(curr, sched.ready);
-    // Process in message-id order — the exact sweep order of the cycle
-    // core's request and move phases.
+    // Process in message-id order — the exact sweep order of step()'s
+    // request and move phases.
     std::sort(curr.begin(), curr.end());
 
     // Phase 1: requests (dormant messages raise none by construction).
@@ -645,7 +618,7 @@ RunResult WormholeSimulator::run_event() {
           if (!moved && !tracing()) {
             // Fully blocked and quiescent: park until a wanted channel
             // frees. Under tracing the message stays ready instead, so
-            // the per-cycle blocked events match the cycle core's.
+            // the per-cycle blocked events match step()'s.
             desired_channels_into(msg, wants_scratch_);
             sched.sole[m] = wants_scratch_.size() == 1 ? 1 : 0;
             ++sched.parked;
@@ -672,7 +645,7 @@ RunResult WormholeSimulator::run_event() {
 
     // Phase 4: releases this cycle wake parked headers for the next cycle
     // (atomic allocation: a freed channel accepts a new header no earlier
-    // than the cycle after its release — exactly what the cycle core's
+    // than the cycle after its release — exactly what step()'s
     // start-of-next-cycle request sweep observes). A release wakes its
     // heap in arbitration order up to and including the first header
     // whose only candidate is this channel: that header requests it next
@@ -704,7 +677,7 @@ RunResult WormholeSimulator::run_event() {
                                                    sched.timers.size() +
                                                    sched.parked);
 
-    // Sleeping messages are cycle-core progress every cycle (time toward a
+    // Sleeping messages are step() progress every cycle (time toward a
     // release); parked blocked headers are not.
     const bool progress =
         any_moved || any_wait_progress || !sched.timers.empty();
@@ -781,6 +754,12 @@ MessageId WormholeSimulator::channel_owner(ChannelId c) const {
 std::uint32_t WormholeSimulator::channel_count(ChannelId c) const {
   WORMSIM_EXPECTS(c.valid() && c.index() < channels_.size());
   return channels_[c.index()].count;
+}
+
+std::uint64_t WormholeSimulator::flits_consumed() const {
+  std::uint64_t consumed = 0;
+  for (const MessageState& m : messages_) consumed += m.flits_consumed;
+  return consumed;
 }
 
 std::uint64_t WormholeSimulator::channel_busy_cycles(ChannelId c) const {

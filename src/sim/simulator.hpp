@@ -47,19 +47,10 @@
 
 namespace wormsim::sim {
 
-/// Which run() engine advances the clock. Both engines execute the same
-/// per-message request/arbitration/move code and are cycle-exact against
-/// each other (tests/sim/event_core_test.cpp pins byte-identical trace
-/// streams and state keys); they differ only in what an idle cycle costs.
+/// run() has one engine, the event-driven loop. This enum and
+/// SimConfig::core stay only because the end-to-end benchmark (bench/e2e)
+/// assigns `config.core = SimCore::kEvent`; nothing reads the field.
 enum class SimCore : std::uint8_t {
-  /// Reference engine: every message is visited every cycle. Cost is
-  /// O(messages) per cycle regardless of activity.
-  kCycle,
-  /// Event-driven engine: only messages with pending work (requests,
-  /// draining flits, release expirations) are scheduled, idle spans
-  /// with no runnable message are jumped over, and parked headers wake on
-  /// channel release. The default for throughput workloads on large
-  /// networks, where most channels are idle most cycles.
   kEvent,
 };
 
@@ -72,9 +63,8 @@ struct SimConfig {
   /// Run per-cycle structural invariant checks (tests enable this; costs
   /// O(messages + channels) per cycle).
   bool check_invariants = false;
-  /// Engine used by run(). Stepping APIs (step, step_with_grants) always
-  /// behave like kCycle; the deadlock search drives those directly.
-  SimCore core = SimCore::kCycle;
+  /// Inert: kept only for the benchmark's assignment (see SimCore).
+  SimCore core = SimCore::kEvent;
 };
 
 /// The event-driven run core's scheduler counters, declared in obs with
@@ -207,10 +197,18 @@ class WormholeSimulator {
   /// spent-delay suffix after it), so a lookup allocates no heap string.
   void append_state_key(std::string& out) const;
 
-  /// Runs until completion, deadlock, or the cycle limit.
+  /// Runs until every message is consumed, a deadlock, or max_cycles.
+  /// Event-driven: only messages with pending work (requests, draining
+  /// flits, release expirations) are visited, idle spans are jumped over,
+  /// and parked headers wake on channel release. The result, trace stream
+  /// and final state are those of a loop of step() calls that stops at the
+  /// first cycle with no progress (tests/sim/event_core_test.cpp pins
+  /// them against that loop).
   RunResult run();
 
   [[nodiscard]] Cycle now() const { return cycle_; }
+  /// The cycle limit run() stops at (SimConfig::max_cycles).
+  [[nodiscard]] Cycle max_cycles() const { return config_.max_cycles; }
   [[nodiscard]] std::size_t message_count() const { return messages_.size(); }
   [[nodiscard]] const MessageStats& stats(MessageId m) const;
   [[nodiscard]] MessageStatus status(MessageId m) const;
@@ -225,15 +223,20 @@ class WormholeSimulator {
   /// Buffered flit count of channel `c`.
   [[nodiscard]] std::uint32_t channel_count(ChannelId c) const;
 
-  /// Total flits moved across all channels so far (activity metric).
+  /// Total flits moved across all channels so far: every channel entry,
+  /// so a flit counts once per hop (activity metric).
   [[nodiscard]] std::uint64_t flits_moved() const { return flits_moved_; }
+
+  /// Flits consumed by their destinations so far, partly drained worms
+  /// included. Summed over the messages on each call.
+  [[nodiscard]] std::uint64_t flits_consumed() const;
 
   /// Cycles channel `c` has spent allocated to some message (utilization
   /// numerator; divide by now() for the utilization fraction).
   [[nodiscard]] std::uint64_t channel_busy_cycles(ChannelId c) const;
 
-  /// Event-core scheduler counters (see EventCoreStats). All zero unless
-  /// run() executed under SimCore::kEvent.
+  /// run()'s scheduler counters (see EventCoreStats). All zero until
+  /// run() has executed.
   [[nodiscard]] const EventCoreStats& event_stats() const {
     return event_stats_;
   }
@@ -293,9 +296,9 @@ class WormholeSimulator {
   void desired_channels_into(const MessageState& m,
                              std::vector<ChannelId>& out) const;
 
-  /// What request_message decided for one message this cycle. The cycle
-  /// core folds these into a progress bit; the event core additionally uses
-  /// them to decide whether the message stays scheduled or goes dormant.
+  /// What request_message decided for one message this cycle. step() folds
+  /// these into a progress bit; run() additionally uses them to decide
+  /// whether the message stays scheduled or goes dormant.
   enum class RequestOutcome : std::uint8_t {
     kIdle,           ///< Delivered/Consumed: no routing request possible
     kNotReleased,    ///< pending with release_time still in the future
@@ -306,11 +309,11 @@ class WormholeSimulator {
 
   /// Per-message request phase: gate on release time, maintain waiting
   /// bookkeeping, push free-candidate requests into requests_, emit the
-  /// blocked trace event. Shared verbatim by both run cores — this is what
-  /// makes them cycle-exact by construction.
+  /// blocked trace event. Shared verbatim by step() and run() — this is
+  /// what makes run() cycle-exact against a step() loop by construction.
   RequestOutcome request_message(std::size_t i);
 
-  /// Phase 1 (cycle core): advance the clock, run request_message for every
+  /// Phase 1 of step(): advance the clock, run request_message for every
   /// message. Returns whether any message is still waiting for its release.
   bool compute_requests();
 
@@ -320,8 +323,9 @@ class WormholeSimulator {
   /// a channel this cycle dropped. Reorders requests_ in place.
   void arbitrate_requests();
 
-  /// Grants are stored cycle-stamped so neither core pays an O(messages)
-  /// clear per cycle: a grant is live only when its stamp equals cycle_.
+  /// Grants are stored cycle-stamped so neither step() nor run() pays an
+  /// O(messages) clear per cycle: a grant is live only when its stamp
+  /// equals cycle_.
   void ensure_grant_capacity() {
     if (granted_stamp_.size() < messages_.size()) {
       granted_scratch_.resize(messages_.size(), ChannelId::invalid());
@@ -344,18 +348,15 @@ class WormholeSimulator {
   /// Phase 2 for one message; returns whether any of its flits moved.
   /// Message moves are independent within a cycle (grants are precomputed,
   /// and shift/injection state is confined to channels the message owns),
-  /// so the event core may call this for scheduled messages only.
+  /// so run() may call this for scheduled messages only.
   bool move_message(std::size_t i);
 
-  /// run() bodies for the two engines (see SimCore).
-  RunResult run_cycle();
-  RunResult run_event();
-  /// Shared deadlock epilogue: fills outcome/cycles/deadlock_cycle.
+  /// run()'s deadlock epilogue: fills outcome/cycles/deadlock_cycle.
   void fill_deadlock_result(RunResult& result);
 
   void acquire(MessageId id, MessageState& m, ChannelId c);
   void note_exit(MessageId id, MessageState& m, std::size_t path_index);
-  /// Appends a just-released channel to the live event run's freed list so
+  /// Appends a just-released channel to the live run's freed list so
   /// parked headers waiting on it wake next cycle. Out of line because
   /// EventScheduler is opaque here; only reached when sched_.p is set.
   void report_freed(ChannelId c);
@@ -405,7 +406,7 @@ class WormholeSimulator {
   std::vector<ChannelId> granted_scratch_;
   std::vector<Cycle> granted_stamp_;
 
-  /// run_event()'s scheduler state (defined in simulator.cpp); sched_
+  /// run()'s scheduler state (defined in simulator.cpp); sched_
   /// points at it only while that run is live, so note_exit can report
   /// released channels for waiter wake-up. Deliberately not copied: a
   /// forked simulator is never inside its parent's run.

@@ -168,7 +168,7 @@ WorkloadStats summarize_workload(const WormholeSimulator& sim, Cycle cycles) {
     stats.mean_latency = total_latency / static_cast<double>(stats.delivered);
   if (cycles > 0) {
     stats.throughput_flits_per_cycle =
-        static_cast<double>(sim.flits_moved()) / static_cast<double>(cycles);
+        static_cast<double>(sim.flits_consumed()) / static_cast<double>(cycles);
     double total_busy = 0;
     for (const ChannelId c : sim.net().channel_ids()) {
       const double share = static_cast<double>(sim.channel_busy_cycles(c)) /

@@ -73,6 +73,29 @@ TEST(WaitForFig1, PwfgStaysAcyclicUnderEveryInjectionOrder) {
   } while (std::next_permutation(order.begin(), order.end()));
 }
 
+TEST(WaitForFig1, MonitorStopsWhereRunStops) {
+  // The monitor honours SimConfig::max_cycles: cut at each horizon, its
+  // RunResult is run()'s.
+  const core::CyclicFamily family(core::fig1_spec());
+  sim::FifoArbitration fifo;
+  for (const sim::Cycle horizon : {1u, 3u, 7u, 12u}) {
+    sim::SimConfig config;
+    config.max_cycles = horizon;
+    sim::WormholeSimulator monitored(family.algorithm(), config, fifo);
+    sim::WormholeSimulator plain(family.algorithm(), config, fifo);
+    for (const auto& spec : family.message_specs(4)) {
+      monitored.add_message(spec);
+      plain.add_message(spec);
+    }
+    const sim::RunResult expected = plain.run();
+    const sim::RunResult got = run_with_waitfor_monitor(monitored).run;
+    EXPECT_EQ(got.outcome, expected.outcome) << "horizon " << horizon;
+    EXPECT_EQ(got.cycles, expected.cycles) << "horizon " << horizon;
+    EXPECT_EQ(got.deadlock_cycle, expected.deadlock_cycle)
+        << "horizon " << horizon;
+  }
+}
+
 TEST(WaitForFig1, ReplayedStallWitnessCreatesPwfgCycle) {
   // The bounded-delay search at budget 2 produces a machine-replayable
   // witness; replaying it in a fresh simulator must reproduce a frozen

@@ -67,7 +67,7 @@ TEST(StatusSchemaDoc, ManualTablesParse) {
   EXPECT_EQ(parse_table(doc, "## Status file schema").size(), 11u);
   EXPECT_EQ(parse_table(doc, "### The `progress` object").size(), 8u);
   EXPECT_EQ(parse_table(doc, "### The `truth_cache` object").size(), 4u);
-  EXPECT_EQ(parse_table(doc, "### The `sim` object").size(), 11u);
+  EXPECT_EQ(parse_table(doc, "### The `sim` object").size(), 10u);
   EXPECT_EQ(parse_table(doc, "### The `search` object").size(), 28u);
   EXPECT_EQ(parse_table(doc, "### Worker entries").size(), 21u);
   for (const char* heading :

@@ -395,8 +395,7 @@ TEST(CampaignCli, BenchReportThatCannotBeWrittenExitsTwo) {
 }
 
 // A report that cannot be written is named by its full path. Saturation
-// exits 2 for it, not 1, which means the two run cores disagree; synth
-// exits 3, its I/O code.
+// exits 2 for it, like a usage error; synth exits 3, its I/O code.
 TEST(SaturationCli, BenchReportThatCannotBeWrittenExitsTwo) {
   const std::string dir = unwritable_path("bench_saturation");
   const auto [code, output] = run_tool(kTools[2], kTools[2].tail, 60, dir);

@@ -58,7 +58,6 @@ TEST(StatusWriterTest, EmitsSimCoreIntrospection) {
   StatusSnapshot snap;
   snap.kind = "saturation";
   snap.sim.active = true;
-  snap.sim.core = "event";
   snap.sim.events.cycles_executed = 120;
   snap.sim.events.cycles_skipped = 9880;
   snap.sim.events.events_scheduled = 400;
@@ -75,7 +74,6 @@ TEST(StatusWriterTest, EmitsSimCoreIntrospection) {
   const json::Value* sim = parsed->find("sim");
   ASSERT_NE(sim, nullptr);
   EXPECT_TRUE(sim->find("active")->as_bool());
-  EXPECT_EQ(sim->find("core")->as_string(), "event");
   EXPECT_EQ(sim->find("cycles_executed")->as_u64(), 120u);
   EXPECT_EQ(sim->find("cycles_skipped")->as_u64(), 9880u);
   EXPECT_EQ(sim->find("events_scheduled")->as_u64(), 400u);
@@ -166,7 +164,6 @@ TEST(StatusSnapshotTest, GoldenBytesPinEveryKeyAndItsOrder) {
   snap.truth_misses = 203;
   snap.truth_hit_rate = 0.375;
   snap.sim.active = true;
-  snap.sim.core = "event";
   snap.sim.events.cycles_executed = 401;
   snap.sim.events.cycles_skipped = 402;
   snap.sim.events.events_scheduled = 403;
@@ -222,14 +219,14 @@ TEST(StatusSnapshotTest, GoldenBytesPinEveryKeyAndItsOrder) {
 
   EXPECT_EQ(
       snap.to_json(),
-      "{\"schema\":\"wormsim-status-v6\",\"kind\":\"campaign\",\"seq\":7,"
+      "{\"schema\":\"wormsim-status-v7\",\"kind\":\"campaign\",\"seq\":7,"
       "\"pid\":8,\"running\":false,\"elapsed_seconds\":1.5,"
       "\"progress\":{\"count\":101,\"done\":104,\"agree\":105,"
       "\"disagree\":106,\"skip\":107,\"states_total\":108,"
       "\"rate_per_second\":2.25,\"eta_seconds\":3.125},"
       "\"truth_cache\":{\"disk_hits\":201,\"memo_hits\":202,\"misses\":203,"
       "\"hit_rate\":0.375},"
-      "\"sim\":{\"active\":true,\"core\":\"event\",\"cycles_executed\":401,"
+      "\"sim\":{\"active\":true,\"cycles_executed\":401,"
       "\"cycles_skipped\":402,\"events_scheduled\":403,\"events_fired\":404,"
       "\"events_cancelled\":405,\"queue_peak\":406,\"messages_total\":407,"
       "\"messages_consumed\":408,\"busy_channel_fraction\":0.625},"

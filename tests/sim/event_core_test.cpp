@@ -1,21 +1,23 @@
-// Differential parity suite: SimCore::kEvent vs SimCore::kCycle.
+// Differential parity suite: the event-driven run() vs a step() loop.
 //
-// The event core's contract (DESIGN.md) is cycle-exactness: a run under the
-// event engine produces the same typed trace-event stream byte for byte,
-// the same final state key, the same RunResult, the same per-message stats
-// and the same per-channel busy counters as the reference cycle engine.
-// Every scenario here runs three ways —
-//   cycle+trace   the reference,
-//   event+trace   pins the trace bytes (blocked headers stay scheduled so
+// run()'s contract (DESIGN.md §13) is cycle-exactness: it produces the
+// same typed trace-event stream byte for byte, the same final state key,
+// the same RunResult, the same per-message stats and the same per-channel
+// busy counters as the reference, a loop of step() calls that stops when
+// every message is consumed, at the first cycle with no progress, or at
+// max_cycles. Every scenario here runs three ways —
+//   stepped+trace the reference,
+//   run+trace     pins the trace bytes (blocked headers stay scheduled so
 //                 per-cycle blocked events match),
-//   event+silent  exercises the dormancy machinery the traced run cannot
+//   run+silent    exercises the dormancy machinery the traced run cannot
 //                 (parked headers, channel-wait wake-ups, clock jumps) and
 //                 must still land on the identical final state —
 // across the paper's figures (Fig1, Fig2, Fig3 a–f, Section-6
 // generalizations), staggered release times, both arbitration
-// policies, a 200-scenario pinned sample of the campaign generator, and
+// policies, a 200-scenario pinned sample of the campaign generator,
 // adaptive meshes and a fat-tree driven past saturation, where a channel
-// release wakes only the parked headers that can still win it.
+// release wakes only the parked headers that can still win it, and sparse
+// traffic on meshes of up to 4,096 nodes, where run() jumps idle spans.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -49,19 +51,44 @@ struct RunArtifacts {
   std::vector<MessageStats> stats;
 };
 
+/// The reference run: step() until every message is consumed, a cycle
+/// makes no progress (a deadlock, its wait-for cycle read off the
+/// occupancy), or the cycle limit.
+RunResult run_stepped(WormholeSimulator& sim) {
+  RunResult result;
+  while (sim.now() < sim.max_cycles()) {
+    const bool progress = sim.step();
+    if (sim.all_consumed()) {
+      result.outcome = RunOutcome::kAllConsumed;
+      result.cycles = sim.now();
+      return result;
+    }
+    if (!progress) {
+      result.outcome = RunOutcome::kDeadlock;
+      result.cycles = sim.now();
+      const auto occ = sim.occupancy();
+      result.deadlock_cycle = find_wait_cycle(
+          occ, [&sim](ChannelId c) { return sim.channel_owner(c); });
+      return result;
+    }
+  }
+  result.outcome = RunOutcome::kHorizon;
+  result.cycles = sim.now();
+  return result;
+}
+
 /// `Alg` is a routing::RoutingAlgorithm or a routing::AdaptiveRouting.
 template <typename Alg>
 RunArtifacts run_one(const Alg& alg, const std::vector<MessageSpec>& specs,
-                     const ArbitrationPolicy& policy, SimConfig config,
-                     SimCore core, bool trace) {
-  config.core = core;
+                     const ArbitrationPolicy& policy, const SimConfig& config,
+                     bool stepped, bool trace) {
   WormholeSimulator sim(alg, config, policy);
   for (const MessageSpec& spec : specs) sim.add_message(spec);
   obs::TraceBuffer buffer;
   if (trace) sim.set_trace_sink(&buffer);
 
   RunArtifacts artifacts;
-  artifacts.result = sim.run();
+  artifacts.result = stepped ? run_stepped(sim) : sim.run();
   if (trace) {
     std::ostringstream out;
     obs::write_jsonl(out, buffer.events(), &alg.net());
@@ -76,28 +103,29 @@ RunArtifacts run_one(const Alg& alg, const std::vector<MessageSpec>& specs,
   return artifacts;
 }
 
-void expect_equal(const RunArtifacts& cycle, const RunArtifacts& event,
+void expect_equal(const RunArtifacts& stepped, const RunArtifacts& run,
                   const std::string& label, bool compare_trace) {
-  EXPECT_EQ(cycle.result.outcome, event.result.outcome) << label;
-  EXPECT_EQ(cycle.result.cycles, event.result.cycles) << label;
-  EXPECT_EQ(cycle.result.deadlock_cycle, event.result.deadlock_cycle)
+  EXPECT_EQ(stepped.result.outcome, run.result.outcome) << label;
+  EXPECT_EQ(stepped.result.cycles, run.result.cycles) << label;
+  EXPECT_EQ(stepped.result.deadlock_cycle, run.result.deadlock_cycle)
       << label;
-  if (compare_trace)
-    EXPECT_EQ(cycle.trace_jsonl, event.trace_jsonl)
+  if (compare_trace) {
+    EXPECT_EQ(stepped.trace_jsonl, run.trace_jsonl)
         << label << ": trace streams must be byte-identical";
-  EXPECT_EQ(cycle.state_key, event.state_key) << label;
-  EXPECT_EQ(cycle.flits_moved, event.flits_moved) << label;
-  EXPECT_EQ(cycle.busy, event.busy) << label;
-  ASSERT_EQ(cycle.stats.size(), event.stats.size()) << label;
-  for (std::size_t m = 0; m < cycle.stats.size(); ++m) {
-    EXPECT_EQ(cycle.stats[m].status, event.stats[m].status) << label;
-    EXPECT_EQ(cycle.stats[m].inject_cycle, event.stats[m].inject_cycle)
+  }
+  EXPECT_EQ(stepped.state_key, run.state_key) << label;
+  EXPECT_EQ(stepped.flits_moved, run.flits_moved) << label;
+  EXPECT_EQ(stepped.busy, run.busy) << label;
+  ASSERT_EQ(stepped.stats.size(), run.stats.size()) << label;
+  for (std::size_t m = 0; m < stepped.stats.size(); ++m) {
+    EXPECT_EQ(stepped.stats[m].status, run.stats[m].status) << label;
+    EXPECT_EQ(stepped.stats[m].inject_cycle, run.stats[m].inject_cycle)
         << label << " message " << m;
-    EXPECT_EQ(cycle.stats[m].deliver_cycle, event.stats[m].deliver_cycle)
+    EXPECT_EQ(stepped.stats[m].deliver_cycle, run.stats[m].deliver_cycle)
         << label << " message " << m;
-    EXPECT_EQ(cycle.stats[m].consume_cycle, event.stats[m].consume_cycle)
+    EXPECT_EQ(stepped.stats[m].consume_cycle, run.stats[m].consume_cycle)
         << label << " message " << m;
-    EXPECT_EQ(cycle.stats[m].hops, event.stats[m].hops)
+    EXPECT_EQ(stepped.stats[m].hops, run.stats[m].hops)
         << label << " message " << m;
   }
 }
@@ -105,16 +133,14 @@ void expect_equal(const RunArtifacts& cycle, const RunArtifacts& event,
 /// The three-way comparison every scenario goes through.
 template <typename Alg>
 void expect_parity(const Alg& alg, const std::vector<MessageSpec>& specs,
-                   const ArbitrationPolicy& policy, SimConfig config,
+                   const ArbitrationPolicy& policy, const SimConfig& config,
                    const std::string& label) {
-  const RunArtifacts cycle =
-      run_one(alg, specs, policy, config, SimCore::kCycle, true);
-  const RunArtifacts traced =
-      run_one(alg, specs, policy, config, SimCore::kEvent, true);
-  expect_equal(cycle, traced, label + " [traced]", true);
+  const RunArtifacts stepped = run_one(alg, specs, policy, config, true, true);
+  const RunArtifacts traced = run_one(alg, specs, policy, config, false, true);
+  expect_equal(stepped, traced, label + " [traced]", true);
   const RunArtifacts silent =
-      run_one(alg, specs, policy, config, SimCore::kEvent, false);
-  expect_equal(cycle, silent, label + " [silent]", false);
+      run_one(alg, specs, policy, config, false, false);
+  expect_equal(stepped, silent, label + " [silent]", false);
 }
 
 SimConfig small_config() {
@@ -125,7 +151,7 @@ SimConfig small_config() {
 }
 
 /// Seeded timing decoration: staggered releases turn a bare spec multiset
-/// into a scenario that exercises the event core's timer heap
+/// into a scenario that exercises run()'s timer heap
 /// (sleep-until-release).
 std::vector<MessageSpec> decorate(std::vector<MessageSpec> specs,
                                   std::uint64_t seed) {
@@ -347,14 +373,40 @@ TEST(EventCoreParity, PriorityArbitrationWithTiedRanks) {
       }
 }
 
+TEST(EventCoreParity, SparseDorMeshesOf64To4096Nodes) {
+  // About 96 uniform messages spread over a 50,000-cycle horizon: long idle
+  // spans between short bursts, which run() jumps over. Invariant checks
+  // would cost O(channels) per stepped cycle here, so they stay off.
+  const std::vector<int> shapes[] = {{16, 4}, {16, 16, 2}, {16, 16, 16}};
+  FifoArbitration fifo;
+  for (const std::vector<int>& dims : shapes) {
+    const topo::Grid grid = topo::make_mesh(dims);
+    const routing::DimensionOrderMesh dor(grid);
+    WorkloadConfig workload;
+    workload.horizon = 50'000;
+    workload.injection_rate =
+        96.0 / (static_cast<double>(grid.net().node_count()) *
+                static_cast<double>(workload.horizon));
+    workload.message_length = 8;
+    workload.seed = 1;
+    const std::vector<MessageSpec> specs = generate_workload(grid, workload);
+    EXPECT_GT(specs.size(), 80u);
+    SimConfig config;
+    config.buffer_depth = 2;
+    config.max_cycles = 100'000;
+    expect_parity(dor, specs, fifo, config,
+                  "mesh of " + std::to_string(grid.net().node_count()) +
+                      " nodes");
+  }
+}
+
 TEST(EventCoreStatsTest, SparseWorkloadSkipsIdleCyclesAndCounts) {
-  // One late-released message on a big grid: the event core must jump the
+  // One late-released message on a big grid: run() must jump the
   // idle span instead of grinding it cycle by cycle.
   const topo::Grid grid = topo::make_mesh({16, 16});
   const routing::DimensionOrderMesh alg(grid);
   FifoArbitration fifo;
   SimConfig config;
-  config.core = SimCore::kEvent;
   config.max_cycles = 100'000;
   WormholeSimulator sim(alg, config, fifo);
   MessageSpec spec;
@@ -374,11 +426,10 @@ TEST(EventCoreStatsTest, SparseWorkloadSkipsIdleCyclesAndCounts) {
   EXPECT_GT(summarize_workload(sim, result.cycles).mean_channel_utilization,
             0.0);
 
-  // The cycle core agrees on the outcome and timing, the long way around.
-  config.core = SimCore::kCycle;
+  // The step() loop agrees on the outcome and timing, the long way around.
   WormholeSimulator reference(alg, config, fifo);
   reference.add_message(spec);
-  const RunResult expected = reference.run();
+  const RunResult expected = run_stepped(reference);
   EXPECT_EQ(expected.outcome, result.outcome);
   EXPECT_EQ(expected.cycles, result.cycles);
   EXPECT_EQ(reference.event_stats().cycles_executed, 0u);
@@ -401,32 +452,19 @@ TEST(EventCoreStatsTest, QueuedHeadersCostEventsLinearInTheirNumber) {
     config.buffer_depth = 2;
     config.max_cycles = 100'000;
     Cycle cycles[2] = {0, 0};
-    for (const SimCore core : {SimCore::kCycle, SimCore::kEvent}) {
-      config.core = core;
+    for (const bool stepped : {true, false}) {
       WormholeSimulator sim(alg, config, fifo);
       for (const MessageSpec& spec : specs) sim.add_message(spec);
-      const RunResult result = sim.run();
+      const RunResult result = stepped ? run_stepped(sim) : sim.run();
       EXPECT_EQ(result.outcome, RunOutcome::kAllConsumed) << n;
-      const bool event = core == SimCore::kEvent;
-      cycles[event ? 1 : 0] = result.cycles;
-      if (event) fired[n == 200 ? 0 : 1] = sim.event_stats().events_fired;
+      cycles[stepped ? 0 : 1] = result.cycles;
+      if (!stepped) fired[n == 200 ? 0 : 1] = sim.event_stats().events_fired;
     }
     EXPECT_EQ(cycles[0], cycles[1]) << n;
   }
   EXPECT_LT(static_cast<double>(fired[1]) / static_cast<double>(fired[0]),
             2.5)
       << fired[0] << " events for 200 messages, " << fired[1] << " for 400";
-}
-
-TEST(EventCoreStatsTest, CycleCoreLeavesStatsUntouched) {
-  const core::CyclicFamily family(core::fig1_spec());
-  FifoArbitration fifo;
-  SimConfig config = small_config();
-  WormholeSimulator sim(family.algorithm(), config, fifo);
-  for (const MessageSpec& spec : family.message_specs()) sim.add_message(spec);
-  (void)sim.run();
-  EXPECT_EQ(sim.event_stats().events_scheduled, 0u);
-  EXPECT_EQ(sim.event_stats().cycles_executed, 0u);
 }
 
 }  // namespace

@@ -118,6 +118,11 @@ TEST(Workloads, EndToEndMeshRunDeliversEverything) {
   const auto stats = summarize_workload(sim, result.cycles);
   EXPECT_EQ(stats.offered, specs.size());
   EXPECT_EQ(stats.delivered, specs.size());
+  // Accepted throughput counts consumed flits, once each, not the flit-hops
+  // the channels carried: a drained run consumed every offered flit.
+  EXPECT_DOUBLE_EQ(stats.throughput_flits_per_cycle,
+                   static_cast<double>(specs.size() * config.message_length) /
+                       static_cast<double>(result.cycles));
   EXPECT_GT(stats.mean_latency, 0.0);
   EXPECT_GE(stats.max_latency, stats.mean_latency);
   EXPECT_GT(stats.mean_channel_utilization, 0.0);

@@ -1,22 +1,18 @@
 // wormsim_saturation — offered-load vs. accepted-throughput/latency sweeps
-// on datacenter-scale fabrics, driven by the event simulation core.
+// on datacenter-scale fabrics, driven by the simulator's event-driven run().
 //
 // For each offered load (injection probability per terminal per cycle) the
 // tool generates an open-loop workload on the fabric's terminals, runs it
 // to drain, and records accepted throughput, latency, channel utilization,
-// and the event core's introspection counters. The sweep lands in
+// and run()'s event-core introspection counters. The sweep lands in
 // BENCH_saturation.json (obs::RunReport; gated by tools/bench_compare.py —
 // the simulation is deterministic, so everything except wall-clock is
-// byte-reproducible from the command line). An optional core-comparison
-// pass times the cycle and event cores on identical low-activity mesh
-// workloads and records both, normalized per active-channel-cycle so the
-// numbers are comparable across cores; it exits 1 when the two cores
-// disagree on run cycles or delivered messages, and 2 when the report
-// cannot be written.
+// byte-reproducible from the command line). It exits 2 on a usage error or
+// when the report cannot be written.
 //
 // `--help` lists every flag.
 //
-// The heartbeat (--status-file) publishes "wormsim-status-v6" snapshots of
+// The heartbeat (--status-file) publishes "wormsim-status-v7" snapshots of
 // kind "saturation": progress counts sweep points and the `sim` object
 // mirrors the most recently finished simulation's event-core stats. The
 // snapshot is updated between sweep points only, so the sampler thread
@@ -36,7 +32,6 @@
 #include "obs/run_report.hpp"
 #include "obs/status.hpp"
 #include "routing/datacenter.hpp"
-#include "routing/dor.hpp"
 #include "routing/table_io.hpp"
 #include "sim/arbitration.hpp"
 #include "sim/simulator.hpp"
@@ -62,7 +57,6 @@ struct Options {
   sim::Cycle horizon = 300;
   sim::Cycle drain = 50'000;
   std::uint64_t seed = 1;
-  std::vector<std::uint64_t> core_compare;
   std::string routing_file;
   std::string report_name = "saturation";
   std::string status_file;
@@ -106,16 +100,6 @@ Fabric build_fabric(const Options& opt) {
     f.label = "fullmesh-n" + std::to_string(opt.nodes);
   }
   return f;
-}
-
-/// Mesh shape for the core-comparison pass, for a power of two `nodes`:
-/// radix-16 dimensions, then the remainder (64 -> 16x4, 512 -> 16x16x2,
-/// 4096 -> 16x16x16).
-std::vector<int> mesh_dims(std::uint64_t nodes) {
-  std::vector<int> dims;
-  for (; nodes > 16; nodes /= 16) dims.push_back(16);
-  if (nodes >= 2) dims.push_back(static_cast<int>(nodes));
-  return dims;
 }
 
 /// The most channels a network this tool builds may have. A k=64 fat-tree
@@ -162,17 +146,6 @@ std::pair<const char*, std::uint64_t> fabric_channels(const Options& opt) {
   }
   const auto n = static_cast<std::uint64_t>(opt.nodes);
   return {"--nodes", sat_mul(n, n - 1)};
-}
-
-/// The channel count of the core-comparison mesh of `nodes` nodes: a
-/// dimension of size s holds nodes/s lines of s - 1 duplex links each.
-std::uint64_t mesh_channels(std::uint64_t nodes) {
-  std::uint64_t channels = 0;
-  for (const int s : mesh_dims(nodes)) {
-    const auto size = static_cast<std::uint64_t>(s);
-    channels = sat_add(channels, sat_mul(2 * (size - 1), nodes / size));
-  }
-  return channels;
 }
 
 std::string format_load(double load) {
@@ -274,20 +247,6 @@ void declare_flags(cli::Parser& p, Options& opt) {
   p.integer("--horizon", opt.horizon, "injection horizon in cycles");
   p.integer("--drain", opt.drain, "extra cycles allowed to drain");
   p.integer("--seed", opt.seed, "workload seed");
-  p.add({"--core-compare", "N,...", "comma-separated powers of two >= 2",
-         join(opt.core_compare),
-         "also time both cores on meshes of these node counts; exit 1 "
-         "if they disagree",
-         [&opt](const char* text) {
-           std::vector<std::uint64_t> sizes;
-           for (const std::string& item : cli::split(text)) {
-             const auto v = util::parse_u64(item);
-             if (!v || *v < 2 || !std::has_single_bit(*v)) return false;
-             sizes.push_back(*v);
-           }
-           opt.core_compare = sizes;
-           return true;
-         }});
   p.text("--routing-file", "FILE", opt.routing_file,
          "wormsim-table-v1 table replacing the fabric's built-in routing");
   p.text("--report", "NAME", opt.report_name,
@@ -301,8 +260,7 @@ void declare_flags(cli::Parser& p, Options& opt) {
 int main(int argc, char** argv) {
   Options opt;
   cli::Parser parser("wormsim_saturation", "[flags]",
-                     "exit: 0 done, 1 the cores disagree, 2 usage or the "
-                     "report cannot be written (1 outranks 2)\n"
+                     "exit: 0 done, 2 usage or the report cannot be written\n"
                      "see docs/observability.md for the report\n");
   declare_flags(parser, opt);
   parser.parse(argc, argv);
@@ -318,9 +276,13 @@ int main(int argc, char** argv) {
   };
   const auto [fabric_flag, channels] = fabric_channels(opt);
   if (channels > kMaxChannels) return oversized(fabric_flag, channels);
-  for (const std::uint64_t nodes : opt.core_compare)
-    if (const std::uint64_t mesh = mesh_channels(nodes); mesh > kMaxChannels)
-      return oversized("--core-compare", mesh);
+  // The run's cycle limit is --horizon + --drain, which must not wrap.
+  sim::Cycle max_cycles = 0;
+  if (__builtin_add_overflow(opt.horizon, opt.drain, &max_cycles))
+    return parser.error("bad value for --drain: --horizon " +
+                        std::to_string(opt.horizon) + " + --drain " +
+                        std::to_string(opt.drain) +
+                        " overflows the 64-bit cycle limit");
 
   Fabric fabric = build_fabric(opt);
   WORMSIM_ASSERT(fabric.alg->net().channel_count() == channels);
@@ -372,7 +334,6 @@ int main(int argc, char** argv) {
   report.labels["topology"] = fabric.label;
   for (const auto& [name, pattern] : kPatterns)
     if (pattern == opt.pattern) report.labels["pattern"] = name;
-  report.labels["core"] = "event";
   report.values["nodes"] = static_cast<double>(net.node_count());
   report.values["channels"] = static_cast<double>(net.channel_count());
   report.values["terminals"] = static_cast<double>(fabric.terminals.size());
@@ -383,8 +344,7 @@ int main(int argc, char** argv) {
   std::mutex status_mu;
   obs::StatusSnapshot status;
   status.kind = "saturation";
-  status.count = opt.loads.size() + (opt.core_compare.empty() ? 0 : 1);
-  status.sim.core = "event";
+  status.count = opt.loads.size();
   status.sim.active = true;
   std::unique_ptr<obs::StatusSampler> sampler;
   if (!opt.status_file.empty())
@@ -407,9 +367,8 @@ int main(int argc, char** argv) {
 
     sim::FifoArbitration policy;
     sim::SimConfig config;
-    config.core = sim::SimCore::kEvent;
     config.buffer_depth = 2;
-    config.max_cycles = opt.horizon + opt.drain;
+    config.max_cycles = max_cycles;
     sim::WormholeSimulator simulator(*fabric.alg, config, policy);
     for (const auto& spec : specs) simulator.add_message(spec);
 
@@ -457,102 +416,15 @@ int main(int argc, char** argv) {
                    stats.throughput_flits_per_cycle, elapsed);
   }
 
-  // Core comparison: identical low-activity workloads on meshes of the
-  // requested sizes, timed under both cores. The event core must agree with
-  // the cycle core on every deterministic output (the parity suite proves
-  // this exhaustively; here run cycles and deliveries are checked on big
-  // networks).
-  bool cores_agree = true;
-  for (const std::uint64_t nodes : opt.core_compare) {
-    const topo::Grid grid = topo::make_mesh(mesh_dims(nodes));
-    WORMSIM_ASSERT(grid.net().channel_count() == mesh_channels(nodes));
-    const routing::DimensionOrderMesh dor(grid);
-    sim::WorkloadConfig workload;
-    workload.pattern = sim::TrafficPattern::kUniformRandom;
-    // ~96 messages spread over a long horizon: long idle spans between
-    // active bursts, the event core's best case and the cycle core's worst.
-    workload.horizon = 50'000;
-    workload.injection_rate =
-        96.0 / (static_cast<double>(nodes) *
-                static_cast<double>(workload.horizon));
-    workload.message_length = opt.length;
-    workload.seed = opt.seed;
-    const auto specs = sim::generate_workload(grid, workload);
-
-    const std::string prefix = "cores.n" + std::to_string(nodes) + ".";
-    double wall[2] = {0, 0};
-    sim::Cycle cycles[2] = {0, 0};
-    std::size_t delivered[2] = {0, 0};
-    for (const sim::SimCore core :
-         {sim::SimCore::kCycle, sim::SimCore::kEvent}) {
-      sim::FifoArbitration policy;
-      sim::SimConfig config;
-      config.core = core;
-      config.buffer_depth = 2;
-      config.max_cycles = workload.horizon + opt.drain;
-      sim::WormholeSimulator simulator(dor, config, policy);
-      for (const auto& spec : specs) simulator.add_message(spec);
-      const auto start = std::chrono::steady_clock::now();
-      const sim::RunResult result = simulator.run();
-      const double elapsed = seconds_since(start);
-      const bool event = core == sim::SimCore::kEvent;
-      const sim::WorkloadStats stats =
-          sim::summarize_workload(simulator, result.cycles);
-      wall[event ? 1 : 0] = elapsed;
-      cycles[event ? 1 : 0] = result.cycles;
-      delivered[event ? 1 : 0] = stats.delivered;
-      const char* tag = event ? "event" : "cycle";
-      report.values[prefix + tag + "_wall_seconds"] = elapsed;
-      // Per-cycle cost normalized by the mean number of busy channels, so
-      // the two cores' costs are comparable: the cycle core pays for every
-      // message every cycle, the event core only for scheduled work.
-      const double active_channels =
-          stats.mean_channel_utilization *
-          static_cast<double>(grid.net().channel_count());
-      report.values[prefix + tag + "_ns_per_active_channel_cycle"] =
-          active_channels > 0
-              ? elapsed * 1e9 / static_cast<double>(result.cycles) /
-                    active_channels
-              : 0;
-      report.values[prefix + "run_cycles"] =
-          static_cast<double>(result.cycles);
-      report.values[prefix + "messages"] = static_cast<double>(specs.size());
-    }
-    report.values[prefix + "event_speedup"] =
-        wall[1] > 0 ? wall[0] / wall[1] : 0;
-    if (cycles[0] != cycles[1] || delivered[0] != delivered[1]) {
-      cores_agree = false;
-      std::fprintf(stderr,
-                   "wormsim_saturation: cores disagree at n=%llu: cycle core "
-                   "%llu cycles, %zu delivered; event core %llu cycles, %zu "
-                   "delivered\n",
-                   static_cast<unsigned long long>(nodes),
-                   static_cast<unsigned long long>(cycles[0]), delivered[0],
-                   static_cast<unsigned long long>(cycles[1]), delivered[1]);
-    }
-    {
-      std::lock_guard<std::mutex> lock(status_mu);
-      ++status.done;
-    }
-    if (!opt.quiet)
-      std::fprintf(stderr,
-                   "cores n=%llu: cycle %.3fs, event %.3fs (%.1fx)\n",
-                   static_cast<unsigned long long>(nodes), wall[0], wall[1],
-                   wall[1] > 0 ? wall[0] / wall[1] : 0);
-  }
-
   report.values["total_wall_seconds"] = seconds_since(t0);
   {
     std::lock_guard<std::mutex> lock(status_mu);
     status.sim.active = false;
   }
   if (sampler) sampler->stop();
-  // A lost report exits 2, like a usage error; cores that disagree
-  // outrank it, since that finding is already on stderr.
-  const bool written = obs::write_report_file(report);
-  if (!written)
-    std::fprintf(stderr, "wormsim_saturation: cannot write %s\n",
-                 obs::report_path(report).c_str());
-  if (!cores_agree) return 1;
-  return written ? 0 : 2;
+  // A lost report exits 2, like a usage error.
+  if (obs::write_report_file(report)) return 0;
+  std::fprintf(stderr, "wormsim_saturation: cannot write %s\n",
+               obs::report_path(report).c_str());
+  return 2;
 }
