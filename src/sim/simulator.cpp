@@ -1,7 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <iterator>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -70,12 +70,16 @@ std::vector<ChannelId> WormholeSimulator::desired_channels(
 void WormholeSimulator::desired_channels_into(
     const MessageState& m, std::vector<ChannelId>& out) const {
   out.clear();
+  if (m.next_hop.valid()) {  // routed since the last acquire
+    out.push_back(m.next_hop);
+    return;
+  }
   switch (m.status) {
     case MessageStatus::kPending:
       alg_->append_initial_channels(m.spec.src, m.spec.dst, out);
       return;
     case MessageStatus::kMoving: {
-      const ChannelId leading = m.path.back();
+      const ChannelId leading = m.path.back().channel;
       if (alg_->net().channel(leading).dst == m.spec.dst)
         return;  // at destination: consume, not route
       alg_->append_next_channels(leading, m.spec.dst, out);
@@ -90,19 +94,19 @@ void WormholeSimulator::desired_channels_into(
 
 void WormholeSimulator::note_exit(MessageId id, MessageState& m,
                                   std::size_t path_index) {
-  ++m.exited[path_index];
-  WORMSIM_ASSERT(m.exited[path_index] <= m.spec.length);
+  ++m.path[path_index].exited;
+  WORMSIM_ASSERT(m.path[path_index].exited <= m.spec.length);
   // Release every fully drained prefix channel (tail has passed).
   while (m.released < m.path.size() &&
-         m.exited[m.released] == m.spec.length) {
-    ChannelState& ch = channels_[m.path[m.released].index()];
+         m.path[m.released].exited == m.spec.length) {
+    const ChannelId c = m.path[m.released].channel;
+    ChannelState& ch = channels_[c.index()];
     WORMSIM_ASSERT(ch.count == 0);
     ch.owner = MessageId::invalid();
     ch.busy_cycles += cycle_ - ch.acquired_cycle;
-    if (sched_.p != nullptr) report_freed(m.path[m.released]);
+    if (sched_.p != nullptr) report_freed(c);
     if (tracing())
-      trace_event(make_event(obs::TraceEventKind::kChannelRelease, id,
-                             m.path[m.released]));
+      trace_event(make_event(obs::TraceEventKind::kChannelRelease, id, c));
     ++m.released;
   }
 }
@@ -114,8 +118,8 @@ void WormholeSimulator::acquire(MessageId id, MessageState& m, ChannelId c) {
   ch.count = 1;
   ch.entered_cycle = cycle_;
   ch.acquired_cycle = cycle_;
-  m.path.push_back(c);
-  m.exited.push_back(0);
+  m.path.push_back({c, 0});
+  m.next_hop = ChannelId::invalid();
   m.waiting = false;
   ++m.stats.hops;
   ++flits_moved_;
@@ -135,6 +139,7 @@ WormholeSimulator::RequestOutcome WormholeSimulator::request_message(
   desired_channels_into(m, wants);
   if (wants.empty())
     return RequestOutcome::kAtDestination;  // consume, don't route
+  if (wants.size() == 1) m.next_hop = wants.front();
   if (!m.waiting) {
     m.waiting = true;
     m.waiting_since = cycle_;
@@ -330,8 +335,8 @@ char* WormholeSimulator::write_key_segment(const MessageState& m, char* p) {
   p = util::put_varint(p, static_cast<std::uint32_t>(m.released));
   p = util::put_varint(p, static_cast<std::uint32_t>(m.path.size()));
   for (std::size_t j = m.released; j < m.path.size(); ++j) {
-    p = util::put_varint(p, m.path[j].value());
-    p = util::put_varint(p, m.exited[j]);
+    p = util::put_varint(p, m.path[j].channel.value());
+    p = util::put_varint(p, m.path[j].exited);
   }
   return p;
 }
@@ -351,7 +356,7 @@ bool WormholeSimulator::move_message(std::size_t i) {
 
   // Front operation: consume at destination, advance header, or inject.
   if (m.status == MessageStatus::kMoving) {
-    const ChannelId leading = m.path.back();
+    const ChannelId leading = m.path.back().channel;
     if (alg_->net().channel(leading).dst == m.spec.dst) {
       // Header consumed by the destination node (Assumption 2).
       ChannelState& ch = channels_[leading.index()];
@@ -376,7 +381,7 @@ bool WormholeSimulator::move_message(std::size_t i) {
       moved = true;
     } else if (grant_of(i).valid()) {
       const ChannelId next = grant_of(i);
-      ChannelState& prev = channels_[m.path.back().index()];
+      ChannelState& prev = channels_[leading.index()];
       WORMSIM_ASSERT(prev.count > 0);
       --prev.count;
       const std::size_t prev_index = m.path.size() - 1;
@@ -397,7 +402,7 @@ bool WormholeSimulator::move_message(std::size_t i) {
       trace_event(make_event(obs::TraceEventKind::kInject, id, first));
     moved = true;
   } else if (m.status == MessageStatus::kDelivered) {
-    ChannelState& ch = channels_[m.path.back().index()];
+    ChannelState& ch = channels_[m.path.back().channel.index()];
     if (ch.count > 0) {
       --ch.count;
       ++m.flits_consumed;
@@ -418,8 +423,8 @@ bool WormholeSimulator::move_message(std::size_t i) {
   // Data-flit shifts, downstream-first so a worm pipelines in lockstep.
   if (m.path.size() >= 2) {
     for (std::size_t j = m.path.size() - 1; j > m.released; --j) {
-      ChannelState& from = channels_[m.path[j - 1].index()];
-      ChannelState& to = channels_[m.path[j].index()];
+      ChannelState& from = channels_[m.path[j - 1].channel.index()];
+      ChannelState& to = channels_[m.path[j].channel.index()];
       if (from.count == 0) continue;
       if (to.count >= config_.buffer_depth || transmitted(to)) continue;
       --from.count;
@@ -434,7 +439,7 @@ bool WormholeSimulator::move_message(std::size_t i) {
   // Inject remaining body flits into the first path channel.
   if (m.flits_injected > 0 && m.flits_injected < m.spec.length) {
     WORMSIM_ASSERT(m.released == 0);  // first channel can't drain early
-    ChannelState& first = channels_[m.path.front().index()];
+    ChannelState& first = channels_[m.path.front().channel.index()];
     if (first.count < config_.buffer_depth && !transmitted(first)) {
       ++first.count;
       first.entered_cycle = cycle_;
@@ -456,19 +461,24 @@ void WormholeSimulator::fill_deadlock_result(RunResult& result) {
       find_wait_cycle(occ, [this](ChannelId c) { return channel_owner(c); });
 }
 
-/// run()'s scheduler. Three queues, all message-granular:
-///   - ready: messages to process in the next executed cycle (every entry
-///     is stamped with that cycle so duplicates collapse);
-///   - timers: (wake cycle, message) min-heap for pending releases;
-///   - waiters: one min-heap per channel of the headers whose every
-///     candidate channel is owned, in the arbiter's (rank, message) order;
-///     a release wakes only the headers that can still win the channel.
-/// Dormancy is sound because a message that made no move in a cycle and
-/// raised no request cannot move again until a wanted channel frees (its
-/// own shift/injection preconditions are unchanged — nobody else can touch
-/// channels it owns), and parked headers are exactly those messages.
+/// run()'s scheduler, message-granular. A cycle's work is the merge, in
+/// message-id order, of three sorted runs:
+///   - kept: the messages the previous cycle's retention phase kept ready,
+///     in the id order that cycle processed them;
+///   - due releases: a cursor into `releases`, the run's unreleased
+///     messages sorted once by (release_time, id);
+///   - woken: the headers the previous cycle's channel releases woke,
+///     sorted before the merge (a handful per cycle).
+/// No message is in two runs: a kept message was processed and not parked,
+/// a woken one was parked, and a due release was never processed.
+/// Parked headers wait in one min-heap per channel, in the arbiter's
+/// (rank, message) order; a release wakes only the headers that can still
+/// win the channel. Dormancy is sound because a message that made no move
+/// in a cycle and raised no request cannot move again until a wanted
+/// channel frees (its own shift/injection preconditions are unchanged —
+/// nobody else can touch channels it owns), and parked headers are exactly
+/// those messages.
 struct WormholeSimulator::EventScheduler {
-  using Wake = std::pair<Cycle, std::uint32_t>;
   /// One parked header in one channel's wait heap. A header with several
   /// candidates has an entry in each of their heaps; a wake bumps the
   /// message's generation, which turns its other entries stale.
@@ -485,9 +495,10 @@ struct WormholeSimulator::EventScheduler {
   static bool behind(const Waiter& a, const Waiter& b) {
     return a.rank != b.rank ? a.rank > b.rank : a.message > b.message;
   }
-  std::vector<std::uint32_t> ready;   ///< accumulates the next cycle's work
-  std::vector<Cycle> ready_stamp;     ///< cycle each message is queued for
-  std::priority_queue<Wake, std::vector<Wake>, std::greater<Wake>> timers;
+  std::vector<std::uint32_t> kept;      ///< next cycle's keeps, id order
+  std::vector<std::uint32_t> woken;     ///< next cycle's wake-ups
+  std::vector<std::uint32_t> releases;  ///< by (release_time, id)
+  std::size_t next_release = 0;         ///< first entry not yet due
   std::vector<std::vector<Waiter>> waiters;  ///< per channel, heap by behind
   std::vector<std::uint32_t> generation;     ///< per message
   std::vector<std::uint8_t> sole;  ///< per message: parked on one channel
@@ -505,43 +516,52 @@ RunResult WormholeSimulator::run() {
   RunResult result;
   EventScheduler sched;
   sched.waiters.resize(channels_.size());
-  sched.ready_stamp.assign(messages_.size(), 0);
   sched.generation.assign(messages_.size(), 0);
   sched.sole.assign(messages_.size(), 0);
   sched_.p = &sched;
   ensure_grant_capacity();
   EventCoreStats& st = event_stats_;
-
-  // Queue an entry for `at`, the next cycle that will execute; the stamp
-  // collapses duplicate wake-ups (timer + stay-ready, multiple releases).
-  const auto push_ready = [&](std::uint32_t m, Cycle at) {
-    if (sched.ready_stamp[m] == at) return;
-    sched.ready_stamp[m] = at;
-    sched.ready.push_back(m);
-    ++st.events_scheduled;
+  const auto release_of = [this](std::uint32_t m) {
+    return messages_[m].spec.release_time;
   };
 
+  // Messages released by the first cycle start ready; later ones wait in
+  // the release list, where they cost nothing until they are due.
   std::size_t live = 0;
-  for (std::size_t i = 0; i < messages_.size(); ++i)
-    if (messages_[i].status != MessageStatus::kConsumed) {
-      ++live;
-      // Everything starts ready; the first request phase parks future
-      // releases in the timer heap where they stop costing per cycle.
-      push_ready(static_cast<std::uint32_t>(i), cycle_ + 1);
-    }
+  for (std::size_t i = 0; i < messages_.size(); ++i) {
+    const MessageState& m = messages_[i];
+    if (m.status == MessageStatus::kConsumed) continue;
+    ++live;
+    ++st.events_scheduled;
+    const bool later = m.status == MessageStatus::kPending &&
+                       m.spec.release_time > cycle_ + 1;
+    (later ? sched.releases : sched.kept)
+        .push_back(static_cast<std::uint32_t>(i));
+  }
+  // Ids are pushed ascending, so a stable sort by release time yields
+  // (release_time, id) order. Generated workloads are already in it.
+  const auto released_before = [&](std::uint32_t a, std::uint32_t b) {
+    return release_of(a) < release_of(b);
+  };
+  if (!std::is_sorted(sched.releases.begin(), sched.releases.end(),
+                      released_before))
+    std::stable_sort(sched.releases.begin(), sched.releases.end(),
+                     released_before);
 
   const Cycle max = config_.max_cycles;
   std::vector<std::uint32_t> curr;
+  std::vector<std::uint32_t> side;
   std::vector<RequestOutcome> outcomes;
   std::vector<std::uint8_t> moved_flags;
 
   while (true) {
     // Pick the next cycle with runnable work; idle spans cost nothing.
     Cycle next;
-    if (!sched.ready.empty()) {
+    if (!sched.kept.empty() || !sched.woken.empty()) {
       next = cycle_ + 1;
-    } else if (!sched.timers.empty()) {
-      next = std::max(cycle_ + 1, sched.timers.top().first);
+    } else if (sched.next_release < sched.releases.size()) {
+      next = std::max(cycle_ + 1,
+                      release_of(sched.releases[sched.next_release]));
     } else {
       // Nothing scheduled, nothing sleeping: the next cycle makes no
       // progress at all. With live messages that is exactly the
@@ -567,19 +587,28 @@ RunResult WormholeSimulator::run() {
     cycle_ = next;
     ++st.cycles_executed;
 
-    // Timers due this cycle rejoin the ready set.
-    while (!sched.timers.empty() && sched.timers.top().first <= cycle_) {
-      const std::uint32_t m = sched.timers.top().second;
-      sched.timers.pop();
-      ++st.events_fired;
-      push_ready(m, cycle_);
-    }
-
+    // The cycle's work in message-id order — the exact sweep order of
+    // step()'s request and move phases — merged from its three runs. Every
+    // due release has release_time == cycle_ (the clock never jumps past
+    // one), so the due range is in id order too.
+    const auto due_begin =
+        sched.releases.begin() + static_cast<std::ptrdiff_t>(sched.next_release);
+    const auto due_end =
+        std::find_if(due_begin, sched.releases.end(),
+                     [&](std::uint32_t m) { return release_of(m) > cycle_; });
+    const auto due = static_cast<std::uint64_t>(due_end - due_begin);
+    st.events_fired += due;      // each release fires once, when due,
+    st.events_scheduled += due;  // and joins this cycle's work
+    sched.next_release += due;
+    std::sort(sched.woken.begin(), sched.woken.end());
+    side.clear();
+    std::merge(sched.woken.begin(), sched.woken.end(), due_begin, due_end,
+               std::back_inserter(side));
     curr.clear();
-    std::swap(curr, sched.ready);
-    // Process in message-id order — the exact sweep order of step()'s
-    // request and move phases.
-    std::sort(curr.begin(), curr.end());
+    std::merge(sched.kept.begin(), sched.kept.end(), side.begin(), side.end(),
+               std::back_inserter(curr));
+    sched.kept.clear();
+    sched.woken.clear();
 
     // Phase 1: requests (dormant messages raise none by construction).
     requests_.v.clear();
@@ -598,49 +627,37 @@ RunResult WormholeSimulator::run() {
     }
 
     // Phase 3: retention — decide where each processed message lives next.
-    bool any_wait_progress = false;
     for (std::size_t k = 0; k < curr.size(); ++k) {
       const std::uint32_t m = curr[k];
       MessageState& msg = messages_[m];
-      const bool moved = moved_flags[k] != 0;
       if (msg.status == MessageStatus::kConsumed) {
         --live;
         continue;
       }
-      switch (outcomes[k]) {
-        case RequestOutcome::kNotReleased:
-          // Time toward the release is progress; sleep until it arrives.
-          any_wait_progress = true;
-          sched.timers.emplace(msg.spec.release_time, m);
+      if (outcomes[k] == RequestOutcome::kAllBusy && moved_flags[k] == 0 &&
+          !tracing()) {
+        // Fully blocked and quiescent: park until a wanted channel frees.
+        // Under tracing the message stays ready instead, so the per-cycle
+        // blocked events match step()'s. A single candidate comes from
+        // phase 1's next_hop, with no second routing call.
+        desired_channels_into(msg, wants_scratch_);
+        sched.sole[m] = wants_scratch_.size() == 1 ? 1 : 0;
+        ++sched.parked;
+        for (const ChannelId want : wants_scratch_) {
+          std::vector<EventScheduler::Waiter>& heap =
+              sched.waiters[want.index()];
+          heap.push_back(
+              {policy_->rank({MessageId{m}, want, msg.waiting_since}), m,
+               sched.generation[m]});
+          std::push_heap(heap.begin(), heap.end(), EventScheduler::behind);
           ++st.events_scheduled;
-          continue;
-        case RequestOutcome::kAllBusy:
-          if (!moved && !tracing()) {
-            // Fully blocked and quiescent: park until a wanted channel
-            // frees. Under tracing the message stays ready instead, so
-            // the per-cycle blocked events match step()'s.
-            desired_channels_into(msg, wants_scratch_);
-            sched.sole[m] = wants_scratch_.size() == 1 ? 1 : 0;
-            ++sched.parked;
-            for (const ChannelId want : wants_scratch_) {
-              std::vector<EventScheduler::Waiter>& heap =
-                  sched.waiters[want.index()];
-              heap.push_back({policy_->rank({MessageId{m}, want,
-                                             msg.waiting_since}),
-                              m, sched.generation[m]});
-              std::push_heap(heap.begin(), heap.end(),
-                             EventScheduler::behind);
-              ++st.events_scheduled;
-            }
-            continue;
-          }
-          break;
-        default:
-          // kIdle (delivered, draining), kAtDestination, kRequested: the
-          // message has (or may have) work next cycle; stay scheduled.
-          break;
+        }
+        continue;
       }
-      push_ready(m, cycle_ + 1);
+      // Delivered and draining, at its destination, or requesting: the
+      // message has (or may have) work next cycle; it stays scheduled.
+      sched.kept.push_back(m);
+      ++st.events_scheduled;
     }
 
     // Phase 4: releases this cycle wake parked headers for the next cycle
@@ -665,22 +682,22 @@ RunResult WormholeSimulator::run() {
         ++sched.generation[w.message];
         --sched.parked;
         ++st.events_fired;
-        push_ready(w.message, cycle_ + 1);
+        ++st.events_scheduled;
+        sched.woken.push_back(w.message);
         if (sched.sole[w.message]) break;
       }
     }
     sched.freed.clear();
 
     if (config_.check_invariants) check_invariants();
-    st.queue_peak =
-        std::max<std::uint64_t>(st.queue_peak, sched.ready.size() +
-                                                   sched.timers.size() +
-                                                   sched.parked);
+    const std::size_t unreleased = sched.releases.size() - sched.next_release;
+    st.queue_peak = std::max<std::uint64_t>(
+        st.queue_peak, sched.kept.size() + sched.woken.size() + unreleased +
+                           sched.parked);
 
-    // Sleeping messages are step() progress every cycle (time toward a
+    // Unreleased messages are step() progress every cycle (time toward a
     // release); parked blocked headers are not.
-    const bool progress =
-        any_moved || any_wait_progress || !sched.timers.empty();
+    const bool progress = any_moved || unreleased > 0;
     if (live == 0) {
       result.outcome = RunOutcome::kAllConsumed;
       result.cycles = cycle_;
@@ -726,8 +743,8 @@ std::vector<MessageOccupancy> WormholeSimulator::occupancy() const {
     occ.message = MessageId{i};
     occ.status = m.status;
     for (std::size_t j = m.released; j < m.path.size(); ++j) {
-      occ.held.push_back(m.path[j]);
-      occ.counts.push_back(channels_[m.path[j].index()].count);
+      occ.held.push_back(m.path[j].channel);
+      occ.counts.push_back(channels_[m.path[j].channel.index()].count);
     }
     if (m.status == MessageStatus::kMoving) {
       // Blocked only when EVERY candidate is occupied (an adaptive header
@@ -792,21 +809,20 @@ void WormholeSimulator::check_invariants() const {
 
   for (std::size_t i = 0; i < messages_.size(); ++i) {
     const MessageState& m = messages_[i];
-    WORMSIM_ASSERT(m.path.size() == m.exited.size());
     WORMSIM_ASSERT(m.released <= m.path.size());
     std::uint32_t accounted = m.flits_consumed;
     for (std::size_t j = 0; j < m.path.size(); ++j) {
       const std::uint32_t entered =
-          j == 0 ? m.flits_injected : m.exited[j - 1];
-      WORMSIM_ASSERT_MSG(entered >= m.exited[j],
+          j == 0 ? m.flits_injected : m.path[j - 1].exited;
+      WORMSIM_ASSERT_MSG(entered >= m.path[j].exited,
                          "flits exit a channel only after entering it");
-      const std::uint32_t in_channel = entered - m.exited[j];
+      const std::uint32_t in_channel = entered - m.path[j].exited;
       accounted += in_channel;
       if (j >= m.released) {
-        WORMSIM_ASSERT(expected_owner[m.path[j].index()] ==
-                       MessageId::invalid());
-        expected_owner[m.path[j].index()] = MessageId{i};
-        expected_count[m.path[j].index()] = in_channel;
+        const std::size_t c = m.path[j].channel.index();
+        WORMSIM_ASSERT(expected_owner[c] == MessageId::invalid());
+        expected_owner[c] = MessageId{i};
+        expected_count[c] = in_channel;
       } else {
         WORMSIM_ASSERT_MSG(in_channel == 0, "released channel still holds flits");
       }

@@ -249,14 +249,24 @@ class WormholeSimulator {
   void set_trace_sink(obs::TraceSink* sink) { trace_sink_ = sink; }
 
  private:
+  /// One acquired channel of a message's path.
+  struct Hop {
+    ChannelId channel;
+    std::uint32_t exited = 0;  ///< flits that have left the channel
+  };
+
   struct MessageState {
     MessageSpec spec;
     MessageStatus status = MessageStatus::kPending;
-    std::vector<ChannelId> path;        ///< acquired channels in order
-    std::vector<std::uint32_t> exited;  ///< flits that have left path[j]
+    std::vector<Hop> path;              ///< acquired channels in order
     std::size_t released = 0;           ///< prefix of path released
     std::uint32_t flits_injected = 0;   ///< flits that left the source
     std::uint32_t flits_consumed = 0;
+    /// The header's one candidate for its next hop, once routed; cleared
+    /// by acquire(). R(in, dst) depends only on the leading channel and
+    /// the destination, so it stays valid until the path grows. Invalid
+    /// while unrouted and for headers R offers several channels.
+    ChannelId next_hop = ChannelId::invalid();
     Cycle waiting_since = 0;     ///< for FIFO arbitration fairness
     bool waiting = false;
     MessageStats stats;
@@ -292,7 +302,8 @@ class WormholeSimulator {
 
   /// desired_channels into a reusable buffer (cleared first). The per-cycle
   /// request loops run this once per message; reusing one scratch vector
-  /// keeps the search's innermost loop allocation-free.
+  /// keeps the search's innermost loop allocation-free. Reads m.next_hop
+  /// when it is set instead of asking the routing algorithm again.
   void desired_channels_into(const MessageState& m,
                              std::vector<ChannelId>& out) const;
 
@@ -309,8 +320,9 @@ class WormholeSimulator {
 
   /// Per-message request phase: gate on release time, maintain waiting
   /// bookkeeping, push free-candidate requests into requests_, emit the
-  /// blocked trace event. Shared verbatim by step() and run() — this is
-  /// what makes run() cycle-exact against a step() loop by construction.
+  /// blocked trace event, and keep a single candidate in next_hop. Shared
+  /// verbatim by step() and run() — this is what makes run() cycle-exact
+  /// against a step() loop by construction.
   RequestOutcome request_message(std::size_t i);
 
   /// Phase 1 of step(): advance the clock, run request_message for every

@@ -367,6 +367,29 @@ TEST(SynthCli, ExistenceSearchOutOfBudgetExitsFour) {
   }
 }
 
+TEST(SynthCli, VerifyOutOfBudgetExitsFour) {
+  // fig1's synthesized table has a cyclic CDG, so re-verifying it runs the
+  // exhaustive search. A one-state budget decides nothing: the table is
+  // undecided, not inconsistent.
+  const std::string dir = test::temp_dir("wormsim_cli_verify");
+  fs::create_directories(dir);
+  const auto [dump_code, dump] = run_tool(
+      kTools[1], "synthesize --instances fig1 --quiet --out-dir " + dir, 60,
+      dir);
+  ASSERT_EQ(dump_code, 0) << dump;
+  const std::string verify =
+      "verify --instance fig1 --table " + dir + "/fig1.table.json";
+  const auto [capped_code, capped] =
+      run_tool(kTools[1], verify + " --max-states 1");
+  EXPECT_EQ(capped_code, 4) << capped;
+  EXPECT_NE(capped.find("UNDECIDED"), std::string::npos) << capped;
+  EXPECT_EQ(capped.find("INCONSISTENT"), std::string::npos) << capped;
+  const auto [decided_code, decided] = run_tool(kTools[1], verify);
+  EXPECT_EQ(decided_code, 0) << decided;
+  EXPECT_NE(decided.find("verdict=false-resource-cycle"), std::string::npos)
+      << decided;
+}
+
 /// A path no file can be written at: it runs through a regular file.
 std::string unwritable_path(const std::string& name) {
   const std::string dir = test::temp_dir("wormsim_cli_" + name);

@@ -151,7 +151,7 @@ SimConfig small_config() {
 }
 
 /// Seeded timing decoration: staggered releases turn a bare spec multiset
-/// into a scenario that exercises run()'s timer heap
+/// into a scenario that exercises run()'s release list
 /// (sleep-until-release).
 std::vector<MessageSpec> decorate(std::vector<MessageSpec> specs,
                                   std::uint64_t seed) {
@@ -465,6 +465,68 @@ TEST(EventCoreStatsTest, QueuedHeadersCostEventsLinearInTheirNumber) {
   EXPECT_LT(static_cast<double>(fired[1]) / static_cast<double>(fired[0]),
             2.5)
       << fired[0] << " events for 200 messages, " << fired[1] << " for 400";
+}
+
+/// An oblivious algorithm seen through the adaptive interface, counting
+/// the candidate queries the simulator makes.
+class CountingRouting final : public routing::AdaptiveRouting {
+ public:
+  explicit CountingRouting(const routing::RoutingAlgorithm& alg)
+      : AdaptiveRouting(alg.net()), alg_(&alg) {}
+
+  [[nodiscard]] std::string name() const override { return alg_->name(); }
+  [[nodiscard]] bool routes(NodeId src, NodeId dst) const override {
+    return alg_->routes(src, dst);
+  }
+  [[nodiscard]] std::vector<ChannelId> initial_channels(
+      NodeId src, NodeId dst) const override {
+    ++calls;
+    return {alg_->initial_channel(src, dst)};
+  }
+  [[nodiscard]] std::vector<ChannelId> next_channels(
+      ChannelId in, NodeId dst) const override {
+    ++calls;
+    return {alg_->next_channel(in, dst)};
+  }
+
+  mutable std::uint64_t calls = 0;
+
+ private:
+  const routing::RoutingAlgorithm* alg_;
+};
+
+TEST(EventCoreStatsTest, EachHopIsRoutedOnce) {
+  // R(in, dst) depends only on the leading channel and the destination, so
+  // a header routes each hop once, however often it loses arbitration,
+  // parks or wakes before it acquires the channel: past saturation on the
+  // k=4 fat-tree, and with 200 headers queued at one host.
+  const topo::FatTree tree(4);
+  const routing::FatTreeUpDown up_down(tree);
+  const CountingRouting counting(up_down);
+  FifoArbitration fifo;
+  SimConfig config;
+  config.buffer_depth = 2;
+  config.max_cycles = 100'000;
+  const std::vector<MessageSpec> cases[] = {
+      generate_workload(tree.hosts(),
+                        saturating(TrafficPattern::kUniformRandom, 0.5, 8, 1)),
+      std::vector<MessageSpec>(200,
+                               MessageSpec{tree.host(0), tree.host(15), 8, 0}),
+  };
+  for (const std::vector<MessageSpec>& specs : cases)
+    for (const bool trace : {true, false}) {
+      counting.calls = 0;
+      WormholeSimulator sim(counting, config, fifo);
+      for (const MessageSpec& spec : specs) sim.add_message(spec);
+      obs::TraceBuffer buffer;
+      if (trace) sim.set_trace_sink(&buffer);
+      ASSERT_EQ(sim.run().outcome, RunOutcome::kAllConsumed);
+      std::uint64_t hops = 0;
+      for (std::size_t m = 0; m < specs.size(); ++m)
+        hops += sim.stats(MessageId{m}).hops;
+      EXPECT_EQ(counting.calls, hops)
+          << specs.size() << " messages, trace=" << trace;
+    }
 }
 
 }  // namespace

@@ -107,6 +107,14 @@ Fabric build_fabric(const Options& opt) {
 /// so the cap keeps network state near 0.5 GB.
 constexpr std::uint64_t kMaxChannels = std::uint64_t{1} << 22;
 
+/// The most injection trials (--horizon × terminals) one load point may
+/// draw. The generator draws one per terminal per horizon cycle, and at
+/// load 1 each trial is a message. A k=4 fat-tree at load 1 peaked at
+/// 23.98 MB max RSS for 80,000 messages and 44.82 MB for 160,000, drained:
+/// about 270 bytes per message (spec, simulator state, path), so the cap
+/// keeps a load-1 point near 1.1 GB.
+constexpr std::uint64_t kMaxTrials = std::uint64_t{1} << 22;
+
 /// Saturating arithmetic for the channel counts below: the flags accept
 /// values whose networks have more channels than 64 bits count.
 std::uint64_t sat_mul(std::uint64_t a, std::uint64_t b) {
@@ -260,6 +268,8 @@ void declare_flags(cli::Parser& p, Options& opt) {
 int main(int argc, char** argv) {
   Options opt;
   cli::Parser parser("wormsim_saturation", "[flags]",
+                     "--horizon x terminals, the injection trials of a load,\n"
+                     "is capped at " + std::to_string(kMaxTrials) + "\n"
                      "exit: 0 done, 2 usage or the report cannot be written\n"
                      "see docs/observability.md for the report\n");
   declare_flags(parser, opt);
@@ -300,6 +310,13 @@ int main(int argc, char** argv) {
                         fitting + " for this fabric's " +
                         std::to_string(terminals) + " terminals)");
   }
+  // The generator draws horizon x terminals trials per load, and at load 1
+  // each is a message: refuse a product over the cap before drawing any.
+  const std::uint64_t trials = sat_mul(opt.horizon, terminals);
+  if (trials > kMaxTrials)
+    return parser.error("bad value for --horizon: " + std::to_string(trials) +
+                        " trials (horizon × terminals), over the cap of " +
+                        std::to_string(kMaxTrials));
   // A synthesized table (wormsim-table-v1, e.g. from wormsim_synth
   // --out-dir) replaces the fabric's built-in algorithm. The loader pins the
   // topology shape; we additionally require every terminal pair routed so

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "cli.hpp"
+#include "core/analyzer.hpp"
 #include "obs/run_report.hpp"
 #include "obs/status.hpp"
 #include "routing/table_io.hpp"
@@ -79,13 +80,27 @@ struct InstanceOutcome {
   std::uint64_t assignments = 0;
   std::uint64_t obstruction_pairs = 0;
   bool consistent = true;
+  /// A search ran out of --max-states: the existence search, or the
+  /// emitted table's re-verification.
+  bool undecided = false;
   std::string detail;
   double wall_seconds = 0;
 };
 
+void note(InstanceOutcome& out, const std::string& why) {
+  out.detail = out.detail.empty() ? why : out.detail + "; " + why;
+}
+
 void fail(InstanceOutcome& out, const std::string& why) {
   out.consistent = false;
-  out.detail = out.detail.empty() ? why : out.detail + "; " + why;
+  note(out, why);
+}
+
+/// The limits of a table's re-verification search: the run's --max-states.
+analysis::SearchLimits search_limits(const Options& opt) {
+  analysis::SearchLimits limits;
+  limits.max_states = opt.max_states;
+  return limits;
 }
 
 /// Checks a decided existence verdict against the instance's pinned
@@ -112,6 +127,7 @@ InstanceOutcome run_analyze(const synth::SynthInstance& inst,
   const synth::ExistenceCertificate cert =
       synth::analyze_existence(*inst.net, inst.pairs, eopt);
   out.verdict = cert.verdict;
+  out.undecided = cert.verdict == synth::ExistenceVerdict::kInconclusive;
   out.method = cert.method;
   out.states = cert.states_searched + cert.obstruction.states_searched;
   out.obstruction_pairs = cert.obstruction.core.size();
@@ -151,6 +167,8 @@ InstanceOutcome run_synthesize(const synth::SynthInstance& inst,
   const synth::SynthesisResult result =
       synth::synthesize(*inst.net, inst.pairs, sopt);
   out.verdict = result.existence.verdict;
+  out.undecided =
+      result.existence.verdict == synth::ExistenceVerdict::kInconclusive;
   out.method = result.existence.method;
   out.kind = result.kind;
   out.cdg_cyclic = result.cdg_cyclic;
@@ -171,13 +189,18 @@ InstanceOutcome run_synthesize(const synth::SynthInstance& inst,
 
   if (result.table) {
     // Independent re-verification: CDG + exhaustive search, then a
-    // simulator drain run of one message per pair.
+    // simulator drain run of one message per pair. A search that runs out
+    // of --max-states decides nothing, so it leaves the instance undecided.
     const core::AlgorithmAnalysis check =
-        core::analyze_algorithm(*result.table);
-    if (check.verdict != core::CycleVerdict::kAcyclicCdg &&
-        check.verdict != core::CycleVerdict::kFalseResourceCycle)
+        core::analyze_algorithm(*result.table, search_limits(opt));
+    if (check.verdict == core::CycleVerdict::kInconclusive) {
+      out.undecided = true;
+      note(out, "emitted table's re-verification ran out of --max-states");
+    } else if (check.verdict != core::CycleVerdict::kAcyclicCdg &&
+               check.verdict != core::CycleVerdict::kFalseResourceCycle) {
       fail(out, std::string("emitted table re-verifies as ") +
                     core::to_string(check.verdict));
+    }
     if ((check.cyclic_scc_count > 0) != result.cdg_cyclic)
       fail(out, "cdg_cyclic flag disagrees with re-verification");
     if (!synth::simulate_clean(*result.table, inst.pairs))
@@ -218,18 +241,20 @@ int run_verify(const Options& opt) {
     }
   }
   const core::AlgorithmAnalysis check =
-      core::analyze_algorithm(*loaded.table);
+      core::analyze_algorithm(*loaded.table, search_limits(opt));
+  const bool undecided = check.verdict == core::CycleVerdict::kInconclusive;
   const bool deadlock_free =
       check.verdict == core::CycleVerdict::kAcyclicCdg ||
       check.verdict == core::CycleVerdict::kFalseResourceCycle;
   const bool sim_ok = synth::simulate_clean(*loaded.table, inst.pairs);
   if (!opt.quiet)
-    std::printf("%-11s table=%s verdict=%s cyclic=%d sim=%s\n",
+    std::printf("%-11s table=%s verdict=%s cyclic=%d sim=%s%s\n",
                 inst.name.c_str(), opt.table_file.c_str(),
                 core::to_string(check.verdict),
                 check.cyclic_scc_count > 0 ? 1 : 0,
-                sim_ok ? "clean" : "FAILED");
-  return deadlock_free && sim_ok ? 0 : 1;
+                sim_ok ? "clean" : "FAILED", undecided ? " UNDECIDED" : "");
+  if (!sim_ok || (!deadlock_free && !undecided)) return 1;
+  return undecided ? 4 : 0;
 }
 
 }  // namespace
@@ -241,7 +266,8 @@ int main(int argc, char** argv) {
       "wormsim_synth", "analyze|synthesize|verify [flags]",
       "verify needs --instance NAME --table FILE\n"
       "exit: 0 all consistent, 1 inconsistency/deadlock, 2 usage, 3 I/O,\n"
-      "      4 undecided (an existence search ran out of --max-states)\n"
+      "      4 undecided (an existence search or a table's re-verification\n"
+      "      ran out of --max-states)\n"
       "see docs/synthesis.md for the manual\n");
   parser.operands(mode);
   std::string menu;
@@ -264,7 +290,8 @@ int main(int argc, char** argv) {
                  {"acyclic", synth::SynthesisGoal::kRobustAcyclic}},
                 "prefer a verified cyclic-CDG table, or acyclic only");
   parser.integer("--max-states", opt.max_states,
-                 "placement-search budget per existence query");
+                 "state budget per existence query and per table "
+                 "re-verification");
   parser.integer("--max-assignments", opt.max_assignments,
                  "complete assignments the cyclic search may verify");
   parser.text("--out-dir", "DIR", opt.out_dir,
@@ -312,16 +339,17 @@ int main(int argc, char** argv) {
     const synth::SynthInstance inst = synth::make_synth_instance(name);
     InstanceOutcome out = opt.mode == "analyze" ? run_analyze(inst, opt)
                                                 : run_synthesize(inst, opt);
-    const bool decided = out.verdict != synth::ExistenceVerdict::kInconclusive;
-    if (!decided) ++undecided;
+    if (out.undecided) ++undecided;
     if (!opt.quiet)
       std::printf(
-          "%-11s verdict=%-12s method=%-14s kind=%-17s cyclic=%d %s%s\n",
+          "%-11s verdict=%-12s method=%-14s kind=%-17s cyclic=%d %s%s%s\n",
           out.name.c_str(), synth::to_string(out.verdict),
           out.method.c_str(), synth::to_string(out.kind),
           out.cdg_cyclic ? 1 : 0,
-          !out.consistent ? "INCONSISTENT: " : decided ? "ok" : "UNDECIDED",
-          out.detail.c_str());
+          !out.consistent ? "INCONSISTENT"
+          : out.undecided ? "UNDECIDED"
+                          : "ok",
+          out.detail.empty() ? "" : ": ", out.detail.c_str());
     {
       std::lock_guard<std::mutex> lock(board.mu);
       ++board.snapshot.done;
