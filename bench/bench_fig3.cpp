@@ -22,7 +22,7 @@ void BM_Fig3_Variant(benchmark::State& state) {
   for (auto _ : state) {
     probe = core::probe_family_deadlock(family);
   }
-  const auto report = core::evaluate_theorem5(family);
+  const auto report = core::evaluate_theorem5(family.spec());
   state.SetLabel(std::string("fig3(") + core::fig3_name(variant) + ")");
   state.counters["expected_unreachable"] =
       core::fig3_expected_unreachable(variant) ? 1.0 : 0.0;
@@ -51,7 +51,7 @@ void BM_Fig3_SoundnessSweep(benchmark::State& state) {
           spec.name = "sweep";
           spec.messages = {{4, hA, true}, {2, hC, true}, {3, hB, true}};
           const core::CyclicFamily family(spec);
-          const auto report = core::evaluate_theorem5(family);
+          const auto report = core::evaluate_theorem5(family.spec());
           ++total;
           if (!report.all_hold()) continue;
           ++unreachable_checker;

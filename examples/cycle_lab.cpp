@@ -35,7 +35,7 @@ void analyze(const char* title, const core::CyclicFamily& family) {
               static_cast<unsigned long long>(probe.total_states),
               probe.exhausted ? "yes" : "no",
               static_cast<std::ptrdiff_t>(probe.auxiliary_index));
-  const auto t5 = core::evaluate_theorem5(family);
+  const auto t5 = core::evaluate_theorem5(family.spec());
   if (t5.applicable) std::printf("  theorem5: %s\n", t5.describe().c_str());
 }
 
@@ -52,7 +52,7 @@ void sweep_theorem5() {
         // Ring order: A(access 4), C(access 2), B(access 3).
         spec.messages = {{4, hA, true}, {2, hC, true}, {3, hB, true}};
         const core::CyclicFamily family(spec);
-        const auto t5 = core::evaluate_theorem5(family);
+        const auto t5 = core::evaluate_theorem5(family.spec());
         analysis::SearchLimits limits;
         limits.max_states = 3'000'000;
         const auto probe = core::probe_family_deadlock(family, limits);

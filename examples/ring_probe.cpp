@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
         std::atoi(argv[i + 2]) != 0});
   const core::CyclicFamily family(spec);
 
-  const auto t5 = core::evaluate_theorem5(family);
+  const auto t5 = core::evaluate_theorem5(family.spec());
   std::printf("%s\n", t5.describe().c_str());
 
   analysis::SearchLimits limits;

@@ -8,8 +8,12 @@ namespace wormsim::campaign {
 
 namespace {
 
-Classification family_classification(const Scenario& scenario,
-                                     const MaterializedScenario& live) {
+/// Family rings are classified from their spec alone: every rule below
+/// reads only each ring message's access, hold and use of c_s, so the
+/// network is built only when a search needs it.
+Classification family_classification(const Scenario& scenario) {
+  WORMSIM_EXPECTS_MSG(family_spec_buildable(scenario.family),
+                      "unbuildable family spec");
   Classification c;
   c.cdg_cyclic = true;  // the ring is a CDG cycle by construction
 
@@ -68,7 +72,7 @@ Classification family_classification(const Scenario& scenario,
       c.detail = "interposed non-sharing ring message";
       return c;
     }
-    const auto report = core::evaluate_theorem5(*live.family);
+    const auto report = core::evaluate_theorem5(scenario.family);
     WORMSIM_ASSERT(report.applicable);
     if (report.all_hold()) {
       // Theorem 5, sufficiency direction (validated by the sweep test):
@@ -152,7 +156,7 @@ int section6_shape_k(const core::CyclicFamilySpec& spec) {
 Classification classify(const Scenario& scenario,
                         const MaterializedScenario& live) {
   if (scenario.kind == ScenarioKind::kFamily)
-    return family_classification(scenario, live);
+    return family_classification(scenario);
   if (scenario.kind == ScenarioKind::kSynthesized)
     return synthesized_classification(live);
 

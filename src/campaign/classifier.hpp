@@ -43,8 +43,11 @@ struct Classification {
 /// Figure 1), returns k; otherwise 0.
 [[nodiscard]] int section6_shape_k(const core::CyclicFamilySpec& spec);
 
-/// Classifies a materialized scenario. Pure function of the scenario
-/// structure; never runs the reachability search.
+/// Classifies a scenario. Pure function of the scenario structure; never
+/// runs the reachability search. A family scenario is classified from its
+/// spec, so `live` may be empty for one (an unbuildable spec still aborts);
+/// random and synthesized scenarios read the CDG or the existence
+/// certificate in `live`, which must come from materialize(scenario).
 [[nodiscard]] Classification classify(const Scenario& scenario,
                                       const MaterializedScenario& live);
 

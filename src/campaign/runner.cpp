@@ -1,6 +1,7 @@
 #include "campaign/runner.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -268,7 +269,12 @@ std::optional<Evaluation> evaluate_impl(const Scenario& scenario,
                                         CacheCounters* counters,
                                         Checkpointer* checkpoint, bool park) {
   Evaluation eval;
-  const MaterializedScenario live = materialize(scenario);
+  // A family is classified from its spec and built only when its truth key
+  // misses; random and synthesized scenarios classify from their CDG or
+  // existence certificate, so they are built up front.
+  const bool family = scenario.kind == ScenarioKind::kFamily;
+  MaterializedScenario live;
+  if (!family) live = materialize(scenario);
   eval.classification = classify(scenario, live);
 
   analysis::SearchLimits limits = options.limits;
@@ -308,8 +314,7 @@ std::optional<Evaluation> evaluate_impl(const Scenario& scenario,
   }
   const auto ground_truth = [&](Evaluation& into,
                                 const analysis::SearchLimits& with) {
-    if (scenario.kind == ScenarioKind::kFamily)
-      return family_ground_truth(into, *live.family, with);
+    if (family) return family_ground_truth(into, *live.family, with);
     if (scenario.kind == ScenarioKind::kSynthesized) {
       // No table (obstruction / inconclusive certificate): nothing for the
       // search to cross-check.
@@ -323,6 +328,7 @@ std::optional<Evaluation> evaluate_impl(const Scenario& scenario,
   if (!cached) {
     if (counters != nullptr)
       counters->misses.fetch_add(1, std::memory_order_relaxed);
+    if (family) live = materialize(scenario);
     eval.outcome = ground_truth(eval, limits);
     if (cache != nullptr)
       cache->insert(key, TruthRecord{eval.outcome, eval.states,
@@ -390,25 +396,72 @@ std::optional<Scenario> scenario_from_fixture(std::string_view text,
   return Scenario::from_json(*scenario);
 }
 
+namespace {
+
+void append_u64(std::string& out, std::uint64_t v) {
+  char buf[20];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/// Appends ScenarioRecord::to_json()'s bytes to `out`.
+void append_record(std::string& out, const ScenarioRecord& r) {
+  out += "{\"index\":";
+  append_u64(out, r.index);
+  out += ",\"seed\":";
+  append_u64(out, r.seed);
+  out += ",\"kind\":\"";
+  out += campaign::to_string(r.kind);
+  out += "\",\"rule\":";
+  obs::json::append_quoted(out, r.rule);
+  out += ",\"prediction\":\"";
+  out += campaign::to_string(r.prediction);
+  out += "\",\"outcome\":\"";
+  out += campaign::to_string(r.outcome);
+  out += "\",\"verdict\":\"";
+  out += campaign::to_string(r.verdict);
+  out += '"';
+  if (!r.skip_reason.empty()) {
+    out += ",\"skip\":";
+    obs::json::append_quoted(out, r.skip_reason);
+  }
+  out += ",\"states\":";
+  append_u64(out, r.states);
+  out += ",\"scenario\":";
+  out += r.scenario_json;
+  if (!r.shrunk_json.empty()) {
+    out += ",\"shrunk\":";
+    out += r.shrunk_json;
+  }
+  if (!r.fixture_path.empty()) {
+    out += ",\"fixture\":";
+    obs::json::append_quoted(out, r.fixture_path);
+  }
+  out += '}';
+}
+
+}  // namespace
+
 std::string ScenarioRecord::to_json() const {
-  std::ostringstream os;
-  os << "{\"index\":" << index << ",\"seed\":" << seed << ",\"kind\":\""
-     << campaign::to_string(kind) << "\",\"rule\":" << obs::json::quote(rule)
-     << ",\"prediction\":\"" << campaign::to_string(prediction)
-     << "\",\"outcome\":\"" << campaign::to_string(outcome)
-     << "\",\"verdict\":\"" << campaign::to_string(verdict) << "\"";
-  if (!skip_reason.empty())
-    os << ",\"skip\":" << obs::json::quote(skip_reason);
-  os << ",\"states\":" << states << ",\"scenario\":" << scenario_json;
-  if (!shrunk_json.empty()) os << ",\"shrunk\":" << shrunk_json;
-  if (!fixture_path.empty())
-    os << ",\"fixture\":" << obs::json::quote(fixture_path);
-  os << "}";
-  return os.str();
+  std::string out;
+  append_record(out, *this);
+  return out;
 }
 
 void CampaignResult::write_jsonl(std::ostream& out) const {
-  for (const ScenarioRecord& record : records) out << record.to_json() << "\n";
+  // One buffer of lines, written whenever it passes a block's size.
+  constexpr std::size_t kBlockBytes = std::size_t{1} << 16;
+  std::string block;
+  block.reserve(kBlockBytes + 4096);
+  const auto flush = [&] {
+    out.write(block.data(), static_cast<std::streamsize>(block.size()));
+    block.clear();
+  };
+  for (const ScenarioRecord& record : records) {
+    append_record(block, record);
+    block += '\n';
+    if (block.size() >= kBlockBytes) flush();
+  }
+  flush();
 }
 
 obs::RunReport CampaignResult::report(const CampaignConfig& config) const {

@@ -2,26 +2,43 @@
 
 #include <algorithm>
 #include <sstream>
+#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 namespace wormsim::cdg {
 
-ChannelDependencyGraph::ChannelDependencyGraph(const topo::Network& net)
-    : net_(&net), adjacency_(net.channel_count()) {}
-
-void ChannelDependencyGraph::add_edge(ChannelId from, ChannelId to, Witness w) {
-  auto& witness_list = edge_witnesses_[edge_key(from, to)];
-  if (witness_list.empty()) {
-    adjacency_[from.index()].push_back(to);
-    ++edge_count_;
+ChannelDependencyGraph::ChannelDependencyGraph(
+    const topo::Network& net, std::vector<Dependency> traced)
+    : net_(&net), succ_begin_(net.channel_count() + 1, 0) {
+  // Stable, so that each edge's witnesses stay in trace order.
+  std::stable_sort(traced.begin(), traced.end(),
+                   [](const Dependency& a, const Dependency& b) {
+                     return a.from != b.from ? a.from < b.from : a.to < b.to;
+                   });
+  const auto starts_edge = [&traced](std::size_t i) {
+    return i == 0 || traced[i].from != traced[i - 1].from ||
+           traced[i].to != traced[i - 1].to;
+  };
+  std::size_t edges = 0;
+  for (std::size_t i = 0; i < traced.size(); ++i) edges += starts_edge(i);
+  succ_.reserve(edges);
+  witness_begin_.reserve(edges + 1);
+  witnesses_.reserve(traced.size());
+  for (std::size_t i = 0; i < traced.size(); ++i) {
+    const Dependency& d = traced[i];
+    if (starts_edge(i)) {
+      ++succ_begin_[d.from.index() + 1];
+      succ_.push_back(d.to);
+      witness_begin_.push_back(static_cast<std::uint32_t>(witnesses_.size()));
+    }
+    const auto listed = witnesses_.begin() + witness_begin_.back();
+    if (std::find(listed, witnesses_.end(), d.witness) == witnesses_.end())
+      witnesses_.push_back(d.witness);
   }
-  if (std::find(witness_list.begin(), witness_list.end(), w) ==
-      witness_list.end())
-    witness_list.push_back(w);
-}
-
-void ChannelDependencyGraph::finalize() {
-  for (auto& succ : adjacency_) std::sort(succ.begin(), succ.end());
+  witness_begin_.push_back(static_cast<std::uint32_t>(witnesses_.size()));
+  for (std::size_t c = 1; c < succ_begin_.size(); ++c)
+    succ_begin_[c] += succ_begin_[c - 1];
 }
 
 ChannelDependencyGraph ChannelDependencyGraph::build(
@@ -38,7 +55,7 @@ ChannelDependencyGraph ChannelDependencyGraph::build(
 
 ChannelDependencyGraph ChannelDependencyGraph::build(
     const routing::AdaptiveRouting& alg) {
-  ChannelDependencyGraph graph(alg.net());
+  std::vector<Dependency> traced;
   const std::size_t n = alg.net().node_count();
   for (std::size_t s = 0; s < n; ++s) {
     for (std::size_t d = 0; d < n; ++d) {
@@ -53,7 +70,7 @@ ChannelDependencyGraph ChannelDependencyGraph::build(
         for (const ChannelId c : frontier) {
           if (alg.net().channel(c).dst == w.dst) continue;  // delivered
           for (const ChannelId succ : alg.next_channels(c, w.dst)) {
-            graph.add_edge(c, succ, w);
+            traced.push_back({c, succ, w});
             if (seen.insert(succ.value()).second)
               next_frontier.push_back(succ);
           }
@@ -62,39 +79,50 @@ ChannelDependencyGraph ChannelDependencyGraph::build(
       }
     }
   }
-  graph.finalize();
-  return graph;
+  return ChannelDependencyGraph(alg.net(), std::move(traced));
 }
 
 ChannelDependencyGraph ChannelDependencyGraph::build(
     const routing::RoutingAlgorithm& alg, std::span<const Witness> pairs) {
-  ChannelDependencyGraph graph(alg.net());
+  std::vector<Dependency> traced;
+  traced.reserve(2 * pairs.size());
+  std::vector<ChannelId> path;
   for (const Witness& w : pairs) {
-    const auto path = routing::trace_path(alg, w.src, w.dst);
-    WORMSIM_EXPECTS_MSG(path.has_value(),
+    const bool terminates = routing::trace_path(alg, w.src, w.dst, path);
+    WORMSIM_EXPECTS_MSG(terminates,
                         "route does not terminate; cannot build CDG");
-    for (std::size_t i = 0; i + 1 < path->size(); ++i)
-      graph.add_edge((*path)[i], (*path)[i + 1], w);
+    for (std::size_t i = 0; i + 1 < path.size(); ++i)
+      traced.push_back({path[i], path[i + 1], w});
   }
-  graph.finalize();
-  return graph;
+  return ChannelDependencyGraph(alg.net(), std::move(traced));
 }
 
 std::span<const ChannelId> ChannelDependencyGraph::successors(
     ChannelId c) const {
-  WORMSIM_EXPECTS(c.valid() && c.index() < adjacency_.size());
-  return adjacency_[c.index()];
+  WORMSIM_EXPECTS(c.valid() && c.index() < vertex_count());
+  return successors_of(c.index());
+}
+
+std::optional<std::size_t> ChannelDependencyGraph::edge_index(
+    ChannelId from, ChannelId to) const {
+  if (from.index() >= vertex_count()) return std::nullopt;
+  const auto succ = successors_of(from.index());
+  const auto it = std::lower_bound(succ.begin(), succ.end(), to);
+  if (it == succ.end() || *it != to) return std::nullopt;
+  return succ_begin_[from.index()] +
+         static_cast<std::size_t>(it - succ.begin());
 }
 
 bool ChannelDependencyGraph::has_edge(ChannelId from, ChannelId to) const {
-  return edge_witnesses_.contains(edge_key(from, to));
+  return edge_index(from, to).has_value();
 }
 
 std::span<const Witness> ChannelDependencyGraph::witnesses(
     ChannelId from, ChannelId to) const {
-  const auto it = edge_witnesses_.find(edge_key(from, to));
-  if (it == edge_witnesses_.end()) return {};
-  return it->second;
+  const auto edge = edge_index(from, to);
+  if (!edge) return {};
+  return {witnesses_.data() + witness_begin_[*edge],
+          witnesses_.data() + witness_begin_[*edge + 1]};
 }
 
 bool ChannelDependencyGraph::acyclic() const {
@@ -105,10 +133,9 @@ std::optional<std::vector<std::uint32_t>>
 ChannelDependencyGraph::topological_numbering() const {
   // Kahn's algorithm; the discovered order doubles as the Dally–Seitz
   // channel numbering (every dependency strictly increases).
-  const std::size_t n = adjacency_.size();
+  const std::size_t n = vertex_count();
   std::vector<std::uint32_t> indegree(n, 0);
-  for (const auto& succ : adjacency_)
-    for (const ChannelId c : succ) ++indegree[c.index()];
+  for (const ChannelId c : succ_) ++indegree[c.index()];
 
   std::vector<std::size_t> ready;
   for (std::size_t i = 0; i < n; ++i)
@@ -122,7 +149,7 @@ ChannelDependencyGraph::topological_numbering() const {
     ready.pop_back();
     numbering[v] = next_number++;
     ++processed;
-    for (const ChannelId c : adjacency_[v])
+    for (const ChannelId c : successors_of(v))
       if (--indegree[c.index()] == 0) ready.push_back(c.index());
   }
   if (processed != n) return std::nullopt;  // a cycle remains
@@ -131,9 +158,9 @@ ChannelDependencyGraph::topological_numbering() const {
 
 bool ChannelDependencyGraph::verify_numbering(
     std::span<const std::uint32_t> numbering) const {
-  if (numbering.size() != adjacency_.size()) return false;
-  for (std::size_t v = 0; v < adjacency_.size(); ++v)
-    for (const ChannelId c : adjacency_[v])
+  if (numbering.size() != vertex_count()) return false;
+  for (std::size_t v = 0; v < vertex_count(); ++v)
+    for (const ChannelId c : successors_of(v))
       if (numbering[v] >= numbering[c.index()]) return false;
   return true;
 }
@@ -141,7 +168,7 @@ bool ChannelDependencyGraph::verify_numbering(
 std::vector<std::vector<ChannelId>> ChannelDependencyGraph::cyclic_sccs()
     const {
   // Iterative Tarjan.
-  const std::size_t n = adjacency_.size();
+  const std::size_t n = vertex_count();
   constexpr std::uint32_t kUnvisited = 0xffffffffu;
   std::vector<std::uint32_t> index(n, kUnvisited), lowlink(n, 0);
   std::vector<char> on_stack(n, 0);
@@ -163,8 +190,9 @@ std::vector<std::vector<ChannelId>> ChannelDependencyGraph::cyclic_sccs()
 
     while (!frames.empty()) {
       Frame& f = frames.back();
-      if (f.child < adjacency_[f.v].size()) {
-        const std::size_t w = adjacency_[f.v][f.child++].index();
+      const auto succ = successors_of(f.v);
+      if (f.child < succ.size()) {
+        const std::size_t w = succ[f.child++].index();
         if (index[w] == kUnvisited) {
           index[w] = lowlink[w] = next_index++;
           stack.push_back(w);
@@ -236,7 +264,7 @@ std::vector<std::vector<ChannelId>> ChannelDependencyGraph::elementary_cycles(
         bool found = false;
         path.push_back(v);
         blocked.insert(v.value());
-        for (const ChannelId w : adjacency_[v.index()]) {
+        for (const ChannelId w : successors_of(v.index())) {
           if (!in_scc.contains(w.value()) || removed.contains(w.value()))
             continue;
           if (w == start) {
@@ -251,7 +279,7 @@ std::vector<std::vector<ChannelId>> ChannelDependencyGraph::elementary_cycles(
         if (found) {
           unblock(unblock, v.value());
         } else {
-          for (const ChannelId w : adjacency_[v.index()]) {
+          for (const ChannelId w : successors_of(v.index())) {
             if (!in_scc.contains(w.value()) || removed.contains(w.value()))
               continue;
             block_map[w.value()].push_back(v.value());
@@ -275,15 +303,15 @@ std::string ChannelDependencyGraph::to_dot(std::string_view name) const {
 
   std::ostringstream os;
   os << "digraph \"" << name << "\" {\n";
-  for (std::size_t i = 0; i < adjacency_.size(); ++i) {
+  for (std::size_t i = 0; i < vertex_count(); ++i) {
     os << "  c" << i << " [label=\"" << net_->channel(ChannelId{i}).name
        << "\"";
     if (cyclic.contains(static_cast<std::uint32_t>(i)))
       os << ", color=red, penwidth=2";
     os << "];\n";
   }
-  for (std::size_t i = 0; i < adjacency_.size(); ++i)
-    for (const ChannelId c : adjacency_[i])
+  for (std::size_t i = 0; i < vertex_count(); ++i)
+    for (const ChannelId c : successors_of(i))
       os << "  c" << i << " -> c" << c.value() << ";\n";
   os << "}\n";
   return os.str();

@@ -12,12 +12,18 @@
 // route induces the dependency — because the reachability analysis in
 // src/analysis needs to know *which messages* can exercise a cycle, not just
 // that the cycle exists.
+//
+// Storage is flat: one array of successors, sorted within each channel's
+// range, and one array of witnesses, indexed by per-edge ranges. An edge's
+// witnesses keep the order in which the build first traced them (the order
+// of `pairs`, or of all (src, dst) pairs by source then destination), with
+// duplicates dropped. The campaign's cycle probes take the first witness of
+// each cycle edge, so that order reaches its recorded search results.
 #pragma once
 
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "routing/adaptive.hpp"
@@ -49,8 +55,10 @@ class ChannelDependencyGraph {
   static ChannelDependencyGraph build(const routing::AdaptiveRouting& alg);
 
   [[nodiscard]] const topo::Network& net() const { return *net_; }
-  [[nodiscard]] std::size_t vertex_count() const { return adjacency_.size(); }
-  [[nodiscard]] std::size_t edge_count() const { return edge_count_; }
+  [[nodiscard]] std::size_t vertex_count() const {
+    return succ_begin_.size() - 1;
+  }
+  [[nodiscard]] std::size_t edge_count() const { return succ_.size(); }
 
   /// Channels reachable in one dependency step from `c` (sorted, unique).
   [[nodiscard]] std::span<const ChannelId> successors(ChannelId c) const;
@@ -88,18 +96,29 @@ class ChannelDependencyGraph {
   [[nodiscard]] std::string to_dot(std::string_view name = "cdg") const;
 
  private:
-  explicit ChannelDependencyGraph(const topo::Network& net);
-  void add_edge(ChannelId from, ChannelId to, Witness w);
-  void finalize();
+  /// One traced dependency: `witness`'s route uses `to` right after `from`.
+  struct Dependency {
+    ChannelId from;
+    ChannelId to;
+    Witness witness;
+  };
 
-  static std::uint64_t edge_key(ChannelId a, ChannelId b) {
-    return (std::uint64_t{a.value()} << 32) | b.value();
+  /// Sorts `traced`, given in trace order, into the flat arrays.
+  ChannelDependencyGraph(const topo::Network& net,
+                         std::vector<Dependency> traced);
+
+  [[nodiscard]] std::span<const ChannelId> successors_of(std::size_t v) const {
+    return {succ_.data() + succ_begin_[v], succ_.data() + succ_begin_[v + 1]};
   }
+  /// Index of edge (from, to) in succ_, or nullopt when it is absent.
+  [[nodiscard]] std::optional<std::size_t> edge_index(ChannelId from,
+                                                      ChannelId to) const;
 
   const topo::Network* net_;
-  std::vector<std::vector<ChannelId>> adjacency_;
-  std::unordered_map<std::uint64_t, std::vector<Witness>> edge_witnesses_;
-  std::size_t edge_count_ = 0;
+  std::vector<std::uint32_t> succ_begin_;     ///< per channel, plus one
+  std::vector<ChannelId> succ_;               ///< one entry per edge
+  std::vector<std::uint32_t> witness_begin_;  ///< per edge, plus one
+  std::vector<Witness> witnesses_;
 };
 
 }  // namespace wormsim::cdg

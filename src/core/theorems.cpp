@@ -8,21 +8,21 @@ namespace wormsim::core {
 namespace {
 
 /// Indices of the ring messages that use the shared channel.
-std::vector<std::size_t> sharing_indices(const CyclicFamily& family) {
+std::vector<std::size_t> sharing_indices(const CyclicFamilySpec& spec) {
   std::vector<std::size_t> sharing;
-  for (std::size_t i = 0; i < family.messages().size(); ++i)
-    if (family.messages()[i].params.uses_shared) sharing.push_back(i);
+  for (std::size_t i = 0; i < spec.messages.size(); ++i)
+    if (spec.messages[i].uses_shared) sharing.push_back(i);
   return sharing;
 }
 
 /// Sum of hold lengths of the ring messages strictly between `from` and
 /// `to`, walking forward in ring order.
-int between_hold(const CyclicFamily& family, std::size_t from,
+int between_hold(const CyclicFamilySpec& spec, std::size_t from,
                  std::size_t to) {
-  const std::size_t m = family.messages().size();
+  const std::size_t m = spec.messages.size();
   int sum = 0;
   for (std::size_t i = (from + 1) % m; i != to; i = (i + 1) % m)
-    sum += family.messages()[i].params.hold;
+    sum += spec.messages[i].hold;
   return sum;
 }
 
@@ -39,24 +39,24 @@ bool reaches_first(std::size_t m, std::size_t from, std::size_t first,
 
 }  // namespace
 
-Theorem5Report evaluate_theorem5(const CyclicFamily& family) {
+Theorem5Report evaluate_theorem5(const CyclicFamilySpec& spec) {
   Theorem5Report report;
-  const auto sharing = sharing_indices(family);
+  const auto sharing = sharing_indices(spec);
   if (sharing.size() != 3) return report;  // not the Theorem-5 setting
   report.applicable = true;
 
-  const auto& msgs = family.messages();
+  const auto& msgs = spec.messages;
   const std::size_t m = msgs.size();
 
   // Label by access length: A longest, B middle, C shortest.
   std::array<std::size_t, 3> order = {sharing[0], sharing[1], sharing[2]};
   std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    return msgs[x].params.access > msgs[y].params.access;
+    return msgs[x].access > msgs[y].access;
   });
   const std::size_t A = order[0], B = order[1], C = order[2];
-  const int aA = msgs[A].params.access, hA = msgs[A].params.hold;
-  const int aB = msgs[B].params.access, hB = msgs[B].params.hold;
-  const int aC = msgs[C].params.access, hC = msgs[C].params.hold;
+  const int aA = msgs[A].access, hA = msgs[A].hold;
+  const int aB = msgs[B].access, hB = msgs[B].hold;
+  const int aC = msgs[C].access, hC = msgs[C].hold;
 
   // 1. In ring order, A is followed by C before B.
   report.conditions[0] = reaches_first(m, A, C, B);
@@ -72,7 +72,7 @@ Theorem5Report evaluate_theorem5(const CyclicFamily& family) {
   {
     const std::size_t prevC = (C + m - 1) % m;
     report.conditions[4] =
-        msgs[prevC].params.uses_shared ? true : hC > aC;
+        msgs[prevC].uses_shared ? true : hC > aC;
   }
   // 6. Either B holds more ring channels than its access path, or C
   //    immediately precedes B and C's total path is short enough that
@@ -87,10 +87,10 @@ Theorem5Report evaluate_theorem5(const CyclicFamily& family) {
   }
   // 7. A's access plus interposed holds between A and C is less than C's
   //    ring holding plus access.
-  report.conditions[6] = aA + between_hold(family, A, C) < hC + aC;
+  report.conditions[6] = aA + between_hold(spec, A, C) < hC + aC;
   // 8. C's access plus interposed holds between C and B is less than A's
   //    access.
-  report.conditions[7] = aC + between_hold(family, C, B) < aA;
+  report.conditions[7] = aC + between_hold(spec, C, B) < aA;
 
   return report;
 }
@@ -106,8 +106,8 @@ std::string Theorem5Report::describe() const {
   return os.str();
 }
 
-bool theorem4_applies(const CyclicFamily& family) {
-  return sharing_indices(family).size() == 2;
+bool theorem4_applies(const CyclicFamilySpec& spec) {
+  return sharing_indices(spec).size() == 2;
 }
 
 bool theorem3_contradiction(std::span<const int> access_in_ring_order) {

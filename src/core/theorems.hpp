@@ -1,8 +1,10 @@
 // Structural theorem checkers (paper Section 5).
 //
 // Each checker evaluates the *static* side of one of the paper's results on
-// a CyclicFamily instance; the corresponding tests cross-validate every
-// verdict against the exhaustive reachability search, which is the
+// a CyclicFamily instance. Theorems 4 and 5 read only each ring message's
+// access length, hold length and use of c_s, so their checkers take the
+// spec and need no built network. The corresponding tests cross-validate
+// every verdict against the exhaustive reachability search, which is the
 // operational ground truth. In particular the Theorem-5 evaluator encodes
 // the eight conditions for a three-message shared channel; where the scan of
 // the paper garbles a condition's exact inequality, the formalization below
@@ -34,11 +36,11 @@ struct Theorem5Report {
   [[nodiscard]] std::string describe() const;
 };
 
-Theorem5Report evaluate_theorem5(const CyclicFamily& family);
+Theorem5Report evaluate_theorem5(const CyclicFamilySpec& spec);
 
 /// Theorem 4 precondition: exactly two messages use the shared channel
 /// (outside the ring). When true, the paper proves the ring deadlocks.
-bool theorem4_applies(const CyclicFamily& family);
+bool theorem4_applies(const CyclicFamilySpec& spec);
 
 /// Theorem 3's arithmetic core: under minimal routing with a single shared
 /// channel used by every ring message, each message must use strictly more

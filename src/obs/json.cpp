@@ -14,9 +14,9 @@
 
 namespace wormsim::obs::json {
 
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+namespace {
+
+void append_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -36,10 +36,28 @@ std::string escape(std::string_view s) {
         }
     }
   }
+}
+
+}  // namespace
+
+std::string escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  append_escaped(out, s);
   return out;
 }
 
-std::string quote(std::string_view s) { return "\"" + escape(s) + "\""; }
+std::string quote(std::string_view s) {
+  std::string out;
+  append_quoted(out, s);
+  return out;
+}
+
+void append_quoted(std::string& out, std::string_view s) {
+  out += '"';
+  append_escaped(out, s);
+  out += '"';
+}
 
 std::string number(double v) {
   if (!std::isfinite(v)) return "null";

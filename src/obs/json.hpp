@@ -27,6 +27,9 @@ std::string escape(std::string_view s);
 /// `"escaped"` — escape() with surrounding quotes.
 std::string quote(std::string_view s);
 
+/// Appends quote(s) to `out`, with no temporary string.
+void append_quoted(std::string& out, std::string_view s);
+
 /// Formats a double as a JSON number: integral values print without a
 /// fractional part, non-finite values (invalid JSON) print as null.
 std::string number(double v);

@@ -7,28 +7,29 @@ void NodeTable::set(NodeId at, NodeId dst, ChannelId channel) {
   WORMSIM_EXPECTS(channel.valid());
   WORMSIM_EXPECTS_MSG(net().channel(channel).src == at,
                       "channel does not leave the given node");
-  const auto [it, inserted] = table_.emplace(key(at, dst), channel);
-  WORMSIM_EXPECTS_MSG(inserted, "routing entry already defined");
-  (void)it;
+  WORMSIM_EXPECTS_MSG(at.index() < nodes_ && dst.index() < nodes_,
+                      "node outside the network the table was sized for");
+  ChannelId& slot = table_[at.index() * nodes_ + dst.index()];
+  WORMSIM_EXPECTS_MSG(!slot.valid(), "routing entry already defined");
+  slot = channel;
 }
 
 bool NodeTable::routes(NodeId src, NodeId dst) const {
-  return table_.contains(key(src, dst));
+  return entry(src, dst).valid();
 }
 
 ChannelId NodeTable::initial_channel(NodeId src, NodeId dst) const {
-  const auto it = table_.find(key(src, dst));
-  WORMSIM_EXPECTS_MSG(it != table_.end(), "no route for (src, dst)");
-  return it->second;
+  const ChannelId c = entry(src, dst);
+  WORMSIM_EXPECTS_MSG(c.valid(), "no route for (src, dst)");
+  return c;
 }
 
 ChannelId NodeTable::next_channel(ChannelId in, NodeId dst) const {
   const NodeId at = net().channel(in).dst;
   WORMSIM_EXPECTS(at != dst);
-  const auto it = table_.find(key(at, dst));
-  WORMSIM_EXPECTS_MSG(it != table_.end(),
-                      "routing function undefined for (node, dst)");
-  return it->second;
+  const ChannelId c = entry(at, dst);
+  WORMSIM_EXPECTS_MSG(c.valid(), "routing function undefined for (node, dst)");
+  return c;
 }
 
 }  // namespace wormsim::routing

@@ -7,9 +7,14 @@
 // suffix-closed by construction (Definition 8). The random-algorithm
 // generators used by the corollary property tests produce instances of this
 // class.
+//
+// The table is a dense node x node array of out-channels, sized from the
+// network's node count when the table is made, so the network must be
+// complete by then: a node added afterwards has no row, and set() on it
+// aborts.
 #pragma once
 
-#include <unordered_map>
+#include <vector>
 
 #include "routing/routing.hpp"
 
@@ -18,7 +23,10 @@ namespace wormsim::routing {
 class NodeTable final : public RoutingAlgorithm {
  public:
   explicit NodeTable(const topo::Network& net, std::string name = "node-table")
-      : RoutingAlgorithm(net), name_(std::move(name)) {}
+      : RoutingAlgorithm(net),
+        name_(std::move(name)),
+        nodes_(net.node_count()),
+        table_(nodes_ * nodes_) {}
 
   /// Defines the out-channel taken at `at` for messages destined to `dst`.
   /// `channel` must leave `at`. Entries may not be redefined.
@@ -31,11 +39,15 @@ class NodeTable final : public RoutingAlgorithm {
   [[nodiscard]] ChannelId next_channel(ChannelId in, NodeId dst) const override;
 
  private:
-  static std::uint64_t key(NodeId a, NodeId b) {
-    return (std::uint64_t{a.value()} << 32) | b.value();
+  /// The entry for (at, dst); invalid when undefined or off the table.
+  [[nodiscard]] ChannelId entry(NodeId at, NodeId dst) const {
+    if (at.index() >= nodes_ || dst.index() >= nodes_) return {};
+    return table_[at.index() * nodes_ + dst.index()];
   }
+
   std::string name_;
-  std::unordered_map<std::uint64_t, ChannelId> table_;
+  std::size_t nodes_;
+  std::vector<ChannelId> table_;  ///< row `at`, column `dst`
 };
 
 }  // namespace wormsim::routing

@@ -64,6 +64,12 @@ std::optional<std::vector<ChannelId>> trace_path(const RoutingAlgorithm& alg,
                                                  NodeId src, NodeId dst,
                                                  std::size_t max_hops = 10'000);
 
+/// trace_path into a caller-owned buffer, which it clears first; false
+/// where the other form returns nullopt. A caller that traces many pairs
+/// reuses one allocation.
+bool trace_path(const RoutingAlgorithm& alg, NodeId src, NodeId dst,
+                std::vector<ChannelId>& path, std::size_t max_hops = 10'000);
+
 /// Node sequence visited by a channel path starting at `src` (src first,
 /// destination last).
 std::vector<NodeId> nodes_of_path(const topo::Network& net, NodeId src,

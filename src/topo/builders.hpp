@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "topo/network.hpp"
@@ -31,7 +32,9 @@ class Grid {
   explicit Grid(GridSpec spec);
 
   [[nodiscard]] const GridSpec& spec() const { return spec_; }
-  [[nodiscard]] const Network& net() const { return net_; }
+  [[nodiscard]] const Network& net() const& { return net_; }
+  /// On a temporary (`make_mesh(...).net()`), moves the network out.
+  [[nodiscard]] Network net() && { return std::move(net_); }
 
   /// Node at the given coordinates (size must equal dimensions()).
   [[nodiscard]] NodeId node_at(std::span<const int> coords) const;

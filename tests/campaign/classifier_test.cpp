@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "core/cyclic_family.hpp"
 
 namespace wormsim::campaign {
@@ -150,6 +153,42 @@ TEST(Classifier, CyclicRandomAlgorithmIsCorollary1) {
   s.flavor = RoutingFlavor::kRandomMinimal;
   const auto minimal = classify(s, materialize(s));
   EXPECT_EQ(minimal.rule, "corollary1-minimal");
+}
+
+TEST(Classifier, FamiliesClassifyFromTheirSpecAlone) {
+  // The campaign classifies a family before (and usually instead of)
+  // building it; the verdict must be the one the built instance gets.
+  std::map<std::string, int> rules;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const ScenarioGenerator gen(seed);
+    int families = 0;
+    for (std::uint64_t i = 0; families < 2'000; ++i) {
+      const Scenario s = gen.generate(i);
+      if (s.kind != ScenarioKind::kFamily) continue;
+      ++families;
+      const Classification spec_only = classify(s, MaterializedScenario{});
+      const Classification built = classify(s, materialize(s));
+      ASSERT_EQ(spec_only.prediction, built.prediction) << s.describe();
+      ASSERT_EQ(spec_only.rule, built.rule) << s.describe();
+      ASSERT_EQ(spec_only.detail, built.detail) << s.describe();
+      ASSERT_EQ(spec_only.cdg_cyclic, built.cdg_cyclic) << s.describe();
+      ++rules[spec_only.rule];
+    }
+  }
+  // The sample covers the Section-6 shapes and the Figure-3 shape that
+  // Theorem 5 predicts, not only the uniform rings.
+  EXPECT_GT(rules["section6"], 0);
+  EXPECT_GT(rules["theorem5"], 0);
+  EXPECT_GT(rules["theorem4"], 0);
+}
+
+TEST(ClassifierDeathTest, UnbuildableFamilySpecStillAborts) {
+  // A 2-message ring with a unit segment is rejected by the builders; the
+  // spec-only path must refuse it as materialize() does.
+  const Scenario s = family_scenario({{2, 1, true}, {3, 2, true}});
+  ASSERT_FALSE(family_spec_buildable(s.family));
+  EXPECT_DEATH((void)classify(s, MaterializedScenario{}),
+               "unbuildable family spec");
 }
 
 }  // namespace

@@ -36,8 +36,7 @@ TEST(Theorem5InterposedFixture, ShrunkReproducerStillDeadlocks) {
 
   // The instance passes all eight Theorem-5 conditions — that is exactly
   // why the unscoped classifier claimed it unreachable...
-  const MaterializedScenario live = materialize(*shrunk);
-  const auto report = core::evaluate_theorem5(*live.family);
+  const auto report = core::evaluate_theorem5(shrunk->family);
   ASSERT_TRUE(report.applicable);
   EXPECT_TRUE(report.all_hold()) << report.describe();
 

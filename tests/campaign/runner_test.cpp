@@ -222,15 +222,23 @@ TEST(SingleFlight, EachTruthKeyIsSearchedOnceAtFourShards) {
 }
 
 TEST(CampaignCheckpoint, CacheFileGrowsWhileTheRunIsLiveAndResumes) {
-  // Random algorithms only: a steady stream of short searches, each of
-  // which inserts, for a few seconds on four shards. That is long enough
-  // for kCheckpointSeconds appends to land before the final sorted save.
+  // Random algorithms only: a steady stream of short searches on two
+  // shards, each of which inserts. The count comes from a short calibration
+  // run of the same stream, so that on any host the run lasts about three
+  // kCheckpointSeconds intervals and appends land before the final save.
   CampaignConfig config;
   config.seed = 1;
-  config.count = 60'000;
-  config.shards = 4;
+  config.count = 4'000;
+  config.shards = 2;
   config.knobs.family_fraction = 0;
   config.fixture_dir.clear();
+  const CampaignResult calibration = run_campaign(config);
+  const double per_second =
+      static_cast<double>(config.count) /
+      std::max(calibration.elapsed_seconds, 1e-3);
+  config.count = std::max<std::uint64_t>(
+      config.count,
+      static_cast<std::uint64_t>(per_second * 3 * kCheckpointSeconds));
   config.cache_file = test::temp_dir("wormsim_checkpoint.truthstore");
 
   std::atomic<bool> finished{false};
@@ -239,32 +247,40 @@ TEST(CampaignCheckpoint, CacheFileGrowsWhileTheRunIsLiveAndResumes) {
     cold = run_campaign(config);
     finished.store(true);
   });
-  // The file as it stood each time its record count changed while the run
-  // was live. Only the last write to it is the final save, so every state
-  // seen before another one was written by a checkpoint.
-  std::vector<std::string> seen;
+  // How often the file's record count changed while the run was live, and
+  // the file as the first change left it. Only the last write is the final
+  // save, so every change seen before another one was written by a
+  // checkpoint.
+  std::size_t changes = 0;
+  std::string first_append;
+  std::ptrdiff_t last_lines = 0;
   while (!finished.load()) {
     std::string text = test::slurp(config.cache_file);
     const auto lines = std::count(text.begin(), text.end(), '\n');
-    if (lines > 1 && (seen.empty() ||
-                      lines != std::count(seen.back().begin(),
-                                          seen.back().end(), '\n')))
-      seen.push_back(std::move(text));
+    if (lines > 1 && lines != last_lines) {
+      if (changes++ == 0) first_append = std::move(text);
+      last_lines = lines;
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   run.join();
-  ASSERT_GE(seen.size(), 2u) << "no append was seen before the final save";
+  ASSERT_GE(changes, 2u) << "no append was seen before the final save";
   ASSERT_TRUE(cold.cache_saved);
 
   // A run killed where the first append left the file resumes warm from
   // it, searches only what the append lacked, and ends in the same bytes.
+  // The cold run's records are released first: at hundreds of thousands
+  // of scenarios, two results at once would double the test's memory.
   const std::string cold_cache = test::slurp(config.cache_file);
+  const std::string cold_jsonl = jsonl_of(cold);
+  const std::uint64_t cold_misses = cold.truth_misses;
+  cold = CampaignResult{};
   config.cache_file = test::temp_dir("wormsim_checkpoint_resumed.truthstore");
-  { std::ofstream(config.cache_file, std::ios::binary) << seen.front(); }
+  { std::ofstream(config.cache_file, std::ios::binary) << first_append; }
   const CampaignResult resumed = run_campaign(config);
   EXPECT_GT(resumed.truth_loaded, 0u);
-  EXPECT_EQ(resumed.truth_loaded + resumed.truth_misses, cold.truth_misses);
-  EXPECT_EQ(jsonl_of(resumed), jsonl_of(cold));
+  EXPECT_EQ(resumed.truth_loaded + resumed.truth_misses, cold_misses);
+  EXPECT_EQ(jsonl_of(resumed), cold_jsonl);
   EXPECT_EQ(test::slurp(config.cache_file), cold_cache);
 }
 

@@ -4,7 +4,9 @@
 // exact JSON the default generator emits for seed 1: campaign JSONL files
 // are only reproducible across machines and refactors if these bytes never
 // drift. If an intentional generator change trips it, rerun the recorded
-// campaigns and update the constant in the same commit.
+// campaigns and update the constant in the same commit. Its sibling
+// (Seed1First64TruthKeysAreByteStable) pins the truth keys that saved
+// TruthStores are indexed by.
 #include "campaign/scenario.hpp"
 
 #include <gtest/gtest.h>
@@ -65,6 +67,27 @@ TEST(ScenarioGenerator, Seed1First32ScenariosAreByteStable) {
       << "generator byte-stability golden changed; if intentional, update "
          "the constant and regenerate recorded campaign JSONL\nfirst line: "
       << gen.generate(0).to_json();
+}
+
+TEST(ScenarioGenerator, Seed1First64TruthKeysAreByteStable) {
+  // truth_key() is the TruthStore's on-disk identity: a change to these
+  // bytes orphans every saved store, so it must come with a store
+  // behaviour-version bump. All three kinds are drawn.
+  GeneratorKnobs knobs;
+  knobs.synthesized_fraction = 0.3;
+  const ScenarioGenerator gen(1, knobs);
+  std::string all;
+  bool kinds[3] = {false, false, false};
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    const Scenario s = gen.generate(i);
+    kinds[static_cast<int>(s.kind)] = true;
+    all += s.truth_key() + "\n";
+  }
+  EXPECT_TRUE(kinds[0] && kinds[1] && kinds[2]);
+  EXPECT_EQ(fnv1a(all), 0x653424e7f7e9a4cbull)
+      << "truth-key byte-stability golden changed; if intentional, bump the "
+         "TruthStore behaviour version\nfirst key: "
+      << gen.generate(0).truth_key();
 }
 
 TEST(ScenarioGenerator, EveryScenarioMaterializes) {

@@ -14,8 +14,8 @@ namespace {
 
 TEST(Fig2, TheoremFourApplies) {
   const CyclicFamily family(fig2_spec());
-  EXPECT_TRUE(theorem4_applies(family));
-  EXPECT_FALSE(theorem4_applies(CyclicFamily(fig1_spec())));
+  EXPECT_TRUE(theorem4_applies(family.spec()));
+  EXPECT_FALSE(theorem4_applies(fig1_spec()));
 }
 
 TEST(Fig2, DeadlockReachable) {

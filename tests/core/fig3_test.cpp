@@ -24,7 +24,7 @@ TEST_P(Fig3Test, SearchVerdictMatchesPaper) {
 
 TEST_P(Fig3Test, CheckerMatchesPaperVerdict) {
   const CyclicFamily family(fig3_spec(GetParam()));
-  const auto report = evaluate_theorem5(family);
+  const auto report = evaluate_theorem5(family.spec());
   ASSERT_TRUE(report.applicable);
   EXPECT_EQ(report.all_hold(), fig3_expected_unreachable(GetParam()))
       << report.describe();
@@ -32,7 +32,7 @@ TEST_P(Fig3Test, CheckerMatchesPaperVerdict) {
 
 TEST_P(Fig3Test, ExactlyTheCaptionedConditionIsViolated) {
   const CyclicFamily family(fig3_spec(GetParam()));
-  const auto report = evaluate_theorem5(family);
+  const auto report = evaluate_theorem5(family.spec());
   ASSERT_TRUE(report.applicable);
   const int expected = fig3_violated_condition(GetParam());
   for (int c = 1; c <= 8; ++c) {

@@ -30,7 +30,7 @@ CyclicFamilySpec base_spec() {
 
 Theorem5Report evaluate(const CyclicFamilySpec& spec) {
   const CyclicFamily family(spec);
-  return evaluate_theorem5(family);
+  return evaluate_theorem5(family.spec());
 }
 
 TEST(Theorem5Conditions, BaseInstanceSatisfiesAllEight) {

@@ -25,7 +25,7 @@ TEST_P(Theorem5Sweep, CheckerUnreachableImpliesSearchUnreachable) {
   spec.messages = {{4, hA, true}, {2, hC, true}, {3, hB, true}};
   const CyclicFamily family(spec);
 
-  const auto report = evaluate_theorem5(family);
+  const auto report = evaluate_theorem5(family.spec());
   ASSERT_TRUE(report.applicable);
 
   analysis::SearchLimits limits;

@@ -64,5 +64,16 @@ TEST_F(NodeTableDeathTest, UndefinedLookupAborts) {
   EXPECT_DEATH((void)table_.initial_channel(n(0), n(1)), "no route");
 }
 
+TEST(NodeTableSizingDeathTest, NodeAddedAfterTheTableAborts) {
+  // The table is sized from the network it is made for; a node added
+  // later has no row or column, so defining a route to it must abort.
+  topo::Network net = topo::make_unidirectional_ring(3);
+  NodeTable table(net);
+  const NodeId late = net.add_node();
+  const ChannelId to_late = net.add_channel(NodeId{0u}, late);
+  EXPECT_FALSE(table.routes(NodeId{0u}, late));
+  EXPECT_DEATH(table.set(NodeId{0u}, late, to_late), "sized for");
+}
+
 }  // namespace
 }  // namespace wormsim::routing
